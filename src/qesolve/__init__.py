@@ -64,16 +64,13 @@ from .sl2 import (
     apply_combination,
     apply_generator,
     build_block,
-    commutator_defect,
 )
 from .spectrum import (
     EigenPair,
     QesSolution,
     ShiftResult,
-    char_poly,
     common_imaginary_shift,
     eigen_solve,
-    poly_roots,
     solve_model,
 )
 

@@ -29,6 +29,7 @@ from .cpoly import poly_derivative, poly_eval, poly_mul, poly_scale, poly_sub
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import MORSE, SEXTIC, GaugeSpec, QesModel, potential_eval
 from .spectrum import QesSolution
+from .tridiag import LuBreakdown, tridiag_factor, tridiag_matvec, tridiag_solve
 
 
 @dataclass(frozen=True)
@@ -201,57 +202,6 @@ def susy_partner(model: QesModel) -> SusyPartner:
     return SusyPartner(model.gauge)
 
 
-class _LuBreakdown(Exception):
-    pass
-
-
-def _tridiag_factor(sub: list[complex], diag: list[complex], sup: list[complex]):
-    """LU of a tridiagonal matrix with adjacent-row partial pivoting.
-
-    Pivoting introduces one extra superdiagonal of fill; breakdown (both
-    pivot candidates exactly zero) raises so the caller can re-shift.
-    """
-    n = len(diag)
-    b = list(diag)
-    c = list(sup) + [0.0j]
-    d = [0.0j] * n
-    a = list(sub)
-    mult = [0.0j] * max(n - 1, 0)
-    swap = [False] * max(n - 1, 0)
-    for i in range(n - 1):
-        if abs(a[i]) > abs(b[i]):
-            swap[i] = True
-            b[i], a[i] = a[i], b[i]
-            c[i], b[i + 1] = b[i + 1], c[i]
-            d[i], c[i + 1] = c[i + 1], d[i]
-        if b[i] == 0:
-            raise _LuBreakdown(f"zero pivot at row {i}")
-        m = a[i] / b[i]
-        mult[i] = m
-        b[i + 1] -= m * c[i]
-        c[i + 1] -= m * d[i]
-    if b[n - 1] == 0:
-        raise _LuBreakdown("zero pivot at the last row")
-    return b, c, d, mult, swap
-
-
-def _tridiag_solve(factors, rhs: list[complex]) -> list[complex]:
-    b, c, d, mult, swap = factors
-    n = len(b)
-    y = list(rhs)
-    for i in range(n - 1):
-        if swap[i]:
-            y[i], y[i + 1] = y[i + 1], y[i]
-        y[i + 1] -= mult[i] * y[i]
-    x = [0.0j] * n
-    x[n - 1] = y[n - 1] / b[n - 1]
-    if n >= 2:
-        x[n - 2] = (y[n - 2] - c[n - 2] * x[n - 1]) / b[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (y[i] - c[i] * x[i + 1] - d[i] * x[i + 2]) / b[i]
-    return x
-
-
 def fd_refine_energy(
     potential: Callable[[float], complex],
     x_min: float,
@@ -273,16 +223,16 @@ def fd_refine_energy(
     h = (x_max - x_min) / (n + 1)
     inv_h2 = 1.0 / (h * h)
     diag0 = [2.0 * inv_h2 + potential(x_min + (i + 1) * h) for i in range(n)]
-    off = -inv_h2
+    off = [-inv_h2] * (n - 1)
 
     factors = None
     offset = shift_offset
     for _ in range(6):
         sigma = predicted + offset
         try:
-            factors = _tridiag_factor([off] * (n - 1), [v - sigma for v in diag0], [off] * (n - 1))
+            factors = tridiag_factor(off, [v - sigma for v in diag0], off)
             break
-        except _LuBreakdown:
+        except LuBreakdown:
             offset *= 2.0
     if factors is None:
         raise ConvergenceFailureError("tridiagonal factorization kept breaking down")
@@ -294,17 +244,10 @@ def fd_refine_energy(
     v = [c / scale for c in v]
     rayleigh = None
     for _ in range(max_iter):
-        u = _tridiag_solve(factors, v)
+        u = tridiag_solve(factors, v)
         norm = math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in u))
         u = [c / norm for c in u]
-        hu = [0.0j] * n
-        for i in range(n):
-            acc = diag0[i] * u[i]
-            if i > 0:
-                acc += off * u[i - 1]
-            if i < n - 1:
-                acc += off * u[i + 1]
-            hu[i] = acc
+        hu = tridiag_matvec(off, diag0, off, u)
         estimate = sum(u[i].conjugate() * hu[i] for i in range(n))
         if rayleigh is not None and abs(estimate - rayleigh) < rq_tol:
             return estimate

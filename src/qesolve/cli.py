@@ -496,14 +496,14 @@ def _add_family_flags(sub: argparse.ArgumentParser, with_mu: bool = True) -> Non
     sub.add_argument("--sector", choices=(EVEN, ODD), help="sextic parity sector")
 
 
-def _resolve_model(args) -> QesModel:
+def _resolve_model(args, mu: float | None) -> QesModel:
+    """The model the family flags describe; mu comes from --mu, or from --mu-range for scan."""
     if args.family == SEXTIC:
         if args.b is not None or args.d is not None:
             raise ValidationError("--b/--d apply to the morse family only")
         sector = args.sector or EVEN
-        mu = getattr(args, "mu", None)
         if mu is not None and args.a is not None:
-            raise ValidationError("give either --mu or --a, not both")
+            raise ValidationError("give either mu or --a, not both")
         if mu is not None:
             params = SexticParams.from_mu(mu, args.two_j, sector)
         elif args.a is not None:
@@ -515,9 +515,8 @@ def _resolve_model(args) -> QesModel:
         raise ValidationError("--sector applies to the sextic family only")
     a = _parse_complex(args.a) if args.a is not None else 1.0 + 0.0j
     d = _parse_complex(args.d) if args.d is not None else 1.0 + 0.0j
-    mu = getattr(args, "mu", None)
     if mu is not None and args.b is not None:
-        raise ValidationError("give either --mu or --b, not both")
+        raise ValidationError("give either mu or --b, not both")
     if mu is not None:
         params = MorseParams.from_mu(mu, args.two_j, a, d)
     elif args.b is not None:
@@ -532,13 +531,13 @@ def _resolve_model(args) -> QesModel:
 
 
 def cmd_solve(args) -> int:
-    report, _ = build_report(_resolve_model(args))
+    report, _ = build_report(_resolve_model(args, args.mu))
     print(render_report(report))
     return 0
 
 
 def cmd_verify(args) -> int:
-    model = _resolve_model(args)
+    model = _resolve_model(args, args.mu)
     if args.domain is not None:
         x_min, x_max = _parse_pair(args.domain, "a domain")
         grid = GridSpec(x_min, x_max, args.grid_n)
@@ -553,41 +552,33 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     lo, hi, step = _parse_range(args.mu_range)
+    count = int((hi - lo) / step + 1e-9) + 1 if hi >= lo else 0
+    _resolve_model(args, lo)  # conflicting flags fail even when the range is empty
     lines = [SCAN_HEADER]
-    if hi >= lo:
-        count = int((hi - lo) / step + 1e-9) + 1
-        for k in range(count):
-            mu = lo + k * step
-            if args.family == SEXTIC:
-                model = make_sextic(SexticParams.from_mu(mu, args.two_j, args.sector or EVEN))
-            else:
-                if args.sector is not None:
-                    raise ValidationError("--sector applies to the sextic family only")
-                a = _parse_complex(args.a) if args.a is not None else 1.0 + 0.0j
-                d = _parse_complex(args.d) if args.d is not None else 1.0 + 0.0j
-                model = make_morse(MorseParams.from_mu(mu, args.two_j, a, d))
-            solutions, shift_result = solve_model(model)
-            for level, s in enumerate(solutions):
-                lines.append(
-                    ",".join(
-                        (
-                            format_float(mu),
-                            str(level),
-                            format_float(s.energy_base.real),
-                            format_float(s.energy_base.imag),
-                            format_float(s.energy_shifted.real),
-                            format_float(s.energy_shifted.imag),
-                            format_float(s.shift.imag),
-                            str(int(shift_result.found)),
-                        )
+    for k in range(count):
+        mu = lo + k * step
+        solutions, shift_result = solve_model(_resolve_model(args, mu))
+        for level, s in enumerate(solutions):
+            lines.append(
+                ",".join(
+                    (
+                        format_float(mu),
+                        str(level),
+                        format_float(s.energy_base.real),
+                        format_float(s.energy_base.imag),
+                        format_float(s.energy_shifted.real),
+                        format_float(s.energy_shifted.imag),
+                        format_float(s.shift.imag),
+                        str(int(shift_result.found)),
                     )
                 )
+            )
     print("\n".join(lines))
     return 0
 
 
 def cmd_partner(args) -> int:
-    model = _resolve_model(args)
+    model = _resolve_model(args, args.mu)
     partner = susy_partner(model)
     x_min, x_max = _parse_pair(args.range, "a range")
     n = args.samples
@@ -648,6 +639,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failure_detail(exc: ConvergenceFailureError) -> str:
+    """One JSON line saying how close the failed iteration came."""
+    best = exc.best
+    count = len(best) if isinstance(best, (list, tuple)) else int(best is not None)
+    return json.dumps({"defect": exc.defect, "best_count": count})
+
+
 def main(argv=None) -> int:
     parser = build_arg_parser()
     try:
@@ -658,6 +656,8 @@ def main(argv=None) -> int:
         return 1
     except (NumericOverflowError, ConvergenceFailureError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        if isinstance(exc, ConvergenceFailureError):
+            print(_failure_detail(exc), file=sys.stderr)
         return 2
 
 

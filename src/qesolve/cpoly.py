@@ -10,13 +10,14 @@ seeing them) and are never trimmed.
 from __future__ import annotations
 
 import cmath
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NumericOverflowError
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class CPolynomial:
     """Polynomial sum(coeffs[k] * z**k); the empty tuple is the zero polynomial."""
 
@@ -58,6 +59,42 @@ class CPolynomial:
 
     def __call__(self, z: complex) -> complex:
         return poly_eval(self, z)
+
+
+class PackedPolynomial(CPolynomial):
+    """A CPolynomial holding its coefficients as packed doubles until they are read.
+
+    A packed coefficient takes 16 bytes against 40 for a complex object and
+    its tuple slot, which matters for results that are kept by the
+    thousand, such as solved levels.  The first read of `coeffs` fills the
+    ordinary slot, so later reads cost what they cost on a CPolynomial;
+    equality between two packed polynomials compares the packed values
+    without building anything.
+    """
+
+    __slots__ = ("_packed",)
+
+    def __init__(self, coeffs: Iterable[complex] = ()) -> None:
+        trimmed = CPolynomial(coeffs).coeffs
+        object.__setattr__(self, "_packed", array("d", [x for c in trimmed for x in (c.real, c.imag)]))
+
+    def __getattr__(self, name: str):
+        if name != "coeffs":
+            raise AttributeError(name)
+        p = self._packed
+        value = tuple(complex(p[i], p[i + 1]) for i in range(0, len(p), 2))
+        object.__setattr__(self, "coeffs", value)
+        return value
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PackedPolynomial):
+            return self._packed == other._packed
+        if isinstance(other, CPolynomial):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
 
 ZERO = CPolynomial()

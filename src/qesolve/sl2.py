@@ -134,37 +134,6 @@ def apply_combination(combo: OperatorCombination, p: CPolynomial, rep: SpinJ) ->
     return out
 
 
-def commutator_defect(rep: SpinJ) -> float:
-    """Worst structure-constant violation over the basis monomials.
-
-    Checks [J+, J-] + 2 J0, [J0, J+] - J+ and [J0, J-] + J- applied to every
-    z^k with k <= 2j and returns the largest coefficient magnitude seen.
-    All of it is small-integer arithmetic, so the result is 0 up to rounding.
-    """
-
-    def plus(q):
-        return apply_generator("plus", q, rep)
-
-    def zero(q):
-        return apply_generator("zero", q, rep)
-
-    def minus(q):
-        return apply_generator("minus", q, rep)
-
-    worst = 0.0
-    for k in range(rep.dim):
-        p = monomial(k)
-        residues = (
-            poly_add(poly_sub(plus(minus(p)), minus(plus(p))), poly_scale(zero(p), 2.0)),
-            poly_sub(poly_sub(zero(plus(p)), plus(zero(p))), plus(p)),
-            poly_add(poly_sub(zero(minus(p)), minus(zero(p))), minus(p)),
-        )
-        for r in residues:
-            for c in r.coeffs:
-                worst = max(worst, abs(c))
-    return worst
-
-
 def build_block(combo: OperatorCombination, rep: SpinJ) -> BlockMatrix:
     """Matrix of the combination on {z^0, ..., z^two_j}.
 

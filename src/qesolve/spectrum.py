@@ -1,21 +1,23 @@
-"""Small dense complex non-Hermitian eigenproblems and real-spectrum shifts.
+"""Eigenpairs of the tridiagonal sl(2) blocks and real-spectrum shifts.
 
-The blocks produced by the algebraic construction are tiny (dimension
-2j + 1, capped at 32), which makes the characteristic-polynomial route both
-adequate and independently testable:
+Every block the algebraic construction produces is tridiagonal (dimension
+2j + 1, capped at 32), and eigen_solve works on its three diagonals only:
 
-  * char_poly       Faddeev-LeVerrier recurrence, exactly monic.
-  * poly_roots      Aberth-Ehrlich simultaneous iteration from a perturbed
-                    circle; a root is accepted when its update falls below
-                    the tolerance or |p(z)| reaches the backward-error floor
-                    eps * sum |c_k| |z|^k (which is how clustered multiple
-                    roots terminate).
-  * eigen_solve     roots of the characteristic polynomial, then one
-                    Gaussian-elimination null-space solve per root; root
-                    clusters are replaced by their centroid (the centroid of
-                    a defective cluster is far more accurate than its
-                    members) and reported with their multiplicity, with no
-                    attempt at Jordan structure.
+  * balancing       a power-of-two diagonal similarity brings |sub_i| and
+                    |sup_i| within a factor 2 of each other; it is exact in
+                    floating point and shrinks the norm the QR sweeps see.
+  * eigenvalues     single-shift complex QR on the balanced matrix held as
+                    upper Hessenberg (Wilkinson shift, an exceptional shift
+                    every 10 sweeps, deflation from the bottom), backward
+                    stable (Golub & Van Loan, Matrix Computations, ch. 7).
+  * clustering      near-coincident eigenvalues, within a tolerance set by
+                    the block norm, are replaced by their centroid (the
+                    centroid of a defective cluster is far more accurate than
+                    its members) and reported with their multiplicity, with
+                    no attempt at Jordan structure.
+  * eigenvectors    inverse iteration on the unbalanced M - lambda I, three
+                    O(n) tridiagonal solves per distinct centroid, and an O(n)
+                    residual.
 
 A complex spectrum is re-centered to a real one by a constant potential
 shift exactly when all eigenvalues share one imaginary part; the shift is
@@ -26,20 +28,25 @@ single numerically off-cluster root.
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from dataclasses import dataclass
 
-from .cpoly import CPolynomial
+from .cpoly import CPolynomial, PackedPolynomial
 from .errors import ConvergenceFailureError, ValidationError
 from .families import QesModel
 from .sl2 import BlockMatrix, build_block
+from .tridiag import tridiag_factor, tridiag_matvec, tridiag_solve, upper_solve
 
 _EPS = sys.float_info.epsilon
 
 MAX_BLOCK_DIM = 32
 
+# QR sweeps allowed per block dimension before the eigenvalue iteration gives up.
+QR_SWEEPS_PER_LEVEL = 30
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class QesSolution:
     """One exactly known level of a model.
 
@@ -66,7 +73,7 @@ class ShiftResult:
     spread: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigenPair:
     value: complex
     vector: CPolynomial
@@ -74,228 +81,178 @@ class EigenPair:
     multiplicity: int = 1
 
 
-def _trace(m: list[list[complex]]) -> complex:
-    return sum(m[i][i] for i in range(len(m)))
-
-
-def _mat_mul(a: list[list[complex]], b: list[list[complex]]) -> list[list[complex]]:
-    n = len(a)
-    out = [[0.0j] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            aik = ai[k]
-            if aik == 0:
-                continue
-            bk = b[k]
-            for j in range(n):
-                oi[j] += aik * bk[j]
-    return out
-
-
-def _row_norm(entries) -> float:
-    return max(sum(abs(c) for c in row) for row in entries)
-
-
-def char_poly(m: BlockMatrix) -> CPolynomial:
-    """det(lambda I - M) via the Faddeev-LeVerrier recurrence; leading coefficient exactly 1.
-
-    The recurrence runs on M scaled to unit row norm (its traces of powers
-    would otherwise swamp double precision for larger blocks); coefficients
-    are unscaled on the way out.
-    """
+def _diagonals(m: BlockMatrix) -> tuple[list[complex], list[complex], list[complex]]:
+    """(sub, diag, sup) of the block; ValidationError if any other entry is nonzero."""
+    e = m.entries
     n = m.dim
-    if n > MAX_BLOCK_DIM:
-        raise ValidationError(f"block dimension {n} exceeds the cap {MAX_BLOCK_DIM}")
-    scale = max(1.0, _row_norm(m.entries))
-    a = [[c / scale for c in row] for row in m.entries]
-    mk = [row[:] for row in a]
-    cs = [0.0j] * (n + 1)  # cs[k] multiplies lambda^{n-k} of the scaled matrix
-    cs[0] = 1.0 + 0.0j
-    cs[1] = -_trace(mk)
-    for k in range(2, n + 1):
-        for i in range(n):
-            mk[i][i] += cs[k - 1]
-        mk = _mat_mul(a, mk)
-        cs[k] = -_trace(mk) / k
-    power = 1.0
-    for k in range(1, n + 1):
-        power *= scale
-        cs[k] *= power
-    return CPolynomial(list(reversed(cs)))
+    if any(c != 0 for i, row in enumerate(e) for k, c in enumerate(row) if abs(i - k) > 1):
+        raise ValidationError("block has nonzero entries off the three diagonals")
+    return (
+        [e[i + 1][i] for i in range(n - 1)],
+        [e[i][i] for i in range(n)],
+        [e[i][i + 1] for i in range(n - 1)],
+    )
 
 
-def _horner_all(coeffs: tuple[complex, ...], z: complex) -> tuple[complex, complex, float]:
-    """Value, derivative and the backward-error bound sum |c_k| |z|^k at z."""
-    p = 0.0j
-    dp = 0.0j
-    s = 0.0
-    az = abs(z)
-    for c in reversed(coeffs):
-        dp = dp * z + p
-        p = p * z + c
-        s = s * az + abs(c)
-    return p, dp, s
+def _balanced_hessenberg(sub, diag, sup) -> list[list[complex]]:
+    """D^-1 T D as a dense upper Hessenberg array, D a power-of-two diagonal.
 
-
-def poly_roots(p: CPolynomial, tol: float = 1e-13, max_iter: int = 500) -> list[complex]:
-    """All complex roots by Aberth-Ehrlich iteration, sorted by (Re, Im).
-
-    Starts from a deterministically perturbed circle of radius
-    1 + max |coefficient| of the monic polynomial.  Raises
-    ConvergenceFailureError carrying the best iterate and its defect if the
-    iteration cap is reached.
+    Each ratio D[i+1]/D[i] is the power of two nearest sqrt(|sub_i|/|sup_i|),
+    so the pair ends within a factor 2 of each other; a zero coupling is left
+    alone (it already splits the eigenproblem).
     """
-    deg = p.degree
-    if deg is None or deg < 1:
-        raise ValidationError("root finding needs degree >= 1")
-    lead = p.coeffs[-1]
-    coeffs = tuple(c / lead for c in p.coeffs)
-    n = deg
-    radius = 1.0 + max((abs(c) for c in coeffs[:-1]), default=0.0)
-    zs = [
-        radius
-        * (1.0 + 0.02 * i / max(n - 1, 1))
-        * cmath.exp(1j * (2.0 * cmath.pi * i / n + 0.4))
-        for i in range(n)
-    ]
-    done = [False] * n
-    for _ in range(max_iter):
-        all_done = True
-        for i in range(n):
-            if done[i]:
-                continue
-            pv, dv, bound = _horner_all(coeffs, zs[i])
-            if abs(pv) <= 8.0 * _EPS * bound:
-                done[i] = True
-                continue
-            all_done = False
-            if dv == 0:
-                zs[i] += (0.5 + 0.5j) * (1.0 + abs(zs[i])) * 1e-3
-                continue
-            newton = pv / dv
-            repulsion = 0.0j
-            for k in range(n):
-                if k == i:
-                    continue
-                diff = zs[i] - zs[k]
-                if diff == 0:
-                    diff = (1e-12 + 1e-12j) * (1.0 + abs(zs[i]))
-                repulsion += 1.0 / diff
-            denom = 1.0 - newton * repulsion
-            step = newton if denom == 0 else newton / denom
-            zs[i] -= step
-            if abs(step) <= tol * max(1.0, abs(zs[i])):
-                done[i] = True
-        if all_done:
-            break
-    else:
-        defect = max(abs(_horner_all(coeffs, z)[0]) for z in zs)
-        raise ConvergenceFailureError(
-            f"root iteration did not converge within {max_iter} iterations",
-            best=sorted(zs, key=lambda z: (z.real, z.imag)),
-            defect=defect,
-        )
-    return sorted(zs, key=lambda z: (z.real, z.imag))
+    n = len(diag)
+    h = [[0.0j] * n for _ in range(n)]
+    for i in range(n):
+        h[i][i] = diag[i]
+    for i, (lo, up) in enumerate(zip(sub, sup)):
+        if lo != 0 and up != 0:
+            r = math.ldexp(1.0, round(0.5 * math.log2(abs(lo) / abs(up))))
+            lo, up = lo / r, up * r
+        h[i + 1][i] = lo
+        h[i][i + 1] = up
+    return h
 
 
-def _cluster_roots(roots: list[complex], coeffs: tuple[complex, ...]) -> list[tuple[complex, int]]:
-    """Group near-coincident roots and replace members by the cluster centroid.
+def _wilkinson_shift(a: complex, b: complex, c: complex, d: complex) -> complex:
+    """Eigenvalue of [[a, b], [c, d]] nearer to d, without cancellation."""
+    p = 0.5 * (a - d)
+    bc = b * c
+    s = cmath.sqrt(p * p + bc)
+    if (p.conjugate() * s).real < 0:
+        s = -s
+    denom = p + s
+    return d if denom == 0 else d - bc / denom
 
-    The threshold widens with the attainable root resolution
-    sqrt(eps * scale): a defective double root can only be located to about
-    that radius, while its centroid is accurate to roundoff.
+
+def _hessenberg_eigenvalues(h: list[list[complex]], norm: float) -> list[complex]:
+    """Eigenvalues of the upper Hessenberg array h (overwritten, row norm `norm`) by shifted QR.
+
+    Each sweep is an explicitly shifted QR step on the active window
+    lo..hi, factored by Givens rotations; since no Schur vectors are
+    wanted, the rotations touch only the window.  Raises
+    ConvergenceFailureError after QR_SWEEPS_PER_LEVEL * n sweeps, carrying
+    the current diagonal (`best`) and the largest undeflated subdiagonal
+    (`defect`).
     """
-    n = len(roots)
-    scale = 1.0 + max((abs(c) for c in coeffs), default=0.0)
-    tol = max(1e-7, 8.0 * (_EPS * scale * (n + 1)) ** 0.5)
-    parent = list(range(n))
+    n = len(h)
+    cap = QR_SWEEPS_PER_LEVEL * n
+    sweeps = 0
+    since_deflation = 0
+    hi = n - 1
+    while hi > 0:
+        lo = hi
+        while lo > 0:
+            size = abs(h[lo - 1][lo - 1]) + abs(h[lo][lo]) or norm
+            if abs(h[lo][lo - 1]) <= _EPS * size:
+                h[lo][lo - 1] = 0.0j
+                break
+            lo -= 1
+        if lo == hi:
+            hi -= 1
+            since_deflation = 0
+            continue
+        if sweeps >= cap:
+            raise ConvergenceFailureError(
+                f"QR iteration did not converge within {cap} sweeps",
+                best=[h[i][i] for i in range(n)],
+                defect=max(abs(h[i][i - 1]) for i in range(1, n)),
+            )
+        sweeps += 1
+        since_deflation += 1
+        if since_deflation % 10 == 0:  # exceptional shift
+            shift = h[hi][hi] + 0.75 * abs(h[hi][hi - 1])
+        else:
+            shift = _wilkinson_shift(h[hi - 1][hi - 1], h[hi - 1][hi], h[hi][hi - 1], h[hi][hi])
+        for i in range(lo, hi + 1):
+            h[i][i] -= shift
+        rotations = []
+        for k in range(lo, hi):
+            a, b = h[k][k], h[k + 1][k]
+            r = math.hypot(abs(a), abs(b))
+            if r == 0:
+                a, b, r = 1.0, 0.0, 1.0
+            ca, cb, a, b = a.conjugate() / r, b.conjugate() / r, a / r, b / r
+            top, bottom = h[k], h[k + 1]
+            xs, ys = top[k : hi + 1], bottom[k : hi + 1]
+            top[k : hi + 1] = [ca * x + cb * y for x, y in zip(xs, ys)]
+            bottom[k : hi + 1] = [a * y - b * x for x, y in zip(xs, ys)]
+            bottom[k] = 0.0j
+            rotations.append((a, b, ca, cb))
+        # R Q: row i meets the column rotations k >= i - 1 in order
+        for i in range(lo, hi + 1):
+            row = h[i]
+            first = max(lo, i - 1)
+            x = row[first]
+            for k in range(first, hi):
+                a, b, ca, cb = rotations[k - lo]
+                y = row[k + 1]
+                row[k] = a * x + b * y
+                x = ca * y - cb * x
+            row[hi] = x
+        for i in range(lo, hi + 1):
+            h[i][i] += shift
+    return [h[i][i] for i in range(n)]
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for k in range(i + 1, n):
-            if abs(roots[i] - roots[k]) <= tol:
-                parent[find(i)] = find(k)
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(roots[i])
-    out: list[tuple[complex, int]] = []
-    for members in groups.values():
-        centroid = sum(members) / len(members)
-        out.extend((centroid, len(members)) for _ in members)
+def _cluster(values: list[complex], tol: float) -> list[tuple[complex, int]]:
+    """(centroid, size) of each group of values linked by gaps <= tol, sorted by (Re, Im)."""
+    groups: list[list[complex]] = []
+    for v in values:
+        near = [i for i, g in enumerate(groups) if any(abs(v - w) <= tol for w in g)]
+        merged = [v] + [w for i in near for w in groups[i]]
+        groups = [g for i, g in enumerate(groups) if i not in near] + [merged]
+    out = [(sum(g) / len(g), len(g)) for g in groups]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
 
 
-def _null_vector(entries: tuple[tuple[complex, ...], ...], lam: complex) -> list[complex]:
-    """One null vector of (M - lam I) by Gaussian elimination with partial pivoting.
+def _inverse_iteration(sub, diag, sup, lam: complex, norm: float) -> list[complex]:
+    """Eigenvector of the tridiagonal T for the eigenvalue estimate lam.
 
-    The free coordinate is the one whose eliminated pivot is smallest; it is
-    set to 1 and the triangular system above it is back-substituted.
+    The first step solves U x = e_f with f the smallest pivot of the LU of
+    T - lam I, so components that an exact zero coupling decouples stay
+    exactly zero; two full solves follow.  An exactly zero pivot (lam is an
+    eigenvalue to the last bit) is replaced by eps * norm (by 1 for the zero
+    matrix).
     """
-    n = len(entries)
-    a = [[entries[i][k] - (lam if i == k else 0.0) for k in range(n)] for i in range(n)]
-    for col in range(n - 1):
-        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-        if a[col][col] == 0:
-            continue
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            if factor == 0:
-                continue
-            a[r][col] = 0.0j
-            for c in range(col + 1, n):
-                a[r][c] -= factor * a[col][c]
-    free = min(range(n), key=lambda k: abs(a[k][k]))
-    x = [0.0j] * n
-    x[free] = 1.0 + 0.0j
-    for k in range(free - 1, -1, -1):
-        acc = 0.0j
-        for mcol in range(k + 1, free + 1):
-            acc += a[k][mcol] * x[mcol]
-        x[k] = 0.0j if a[k][k] == 0 else -acc / a[k][k]
+    n = len(diag)
+    factors = tridiag_factor(sub, [d - lam for d in diag], sup, zero_pivot=_EPS * norm or 1.0)
+    pivots = factors[0]
+    start = [0.0j] * n
+    start[min(range(n), key=lambda k: abs(pivots[k]))] = 1.0 + 0.0j
+    x = upper_solve(factors, start)
+    for _ in range(2):
+        big = max(abs(c) for c in x)
+        x = tridiag_solve(factors, [c / big for c in x])
     return x
 
 
-def _matvec(entries, v):
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in entries]
-
-
 def eigen_solve(m: BlockMatrix) -> list[EigenPair]:
-    """Eigenvalues and polynomial eigenvectors of the block, sorted by (Re, Im).
+    """Eigenvalues and polynomial eigenvectors of a tridiagonal block, sorted by (Re, Im).
 
-    Root finding happens in the norm-scaled frame lambda = s * lambda'
-    (coefficients of the substituted polynomial stay O(1) regardless of the
-    block's magnitude) and the roots are scaled back.  Degenerate
-    eigenvalues come back once per root instance, sharing the centroid
-    value and carrying their cluster multiplicity.
+    Raises ValidationError for a block with entries off the three diagonals.
+    Degenerate eigenvalues come back once per instance, sharing the
+    centroid value and carrying their cluster multiplicity.
     """
-    cp = char_poly(m)
-    norm_m = _row_norm(m.entries)
-    s = max(1.0, norm_m)
+    sub, diag, sup = _diagonals(m)
     n = m.dim
-    scaled = CPolynomial([c / s ** (n - k) for k, c in enumerate(cp.coeffs)])
-    clustered = [
-        (s * value, mult) for value, mult in _cluster_roots(poly_roots(scaled), scaled.coeffs)
-    ]
+    h = _balanced_hessenberg(sub, diag, sup)
+    balanced_norm = max(sum(abs(c) for c in row) for row in h)
+    tol = 8.0 * math.sqrt(_EPS * (n + 1)) * balanced_norm
+    norm_m = max(sum(abs(c) for c in row) for row in m.entries)
     pairs = []
-    for lam, mult in clustered:
-        v = _null_vector(m.entries, lam)
+    for lam, mult in _cluster(_hessenberg_eigenvalues(h, balanced_norm), tol):
+        v = _inverse_iteration(sub, diag, sup, lam, norm_m)
         vmax = max(abs(c) for c in v)
         first = next(i for i, c in enumerate(v) if abs(c) > 1e-12 * vmax)
-        v = [c / v[first] for c in v]
-        mv = _matvec(m.entries, v)
-        resid = max(abs(mv[i] - lam * v[i]) for i in range(len(v)))
+        lead = v[first]
+        v = [c / lead for c in v]
+        v[first] = 1.0 + 0.0j
+        mv = tridiag_matvec(sub, diag, sup, v)
+        resid = max(abs(mv[i] - lam * v[i]) for i in range(n))
         scale = max(norm_m, 1e-300) * max(max(abs(c) for c in v), 1e-300)
-        pairs.append(EigenPair(lam, CPolynomial(v), resid / scale, mult))
+        pairs += [EigenPair(lam, PackedPolynomial(v), resid / scale, mult)] * mult
     return pairs
 
 
@@ -318,9 +275,12 @@ RESIDUAL_GATE = 1e-10
 def solve_model(model: QesModel, shift_tol: float = 1e-9) -> tuple[list[QesSolution], ShiftResult]:
     """Solve the model's block and apply the common-imaginary-part shift (or none).
 
-    Refuses to return silently degraded eigenpairs: if any block residual
-    exceeds the contracted 1e-10 the solve fails loudly instead.
+    Rejects blocks above MAX_BLOCK_DIM before building them, and refuses to
+    return silently degraded eigenpairs: if any block residual exceeds the
+    contracted 1e-10 the solve fails loudly instead.
     """
+    if model.rep.dim > MAX_BLOCK_DIM:
+        raise ValidationError(f"block dimension {model.rep.dim} exceeds the cap {MAX_BLOCK_DIM}")
     block = build_block(model.combo, model.rep)
     pairs = eigen_solve(block)
     worst = max(p.residual for p in pairs)

@@ -1,8 +1,9 @@
-"""Shared test utilities: scaled comparisons and deterministic parameter draws."""
+"""Shared test utilities: scaled comparisons, deterministic parameter draws and oracles."""
 
 import math
 import random
 
+from qesolve.cpoly import monomial, poly_add, poly_scale, poly_sub
 from qesolve.families import (
     EVEN,
     MorseParams,
@@ -11,6 +12,7 @@ from qesolve.families import (
     make_morse,
     make_sextic,
 )
+from qesolve.sl2 import SpinJ, apply_generator
 
 SEED = 20260808
 
@@ -101,3 +103,34 @@ def romberg(f, lo: float, hi: float, max_level: int = 18, tol: float = 1e-12) ->
             return row[-1]
         rows.append(row)
     return rows[-1][-1]
+
+
+def commutator_defect(rep: SpinJ) -> float:
+    """Worst structure-constant violation over the basis monomials.
+
+    Checks [J+, J-] + 2 J0, [J0, J+] - J+ and [J0, J-] + J- applied to every
+    z^k with k <= 2j and returns the largest coefficient magnitude seen.
+    All of it is small-integer arithmetic, so the result is 0 up to rounding.
+    """
+
+    def plus(q):
+        return apply_generator("plus", q, rep)
+
+    def zero(q):
+        return apply_generator("zero", q, rep)
+
+    def minus(q):
+        return apply_generator("minus", q, rep)
+
+    worst = 0.0
+    for k in range(rep.dim):
+        p = monomial(k)
+        residues = (
+            poly_add(poly_sub(plus(minus(p)), minus(plus(p))), poly_scale(zero(p), 2.0)),
+            poly_sub(poly_sub(zero(plus(p)), plus(zero(p))), plus(p)),
+            poly_add(poly_sub(zero(minus(p)), minus(zero(p))), minus(p)),
+        )
+        for r in residues:
+            for c in r.coeffs:
+                worst = max(worst, abs(c))
+    return worst

@@ -23,11 +23,12 @@ from qesolve.families import (
     make_morse,
     make_sextic,
 )
-from qesolve.sl2 import SpinJ, apply_generator, build_block, commutator_defect
+from qesolve.sl2 import SpinJ, apply_generator, build_block
 from qesolve.cpoly import monomial
 from qesolve.spectrum import solve_model
 
 from _helpers import (
+    commutator_defect,
     fresh_rng,
     max_matrix_mismatch,
     reality_regime_morse,

@@ -211,7 +211,7 @@ def test_partner_identity_random_points():
 
 
 def test_tridiagonal_solver_direct():
-    from qesolve.analysis import _tridiag_factor, _tridiag_solve
+    from qesolve.tridiag import tridiag_factor, tridiag_matvec, tridiag_solve
 
     rng = fresh_rng()
     n = 50
@@ -219,13 +219,15 @@ def test_tridiagonal_solver_direct():
     sup = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n - 1)]
     diag = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.1 for _ in range(n)]
     rhs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
-    x = _tridiag_solve(_tridiag_factor(sub, diag, sup), rhs)
+    x = tridiag_solve(tridiag_factor(sub, diag, sup), rhs)
+    ax = tridiag_matvec(sub, diag, sup, x)
     for i in range(n):
         acc = diag[i] * x[i]
         if i > 0:
             acc += sub[i - 1] * x[i - 1]
         if i < n - 1:
             acc += sup[i] * x[i + 1]
+        assert ax[i] == acc
         assert abs(acc - rhs[i]) <= 1e-11 * max(1.0, abs(rhs[i]))
 
 

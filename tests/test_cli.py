@@ -217,6 +217,28 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1 and "re,im" in err
 
 
+def test_scan_rejects_conflicting_flags(capsys):
+    common = ("scan", "--two-j", "1", "--mu-range", "0:1:0.5")
+    assert run_cli(capsys, *common, "--family", "sextic", "--a", "5,0")[0] == 1
+    assert run_cli(capsys, *common, "--family", "sextic", "--b", "1,0")[0] == 1
+    assert run_cli(capsys, *common, "--family", "morse", "--b", "7,0")[0] == 1
+    empty = ("scan", "--two-j", "1", "--mu-range", "1:0:0.1")
+    assert run_cli(capsys, *empty, "--family", "morse", "--sector", "even")[0] == 1
+
+
+def test_convergence_failure_reports_detail(capsys, monkeypatch):
+    from qesolve import spectrum
+
+    monkeypatch.setattr(spectrum, "QR_SWEEPS_PER_LEVEL", 0)
+    code, out, err = run_cli(capsys, "solve", "--family", "sextic", "--two-j", "4", "--mu", "1")
+    assert code == 2 and out == ""
+    message, detail = err.strip().split("\n")
+    assert message.startswith("numeric failure: QR iteration did not converge")
+    detail = json.loads(detail)
+    assert detail["best_count"] == 5
+    assert detail["defect"] > 0
+
+
 def test_module_entry_point():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -6,6 +6,7 @@ from qesolve.cpoly import (
     ONE,
     ZERO,
     CPolynomial,
+    PackedPolynomial,
     monomial,
     poly_add,
     poly_derivative,
@@ -155,3 +156,15 @@ def test_add_sub_round_trip():
     assert poly_sub(poly_add(p, q), q) == p
     assert (p + q) - q == p
     assert ONE * 1.0 == ONE
+
+
+def test_packed_polynomial_behaves_like_plain():
+    plain = CPolynomial([1.0, 2.0j, -0.5 + 0.25j, 0.0])
+    packed = PackedPolynomial([1.0, 2.0j, -0.5 + 0.25j, 0.0])
+    assert packed == PackedPolynomial(plain.coeffs) and packed != PackedPolynomial([1.0])
+    assert packed.coeffs == plain.coeffs
+    assert packed == plain and plain == packed and hash(packed) == hash(plain)
+    assert packed.degree == 2 and poly_eval(packed, 0.5j) == poly_eval(plain, 0.5j)
+    assert packed * plain == plain * plain
+    with pytest.raises(AttributeError):
+        packed.missing

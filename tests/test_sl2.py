@@ -9,10 +9,9 @@ from qesolve.sl2 import (
     apply_combination,
     apply_generator,
     build_block,
-    commutator_defect,
 )
 
-from _helpers import fresh_rng, max_matrix_mismatch, unit_complex
+from _helpers import commutator_defect, fresh_rng, max_matrix_mismatch, unit_complex
 
 
 def test_raising_annihilates_top_state_exactly():

@@ -1,27 +1,27 @@
+import dataclasses
+import itertools
 import math
+import sys
+import time
 
 import pytest
 
+from qesolve import cli, spectrum
 from qesolve.cpoly import CPolynomial, poly_eval
 from qesolve.errors import ConvergenceFailureError, ValidationError
-from qesolve.families import MorseParams, SexticParams, make_morse, make_sextic
+from qesolve.families import ODD, MorseParams, SexticParams, make_morse, make_sextic
 from qesolve.sl2 import BlockMatrix, build_block
-from qesolve.spectrum import (
-    char_poly,
-    common_imaginary_shift,
-    eigen_solve,
-    poly_roots,
-    solve_model,
-)
+from qesolve.spectrum import common_imaginary_shift, eigen_solve, solve_model
 
 from _helpers import fresh_rng, rel_err, unit_complex
+from _oracles import char_poly, high_precision_spectrum, poly_roots
 
 FIXTURE_BLOCK = BlockMatrix(((1j, -2.0), (-4.0, 5j)))
 
 
 def test_char_poly_2x2_fixture():
     # trace 6i and determinant 5i^2 - 8 = -13, by hand
-    cp = char_poly(FIXTURE_BLOCK)
+    cp = char_poly(FIXTURE_BLOCK.entries)
     expected = (-13.0 + 0j, -6j, 1.0 + 0j)
     assert all(abs(a - b) <= 1e-14 for a, b in zip(cp.coeffs, expected))
     assert cp.coeffs[-1] == 1.0
@@ -29,21 +29,25 @@ def test_char_poly_2x2_fixture():
 
 def test_char_poly_1x1():
     c = 0.3 - 2.2j
-    cp = char_poly(BlockMatrix(((c,),)))
+    cp = char_poly(((c,),))
     assert cp.coeffs == (-c, 1.0 + 0j)
 
 
 def test_char_poly_identity_3x3():
-    eye = BlockMatrix(tuple(tuple(1.0 if i == k else 0.0 for k in range(3)) for i in range(3)))
+    eye = tuple(tuple(1.0 if i == k else 0.0 for k in range(3)) for i in range(3))
     cp = char_poly(eye)
     expected = (-1.0, 3.0, -3.0, 1.0)  # (lambda - 1)^3
     assert all(abs(a - b) <= 1e-14 for a, b in zip(cp.coeffs, expected))
 
 
-def test_char_poly_dimension_cap():
-    big = BlockMatrix(tuple(tuple(1.0 if i == k else 0.0 for k in range(33)) for i in range(33)))
+def test_block_cap_checked_before_build(capsys):
     with pytest.raises(ValidationError):
-        char_poly(big)
+        solve_model(make_sextic(SexticParams.from_mu(1.0, 32)))
+    start = time.perf_counter()
+    code = cli.main(["solve", "--family", "sextic", "--two-j", "2000", "--mu", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_roots_of_fixture_quadratic():
@@ -111,10 +115,24 @@ def _random_block(rng, dim):
     )
 
 
+def _random_tridiagonal(rng, dim):
+    return BlockMatrix(
+        tuple(
+            tuple(0.5 * unit_complex(rng) if abs(i - k) <= 1 else 0.0 for k in range(dim))
+            for i in range(dim)
+        )
+    )
+
+
+def test_dense_block_rejected():
+    with pytest.raises(ValidationError, match="off the three diagonals"):
+        eigen_solve(_random_block(fresh_rng(), 3))
+
+
 def test_trace_identity_random_matrices():
     rng = fresh_rng()
-    for dim in range(1, 13):
-        block = _random_block(rng, dim)
+    for dim in range(1, 33):
+        block = _random_tridiagonal(rng, dim)
         pairs = eigen_solve(block)
         trace = sum(block.entries[i][i] for i in range(dim))
         assert rel_err(sum(p.value for p in pairs), trace) <= 1e-10
@@ -130,6 +148,10 @@ def test_trace_identity_family_blocks():
             pairs = eigen_solve(block)
             trace = sum(block.entries[i][i] for i in range(block.dim))
             assert rel_err(sum(p.value for p in pairs), trace) <= 1e-10
+            # the characteristic-polynomial route is an independent check on small blocks
+            roots = poly_roots(char_poly(block.entries)) if block.dim > 1 else [block.entries[0][0]]
+            for p in pairs:
+                assert min(abs(p.value - r) for r in roots) <= 1e-8 * max(1.0, abs(p.value))
 
 
 def test_root_defect_bound():
@@ -138,7 +160,7 @@ def test_root_defect_bound():
     family_model = make_sextic(SexticParams.from_mu(1.0, 4))
     blocks.append(build_block(family_model.combo, family_model.rep))
     for block in blocks:
-        cp = char_poly(block)
+        cp = char_poly(block.entries)
         scale = max(abs(c) for c in cp.coeffs)
         for root in poly_roots(cp):
             assert abs(poly_eval(cp, root)) <= 1e-9 * scale
@@ -147,7 +169,7 @@ def test_root_defect_bound():
 def test_shift_equivariance():
     rng = fresh_rng()
     for dim in (2, 3, 5):
-        block = _random_block(rng, dim)
+        block = _random_tridiagonal(rng, dim)
         c = unit_complex(rng)
         shifted = BlockMatrix(
             tuple(
@@ -209,6 +231,14 @@ def test_mu_zero_degenerates_to_real_spectra():
         assert max(abs(s.energy_base.imag) for s in solutions) <= 1e-10
 
 
+def test_exact_eigenvalue_gives_zero_pivot():
+    # near the exceptional point the QR eigenvalue makes T - lambda I exactly
+    # singular in floating point, and a nudge of eps * ||T|| does not change that
+    solutions, _ = solve_model(make_sextic(SexticParams.from_mu(1.4118, 1)))
+    assert max(s.eigvec_residual for s in solutions) <= 1e-12
+    assert [s.multiplicity for s in solutions] == [1, 1]
+
+
 def test_boundary_double_root_is_clustered():
     mu = math.sqrt(2.0)
     solutions, result = solve_model(make_sextic(SexticParams.from_mu(mu, 1)))
@@ -217,27 +247,62 @@ def test_boundary_double_root_is_clustered():
     assert max(abs(s.energy_shifted) for s in solutions) <= 1e-6
 
 
+def _sweep_models(mu, two_j):
+    yield make_sextic(SexticParams.from_mu(mu, two_j))
+    yield make_sextic(SexticParams.from_mu(mu, two_j, ODD))
+    yield make_morse(MorseParams.from_mu(mu, two_j))
+
+
 def test_high_spin_blocks_stay_accurate():
-    # the scaled characteristic-polynomial route must not degrade with the
-    # block norm (entries reach ~600 by two_j = 12)
-    for two_j in (9, 12):
-        model = make_sextic(SexticParams.from_mu(1.0, two_j))
-        block = build_block(model.combo, model.rep)
-        pairs = eigen_solve(block)
-        assert max(p.residual for p in pairs) <= 1e-12
-        trace = sum(block.entries[i][i] for i in range(block.dim))
-        assert rel_err(sum(p.value for p in pairs), trace) <= 1e-10
-    solutions, _ = solve_model(make_morse(MorseParams.from_mu(1.0, 11)))
-    assert max(s.eigvec_residual for s in solutions) <= 1e-10
+    # every block up to the cap, each level within 10 * kappa * n * eps * ||M||_inf
+    # of a 60-digit reference; kappa reaches ~1e10 for sextic at mu = 3
+    for mu, two_j in itertools.product((0.0, 0.5, 1.0, 1.4, 3.0), range(32)):
+        for model in _sweep_models(mu, two_j):
+            block = build_block(model.combo, model.rep)
+            n = block.dim
+            norm = max(sum(abs(c) for c in row) for row in block.entries)
+            reference, kappas = high_precision_spectrum(block.entries)
+            pairs = eigen_solve(block)
+            assert len(pairs) == n
+            assert max(p.residual for p in pairs) <= 1e-12
+            trace = sum(block.entries[i][i] for i in range(n))
+            assert rel_err(sum(p.value for p in pairs), trace) <= 1e-10
+            for p in pairs:
+                gaps = [abs(p.value - r) for r in reference]
+                k = min(range(n), key=gaps.__getitem__)
+                assert gaps[k] <= 10.0 * kappas[k] * n * sys.float_info.epsilon * norm, (
+                    model.family, model.params, p.value
+                )
 
 
-def test_solve_refuses_degraded_residuals():
-    # beyond the conditioning limit of the root-from-coefficients route the
-    # solve fails loudly, carrying the degraded pairs for inspection
+def test_solve_refuses_degraded_residuals(monkeypatch):
+    # a pair whose residual exceeds the gate must fail the solve loudly,
+    # carrying the degraded pairs for inspection
+    honest = spectrum.eigen_solve
+
+    def degraded(block):
+        pairs = honest(block)
+        return [dataclasses.replace(pairs[0], residual=1e-6)] + pairs[1:]
+
+    monkeypatch.setattr(spectrum, "eigen_solve", degraded)
     with pytest.raises(ConvergenceFailureError) as info:
         solve_model(make_morse(MorseParams.from_mu(1.0, 13)))
-    assert info.value.best is not None
-    assert info.value.defect > 1e-10
+    assert len(info.value.best) == 14
+    assert info.value.defect == 1e-6
+
+
+def test_qr_sweep_cap_reports_best_and_defect(monkeypatch):
+    monkeypatch.setattr(spectrum, "QR_SWEEPS_PER_LEVEL", 0)
+    model = make_sextic(SexticParams.from_mu(1.0, 4))
+    block = build_block(model.combo, model.rep)
+    with pytest.raises(ConvergenceFailureError) as info:
+        eigen_solve(block)
+    # no sweep ran: best is the block's diagonal, defect its largest balanced coupling
+    assert info.value.best == [block.entries[i][i] for i in range(block.dim)]
+    couplings = [
+        abs(block.entries[i + 1][i] * block.entries[i][i + 1]) ** 0.5 for i in range(block.dim - 1)
+    ]
+    assert max(couplings) / 2.0 <= info.value.defect <= 2.0 * max(couplings)
 
 
 def test_solution_invariants():
