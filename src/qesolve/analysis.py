@@ -6,8 +6,11 @@ Verification is deliberately redundant:
     bracket R = p2 phi'' + p1 phi' + (p0 - E) phi is assembled with exact
     polynomial arithmetic, so for a genuine eigenpair its coefficients
     cancel to roundoff and no numerical differentiation ever happens.
-  * norm_squared integrates |psi|^2 by composite Simpson, doubling the
-    truncation interval until the tail contribution stabilizes.
+  * norm_squared integrates |psi|^2 by the trapezoidal rule on the nodes
+    x = k*h: it doubles the interval until the tail is negligible, then
+    halves h until the sum settles, reusing every earlier sample.  For an
+    analytic, super-exponentially decaying integrand the rule converges
+    geometrically in 1/h.
   * is_pt_symmetric tests V*(-x) = V(x) including the additive shift.
   * susy_partner exposes the isospectral construction W^2 +/- W' built from
     the model's own superpotential.
@@ -15,7 +18,10 @@ Verification is deliberately redundant:
     central differences on a Dirichlet grid and refines the predicted
     eigenvalue by inverse iteration (complex tridiagonal LU with a
     partial-pivoting safeguard); the shift is deliberately offset from the
-    prediction so the factored matrix stays comfortably invertible.
+    prediction so the factored matrix stays comfortably invertible.  On a
+    grid symmetric about 0, sextic levels start from a vector of their
+    sector's parity, so a nearly degenerate level of the other parity
+    cannot mix in.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Callable, Sequence
 
 from .cpoly import poly_derivative, poly_eval, poly_mul, poly_scale, poly_sub
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
-from .families import MORSE, SEXTIC, GaugeSpec, QesModel, potential_eval
+from .families import MORSE, ODD, SEXTIC, GaugeSpec, QesModel, potential_eval
 from .spectrum import QesSolution
 from .tridiag import LuBreakdown, tridiag_factor, tridiag_matvec, tridiag_solve
 
@@ -93,35 +99,27 @@ def residual_sup(w: Wavefunction, sample: Sequence[float]) -> float:
     return max(abs(poly_eval(residual, w.model.z_of_x(x))) for x in sample) / scale
 
 
-def _simpson(f: Callable[[float], float], lo: float, hi: float, panels: int) -> float:
-    h = (hi - lo) / panels
-    total = f(lo) + f(hi)
-    for i in range(1, panels):
-        total += f(lo + i * h) * (4.0 if i % 2 else 2.0)
-    return total * h / 3.0
-
-
-def _integrate(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    start_panels: int,
-    rel: float = 1e-9,
-    panel_cap: int = 1 << 20,
-) -> tuple[float, int]:
-    panels = max(8, start_panels)
-    prev = _simpson(f, lo, hi, panels)
-    while panels < panel_cap:
-        panels *= 2
-        cur = _simpson(f, lo, hi, panels)
-        if abs(cur - prev) <= rel * max(abs(cur), 1e-300):
-            return cur, panels
-        prev = cur
-    raise ConvergenceFailureError("quadrature refinement did not converge", best=prev)
+# Trapezoidal rule on the line: nodes x = k*h, |x| <= half-width.
+NORM_START_STEP = 0.25
+NORM_REL_TOL = 1e-12
+NORM_NODE_CAP = 1 << 16
+NORM_MAX_WIDENINGS = 60
 
 
 def norm_squared(w: Wavefunction, initial_half_width: float = 2.0) -> float:
-    """Integral of |psi|^2 over the line, tail-stable to 1e-12 relative.
+    """Integral of |psi|^2 over the line by the trapezoidal rule on x = k*h.
+
+    At step NORM_START_STEP the half-width doubles until one doubling
+    changes the sum by at most NORM_REL_TOL relative (the tail test); on
+    that wider interval the step then halves until the sum agrees with the
+    one at twice the step to NORM_REL_TOL.  Nodes carry full weight, so
+    the step test also fails while the edge samples matter.  |psi|^2 is
+    analytic and decays faster than any exponential, so the error falls
+    geometrically as the step halves (Trefethen & Weideman, SIAM Rev. 56,
+    2014).  Halving or widening evaluates only the new nodes; every
+    abscissa is sampled at most once per call.  More than NORM_NODE_CAP
+    nodes, or more than NORM_MAX_WIDENINGS doublings, raise
+    ConvergenceFailureError carrying the last sum as `best`.
 
     Requires a decaying gauge: always true for the sextic family, and for
     Morse only under Re a > 0 and Re d > 0 (an inferred condition; the
@@ -134,19 +132,44 @@ def norm_squared(w: Wavefunction, initial_half_width: float = 2.0) -> float:
                 "Morse normalization needs Re a > 0 and Re d > 0 for a decaying gauge"
             )
 
-    def density(x: float) -> float:
-        v = psi_eval(w, x)
-        return v.real * v.real + v.imag * v.imag
+    samples: dict[float, float] = {}
 
+    def trapezoid(h: float, half: float, best: float | None) -> float:
+        last = int(half / h)
+        if 2 * last + 1 > NORM_NODE_CAP:
+            raise ConvergenceFailureError("quadrature refinement did not converge", best=best)
+        terms = []
+        for k in range(-last, last + 1):
+            x = k * h  # h is a power of two times the start step: k*h is exact
+            value = samples.get(x)
+            if value is None:
+                v = psi_eval(w, x)
+                value = samples[x] = v.real * v.real + v.imag * v.imag
+            terms.append(value)
+        return h * math.fsum(terms)
+
+    def agree(a: float, b: float) -> bool:
+        return abs(a - b) <= NORM_REL_TOL * max(abs(b), 1e-300)
+
+    h = NORM_START_STEP
     half = initial_half_width
-    total, panels = _integrate(density, -half, half, 128)
-    for _ in range(60):
+    total = trapezoid(h, half, None)
+    for _ in range(NORM_MAX_WIDENINGS):
         half *= 2.0
-        wider, panels = _integrate(density, -half, half, panels * 2)
-        if abs(wider - total) <= 1e-12 * max(abs(wider), 1e-300):
-            return wider
+        wider = trapezoid(h, half, total)
+        if agree(total, wider):
+            break
         total = wider
-    raise ConvergenceFailureError("normalization tail did not stabilize", best=total)
+    else:
+        raise ConvergenceFailureError("normalization tail did not stabilize", best=total)
+    # refine on the wider interval, whose edge samples the tail test showed negligible
+    total = wider
+    while True:
+        finer = trapezoid(h / 2.0, half, total)
+        if agree(total, finer):
+            return finer
+        total = finer
+        h /= 2.0
 
 
 def is_pt_symmetric(model: QesModel, shift: complex = 0.0j, tol: float = 1e-9) -> bool:
@@ -202,6 +225,20 @@ def susy_partner(model: QesModel) -> SusyPartner:
     return SusyPartner(model.gauge)
 
 
+def _parity_start(n: int, odd: bool) -> list[float]:
+    """Inverse-iteration start of one parity under the mirror i -> n-1-i.
+
+    These are the even and odd parts of the default ramp start, up to
+    scale.  On a grid symmetric about 0 they keep inverse iteration inside
+    one parity sector, so a nearly degenerate level of the other parity
+    cannot mix into the Rayleigh quotient.  Mirror entries are exactly
+    equal or exactly opposite.
+    """
+    if odd:
+        return [(2.0 * i + 1.0 - n) / n for i in range(n)]
+    return [1.0] * n
+
+
 def fd_refine_energy(
     potential: Callable[[float], complex],
     x_min: float,
@@ -211,13 +248,15 @@ def fd_refine_energy(
     shift_offset: float = 1e-4,
     max_iter: int = 200,
     rq_tol: float = 1e-10,
+    start: Sequence[float] | None = None,
 ) -> complex:
     """Refine `predicted` against the central-difference Dirichlet Hamiltonian.
 
     Inverse iteration with shift sigma = predicted + offset; the offset is
     doubled and the factorization retried (up to 5 times) if the tridiagonal
     LU breaks down.  Convergence is declared when successive Rayleigh
-    quotients agree to rq_tol.
+    quotients agree to rq_tol.  The iteration starts from `start` (one real
+    value per interior point), by default a ramp.
     """
     n = n_points
     h = (x_max - x_min) / (n + 1)
@@ -237,11 +276,12 @@ def fd_refine_energy(
     if factors is None:
         raise ConvergenceFailureError("tridiagonal factorization kept breaking down")
 
-    # ramp start: carries both parities, so parity-odd eigenstates on a
-    # symmetric grid are reachable without waiting for roundoff
-    v = [complex(1.0 + (i + 1.0) / n, 0.0) for i in range(n)]
-    scale = math.sqrt(sum(c.real * c.real for c in v))
-    v = [c / scale for c in v]
+    if start is None:
+        # ramp start: carries both parities, so parity-odd eigenstates on a
+        # symmetric grid are reachable without waiting for roundoff
+        start = [1.0 + (i + 1.0) / n for i in range(n)]
+    scale = math.sqrt(sum(c * c for c in start))
+    v = [complex(c / scale) for c in start]
     rayleigh = None
     for _ in range(max_iter):
         u = tridiag_solve(factors, v)
@@ -278,7 +318,10 @@ def fd_verify(
     def shifted_potential(x: float) -> complex:
         return potential_eval(model, x, solution.shift)
 
+    start = None
+    if model.family == SEXTIC and grid.x_min == -grid.x_max:
+        start = _parity_start(grid.n_points, odd=model.params.sector == ODD)
     refined = fd_refine_energy(
-        shifted_potential, grid.x_min, grid.x_max, grid.n_points, predicted
+        shifted_potential, grid.x_min, grid.x_max, grid.n_points, predicted, start=start
     )
     return refined, abs(refined - predicted)

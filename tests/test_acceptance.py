@@ -221,10 +221,11 @@ def test_criterion_11_normalizability():
             value = norm_squared(w)
             again = norm_squared(w, initial_half_width=4.0)
             assert math.isfinite(value) and value > 0.0
-            assert abs(value - again) <= 1e-10 * value
+            assert abs(value - again) <= 1e-12 * value
     ground = Wavefunction(*((m := fixtures[0]), solve_model(m)[0][0]))
-    assert abs(norm_squared(ground) - quad_value) <= 1e-6
-    _passed(11, f"all fixture norms finite and doubling-stable; ground norm = {quad_value:.7f} (quadrature oracle)")
+    ground_error = abs(norm_squared(ground) - gamma_value) / gamma_value
+    assert ground_error <= 1e-13
+    _passed(11, f"all fixture norms finite and doubling-stable; ground norm = {gamma_value:.7f} to {ground_error:.1e} relative (closed form, quadrature oracle)")
 
 
 def test_criterion_12_partner_identity():

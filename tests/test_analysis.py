@@ -1,9 +1,11 @@
 import cmath
 import dataclasses
 import math
+import traceback
 
 import pytest
 
+from qesolve import analysis
 from qesolve.analysis import (
     GridSpec,
     Wavefunction,
@@ -25,11 +27,13 @@ from qesolve.errors import (
     ValidationError,
 )
 from qesolve.families import (
+    EVEN,
     ODD,
     MorseParams,
     SexticParams,
     make_morse,
     make_sextic,
+    potential_eval,
 )
 from qesolve.spectrum import solve_model
 
@@ -118,7 +122,7 @@ def test_norm_matches_quartic_gaussian_oracle():
     quad_value = romberg(lambda x: math.exp(-x ** 4 / 2.0), -8.0, 8.0)
     assert abs(gamma_value - quad_value) <= 1e-9
     w = _solved(make_sextic(SexticParams.from_mu(1.0, 0)))
-    assert abs(norm_squared(w) - gamma_value) <= 1e-6
+    assert abs(norm_squared(w) - gamma_value) <= 1e-13 * gamma_value
 
 
 def test_norm_scales_quadratically():
@@ -140,7 +144,54 @@ def test_norm_morse_interval_doubling_stable():
     n1 = norm_squared(w)
     n2 = norm_squared(w, initial_half_width=4.0)
     assert n1 > 0.0 and math.isfinite(n1)
-    assert abs(n1 - n2) <= 1e-10 * n1
+    assert abs(n1 - n2) <= 1e-12 * n1
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        make_sextic(SexticParams.from_mu(0.7, 3, ODD)),
+        make_morse(MorseParams.from_mu(1.0, 2)),
+    ],
+    ids=["sextic-odd", "morse"],
+)
+def test_norm_samples_each_abscissa_once(model, monkeypatch):
+    # halving the step and widening the interval reuse earlier samples
+    w = _solved(model)
+    expected = norm_squared(w)
+    abscissas = []
+
+    def recording_psi_eval(wave, x):
+        abscissas.append(x)
+        return psi_eval(wave, x)
+
+    monkeypatch.setattr(analysis, "psi_eval", recording_psi_eval)
+    assert norm_squared(w) == expected
+    assert abscissas and len(abscissas) == len(set(abscissas))
+
+
+def _traceback_names(exc):
+    return [frame.f_code.co_name for frame, _ in traceback.walk_tb(exc.__traceback__)]
+
+
+def test_norm_refinement_cap_raises_with_best(monkeypatch):
+    # the benchmark labels a failure by the norm_squared frame on its traceback
+    gamma_value = 2.0 ** 1.25 * math.gamma(1.25)
+    w = _solved(make_sextic(SexticParams.from_mu(1.0, 0)))
+    monkeypatch.setattr(analysis, "NORM_NODE_CAP", 100)
+    with pytest.raises(ConvergenceFailureError, match="refinement") as excinfo:
+        norm_squared(w)
+    assert "norm_squared" in _traceback_names(excinfo.value)
+    assert rel_err(excinfo.value.best, gamma_value) <= 1e-3
+
+
+def test_norm_tail_cap_raises_with_best(monkeypatch):
+    w = _solved(make_sextic(SexticParams.from_mu(1.0, 0)))
+    monkeypatch.setattr(analysis, "NORM_MAX_WIDENINGS", 1)
+    with pytest.raises(ConvergenceFailureError, match="tail") as excinfo:
+        norm_squared(w)
+    assert "norm_squared" in _traceback_names(excinfo.value)
+    assert excinfo.value.best > 0.0
 
 
 def test_norm_requires_decaying_gauge():
@@ -268,6 +319,48 @@ def test_fd_confirms_complex_morse_pair():
         refined, defect = fd_verify(model, s, GridSpec(-12.0, 4.0, 1000))
         assert defect <= 5e-3
         assert abs(refined.imag - s.energy_shifted.imag) <= 5e-3
+
+
+@pytest.mark.parametrize(
+    "sector, mu",
+    [(EVEN, 0.12926250521780655), (ODD, 0.39790155721015097)],
+    ids=["even", "odd"],
+)
+def test_fd_parity_start_on_sextic_double_well(sector, mu, monkeypatch):
+    # at 2j=5 the lowest level has a nearly degenerate partner of the other
+    # parity on the full grid; a start carrying both parities let the
+    # iteration stop on a mixed Rayleigh quotient 2e-5 to 8e-5 off
+    np = pytest.importorskip("numpy")
+    model = make_sextic(SexticParams.from_mu(mu, 5, sector))
+    solutions, _ = solve_model(model)
+    shift = solutions[0].shift
+    assert all(s.shift == shift for s in solutions)
+    grid = default_grid(model)
+    n = grid.n_points
+    h = (grid.x_max - grid.x_min) / (n + 1)
+    # reference: the same Hamiltonian restricted to the sector's parity, on
+    # the x > 0 half of the grid with the mirror neighbour folded into the
+    # first diagonal entry
+    half = [grid.x_min + (i + 1) * h for i in range(n // 2, n)]
+    diag = [2.0 / h**2 + potential_eval(model, x, shift) for x in half]
+    diag[0] -= (1.0 if sector == EVEN else -1.0) / h**2
+    off = np.full(len(half) - 1, -1.0 / h**2)
+    reference = np.linalg.eigvals(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+    solves = []
+    tridiag_solve = analysis.tridiag_solve
+
+    def counting_solve(*args):
+        solves[-1] += 1
+        return tridiag_solve(*args)
+
+    monkeypatch.setattr(analysis, "tridiag_solve", counting_solve)
+    for s in solutions:
+        solves.append(0)
+        refined, _ = fd_verify(model, s, grid)
+        nearest = reference[np.argmin(abs(reference - s.energy_shifted))]
+        assert abs(refined - nearest) <= 1e-9
+        assert solves[-1] <= 8
 
 
 def test_fd_inverse_iteration_budget():
