@@ -37,7 +37,6 @@ from .cpoly import (
 )
 from .errors import (
     ConvergenceFailureError,
-    InvarianceViolationError,
     NumericOverflowError,
     PoleError,
     QesError,
@@ -61,8 +60,6 @@ from .sl2 import (
     BlockMatrix,
     OperatorCombination,
     SpinJ,
-    apply_combination,
-    apply_generator,
     build_block,
 )
 from .spectrum import (

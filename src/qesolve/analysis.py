@@ -53,15 +53,12 @@ class GridSpec:
     x_min: float
     x_max: float
     n_points: int
-    boundary: str = "dirichlet"
 
     def __post_init__(self) -> None:
         if not self.x_min < self.x_max:
             raise ValidationError("grid needs x_min < x_max")
         if self.n_points < 64:
             raise ValidationError("grid needs at least 64 points")
-        if self.boundary != "dirichlet":
-            raise ValidationError("only Dirichlet boundaries are supported")
 
 
 def psi_eval(w: Wavefunction, x: float) -> complex:
@@ -239,24 +236,28 @@ def _parity_start(n: int, odd: bool) -> list[float]:
     return [1.0] * n
 
 
+# Inverse-iteration shift offset from the predicted eigenvalue, and the
+# agreement of successive Rayleigh quotients that ends the iteration.
+FD_SHIFT_OFFSET = 1e-4
+FD_RQ_TOL = 1e-10
+
+
 def fd_refine_energy(
     potential: Callable[[float], complex],
     x_min: float,
     x_max: float,
     n_points: int,
     predicted: complex,
-    shift_offset: float = 1e-4,
     max_iter: int = 200,
-    rq_tol: float = 1e-10,
     start: Sequence[float] | None = None,
 ) -> complex:
     """Refine `predicted` against the central-difference Dirichlet Hamiltonian.
 
-    Inverse iteration with shift sigma = predicted + offset; the offset is
-    doubled and the factorization retried (up to 5 times) if the tridiagonal
-    LU breaks down.  Convergence is declared when successive Rayleigh
-    quotients agree to rq_tol.  The iteration starts from `start` (one real
-    value per interior point), by default a ramp.
+    Inverse iteration with shift sigma = predicted + FD_SHIFT_OFFSET; the
+    offset is doubled and the factorization retried (up to 5 times) if the
+    tridiagonal LU breaks down.  Convergence is declared when successive
+    Rayleigh quotients agree to FD_RQ_TOL.  The iteration starts from
+    `start` (one real value per interior point), by default a ramp.
     """
     n = n_points
     h = (x_max - x_min) / (n + 1)
@@ -265,7 +266,7 @@ def fd_refine_energy(
     off = [-inv_h2] * (n - 1)
 
     factors = None
-    offset = shift_offset
+    offset = FD_SHIFT_OFFSET
     for _ in range(6):
         sigma = predicted + offset
         try:
@@ -289,7 +290,7 @@ def fd_refine_energy(
         u = [c / norm for c in u]
         hu = tridiag_matvec(off, diag0, off, u)
         estimate = sum(u[i].conjugate() * hu[i] for i in range(n))
-        if rayleigh is not None and abs(estimate - rayleigh) < rq_tol:
+        if rayleigh is not None and abs(estimate - rayleigh) < FD_RQ_TOL:
             return estimate
         rayleigh = estimate
         v = u

@@ -15,6 +15,8 @@ import cmath
 import dataclasses
 import json
 import sys
+import types
+import typing
 from dataclasses import dataclass
 
 from .analysis import (
@@ -75,6 +77,8 @@ def to_json(value, indent: int = 0) -> str:
         return format_float(value)
     if isinstance(value, complex):
         return to_json({"re": value.real, "im": value.imag}, indent)
+    if dataclasses.is_dataclass(value):
+        return to_json({f.name: getattr(value, f.name) for f in dataclasses.fields(value)}, indent)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -141,99 +145,33 @@ class RunReport:
     verification: VerificationReport | None
 
 
-def report_to_dict(r: RunReport) -> dict:
-    out = {
-        "family": r.family,
-        "parameters": dict(r.parameters),
-        "two_j": r.two_j,
-        "shift": r.shift,
-        "common_shift_found": r.common_shift_found,
-        "shift_spread": r.shift_spread,
-        "levels": [
-            {
-                "index": lv.index,
-                "energy_base": lv.energy_base,
-                "energy_shifted": lv.energy_shifted,
-                "phi_coeffs": list(lv.phi_coeffs),
-                "eigvec_residual": lv.eigvec_residual,
-                "multiplicity": lv.multiplicity,
-            }
-            for lv in r.levels
-        ],
-        "residual_sup": r.residual_sup,
-        "pt_symmetric": r.pt_symmetric,
-        "published_comparison": list(r.published_comparison),
-        "verification": None,
-    }
-    if r.verification is not None:
-        v = r.verification
-        out["verification"] = {
-            "residual_tolerance": v.residual_tolerance,
-            "fd": {
-                "grid_n": v.fd.grid_n,
-                "x_min": v.fd.x_min,
-                "x_max": v.fd.x_max,
-                "refined": list(v.fd.refined),
-                "defect": v.fd.defect,
-                "defect_bound": v.fd.defect_bound,
-            },
-            "norms": None if v.norms is None else list(v.norms),
-            "passed": v.passed,
-        }
-    return out
-
-
-def _maybe_complex(value):
-    if isinstance(value, dict) and set(value) == {"re", "im"}:
+def _decode(tp, value):
+    """Rebuild a value of annotated type tp from its to_json form."""
+    if value is None:
+        return None
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _decode(tp, value)
+    if origin is tuple:  # tuple[T, ...]
+        return tuple(_decode(args[0], v) for v in value)
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return tp(**{f.name: _decode(hints[f.name], value[f.name]) for f in dataclasses.fields(tp)})
+    if tp is complex:
         return complex(value["re"], value["im"])
+    if tp is dict:  # report parameters: complex, number, string or null values
+        return {k: _decode(complex, v) if isinstance(v, dict) else v for k, v in value.items()}
     return value
 
 
 def report_from_dict(data: dict) -> RunReport:
-    levels = tuple(
-        LevelReport(
-            index=lv["index"],
-            energy_base=_maybe_complex(lv["energy_base"]),
-            energy_shifted=_maybe_complex(lv["energy_shifted"]),
-            phi_coeffs=tuple(_maybe_complex(c) for c in lv["phi_coeffs"]),
-            eigvec_residual=lv["eigvec_residual"],
-            multiplicity=lv["multiplicity"],
-        )
-        for lv in data["levels"]
-    )
-    verification = None
-    if data["verification"] is not None:
-        v = data["verification"]
-        verification = VerificationReport(
-            residual_tolerance=v["residual_tolerance"],
-            fd=FdReport(
-                grid_n=v["fd"]["grid_n"],
-                x_min=v["fd"]["x_min"],
-                x_max=v["fd"]["x_max"],
-                refined=tuple(_maybe_complex(c) for c in v["fd"]["refined"]),
-                defect=v["fd"]["defect"],
-                defect_bound=v["fd"]["defect_bound"],
-            ),
-            norms=None if v["norms"] is None else tuple(v["norms"]),
-            passed=v["passed"],
-        )
-    return RunReport(
-        family=data["family"],
-        parameters={k: _maybe_complex(v) for k, v in data["parameters"].items()},
-        two_j=data["two_j"],
-        shift=_maybe_complex(data["shift"]),
-        common_shift_found=data["common_shift_found"],
-        shift_spread=data["shift_spread"],
-        levels=levels,
-        residual_sup=data["residual_sup"],
-        pt_symmetric=data["pt_symmetric"],
-        published_comparison=tuple(data["published_comparison"]),
-        verification=verification,
-    )
+    """Inverse of json.loads(render_report(r))."""
+    return _decode(RunReport, data)
 
 
 def render_report(r: RunReport) -> str:
-    return to_json(report_to_dict(r))
+    return to_json(r)
 
 
 # ---------------------------------------------------------------------------

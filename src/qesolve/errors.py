@@ -13,10 +13,6 @@ class NumericOverflowError(QesError):
     """An operation produced a non-finite (NaN/Inf) value."""
 
 
-class InvarianceViolationError(QesError):
-    """An operator combination failed to preserve the finite polynomial block."""
-
-
 class PoleError(QesError):
     """Evaluation was requested at a pole of the superpotential."""
 

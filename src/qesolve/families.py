@@ -21,8 +21,9 @@ complex spectrum real are handled downstream as an explicit shift argument.
 the operator combination, the z-space equation p2 phi'' + p1 phi' +
 (p0 - E) phi = 0, the gauge data and the potential coefficients.
 `closed_form_block_action` gives the tridiagonal matrix action of the model
-on basis monomials in closed form; it is the documented oracle against the
-generic polynomial-arithmetic block builder.
+on basis monomials in closed form; it is the documented oracle against
+`sl2.build_block`, which assembles the block from the generator actions and
+the operator combination instead.
 """
 
 from __future__ import annotations
@@ -291,8 +292,8 @@ def closed_form_block_action(model: QesModel, k: int) -> tuple[complex, complex,
     """(lower, diag, upper): coefficients of z^{k-1}, z^k, z^{k+1} in the image of z^k.
 
     Hand-derived tridiagonal action of the model's operator combination;
-    kept deliberately independent of the generic block builder so the two
-    can be compared entry by entry.
+    kept deliberately independent of sl2.build_block so the two can be
+    compared entry by entry.
     """
     n = model.rep.two_j
     if not isinstance(k, int) or isinstance(k, bool) or k < 0 or k > n:

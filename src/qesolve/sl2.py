@@ -2,19 +2,20 @@
 
 On the monomial basis {z^k : 0 <= k <= 2j} the three generators act as
 
-    plus  (raising):  z^2 d/dz - 2j z
-    zero  (weight):   z   d/dz - j
-    minus (lowering):       d/dz
+    plus  (raising):  z^2 d/dz - 2j z     J+ z^k = (k - 2j) z^(k+1)
+    zero  (weight):   z   d/dz - j        J0 z^k = (k - j)  z^k
+    minus (lowering):       d/dz          J- z^k = k        z^(k-1)
 
 Half-integer spins are kept exact by storing n = 2j as an integer; j enters
 the formulas as two_j / 2, which is exact in binary floating point, so
 top-state annihilation (the raising coefficient k - 2j vanishing at k = 2j)
-holds to the last bit rather than to a tolerance.
+holds to the last bit rather than to a tolerance.  No combination of the
+generators can therefore leave the degree <= 2j block.
 
-`build_block` materializes a quadratic combination of the generators as a
-matrix on the monomial basis, column by column, using generic polynomial
-arithmetic only; closed-form matrix actions live with the potential
-families and serve as an independent cross-check.
+Each generator moves the degree by at most one, so `build_block` writes a
+quadratic combination of them straight into the three diagonals of a
+`BlockMatrix`.  The closed-form matrix actions that live with the potential
+families are derived separately and serve as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -22,15 +23,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, fields
 
-from .cpoly import CPolynomial, ZERO, monomial, poly_add, poly_derivative, poly_mul, poly_scale, poly_sub
-from .errors import InvarianceViolationError, ValidationError
-
-GENERATORS = ("plus", "zero", "minus")
-
-_Z = monomial(1)
-_Z2 = monomial(2)
-
-INVARIANCE_RTOL = 1e-12
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -76,83 +69,61 @@ class OperatorCombination:
 
 @dataclass(frozen=True)
 class BlockMatrix:
-    """Dense square matrix; column k holds the image of the basis monomial z^k."""
+    """Tridiagonal block on the monomial basis; column k holds the image of z^k.
 
-    entries: tuple[tuple[complex, ...], ...]
+    sub[i] = M[i+1][i], diag[i] = M[i][i] and sup[i] = M[i][i+1], the
+    convention of the tridiag kernel.
+    """
+
+    sub: tuple[complex, ...]
+    diag: tuple[complex, ...]
+    sup: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(complex(c) for c in row) for row in self.entries)
-        if not rows:
+        sub, diag, sup = (tuple(complex(c) for c in d) for d in (self.sub, self.diag, self.sup))
+        if not diag:
             raise ValidationError("block matrix must have at least one row")
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValidationError("block matrix must be square")
-            for c in row:
-                if not cmath.isfinite(c):
-                    raise ValidationError(f"non-finite block entry {c!r}")
-        object.__setattr__(self, "entries", rows)
+        if len(sub) != len(diag) - 1 or len(sup) != len(diag) - 1:
+            raise ValidationError(
+                f"a block with {len(diag)} diagonal entries needs {len(diag) - 1} sub- and "
+                f"superdiagonal entries, got {len(sub)} and {len(sup)}"
+            )
+        for c in sub + diag + sup:
+            if not cmath.isfinite(c):
+                raise ValidationError(f"non-finite block entry {c!r}")
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "sup", sup)
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.diag)
 
-
-def apply_generator(gen: str, p: CPolynomial, rep: SpinJ) -> CPolynomial:
-    """Apply one generator to p in the spin-(two_j/2) representation.
-
-    p may have any degree; the image can leave the degree <= 2j block when
-    degree(p) exceeds two_j.
-    """
-    if gen == "minus":
-        return poly_derivative(p)
-    dp = poly_derivative(p)
-    if gen == "zero":
-        return poly_sub(poly_mul(_Z, dp), poly_scale(p, rep.j))
-    if gen == "plus":
-        return poly_sub(poly_mul(_Z2, dp), poly_scale(poly_mul(_Z, p), float(rep.two_j)))
-    raise ValidationError(f"unknown generator tag {gen!r}")
-
-
-def apply_combination(combo: OperatorCombination, p: CPolynomial, rep: SpinJ) -> CPolynomial:
-    """Apply the full quadratic combination to p by polynomial arithmetic."""
-    out = ZERO
-    if combo.c_pm != 0 or combo.c_0m != 0:
-        lowered = apply_generator("minus", p, rep)
-        if combo.c_pm != 0:
-            out = poly_add(out, poly_scale(apply_generator("plus", lowered, rep), combo.c_pm))
-        if combo.c_0m != 0:
-            out = poly_add(out, poly_scale(apply_generator("zero", lowered, rep), combo.c_0m))
-    if combo.c_p != 0:
-        out = poly_add(out, poly_scale(apply_generator("plus", p, rep), combo.c_p))
-    if combo.c_m != 0:
-        out = poly_add(out, poly_scale(apply_generator("minus", p, rep), combo.c_m))
-    if combo.c_0 != 0:
-        out = poly_add(out, poly_scale(apply_generator("zero", p, rep), combo.c_0))
-    if combo.c_id != 0:
-        out = poly_add(out, poly_scale(p, combo.c_id))
-    return out
+    @property
+    def entries(self) -> tuple[tuple[complex, ...], ...]:
+        """The block as dense rows, for whole-matrix comparisons."""
+        n = self.dim
+        rows = [[0.0j] * n for _ in range(n)]
+        for i, c in enumerate(self.diag):
+            rows[i][i] = c
+        for i, (lo, up) in enumerate(zip(self.sub, self.sup)):
+            rows[i + 1][i] = lo
+            rows[i][i + 1] = up
+        return tuple(tuple(row) for row in rows)
 
 
 def build_block(combo: OperatorCombination, rep: SpinJ) -> BlockMatrix:
     """Matrix of the combination on {z^0, ..., z^two_j}.
 
-    Raises InvarianceViolationError if any image sticks out of the block
-    (relative to its largest coefficient), which signals ill-matched
-    parameters rather than roundoff: legitimate combinations preserve the
-    block analytically.
+    Column k is the image of z^k: J+J- and J0 keep the degree, J0J- and J-
+    lower it by one, J+ raises it by one.
     """
-    n = rep.dim
-    columns = []
-    for k in range(n):
-        image = apply_combination(combo, monomial(k), rep)
-        coeffs = list(image.coeffs) + [0.0j] * max(0, n - len(image.coeffs))
-        scale = max((abs(c) for c in image.coeffs), default=0.0)
-        for c in coeffs[n:]:
-            if abs(c) > INVARIANCE_RTOL * max(scale, 1e-300):
-                raise InvarianceViolationError(
-                    f"image of z^{k} has degree {image.degree}, outside the "
-                    f"dimension-{n} block (coefficient {c!r})"
-                )
-        columns.append(coeffs[:n])
-    return BlockMatrix(tuple(tuple(columns[k][i] for k in range(n)) for i in range(n)))
+    two_j, j = rep.two_j, rep.j
+    c = combo
+    return BlockMatrix(
+        sub=tuple(c.c_p * (k - two_j) for k in range(two_j)),
+        diag=tuple(
+            c.c_pm * (k * (k - 1) - two_j * k) + c.c_0 * (k - j) + c.c_id for k in range(two_j + 1)
+        ),
+        sup=tuple(c.c_0m * (k * (k - 1) - j * k) + c.c_m * k for k in range(1, two_j + 1)),
+    )

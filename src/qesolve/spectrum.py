@@ -1,7 +1,8 @@
 """Eigenpairs of the tridiagonal sl(2) blocks and real-spectrum shifts.
 
 Every block the algebraic construction produces is tridiagonal (dimension
-2j + 1, capped at 32), and eigen_solve works on its three diagonals only:
+2j + 1, capped at 32); a BlockMatrix holds only its three diagonals, and
+eigen_solve works on them directly:
 
   * balancing       a power-of-two diagonal similarity brings |sub_i| and
                     |sup_i| within a factor 2 of each other; it is exact in
@@ -79,19 +80,6 @@ class EigenPair:
     vector: CPolynomial
     residual: float
     multiplicity: int = 1
-
-
-def _diagonals(m: BlockMatrix) -> tuple[list[complex], list[complex], list[complex]]:
-    """(sub, diag, sup) of the block; ValidationError if any other entry is nonzero."""
-    e = m.entries
-    n = m.dim
-    if any(c != 0 for i, row in enumerate(e) for k, c in enumerate(row) if abs(i - k) > 1):
-        raise ValidationError("block has nonzero entries off the three diagonals")
-    return (
-        [e[i + 1][i] for i in range(n - 1)],
-        [e[i][i] for i in range(n)],
-        [e[i][i + 1] for i in range(n - 1)],
-    )
 
 
 def _balanced_hessenberg(sub, diag, sup) -> list[list[complex]]:
@@ -231,16 +219,16 @@ def _inverse_iteration(sub, diag, sup, lam: complex, norm: float) -> list[comple
 def eigen_solve(m: BlockMatrix) -> list[EigenPair]:
     """Eigenvalues and polynomial eigenvectors of a tridiagonal block, sorted by (Re, Im).
 
-    Raises ValidationError for a block with entries off the three diagonals.
     Degenerate eigenvalues come back once per instance, sharing the
     centroid value and carrying their cluster multiplicity.
     """
-    sub, diag, sup = _diagonals(m)
+    sub, diag, sup = m.sub, m.diag, m.sup
     n = m.dim
     h = _balanced_hessenberg(sub, diag, sup)
     balanced_norm = max(sum(abs(c) for c in row) for row in h)
     tol = 8.0 * math.sqrt(_EPS * (n + 1)) * balanced_norm
-    norm_m = max(sum(abs(c) for c in row) for row in m.entries)
+    rows = zip((0.0j,) + sub, diag, sup + (0.0j,))
+    norm_m = max(abs(lo) + abs(d) + abs(up) for lo, d, up in rows)
     pairs = []
     for lam, mult in _cluster(_hessenberg_eigenvalues(h, balanced_norm), tol):
         v = _inverse_iteration(sub, diag, sup, lam, norm_m)
@@ -256,15 +244,19 @@ def eigen_solve(m: BlockMatrix) -> list[EigenPair]:
     return pairs
 
 
-def common_imaginary_shift(eigs: list[complex], tol: float = 1e-9) -> ShiftResult:
-    """Shift -i * (median imaginary part) when all imaginary parts agree within tol."""
+# Largest distance of an imaginary part from the median that still counts as common.
+SHIFT_TOL = 1e-9
+
+
+def common_imaginary_shift(eigs: list[complex]) -> ShiftResult:
+    """Shift -i * (median imaginary part) when all imaginary parts agree within SHIFT_TOL."""
     if not eigs:
         raise ValidationError("common_imaginary_shift needs at least one eigenvalue")
     ims = sorted(e.imag for e in eigs)
     n = len(ims)
     median = ims[n // 2] if n % 2 else 0.5 * (ims[n // 2 - 1] + ims[n // 2])
     spread = ims[-1] - ims[0]
-    if max(abs(im - median) for im in ims) <= tol:
+    if max(abs(im - median) for im in ims) <= SHIFT_TOL:
         return ShiftResult(found=True, shift=complex(0.0, -median), spread=spread)
     return ShiftResult(found=False, shift=0.0j, spread=spread)
 
@@ -272,7 +264,7 @@ def common_imaginary_shift(eigs: list[complex], tol: float = 1e-9) -> ShiftResul
 RESIDUAL_GATE = 1e-10
 
 
-def solve_model(model: QesModel, shift_tol: float = 1e-9) -> tuple[list[QesSolution], ShiftResult]:
+def solve_model(model: QesModel) -> tuple[list[QesSolution], ShiftResult]:
     """Solve the model's block and apply the common-imaginary-part shift (or none).
 
     Rejects blocks above MAX_BLOCK_DIM before building them, and refuses to
@@ -290,7 +282,7 @@ def solve_model(model: QesModel, shift_tol: float = 1e-9) -> tuple[list[QesSolut
             best=pairs,
             defect=worst,
         )
-    shift_result = common_imaginary_shift([p.value for p in pairs], tol=shift_tol)
+    shift_result = common_imaginary_shift([p.value for p in pairs])
     shift = shift_result.shift if shift_result.found else 0.0j
     solutions = [
         QesSolution(

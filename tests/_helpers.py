@@ -3,7 +3,17 @@
 import math
 import random
 
-from qesolve.cpoly import monomial, poly_add, poly_scale, poly_sub
+from qesolve.cpoly import (
+    ZERO,
+    CPolynomial,
+    monomial,
+    poly_add,
+    poly_derivative,
+    poly_mul,
+    poly_scale,
+    poly_sub,
+)
+from qesolve.errors import ValidationError
 from qesolve.families import (
     EVEN,
     MorseParams,
@@ -12,7 +22,7 @@ from qesolve.families import (
     make_morse,
     make_sextic,
 )
-from qesolve.sl2 import SpinJ, apply_generator
+from qesolve.sl2 import OperatorCombination, SpinJ
 
 SEED = 20260808
 
@@ -103,6 +113,47 @@ def romberg(f, lo: float, hi: float, max_level: int = 18, tol: float = 1e-12) ->
             return row[-1]
         rows.append(row)
     return rows[-1][-1]
+
+
+_Z = monomial(1)
+_Z2 = monomial(2)
+
+
+def apply_generator(gen: str, p: CPolynomial, rep: SpinJ) -> CPolynomial:
+    """Apply one generator to p in the spin-(two_j/2) representation.
+
+    The polynomial-arithmetic oracle for the block builder: p may have any
+    degree, and the image can leave the degree <= 2j block when degree(p)
+    exceeds two_j.
+    """
+    if gen == "minus":
+        return poly_derivative(p)
+    dp = poly_derivative(p)
+    if gen == "zero":
+        return poly_sub(poly_mul(_Z, dp), poly_scale(p, rep.j))
+    if gen == "plus":
+        return poly_sub(poly_mul(_Z2, dp), poly_scale(poly_mul(_Z, p), float(rep.two_j)))
+    raise ValidationError(f"unknown generator tag {gen!r}")
+
+
+def apply_combination(combo: OperatorCombination, p: CPolynomial, rep: SpinJ) -> CPolynomial:
+    """Apply the full quadratic combination to p by polynomial arithmetic."""
+    out = ZERO
+    if combo.c_pm != 0 or combo.c_0m != 0:
+        lowered = apply_generator("minus", p, rep)
+        if combo.c_pm != 0:
+            out = poly_add(out, poly_scale(apply_generator("plus", lowered, rep), combo.c_pm))
+        if combo.c_0m != 0:
+            out = poly_add(out, poly_scale(apply_generator("zero", lowered, rep), combo.c_0m))
+    if combo.c_p != 0:
+        out = poly_add(out, poly_scale(apply_generator("plus", p, rep), combo.c_p))
+    if combo.c_m != 0:
+        out = poly_add(out, poly_scale(apply_generator("minus", p, rep), combo.c_m))
+    if combo.c_0 != 0:
+        out = poly_add(out, poly_scale(apply_generator("zero", p, rep), combo.c_0))
+    if combo.c_id != 0:
+        out = poly_add(out, poly_scale(p, combo.c_id))
+    return out
 
 
 def commutator_defect(rep: SpinJ) -> float:

@@ -23,11 +23,12 @@ from qesolve.families import (
     make_morse,
     make_sextic,
 )
-from qesolve.sl2 import SpinJ, apply_generator, build_block
+from qesolve.sl2 import SpinJ, build_block
 from qesolve.cpoly import monomial
 from qesolve.spectrum import solve_model
 
 from _helpers import (
+    apply_generator,
     commutator_defect,
     fresh_rng,
     max_matrix_mismatch,

@@ -373,8 +373,6 @@ def test_grid_validation():
         GridSpec(0.0, 1.0, 32)
     with pytest.raises(ValidationError):
         GridSpec(1.0, 0.0, 128)
-    with pytest.raises(ValidationError):
-        GridSpec(0.0, 1.0, 128, boundary="periodic")
 
 
 def test_default_grids():

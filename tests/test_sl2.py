@@ -2,16 +2,16 @@ import pytest
 
 from qesolve.cpoly import CPolynomial, monomial
 from qesolve.errors import ValidationError
-from qesolve.sl2 import (
-    BlockMatrix,
-    OperatorCombination,
-    SpinJ,
+from qesolve.sl2 import BlockMatrix, OperatorCombination, SpinJ, build_block
+
+from _helpers import (
     apply_combination,
     apply_generator,
-    build_block,
+    commutator_defect,
+    fresh_rng,
+    max_matrix_mismatch,
+    unit_complex,
 )
-
-from _helpers import commutator_defect, fresh_rng, max_matrix_mismatch, unit_complex
 
 
 def test_raising_annihilates_top_state_exactly():
@@ -110,6 +110,21 @@ def test_combination_preserves_block_for_every_term():
             assert image.degree is None or image.degree <= rep.two_j
 
 
+def test_block_matches_polynomial_oracle_exactly():
+    # column k of the block is the oracle's image of z^k, which never leaves the block
+    rng = fresh_rng()
+    for two_j in range(32):
+        rep = SpinJ(two_j)
+        for _ in range(3):
+            combo = OperatorCombination(*(unit_complex(rng) for _ in range(6)))
+            entries = build_block(combo, rep).entries
+            for k in range(rep.dim):
+                image = apply_combination(combo, monomial(k), rep)
+                assert image.degree is None or image.degree <= two_j
+                padded = image.coeffs + (0.0j,) * (rep.dim - len(image.coeffs))
+                assert tuple(row[k] for row in entries) == padded
+
+
 def test_spin_validation():
     with pytest.raises(ValidationError):
         SpinJ(-1)
@@ -118,10 +133,21 @@ def test_spin_validation():
 
 
 def test_block_matrix_must_be_square():
+    # a square tridiagonal block has n - 1 entries on each off-diagonal
     with pytest.raises(ValidationError):
-        BlockMatrix(((1.0, 2.0),))
+        BlockMatrix((), (1.0,), (2.0,))
     with pytest.raises(ValidationError):
-        BlockMatrix(())
+        BlockMatrix((3.0,), (1.0, 2.0), ())
+    with pytest.raises(ValidationError):
+        BlockMatrix((), (), ())
+
+
+def test_block_matrix_rejects_non_finite_entries():
+    for bad in (float("nan"), complex(0.0, float("inf"))):
+        with pytest.raises(ValidationError, match="non-finite"):
+            BlockMatrix((bad,), (1.0, 2.0), (3.0,))
+        with pytest.raises(ValidationError, match="non-finite"):
+            BlockMatrix((), (bad,), ())
 
 
 def test_unknown_generator_rejected():

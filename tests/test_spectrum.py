@@ -16,7 +16,7 @@ from qesolve.spectrum import common_imaginary_shift, eigen_solve, solve_model
 from _helpers import fresh_rng, rel_err, unit_complex
 from _oracles import char_poly, high_precision_spectrum, poly_roots
 
-FIXTURE_BLOCK = BlockMatrix(((1j, -2.0), (-4.0, 5j)))
+FIXTURE_BLOCK = BlockMatrix(sub=(-4.0,), diag=(1j, 5j), sup=(-2.0,))
 
 
 def test_char_poly_2x2_fixture():
@@ -102,31 +102,27 @@ def test_eigen_solve_morse_1x1():
 
 
 def test_eigen_solve_diagonal():
-    pairs = eigen_solve(BlockMatrix(((2.0, 0.0), (0.0, 5.0))))
+    pairs = eigen_solve(BlockMatrix(sub=(0.0,), diag=(2.0, 5.0), sup=(0.0,)))
     assert abs(pairs[0].value - 2.0) <= 1e-13
     assert abs(pairs[1].value - 5.0) <= 1e-13
     assert pairs[0].vector.coeffs == (1.0 + 0j,)
     assert pairs[1].vector.coeffs == (0.0j, 1.0 + 0j)
 
 
-def _random_block(rng, dim):
-    return BlockMatrix(
-        tuple(tuple(0.5 * unit_complex(rng) for _ in range(dim)) for _ in range(dim))
-    )
+def _random_dense(rng, dim):
+    return tuple(tuple(0.5 * unit_complex(rng) for _ in range(dim)) for _ in range(dim))
 
 
 def _random_tridiagonal(rng, dim):
-    return BlockMatrix(
-        tuple(
-            tuple(0.5 * unit_complex(rng) if abs(i - k) <= 1 else 0.0 for k in range(dim))
-            for i in range(dim)
-        )
-    )
-
-
-def test_dense_block_rejected():
-    with pytest.raises(ValidationError, match="off the three diagonals"):
-        eigen_solve(_random_block(fresh_rng(), 3))
+    # draws the entries row by row, left to right
+    sub, diag, sup = [], [], []
+    for i in range(dim):
+        if i > 0:
+            sub.append(0.5 * unit_complex(rng))
+        diag.append(0.5 * unit_complex(rng))
+        if i + 1 < dim:
+            sup.append(0.5 * unit_complex(rng))
+    return BlockMatrix(sub, diag, sup)
 
 
 def test_trace_identity_random_matrices():
@@ -134,7 +130,7 @@ def test_trace_identity_random_matrices():
     for dim in range(1, 33):
         block = _random_tridiagonal(rng, dim)
         pairs = eigen_solve(block)
-        trace = sum(block.entries[i][i] for i in range(dim))
+        trace = sum(block.diag)
         assert rel_err(sum(p.value for p in pairs), trace) <= 1e-10
 
 
@@ -146,21 +142,21 @@ def test_trace_identity_family_blocks():
         for model in (sextic, morse):
             block = build_block(model.combo, model.rep)
             pairs = eigen_solve(block)
-            trace = sum(block.entries[i][i] for i in range(block.dim))
+            trace = sum(block.diag)
             assert rel_err(sum(p.value for p in pairs), trace) <= 1e-10
             # the characteristic-polynomial route is an independent check on small blocks
-            roots = poly_roots(char_poly(block.entries)) if block.dim > 1 else [block.entries[0][0]]
+            roots = poly_roots(char_poly(block.entries)) if block.dim > 1 else [block.diag[0]]
             for p in pairs:
                 assert min(abs(p.value - r) for r in roots) <= 1e-8 * max(1.0, abs(p.value))
 
 
 def test_root_defect_bound():
     rng = fresh_rng()
-    blocks = [_random_block(rng, d) for d in (2, 5, 9)]
+    matrices = [_random_dense(rng, d) for d in (2, 5, 9)]
     family_model = make_sextic(SexticParams.from_mu(1.0, 4))
-    blocks.append(build_block(family_model.combo, family_model.rep))
-    for block in blocks:
-        cp = char_poly(block.entries)
+    matrices.append(build_block(family_model.combo, family_model.rep).entries)
+    for matrix in matrices:
+        cp = char_poly(matrix)
         scale = max(abs(c) for c in cp.coeffs)
         for root in poly_roots(cp):
             assert abs(poly_eval(cp, root)) <= 1e-9 * scale
@@ -171,12 +167,7 @@ def test_shift_equivariance():
     for dim in (2, 3, 5):
         block = _random_tridiagonal(rng, dim)
         c = unit_complex(rng)
-        shifted = BlockMatrix(
-            tuple(
-                tuple(block.entries[i][k] + (c if i == k else 0.0) for k in range(dim))
-                for i in range(dim)
-            )
-        )
+        shifted = BlockMatrix(block.sub, [d + c for d in block.diag], block.sup)
         base_pairs = eigen_solve(block)
         shifted_pairs = eigen_solve(shifted)
         for p, q in zip(base_pairs, shifted_pairs):
@@ -265,7 +256,7 @@ def test_high_spin_blocks_stay_accurate():
             pairs = eigen_solve(block)
             assert len(pairs) == n
             assert max(p.residual for p in pairs) <= 1e-12
-            trace = sum(block.entries[i][i] for i in range(n))
+            trace = sum(block.diag)
             assert rel_err(sum(p.value for p in pairs), trace) <= 1e-10
             for p in pairs:
                 gaps = [abs(p.value - r) for r in reference]
@@ -298,10 +289,8 @@ def test_qr_sweep_cap_reports_best_and_defect(monkeypatch):
     with pytest.raises(ConvergenceFailureError) as info:
         eigen_solve(block)
     # no sweep ran: best is the block's diagonal, defect its largest balanced coupling
-    assert info.value.best == [block.entries[i][i] for i in range(block.dim)]
-    couplings = [
-        abs(block.entries[i + 1][i] * block.entries[i][i + 1]) ** 0.5 for i in range(block.dim - 1)
-    ]
+    assert info.value.best == list(block.diag)
+    couplings = [abs(lo * up) ** 0.5 for lo, up in zip(block.sub, block.sup)]
     assert max(couplings) / 2.0 <= info.value.defect <= 2.0 * max(couplings)
 
 
