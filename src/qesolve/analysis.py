@@ -14,28 +14,37 @@ Verification is deliberately redundant:
   * is_pt_symmetric tests V*(-x) = V(x) including the additive shift.
   * susy_partner exposes the isospectral construction W^2 +/- W' built from
     the model's own superpotential.
-  * fd_refine_energy discretizes the shifted Hamiltonian with second-order
-    central differences on a Dirichlet grid and refines the predicted
-    eigenvalue by inverse iteration (complex tridiagonal LU with a
-    partial-pivoting safeguard); the shift is deliberately offset from the
-    prediction so the factored matrix stays comfortably invertible.  On a
-    grid symmetric about 0, sextic levels start from a vector of their
-    sector's parity, so a nearly degenerate level of the other parity
-    cannot mix in.
+  * fd_verify discretizes the shifted Hamiltonian of a model once, with
+    second-order central differences on a Dirichlet grid, and
+    fd_refine_energy refines each predicted eigenvalue on it by inverse
+    iteration (complex tridiagonal LU with partial pivoting).  On a grid
+    symmetric about 0, sextic levels start from a vector of their sector's
+    parity, so a nearly degenerate level of the other parity cannot mix
+    in.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cpoly import poly_derivative, poly_eval, poly_mul, poly_scale, poly_sub
+from .cpoly import (
+    poly_derivative,
+    poly_eval,
+    poly_eval_bounded,
+    poly_mul,
+    poly_scale,
+    poly_sub,
+)
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import MORSE, ODD, SEXTIC, GaugeSpec, QesModel, potential_eval
 from .spectrum import QesSolution
-from .tridiag import LuBreakdown, tridiag_factor, tridiag_matvec, tridiag_solve
+from .tridiag import tridiag_factor, tridiag_matvec, tridiag_norm, tridiag_solve
+
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -67,14 +76,17 @@ def psi_eval(w: Wavefunction, x: float) -> complex:
     return poly_eval(w.solution.phi_coeffs, z) * w.model.gauge.decay_factor(x)
 
 
-def default_residual_sample(model: QesModel, count: int = 21) -> list[float]:
+RESIDUAL_SAMPLE_COUNT = 21
+
+
+def default_residual_sample(model: QesModel) -> list[float]:
     """Sample abscissas covering the region where the block polynomials have weight."""
     if model.family == SEXTIC:
         lo, hi = -1.5, 1.5
     else:
         lo, hi = -1.0, 3.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / (RESIDUAL_SAMPLE_COUNT - 1)
+    return [lo + i * step for i in range(RESIDUAL_SAMPLE_COUNT)]
 
 
 def residual_sup(w: Wavefunction, sample: Sequence[float]) -> float:
@@ -97,26 +109,42 @@ def residual_sup(w: Wavefunction, sample: Sequence[float]) -> float:
 
 
 # Trapezoidal rule on the line: nodes x = k*h, |x| <= half-width.
+NORM_START_HALF_WIDTH = 2.0
 NORM_START_STEP = 0.25
 NORM_REL_TOL = 1e-12
 NORM_NODE_CAP = 1 << 16
 NORM_MAX_WIDENINGS = 60
 
 
-def norm_squared(w: Wavefunction, initial_half_width: float = 2.0) -> float:
+def psi_abs2(w: Wavefunction, x: float) -> tuple[float, float]:
+    """|psi(x)|^2 and the Horner error bound of phi carried through it.
+
+    The other roundings stay within a few ulps, far below NORM_REL_TOL.
+    """
+    value, bound = poly_eval_bounded(w.solution.phi_coeffs, w.model.z_of_x(x))
+    g = w.model.gauge.decay_factor(x)
+    psi = value * g
+    spread = bound * abs(g) if g else 0.0  # g == 0: psi underflowed to an exact 0
+    return psi.real * psi.real + psi.imag * psi.imag, (2.0 * abs(psi) + spread) * spread
+
+
+def norm_squared(w: Wavefunction) -> float:
     """Integral of |psi|^2 over the line by the trapezoidal rule on x = k*h.
 
-    At step NORM_START_STEP the half-width doubles until one doubling
-    changes the sum by at most NORM_REL_TOL relative (the tail test); on
-    that wider interval the step then halves until the sum agrees with the
-    one at twice the step to NORM_REL_TOL.  Nodes carry full weight, so
-    the step test also fails while the edge samples matter.  |psi|^2 is
-    analytic and decays faster than any exponential, so the error falls
-    geometrically as the step halves (Trefethen & Weideman, SIAM Rev. 56,
-    2014).  Halving or widening evaluates only the new nodes; every
-    abscissa is sampled at most once per call.  More than NORM_NODE_CAP
-    nodes, or more than NORM_MAX_WIDENINGS doublings, raise
-    ConvergenceFailureError carrying the last sum as `best`.
+    At step NORM_START_STEP the half-width doubles from
+    NORM_START_HALF_WIDTH until one doubling changes the sum by at most
+    NORM_REL_TOL relative (the tail test); on that wider interval the step
+    then halves until the sum agrees with the one at twice the step to
+    NORM_REL_TOL, or within the two sums' rounding bound (psi_abs2) if
+    that is larger, as for the cancelling upper levels of large blocks.
+    Nodes carry full weight, so the step test also fails while the edge
+    samples matter.  |psi|^2 is analytic and decays faster than any
+    exponential, so the error falls geometrically as the step halves
+    (Trefethen & Weideman, SIAM Rev. 56, 2014).  Halving or widening
+    evaluates only the new nodes; every abscissa is sampled at most once
+    per call.  More than NORM_NODE_CAP nodes, or more than
+    NORM_MAX_WIDENINGS doublings, raise ConvergenceFailureError carrying
+    the last sum as `best`.
 
     Requires a decaying gauge: always true for the sextic family, and for
     Morse only under Re a > 0 and Re d > 0 (an inferred condition; the
@@ -129,31 +157,31 @@ def norm_squared(w: Wavefunction, initial_half_width: float = 2.0) -> float:
                 "Morse normalization needs Re a > 0 and Re d > 0 for a decaying gauge"
             )
 
-    samples: dict[float, float] = {}
+    samples: dict[float, tuple[float, float]] = {}
 
-    def trapezoid(h: float, half: float, best: float | None) -> float:
+    def trapezoid(h: float, half: float, best: float | None) -> tuple[float, float]:
         last = int(half / h)
         if 2 * last + 1 > NORM_NODE_CAP:
             raise ConvergenceFailureError("quadrature refinement did not converge", best=best)
         terms = []
         for k in range(-last, last + 1):
             x = k * h  # h is a power of two times the start step: k*h is exact
-            value = samples.get(x)
-            if value is None:
-                v = psi_eval(w, x)
-                value = samples[x] = v.real * v.real + v.imag * v.imag
-            terms.append(value)
-        return h * math.fsum(terms)
+            sample = samples.get(x)
+            if sample is None:
+                sample = samples[x] = psi_abs2(w, x)
+            terms.append(sample)
+        values, errors = zip(*terms)
+        return h * math.fsum(values), h * sum(errors)  # the sum and its rounding bound
 
-    def agree(a: float, b: float) -> bool:
-        return abs(a - b) <= NORM_REL_TOL * max(abs(b), 1e-300)
+    def agree(a: float, b: float, rounding: float = 0.0) -> bool:
+        return abs(a - b) <= max(NORM_REL_TOL * max(abs(b), 1e-300), rounding)
 
     h = NORM_START_STEP
-    half = initial_half_width
-    total = trapezoid(h, half, None)
+    half = NORM_START_HALF_WIDTH
+    total, _ = trapezoid(h, half, None)
     for _ in range(NORM_MAX_WIDENINGS):
         half *= 2.0
-        wider = trapezoid(h, half, total)
+        wider, rounding = trapezoid(h, half, total)
         if agree(total, wider):
             break
         total = wider
@@ -162,14 +190,17 @@ def norm_squared(w: Wavefunction, initial_half_width: float = 2.0) -> float:
     # refine on the wider interval, whose edge samples the tail test showed negligible
     total = wider
     while True:
-        finer = trapezoid(h / 2.0, half, total)
-        if agree(total, finer):
+        finer, finer_rounding = trapezoid(h / 2.0, half, total)
+        if agree(total, finer, rounding + finer_rounding):
             return finer
-        total = finer
+        total, rounding = finer, finer_rounding
         h /= 2.0
 
 
-def is_pt_symmetric(model: QesModel, shift: complex = 0.0j, tol: float = 1e-9) -> bool:
+PT_TOL = 1e-9
+
+
+def is_pt_symmetric(model: QesModel, shift: complex = 0.0j) -> bool:
     """Test V*(-x) = V(x) for the shifted potential.
 
     The sextic potential is even in x, so the test reduces to all
@@ -179,14 +210,14 @@ def is_pt_symmetric(model: QesModel, shift: complex = 0.0j, tol: float = 1e-9) -
     shift = complex(shift)
     if model.family == SEXTIC:
         values = list(model.potential_coeffs) + [shift]
-        return all(abs(v.imag) <= tol * max(1.0, abs(v)) for v in values)
+        return all(abs(v.imag) <= PT_TOL * max(1.0, abs(v)) for v in values)
     count = 64
     xs = [-3.0 + 6.0 * i / (count - 1) for i in range(count)]
     vals = [potential_eval(model, x) + shift for x in xs]
     mirrored = [(potential_eval(model, -x) + shift).conjugate() for x in xs]
     scale = max(1.0, max(abs(v) for v in vals))
     defect = max(abs(a - b) for a, b in zip(vals, mirrored))
-    return defect <= tol * scale
+    return defect <= PT_TOL * scale
 
 
 def _finite_or_raise(value: complex, x: float) -> complex:
@@ -236,10 +267,13 @@ def _parity_start(n: int, odd: bool) -> list[float]:
     return [1.0] * n
 
 
-# Inverse-iteration shift offset from the predicted eigenvalue, and the
-# agreement of successive Rayleigh quotients that ends the iteration.
+# Inverse-iteration shift offset from the predicted eigenvalue, the
+# agreement of successive Rayleigh quotients that ends the iteration, the
+# solves allowed per level and the default grid's interior points.
 FD_SHIFT_OFFSET = 1e-4
 FD_RQ_TOL = 1e-10
+FD_MAX_STEPS = 200
+FD_GRID_N = 2000
 
 
 def fd_refine_energy(
@@ -247,61 +281,58 @@ def fd_refine_energy(
     x_min: float,
     x_max: float,
     n_points: int,
-    predicted: complex,
-    max_iter: int = 200,
+    predicted: Sequence[complex],
     start: Sequence[float] | None = None,
-) -> complex:
-    """Refine `predicted` against the central-difference Dirichlet Hamiltonian.
+) -> list[complex]:
+    """Refine each of `predicted` against the central-difference Dirichlet Hamiltonian H.
 
-    Inverse iteration with shift sigma = predicted + FD_SHIFT_OFFSET; the
-    offset is doubled and the factorization retried (up to 5 times) if the
-    tridiagonal LU breaks down.  Convergence is declared when successive
-    Rayleigh quotients agree to FD_RQ_TOL.  The iteration starts from
-    `start` (one real value per interior point), by default a ramp.
+    H and the start vector are built once.  Each prediction gets an LU of
+    H - sigma I, sigma = prediction + FD_SHIFT_OFFSET, and inverse
+    iteration until successive Rayleigh quotients agree to FD_RQ_TOL.  The
+    off-diagonals are -1/h^2, so only the last pivot can vanish; it becomes
+    eps * ||H||.  The iteration starts from `start` (one real value per
+    interior point), by default a ramp.
     """
     n = n_points
     h = (x_max - x_min) / (n + 1)
     inv_h2 = 1.0 / (h * h)
     diag0 = [2.0 * inv_h2 + potential(x_min + (i + 1) * h) for i in range(n)]
     off = [-inv_h2] * (n - 1)
-
-    factors = None
-    offset = FD_SHIFT_OFFSET
-    for _ in range(6):
-        sigma = predicted + offset
-        try:
-            factors = tridiag_factor(off, [v - sigma for v in diag0], off)
-            break
-        except LuBreakdown:
-            offset *= 2.0
-    if factors is None:
-        raise ConvergenceFailureError("tridiagonal factorization kept breaking down")
-
+    zero_pivot = _EPS * tridiag_norm(off, diag0, off)
     if start is None:
         # ramp start: carries both parities, so parity-odd eigenstates on a
         # symmetric grid are reachable without waiting for roundoff
         start = [1.0 + (i + 1.0) / n for i in range(n)]
     scale = math.sqrt(sum(c * c for c in start))
-    v = [complex(c / scale) for c in start]
-    rayleigh = None
-    for _ in range(max_iter):
-        u = tridiag_solve(factors, v)
-        norm = math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in u))
-        u = [c / norm for c in u]
-        hu = tridiag_matvec(off, diag0, off, u)
-        estimate = sum(u[i].conjugate() * hu[i] for i in range(n))
-        if rayleigh is not None and abs(estimate - rayleigh) < FD_RQ_TOL:
-            return estimate
-        rayleigh = estimate
-        v = u
-    raise ConvergenceFailureError(
-        f"inverse iteration did not settle within {max_iter} iterations",
-        best=rayleigh,
-        defect=None,
-    )
+    v0 = [complex(c / scale) for c in start]
+
+    refined = []
+    for guess in predicted:
+        sigma = guess + FD_SHIFT_OFFSET
+        factors = tridiag_factor(off, [v - sigma for v in diag0], off, zero_pivot)
+        v = v0
+        rayleigh = None
+        for _ in range(FD_MAX_STEPS):
+            u = tridiag_solve(factors, v)
+            norm = math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in u))
+            u = [c / norm for c in u]
+            hu = tridiag_matvec(off, diag0, off, u)
+            estimate = sum(u[i].conjugate() * hu[i] for i in range(n))
+            if rayleigh is not None and abs(estimate - rayleigh) < FD_RQ_TOL:
+                break
+            rayleigh = estimate
+            v = u
+        else:
+            raise ConvergenceFailureError(
+                f"inverse iteration did not settle within {FD_MAX_STEPS} iterations",
+                best=rayleigh,
+                defect=None,
+            )
+        refined.append(estimate)
+    return refined
 
 
-def default_grid(model: QesModel, n_points: int = 2000) -> GridSpec:
+def default_grid(model: QesModel, n_points: int = FD_GRID_N) -> GridSpec:
     """Family defaults sized so the gauge factor is below 1e-16 at the ends."""
     if model.family == SEXTIC:
         return GridSpec(-6.0, 6.0, n_points)
@@ -309,20 +340,26 @@ def default_grid(model: QesModel, n_points: int = 2000) -> GridSpec:
 
 
 def fd_verify(
-    model: QesModel, solution: QesSolution, grid: GridSpec | None = None
-) -> tuple[complex, float]:
-    """Grid cross-check of one level: (refined eigenvalue, |refined - predicted|)."""
+    model: QesModel, solutions: Sequence[QesSolution], grid: GridSpec | None = None
+) -> tuple[tuple[complex, ...], float]:
+    """Grid check of a model's levels on one grid: (refined values, max |refined - predicted|).
+
+    The levels must share one potential shift, as solve_model's do.
+    """
+    shift = solutions[0].shift
+    if any(s.shift != shift for s in solutions):
+        raise ValidationError("fd_verify needs levels that share one potential shift")
     if grid is None:
         grid = default_grid(model)
-    predicted = solution.energy_shifted
 
     def shifted_potential(x: float) -> complex:
-        return potential_eval(model, x, solution.shift)
+        return potential_eval(model, x, shift)
 
     start = None
     if model.family == SEXTIC and grid.x_min == -grid.x_max:
         start = _parity_start(grid.n_points, odd=model.params.sector == ODD)
+    predicted = [s.energy_shifted for s in solutions]
     refined = fd_refine_energy(
         shifted_potential, grid.x_min, grid.x_max, grid.n_points, predicted, start=start
     )
-    return refined, abs(refined - predicted)
+    return tuple(refined), max(abs(r - p) for r, p in zip(refined, predicted))

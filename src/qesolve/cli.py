@@ -20,6 +20,7 @@ import typing
 from dataclasses import dataclass
 
 from .analysis import (
+    FD_GRID_N,
     GridSpec,
     Wavefunction,
     default_grid,
@@ -52,7 +53,6 @@ from .spectrum import QesSolution, ShiftResult, solve_model
 SCAN_HEADER = "mu,level,re_base,im_base,re_shifted,im_shifted,shift_im,common_shift_found"
 
 RESIDUAL_TOLERANCE = 1e-10
-FD_REFERENCE_N = 2000
 FD_REFERENCE_DEFECT = 5e-3
 
 
@@ -292,30 +292,18 @@ def _parameters_dict(model: QesModel) -> dict:
 
 
 def fd_defect_bound(model: QesModel, grid: GridSpec) -> float:
-    """Second-order truncation budget, scaled from the reference grid."""
-    reference = default_grid(model, FD_REFERENCE_N)
+    """Second-order truncation budget, scaled from the default grid."""
+    reference = default_grid(model)
     h_ref = (reference.x_max - reference.x_min) / (reference.n_points + 1)
     h = (grid.x_max - grid.x_min) / (grid.n_points + 1)
     return max(FD_REFERENCE_DEFECT * (h / h_ref) ** 2, 1e-8)
 
 
 def build_report(
-    model: QesModel,
-    verify: bool = False,
-    grid: GridSpec | None = None,
-    inject_energy_error: float = 0.0,
+    model: QesModel, verify: bool = False, grid: GridSpec | None = None
 ) -> tuple[RunReport, bool]:
     """Solve (and optionally verify) a model; returns the report and pass/fail."""
     solutions, shift_result = solve_model(model)
-    if inject_energy_error:
-        solutions = [
-            dataclasses.replace(
-                s,
-                energy_base=s.energy_base + inject_energy_error,
-                energy_shifted=s.energy_shifted + inject_energy_error,
-            )
-            for s in solutions
-        ]
     sample = default_residual_sample(model)
     rsup = max(residual_sup(Wavefunction(model, s), sample) for s in solutions)
     shift = solutions[0].shift
@@ -337,12 +325,7 @@ def build_report(
     if verify:
         if grid is None:
             grid = default_grid(model)
-        refined = []
-        defect = 0.0
-        for s in solutions:
-            value, gap = fd_verify(model, s, grid)
-            refined.append(value)
-            defect = max(defect, gap)
+        refined, defect = fd_verify(model, solutions, grid)
         bound = fd_defect_bound(model, grid)
         norms: tuple[float, ...] | None
         try:
@@ -356,7 +339,7 @@ def build_report(
                 grid_n=grid.n_points,
                 x_min=grid.x_min,
                 x_max=grid.x_max,
-                refined=tuple(refined),
+                refined=refined,
                 defect=defect,
                 defect_bound=bound,
             ),
@@ -388,39 +371,19 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ValidationError(f"expected a complex number as re,im — got {text!r}")
-
-
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) == 2:
+def _parse_floats(text: str, sep: str, sizes: tuple[int, ...], expected: str) -> list[float]:
+    """The numbers in text split at sep, if there are as many as one of sizes."""
+    parts = text.split(sep)
+    if len(parts) in sizes:
         try:
-            return float(parts[0]), float(parts[1])
+            return [float(p) for p in parts]
         except ValueError:
             pass
-    raise ValidationError(f"expected {what} as lo,hi — got {text!r}")
+    raise ValidationError(f"expected {expected} — got {text!r}")
 
 
-def _parse_range(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) == 3:
-        try:
-            lo, hi, step = (float(p) for p in parts)
-        except ValueError:
-            raise ValidationError(f"expected a range as lo:hi:step — got {text!r}")
-        if step <= 0:
-            raise ValidationError("range step must be positive")
-        return lo, hi, step
-    raise ValidationError(f"expected a range as lo:hi:step — got {text!r}")
+def _parse_complex(text: str) -> complex:
+    return complex(*_parse_floats(text, ",", (1, 2), "a complex number as re,im"))
 
 
 def _add_family_flags(sub: argparse.ArgumentParser, with_mu: bool = True) -> None:
@@ -477,40 +440,30 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     model = _resolve_model(args, args.mu)
     if args.domain is not None:
-        x_min, x_max = _parse_pair(args.domain, "a domain")
-        grid = GridSpec(x_min, x_max, args.grid_n)
+        grid = GridSpec(*_parse_floats(args.domain, ",", (2,), "a domain as lo,hi"), args.grid_n)
     else:
         grid = default_grid(model, args.grid_n)
-    report, ok = build_report(
-        model, verify=True, grid=grid, inject_energy_error=args.inject_energy_error
-    )
+    report, ok = build_report(model, verify=True, grid=grid)
     print(render_report(report))
     return 0 if ok else 2
 
 
 def cmd_scan(args) -> int:
-    lo, hi, step = _parse_range(args.mu_range)
+    lo, hi, step = _parse_floats(args.mu_range, ":", (3,), "a range as lo:hi:step")
+    if step <= 0:
+        raise ValidationError("range step must be positive")
     count = int((hi - lo) / step + 1e-9) + 1 if hi >= lo else 0
     _resolve_model(args, lo)  # conflicting flags fail even when the range is empty
     lines = [SCAN_HEADER]
     for k in range(count):
         mu = lo + k * step
         solutions, shift_result = solve_model(_resolve_model(args, mu))
+        found = str(int(shift_result.found))
         for level, s in enumerate(solutions):
-            lines.append(
-                ",".join(
-                    (
-                        format_float(mu),
-                        str(level),
-                        format_float(s.energy_base.real),
-                        format_float(s.energy_base.imag),
-                        format_float(s.energy_shifted.real),
-                        format_float(s.energy_shifted.imag),
-                        format_float(s.shift.imag),
-                        str(int(shift_result.found)),
-                    )
-                )
-            )
+            base, shifted = s.energy_base, s.energy_shifted
+            values = (base.real, base.imag, shifted.real, shifted.imag, s.shift.imag)
+            cells = (format_float(mu), str(level), *map(format_float, values), found)
+            lines.append(",".join(cells))
     print("\n".join(lines))
     return 0
 
@@ -518,7 +471,7 @@ def cmd_scan(args) -> int:
 def cmd_partner(args) -> int:
     model = _resolve_model(args, args.mu)
     partner = susy_partner(model)
-    x_min, x_max = _parse_pair(args.range, "a range")
+    x_min, x_max = _parse_floats(args.range, ",", (2,), "a range as lo,hi")
     n = args.samples
     if n < 1:
         raise ValidationError("--samples must be at least 1")
@@ -553,14 +506,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="solve plus residual/normalization/grid checks")
     _add_family_flags(verify)
-    verify.add_argument("--grid-n", type=int, default=FD_REFERENCE_N)
+    verify.add_argument("--grid-n", type=int, default=FD_GRID_N)
     verify.add_argument("--domain", help="grid domain as xmin,xmax (default per family)")
-    verify.add_argument(
-        "--inject-energy-error",
-        type=float,
-        default=0.0,
-        help="test hook: corrupt predicted energies by this amount",
-    )
     verify.set_defaults(func=cmd_verify)
 
     scan = subs.add_parser("scan", help="CSV sweep of the spectrum over mu")

@@ -10,6 +10,7 @@ seeing them) and are never trimmed.
 from __future__ import annotations
 
 import cmath
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Iterable
@@ -147,11 +148,32 @@ def poly_derivative(p: CPolynomial) -> CPolynomial:
     return CPolynomial(k * c for k, c in enumerate(p.coeffs) if k > 0)
 
 
+# The relative error of one complex multiplication, sqrt(2) * gamma_2 with
+# gamma_2 = 2u / (1 - 2u) (Higham, Lemma 3.5); it covers one addition too.
+_MUL_ERR = math.sqrt(2.0) * 2.0 * 2.0**-53 / (1.0 - 2.0 * 2.0**-53)
+
+
 def poly_eval(p: CPolynomial, z: complex) -> complex:
     """Horner evaluation; raises on a non-finite result."""
+    return poly_eval_bounded(p, z)[0]
+
+
+def poly_eval_bounded(p: CPolynomial, z: complex) -> tuple[complex, float]:
+    """Horner evaluation and a bound on its rounding error at this z.
+
+    The bound is the running error bound of Horner's rule (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Algorithm 5.1) for
+    complex arithmetic, to first order in the unit roundoff.
+    """
     acc = 0.0j
-    for c in reversed(p.coeffs):
-        acc = acc * z + c
+    running = 0.0  # sum of |z|^k |y_k| over the partial sums y_k
+    size = abs(z)
+    try:
+        for c in reversed(p.coeffs):
+            acc = acc * z + c
+            running = size * running + abs(acc)
+    except OverflowError:  # a partial sum beyond the largest double
+        acc = complex(math.inf)
     if not cmath.isfinite(acc):
         raise NumericOverflowError(f"polynomial evaluation overflowed at z={z!r}")
-    return acc
+    return acc, _MUL_ERR * (2.0 * running - abs(acc))

@@ -64,13 +64,6 @@ def _require_finite(name: str, value: complex) -> complex:
     return value
 
 
-def _validate_two_j(two_j: int) -> None:
-    if not isinstance(two_j, int) or isinstance(two_j, bool):
-        raise ValidationError("two_j must be an integer")
-    if two_j < 0:
-        raise ValidationError("two_j must be non-negative")
-
-
 @dataclass(frozen=True)
 class SexticParams:
     """Parameters of the sextic family: gauge parameter a, spin two_j, parity sector.
@@ -86,7 +79,7 @@ class SexticParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _require_finite("a", self.a))
-        _validate_two_j(self.two_j)
+        SpinJ(self.two_j)  # validates 2j
         if self.sector not in (EVEN, ODD):
             raise ValidationError(f"sector must be {EVEN!r} or {ODD!r}, got {self.sector!r}")
 
@@ -114,7 +107,7 @@ class MorseParams:
         object.__setattr__(self, "a", _require_finite("a", self.a))
         object.__setattr__(self, "d", _require_finite("d", self.d))
         object.__setattr__(self, "b", _require_finite("b", self.b))
-        _validate_two_j(self.two_j)
+        SpinJ(self.two_j)  # validates 2j
         if self.a == 0 or self.d == 0:
             raise ValidationError("Morse parameters a and d must be nonzero")
 

@@ -37,7 +37,7 @@ from .cpoly import CPolynomial, PackedPolynomial
 from .errors import ConvergenceFailureError, ValidationError
 from .families import QesModel
 from .sl2 import BlockMatrix, build_block
-from .tridiag import tridiag_factor, tridiag_matvec, tridiag_solve, upper_solve
+from .tridiag import tridiag_factor, tridiag_matvec, tridiag_norm, tridiag_solve, upper_solve
 
 _EPS = sys.float_info.epsilon
 
@@ -227,8 +227,7 @@ def eigen_solve(m: BlockMatrix) -> list[EigenPair]:
     h = _balanced_hessenberg(sub, diag, sup)
     balanced_norm = max(sum(abs(c) for c in row) for row in h)
     tol = 8.0 * math.sqrt(_EPS * (n + 1)) * balanced_norm
-    rows = zip((0.0j,) + sub, diag, sup + (0.0j,))
-    norm_m = max(abs(lo) + abs(d) + abs(up) for lo, d, up in rows)
+    norm_m = tridiag_norm(sub, diag, sup)
     pairs = []
     for lam, mult in _cluster(_hessenberg_eigenvalues(h, balanced_norm), tol):
         v = _inverse_iteration(sub, diag, sup, lam, norm_m)

@@ -2,24 +2,28 @@
 
 A tridiagonal matrix is held as three lists: sub[i] = A[i+1][i],
 diag[i] = A[i][i] and sup[i] = A[i][i+1].
+
+Both callers run inverse iteration on A - sigma I and replace an exactly
+zero pivot by eps * ||A|| (tridiag_norm): the tiny pivot inverse iteration
+wants at an exact eigenvalue, so no caller re-shifts.
 """
 
 from __future__ import annotations
 
 
-class LuBreakdown(Exception):
-    """Both pivot candidates of an elimination step were exactly zero."""
+def tridiag_norm(sub: list[complex], diag: list[complex], sup: list[complex]) -> float:
+    """Infinity norm of A: the largest absolute row sum."""
+    rows = zip((0.0j, *sub), diag, (*sup, 0.0j))
+    return max(abs(lo) + abs(d) + abs(up) for lo, d, up in rows)
 
 
 def tridiag_factor(
-    sub: list[complex], diag: list[complex], sup: list[complex], zero_pivot: float | None = None
+    sub: list[complex], diag: list[complex], sup: list[complex], zero_pivot: float
 ):
     """LU of a tridiagonal matrix with adjacent-row partial pivoting.
 
     Pivoting introduces one extra superdiagonal of fill.  An exactly zero
-    pivot (both candidates zero) raises LuBreakdown so the caller can
-    re-shift, unless zero_pivot is given: then it stands in for the zero,
-    which is what inverse iteration at an exact eigenvalue wants.
+    pivot (both candidates zero) is replaced by zero_pivot.
     """
     n = len(diag)
     b = list(diag)
@@ -35,16 +39,12 @@ def tridiag_factor(
             c[i], b[i + 1] = b[i + 1], c[i]
             d[i], c[i + 1] = c[i + 1], d[i]
         if b[i] == 0:
-            if zero_pivot is None:
-                raise LuBreakdown(f"zero pivot at row {i}")
             b[i] = complex(zero_pivot)
         m = a[i] / b[i]
         mult[i] = m
         b[i + 1] -= m * c[i]
         c[i + 1] -= m * d[i]
     if b[n - 1] == 0:
-        if zero_pivot is None:
-            raise LuBreakdown("zero pivot at the last row")
         b[n - 1] = complex(zero_pivot)
     return b, c, d, mult, swap
 

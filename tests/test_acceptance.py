@@ -6,6 +6,7 @@ criterion; every tolerance is pinned here, not configurable.
 
 import math
 
+from qesolve import analysis
 from qesolve.analysis import (
     GridSpec,
     Wavefunction,
@@ -157,8 +158,8 @@ def test_criterion_08_grid_cross_check():
             coarse, fine = GridSpec(-6.0, 6.0, 2000), GridSpec(-6.0, 6.0, 4001)
         else:
             coarse, fine = GridSpec(-12.0, 4.0, 2000), GridSpec(-12.0, 4.0, 4001)
-        _, defect = fd_verify(model, solution, coarse)
-        _, defect_fine = fd_verify(model, solution, fine)
+        _, defect = fd_verify(model, [solution], coarse)
+        _, defect_fine = fd_verify(model, [solution], fine)
         assert defect <= 5e-3
         ratio = defect / defect_fine
         assert 3.2 <= ratio <= 4.8
@@ -205,7 +206,7 @@ def test_criterion_10_pt_symmetry():
     _passed(10, "all four mu=1 potentials complex without PT symmetry; mu=0 sextic degenerations PT-symmetric")
 
 
-def test_criterion_11_normalizability():
+def test_criterion_11_normalizability(monkeypatch):
     gamma_value = 2.0 ** 1.25 * math.gamma(1.25)
     quad_value = romberg(lambda x: math.exp(-x ** 4 / 2.0), -8.0, 8.0)
     assert abs(gamma_value - quad_value) <= 1e-9
@@ -220,7 +221,9 @@ def test_criterion_11_normalizability():
         for s in solutions:
             w = Wavefunction(model, s)
             value = norm_squared(w)
-            again = norm_squared(w, initial_half_width=4.0)
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "NORM_START_HALF_WIDTH", 4.0)
+                again = norm_squared(w)
             assert math.isfinite(value) and value > 0.0
             assert abs(value - again) <= 1e-12 * value
     ground = Wavefunction(*((m := fixtures[0]), solve_model(m)[0][0]))

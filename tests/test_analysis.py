@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 import traceback
 
 import pytest
@@ -139,10 +140,11 @@ def test_norm_scales_quadratically():
     assert rel_err(norm_squared(doubled), 4.0 * norm_squared(base)) <= 1e-13
 
 
-def test_norm_morse_interval_doubling_stable():
+def test_norm_morse_interval_doubling_stable(monkeypatch):
     w = _solved(make_morse(MorseParams.from_mu(1.0, 0)))
     n1 = norm_squared(w)
-    n2 = norm_squared(w, initial_half_width=4.0)
+    monkeypatch.setattr(analysis, "NORM_START_HALF_WIDTH", 4.0)
+    n2 = norm_squared(w)
     assert n1 > 0.0 and math.isfinite(n1)
     assert abs(n1 - n2) <= 1e-12 * n1
 
@@ -160,12 +162,13 @@ def test_norm_samples_each_abscissa_once(model, monkeypatch):
     w = _solved(model)
     expected = norm_squared(w)
     abscissas = []
+    psi_abs2 = analysis.psi_abs2
 
-    def recording_psi_eval(wave, x):
+    def recording_psi_abs2(wave, x):
         abscissas.append(x)
-        return psi_eval(wave, x)
+        return psi_abs2(wave, x)
 
-    monkeypatch.setattr(analysis, "psi_eval", recording_psi_eval)
+    monkeypatch.setattr(analysis, "psi_abs2", recording_psi_abs2)
     assert norm_squared(w) == expected
     assert abscissas and len(abscissas) == len(set(abscissas))
 
@@ -192,6 +195,34 @@ def test_norm_tail_cap_raises_with_best(monkeypatch):
         norm_squared(w)
     assert "norm_squared" in _traceback_names(excinfo.value)
     assert excinfo.value.best > 0.0
+
+
+def test_norm_settles_to_its_rounding_bound():
+    # the upper levels of large blocks have cancelling polynomial factors:
+    # successive sums wander by 5e-11 relative once the rule has converged,
+    # so a fixed 1e-12 step test can never pass
+    mp = pytest.importorskip("mpmath")
+    model = make_sextic(SexticParams.from_mu(0.7, 20))
+    solutions, _ = solve_model(model)
+    w = Wavefunction(model, solutions[17])
+    value = norm_squared(w)
+
+    coeffs = [mp.mpc(c.real, c.imag) for c in solutions[17].phi_coeffs.coeffs]
+    a = mp.mpc(model.params.a.real, model.params.a.imag)
+
+    def density(x):
+        p = mp.mpc(0)
+        for c in reversed(coeffs):
+            p = p * x * x + c
+        return abs(p * mp.exp(-x ** 4 / 4 - a * x * x / 2)) ** 2
+
+    with mp.workdps(40):
+        reference = float(2 * mp.quad(density, [0, 1, 2, 3, 4, 6, 10]))
+    # rounding bound of one trapezoid sum over the support, for both sums compared
+    h = 1.0 / 64.0
+    rounding = 2.0 * h * sum(analysis.psi_abs2(w, k * h)[1] for k in range(-512, 513))
+    assert rounding > analysis.NORM_REL_TOL * value
+    assert abs(value - reference) <= max(analysis.NORM_REL_TOL * value, rounding)
 
 
 def test_norm_requires_decaying_gauge():
@@ -262,7 +293,7 @@ def test_partner_identity_random_points():
 
 
 def test_tridiagonal_solver_direct():
-    from qesolve.tridiag import tridiag_factor, tridiag_matvec, tridiag_solve
+    from qesolve.tridiag import tridiag_factor, tridiag_matvec, tridiag_norm, tridiag_solve
 
     rng = fresh_rng()
     n = 50
@@ -270,7 +301,8 @@ def test_tridiagonal_solver_direct():
     sup = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n - 1)]
     diag = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.1 for _ in range(n)]
     rhs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
-    x = tridiag_solve(tridiag_factor(sub, diag, sup), rhs)
+    zero_pivot = sys.float_info.epsilon * tridiag_norm(sub, diag, sup)
+    x = tridiag_solve(tridiag_factor(sub, diag, sup, zero_pivot), rhs)
     ax = tridiag_matvec(sub, diag, sup, x)
     for i in range(n):
         acc = diag[i] * x[i]
@@ -282,9 +314,20 @@ def test_tridiagonal_solver_direct():
         assert abs(acc - rhs[i]) <= 1e-11 * max(1.0, abs(rhs[i]))
 
 
+def test_zero_pivot_is_replaced():
+    # [[1, 1], [1, 1]] eliminates to an exactly zero last pivot; the tiny
+    # stand-in makes a solve return a huge multiple of the null vector (1, -1)
+    from qesolve.tridiag import tridiag_factor, tridiag_solve
+
+    factors = tridiag_factor([1.0 + 0j], [1.0 + 0j, 1.0 + 0j], [1.0 + 0j], 1e-15)
+    assert factors[0][-1] == 1e-15
+    x = tridiag_solve(factors, [0.0j, 1.0 + 0j])
+    assert abs(x[0] + x[1]) <= 1e-15 * abs(x[0]) and abs(x[0]) >= 1e14
+
+
 def test_fd_free_particle_second_order():
-    refined = fd_refine_energy(lambda x: 0.0j, 0.0, math.pi, 500, 1.0 + 0j)
-    finer = fd_refine_energy(lambda x: 0.0j, 0.0, math.pi, 1001, 1.0 + 0j)
+    (refined,) = fd_refine_energy(lambda x: 0.0j, 0.0, math.pi, 500, [1.0 + 0j])
+    (finer,) = fd_refine_energy(lambda x: 0.0j, 0.0, math.pi, 1001, [1.0 + 0j])
     defect, defect_fine = abs(refined - 1.0), abs(finer - 1.0)
     assert defect <= 1e-4
     assert 3.2 <= defect / defect_fine <= 4.8
@@ -294,7 +337,7 @@ def test_fd_verify_fixture_small_grid():
     model = make_sextic(SexticParams.from_mu(1.0, 1))
     solutions, _ = solve_model(model)
     top = max(solutions, key=lambda s: s.energy_shifted.real)
-    refined, defect = fd_verify(model, top, GridSpec(-6.0, 6.0, 500))
+    (refined,), defect = fd_verify(model, [top], GridSpec(-6.0, 6.0, 500))
     assert 0.0 < defect <= 2e-3
     assert abs(refined - 2.0) <= 2e-3
 
@@ -304,7 +347,7 @@ def test_fd_odd_sector_level():
     model = make_sextic(SexticParams.from_mu(1.0, 1, ODD))
     solutions, result = solve_model(model)
     assert result.found and abs(solutions[0].shift + 5j) <= 1e-10
-    refined, defect = fd_verify(model, solutions[1], GridSpec(-6.0, 6.0, 1000))
+    (refined,), defect = fd_verify(model, [solutions[1]], GridSpec(-6.0, 6.0, 1000))
     assert defect <= 5e-3
     assert abs(refined - 2.0 * math.sqrt(5.0)) <= 5e-3
 
@@ -316,7 +359,7 @@ def test_fd_confirms_complex_morse_pair():
     solutions, result = solve_model(model)
     assert not result.found
     for s in solutions:
-        refined, defect = fd_verify(model, s, GridSpec(-12.0, 4.0, 1000))
+        (refined,), defect = fd_verify(model, [s], GridSpec(-12.0, 4.0, 1000))
         assert defect <= 5e-3
         assert abs(refined.imag - s.energy_shifted.imag) <= 5e-3
 
@@ -357,15 +400,49 @@ def test_fd_parity_start_on_sextic_double_well(sector, mu, monkeypatch):
     monkeypatch.setattr(analysis, "tridiag_solve", counting_solve)
     for s in solutions:
         solves.append(0)
-        refined, _ = fd_verify(model, s, grid)
+        (refined,), _ = fd_verify(model, [s], grid)
         nearest = reference[np.argmin(abs(reference - s.energy_shifted))]
         assert abs(refined - nearest) <= 1e-9
         assert solves[-1] <= 8
 
 
-def test_fd_inverse_iteration_budget():
+@pytest.mark.parametrize(
+    "model",
+    [make_sextic(SexticParams.from_mu(0.7, 5)), make_morse(MorseParams.from_mu(0.7, 5))],
+    ids=["sextic", "morse"],
+)
+def test_fd_verify_all_levels_equals_per_level(model):
+    solutions, _ = solve_model(model)
+    refined, defect = fd_verify(model, solutions)
+    singles = [fd_verify(model, [s]) for s in solutions]
+    assert refined == tuple(r for (r,), _ in singles)
+    assert defect == max(d for _, d in singles)
+
+
+def test_fd_refine_samples_potential_once():
+    calls = []
+
+    def counting_potential(x):
+        calls.append(x)
+        return x * x + 0j
+
+    refined = fd_refine_energy(counting_potential, -6.0, 6.0, 300, [1.0, 3.0, 5.0])
+    assert len(refined) == 3
+    assert len(calls) == 300
+
+
+def test_fd_verify_needs_one_shift():
+    model = make_sextic(SexticParams.from_mu(1.0, 1))
+    solutions, _ = solve_model(model)
+    moved = dataclasses.replace(solutions[1], shift=solutions[1].shift + 1j)
+    with pytest.raises(ValidationError):
+        fd_verify(model, [solutions[0], moved], GridSpec(-6.0, 6.0, 300))
+
+
+def test_fd_inverse_iteration_budget(monkeypatch):
+    monkeypatch.setattr(analysis, "FD_MAX_STEPS", 1)
     with pytest.raises(ConvergenceFailureError):
-        fd_refine_energy(lambda x: 0.0j, 0.0, math.pi, 200, 1.0 + 0j, max_iter=1)
+        fd_refine_energy(lambda x: 0.0j, 0.0, math.pi, 200, [1.0 + 0j])
 
 
 def test_grid_validation():

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 
+from qesolve import cli
 from qesolve.cli import (
     SCAN_HEADER,
     build_report,
@@ -147,11 +149,24 @@ def test_verify_passes_on_fixture(capsys):
     assert v["norms"] is not None and v["norms"][0] > 0
 
 
-def test_verify_rejects_injected_error(capsys):
+def test_verify_rejects_injected_error(capsys, monkeypatch):
+    solve_model = cli.solve_model
+
+    def off_by_a_tenth(model):
+        solutions, shift_result = solve_model(model)
+        wrong = [
+            dataclasses.replace(
+                s, energy_base=s.energy_base + 0.1, energy_shifted=s.energy_shifted + 0.1
+            )
+            for s in solutions
+        ]
+        return wrong, shift_result
+
+    monkeypatch.setattr(cli, "solve_model", off_by_a_tenth)
     code, out, _ = run_cli(
         capsys,
         "verify", "--family", "sextic", "--two-j", "1", "--mu", "1",
-        "--grid-n", "300", "--inject-energy-error", "0.1",
+        "--grid-n", "300",
     )
     assert code == 2
     data = json.loads(out)  # report still emitted
