@@ -114,6 +114,8 @@ NORM_START_STEP = 0.25
 NORM_REL_TOL = 1e-12
 NORM_NODE_CAP = 1 << 16
 NORM_MAX_WIDENINGS = 60
+# Largest rounding bound, relative to the sum, that the step test accepts.
+NORM_ROUNDING_CAP = 1e-6
 
 
 def psi_abs2(w: Wavefunction, x: float) -> tuple[float, float]:
@@ -137,6 +139,8 @@ def norm_squared(w: Wavefunction) -> float:
     then halves until the sum agrees with the one at twice the step to
     NORM_REL_TOL, or within the two sums' rounding bound (psi_abs2) if
     that is larger, as for the cancelling upper levels of large blocks.
+    A rounding bound above NORM_ROUNDING_CAP of the sum leaves no sum to
+    trust and raises ConvergenceFailureError.
     Nodes carry full weight, so the step test also fails while the edge
     samples matter.  |psi|^2 is analytic and decays faster than any
     exponential, so the error falls geometrically as the step halves
@@ -191,6 +195,8 @@ def norm_squared(w: Wavefunction) -> float:
     total = wider
     while True:
         finer, finer_rounding = trapezoid(h / 2.0, half, total)
+        if rounding + finer_rounding > NORM_ROUNDING_CAP * abs(finer):
+            raise ConvergenceFailureError("quadrature refinement did not converge", best=finer)
         if agree(total, finer, rounding + finer_rounding):
             return finer
         total, rounding = finer, finer_rounding

@@ -371,19 +371,39 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _parse_floats(text: str, sep: str, sizes: tuple[int, ...], expected: str) -> list[float]:
-    """The numbers in text split at sep, if there are as many as one of sizes."""
-    parts = text.split(sep)
-    if len(parts) in sizes:
+def _parse_complex(text: str) -> complex:
+    parts = text.split(",")
+    try:
+        if len(parts) == 1:
+            return complex(float(parts[0]), 0.0)
+        if len(parts) == 2:
+            return complex(float(parts[0]), float(parts[1]))
+    except ValueError:
+        pass
+    raise ValidationError(f"expected a complex number as re,im — got {text!r}")
+
+
+def _parse_pair(text: str, what: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) == 2:
         try:
-            return [float(p) for p in parts]
+            return float(parts[0]), float(parts[1])
         except ValueError:
             pass
-    raise ValidationError(f"expected {expected} — got {text!r}")
+    raise ValidationError(f"expected {what} as lo,hi — got {text!r}")
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(*_parse_floats(text, ",", (1, 2), "a complex number as re,im"))
+def _parse_range(text: str) -> tuple[float, float, float]:
+    parts = text.split(":")
+    if len(parts) == 3:
+        try:
+            lo, hi, step = (float(p) for p in parts)
+        except ValueError:
+            raise ValidationError(f"expected a range as lo:hi:step — got {text!r}")
+        if step <= 0:
+            raise ValidationError("range step must be positive")
+        return lo, hi, step
+    raise ValidationError(f"expected a range as lo:hi:step — got {text!r}")
 
 
 def _add_family_flags(sub: argparse.ArgumentParser, with_mu: bool = True) -> None:
@@ -440,7 +460,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     model = _resolve_model(args, args.mu)
     if args.domain is not None:
-        grid = GridSpec(*_parse_floats(args.domain, ",", (2,), "a domain as lo,hi"), args.grid_n)
+        x_min, x_max = _parse_pair(args.domain, "a domain")
+        grid = GridSpec(x_min, x_max, args.grid_n)
     else:
         grid = default_grid(model, args.grid_n)
     report, ok = build_report(model, verify=True, grid=grid)
@@ -449,21 +470,28 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    lo, hi, step = _parse_floats(args.mu_range, ":", (3,), "a range as lo:hi:step")
-    if step <= 0:
-        raise ValidationError("range step must be positive")
+    lo, hi, step = _parse_range(args.mu_range)
     count = int((hi - lo) / step + 1e-9) + 1 if hi >= lo else 0
     _resolve_model(args, lo)  # conflicting flags fail even when the range is empty
     lines = [SCAN_HEADER]
     for k in range(count):
         mu = lo + k * step
         solutions, shift_result = solve_model(_resolve_model(args, mu))
-        found = str(int(shift_result.found))
         for level, s in enumerate(solutions):
-            base, shifted = s.energy_base, s.energy_shifted
-            values = (base.real, base.imag, shifted.real, shifted.imag, s.shift.imag)
-            cells = (format_float(mu), str(level), *map(format_float, values), found)
-            lines.append(",".join(cells))
+            lines.append(
+                ",".join(
+                    (
+                        format_float(mu),
+                        str(level),
+                        format_float(s.energy_base.real),
+                        format_float(s.energy_base.imag),
+                        format_float(s.energy_shifted.real),
+                        format_float(s.energy_shifted.imag),
+                        format_float(s.shift.imag),
+                        str(int(shift_result.found)),
+                    )
+                )
+            )
     print("\n".join(lines))
     return 0
 
@@ -471,7 +499,7 @@ def cmd_scan(args) -> int:
 def cmd_partner(args) -> int:
     model = _resolve_model(args, args.mu)
     partner = susy_partner(model)
-    x_min, x_max = _parse_floats(args.range, ",", (2,), "a range as lo,hi")
+    x_min, x_max = _parse_pair(args.range, "a range")
     n = args.samples
     if n < 1:
         raise ValidationError("--samples must be at least 1")

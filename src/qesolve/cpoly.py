@@ -155,7 +155,12 @@ _MUL_ERR = math.sqrt(2.0) * 2.0 * 2.0**-53 / (1.0 - 2.0 * 2.0**-53)
 
 def poly_eval(p: CPolynomial, z: complex) -> complex:
     """Horner evaluation; raises on a non-finite result."""
-    return poly_eval_bounded(p, z)[0]
+    acc = 0.0j
+    for c in reversed(p.coeffs):
+        acc = acc * z + c
+    if not cmath.isfinite(acc):
+        raise NumericOverflowError(f"polynomial evaluation overflowed at z={z!r}")
+    return acc
 
 
 def poly_eval_bounded(p: CPolynomial, z: complex) -> tuple[complex, float]:
@@ -172,8 +177,8 @@ def poly_eval_bounded(p: CPolynomial, z: complex) -> tuple[complex, float]:
         for c in reversed(p.coeffs):
             acc = acc * z + c
             running = size * running + abs(acc)
-    except OverflowError:  # a partial sum beyond the largest double
-        acc = complex(math.inf)
+    except OverflowError:  # a finite partial sum whose modulus is beyond the largest double
+        return poly_eval(p, z), math.inf
     if not cmath.isfinite(acc):
         raise NumericOverflowError(f"polynomial evaluation overflowed at z={z!r}")
     return acc, _MUL_ERR * (2.0 * running - abs(acc))

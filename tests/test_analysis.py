@@ -225,6 +225,19 @@ def test_norm_settles_to_its_rounding_bound():
     assert abs(value - reference) <= max(analysis.NORM_REL_TOL * value, rounding)
 
 
+def test_norm_raises_when_rounding_swamps_the_sum():
+    # the top level of a 2j = 31 block: the Horner bound of phi is about 100
+    # times |psi|^2 summed, and the sums read 70.41 against a 40-digit
+    # quadrature of 57.00, so no norm may be returned
+    model = make_sextic(SexticParams.from_mu(0.7, 31))
+    solutions, _ = solve_model(model)
+    w = Wavefunction(model, solutions[31])
+    with pytest.raises(ConvergenceFailureError, match="refinement") as excinfo:
+        norm_squared(w)
+    assert "norm_squared" in _traceback_names(excinfo.value)
+    assert excinfo.value.best > 0.0
+
+
 def test_norm_requires_decaying_gauge():
     model = make_morse(MorseParams(a=-1.0, d=1.0, b=0.0, two_j=0))
     solutions, _ = solve_model(model)

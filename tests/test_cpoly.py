@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from qesolve.cpoly import (
     poly_add,
     poly_derivative,
     poly_eval,
+    poly_eval_bounded,
     poly_mul,
     poly_sub,
 )
@@ -116,6 +119,28 @@ def test_mul_overflow_surfaces():
 def test_eval_overflow_surfaces():
     with pytest.raises(NumericOverflowError):
         poly_eval(CPolynomial([0.0, 1e300]), 1e300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, unit_coeffs)
+def test_bounded_eval_matches_and_bounds_horner(p, z):
+    value, bound = poly_eval_bounded(p, z)
+    assert value == poly_eval(p, z)
+    # exact Horner in rationals on the same double inputs
+    re, im = Fraction(0), Fraction(0)
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    for c in reversed(p.coeffs):
+        re, im = re * zr - im * zi + Fraction(c.real), re * zi + im * zr + Fraction(c.imag)
+    error = abs(complex(float(Fraction(value.real) - re), float(Fraction(value.imag) - im)))
+    assert error <= bound + 1e-300  # the slack absorbs underflow, outside the bound's model
+
+
+def test_bounded_eval_of_unmeasurable_value_has_no_finite_bound():
+    # a finite value whose modulus exceeds the largest double: poly_eval's
+    # value, with an infinite rounding bound instead of an error
+    p = CPolynomial([1.5e308 + 1.5e308j])
+    value, bound = poly_eval_bounded(p, 0.5)
+    assert value == poly_eval(p, 0.5) and bound == float("inf")
 
 
 @settings(max_examples=60, deadline=None)
