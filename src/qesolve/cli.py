@@ -14,6 +14,7 @@ import argparse
 import cmath
 import dataclasses
 import json
+import math
 import sys
 import types
 import typing
@@ -383,27 +384,26 @@ def _parse_complex(text: str) -> complex:
     raise ValidationError(f"expected a complex number as re,im — got {text!r}")
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) == 2:
-        try:
-            return float(parts[0]), float(parts[1])
-        except ValueError:
-            pass
-    raise ValidationError(f"expected {what} as lo,hi — got {text!r}")
+def _parse_pair(text: str, flag: str) -> tuple[float, float]:
+    try:
+        lo, hi = map(float, text.split(","))
+    except ValueError:
+        raise ValidationError(f"expected {flag} as lo,hi — got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"{flag} needs finite numbers — got {text!r}")
+    return lo, hi
 
 
 def _parse_range(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) == 3:
-        try:
-            lo, hi, step = (float(p) for p in parts)
-        except ValueError:
-            raise ValidationError(f"expected a range as lo:hi:step — got {text!r}")
-        if step <= 0:
-            raise ValidationError("range step must be positive")
-        return lo, hi, step
-    raise ValidationError(f"expected a range as lo:hi:step — got {text!r}")
+    try:
+        lo, hi, step = map(float, text.split(":"))
+    except ValueError:
+        raise ValidationError(f"expected --mu-range as lo:hi:step — got {text!r}")
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValidationError(f"--mu-range needs finite numbers — got {text!r}")
+    if step <= 0:
+        raise ValidationError("range step must be positive")
+    return lo, hi, step
 
 
 def _add_family_flags(sub: argparse.ArgumentParser, with_mu: bool = True) -> None:
@@ -460,7 +460,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     model = _resolve_model(args, args.mu)
     if args.domain is not None:
-        x_min, x_max = _parse_pair(args.domain, "a domain")
+        x_min, x_max = _parse_pair(args.domain, "--domain")
         grid = GridSpec(x_min, x_max, args.grid_n)
     else:
         grid = default_grid(model, args.grid_n)
@@ -499,7 +499,7 @@ def cmd_scan(args) -> int:
 def cmd_partner(args) -> int:
     model = _resolve_model(args, args.mu)
     partner = susy_partner(model)
-    x_min, x_max = _parse_pair(args.range, "a range")
+    x_min, x_max = _parse_pair(args.range, "--range")
     n = args.samples
     if n < 1:
         raise ValidationError("--samples must be at least 1")

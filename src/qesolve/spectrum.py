@@ -4,20 +4,16 @@ Every block the algebraic construction produces is tridiagonal (dimension
 2j + 1, capped at 32); a BlockMatrix holds only its three diagonals, and
 eigen_solve works on them directly:
 
-  * balancing       a power-of-two diagonal similarity brings |sub_i| and
-                    |sup_i| within a factor 2 of each other; it is exact in
-                    floating point and shrinks the norm the QR sweeps see.
-  * eigenvalues     single-shift complex QR on the balanced matrix held as
-                    upper Hessenberg (Wilkinson shift, an exceptional shift
-                    every 10 sweeps, deflation from the bottom), backward
-                    stable (Golub & Van Loan, Matrix Computations, ch. 7).
+  * eigenvalues     Ehrlich-Aberth iteration on p(z) = det(M - zI) of each
+                    piece between exactly zero couplings, with p/p' from the
+                    three-term continuant in O(n) and no n x n array (Bini,
+                    Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005).
   * clustering      near-coincident eigenvalues, within a tolerance set by
-                    the block norm, are replaced by their centroid (the
-                    centroid of a defective cluster is far more accurate than
-                    its members) and reported with their multiplicity, with
-                    no attempt at Jordan structure.
-  * eigenvectors    inverse iteration on the unbalanced M - lambda I, three
-                    O(n) tridiagonal solves per distinct centroid, and an O(n)
+                    the block norm, are replaced by their centroid, refined by
+                    Newton on p^(m-1) for a cluster of m, and reported with
+                    their multiplicity, with no attempt at Jordan structure.
+  * eigenvectors    inverse iteration on M - lambda I, three O(n)
+                    tridiagonal solves per distinct centroid, and an O(n)
                     residual.
 
 A complex spectrum is re-centered to a real one by a constant potential
@@ -43,8 +39,8 @@ _EPS = sys.float_info.epsilon
 
 MAX_BLOCK_DIM = 32
 
-# QR sweeps allowed per block dimension before the eigenvalue iteration gives up.
-QR_SWEEPS_PER_LEVEL = 30
+# Ehrlich-Aberth sweeps allowed per block before the eigenvalue iteration gives up.
+ABERTH_STEPS = 60
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,105 +78,82 @@ class EigenPair:
     multiplicity: int = 1
 
 
-def _balanced_hessenberg(sub, diag, sup) -> list[list[complex]]:
-    """D^-1 T D as a dense upper Hessenberg array, D a power-of-two diagonal.
+def _newton_terms(diag, prod, abs_prod, z: complex) -> tuple[complex, complex, float]:
+    """p(z), p'(z) and the rounding scale of p(z), for p(z) = det(T - zI).
 
-    Each ratio D[i+1]/D[i] is the power of two nearest sqrt(|sub_i|/|sup_i|),
-    so the pair ends within a factor 2 of each other; a zero coupling is left
-    alone (it already splits the eigenproblem).
+    With prod[k] = sub[k-1] * sup[k-1] and prod[0] = 0, p is the continuant
+    p_k = (d_k - z) p_{k-1} - prod[k] p_{k-2}; the scale is the same recurrence
+    on absolute values.  All running values are divided by the scale when it
+    passes 2^500, which leaves every ratio unchanged.
+    """
+    p0, p1, q0, q1, a0, a1 = 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 0.0, 1.0
+    for d, b, ab in zip(diag, prod, abs_prod):
+        w = d - z
+        p0, p1, q0, q1 = p1, w * p1 - b * p0, q1, w * q1 - p1 - b * q0
+        a0, a1 = a1, abs(w) * a1 + ab * a0
+        if a1 > 2.0**500:
+            p0, p1, q0, q1, a0, a1 = p0 / a1, p1 / a1, q0 / a1, q1 / a1, a0 / a1, 1.0
+    return p1, q1, a1
+
+
+def _taylor(diag, prod, z: complex, order: int) -> list[complex]:
+    """Taylor coefficients p^(r)(z) / r!, r = 0..order, of the continuant of _newton_terms.
+
+    t_k[r] = (d_k - z) t_{k-1}[r] - prod[k] t_{k-2}[r] - t_{k-1}[r-1], unscaled:
+    for ||T|| <= 1 and |z| <= 1 every term is below 4^n.
+    """
+    prev = [0.0j] * (order + 1)
+    cur = [1.0 + 0.0j] + [0.0j] * order
+    for d, b in zip(diag, prod):
+        prev, cur = cur, [(d - z) * c - b * q - e for c, q, e in zip(cur, prev, (0.0, *cur))]
+    return cur
+
+
+def _aberth(diag, prod) -> tuple[list[complex], float]:
+    """Roots of det(T - zI) for an unreduced piece T, by Ehrlich-Aberth iteration.
+
+    The start is a circle about the diagonal's mean m with radius
+    ||T - mI||_F / sqrt(n), the couplings balanced to |prod|^(1/2) (by Schur's
+    inequality, at least the root mean square of |lambda - m|).  An iterate is
+    accepted once |p| <= 4 (n + 1) eps (scale + |z p'|), and then takes one
+    last Newton step.  Returns the iterates and the largest |p/p'| of those
+    not accepted within ABERTH_STEPS sweeps (0 when none is left).
     """
     n = len(diag)
-    h = [[0.0j] * n for _ in range(n)]
-    for i in range(n):
-        h[i][i] = diag[i]
-    for i, (lo, up) in enumerate(zip(sub, sup)):
-        if lo != 0 and up != 0:
-            r = math.ldexp(1.0, round(0.5 * math.log2(abs(lo) / abs(up))))
-            lo, up = lo / r, up * r
-        h[i + 1][i] = lo
-        h[i][i + 1] = up
-    return h
+    center = sum(diag) / n
+    radius = math.sqrt((sum(abs(d - center) ** 2 for d in diag) + 2.0 * sum(map(abs, prod))) / n)
+    zs = [center + radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
+    abs_prod = [abs(b) for b in prod]
+    tol = 4.0 * (n + 1) * _EPS
+    live = list(range(n))
+    for _ in range(ABERTH_STEPS):
+        for i in live:
+            zi = zs[i]
+            p, dp, scale = _newton_terms(diag, prod, abs_prod, zi)
+            if abs(p) <= tol * (scale + abs(zi * dp)):
+                zs[i] = zi - p / dp if dp else zi
+                live = [k for k in live if k != i]
+            else:
+                repulsion = sum(1.0 / (zi - w) for w in zs if w != zi)
+                zs[i] = zi - p / (dp - p * repulsion)
+        if not live:
+            return zs, 0.0
+    terms = [_newton_terms(diag, prod, abs_prod, zs[i]) for i in live]
+    return zs, max(abs(p / dp) if dp else math.inf for p, dp, _ in terms)
 
 
-def _wilkinson_shift(a: complex, b: complex, c: complex, d: complex) -> complex:
-    """Eigenvalue of [[a, b], [c, d]] nearer to d, without cancellation."""
-    p = 0.5 * (a - d)
-    bc = b * c
-    s = cmath.sqrt(p * p + bc)
-    if (p.conjugate() * s).real < 0:
-        s = -s
-    denom = p + s
-    return d if denom == 0 else d - bc / denom
-
-
-def _hessenberg_eigenvalues(h: list[list[complex]], norm: float) -> list[complex]:
-    """Eigenvalues of the upper Hessenberg array h (overwritten, row norm `norm`) by shifted QR.
-
-    Each sweep is an explicitly shifted QR step on the active window
-    lo..hi, factored by Givens rotations; since no Schur vectors are
-    wanted, the rotations touch only the window.  Raises
-    ConvergenceFailureError after QR_SWEEPS_PER_LEVEL * n sweeps, carrying
-    the current diagonal (`best`) and the largest undeflated subdiagonal
-    (`defect`).
-    """
-    n = len(h)
-    cap = QR_SWEEPS_PER_LEVEL * n
-    sweeps = 0
-    since_deflation = 0
-    hi = n - 1
-    while hi > 0:
-        lo = hi
-        while lo > 0:
-            size = abs(h[lo - 1][lo - 1]) + abs(h[lo][lo]) or norm
-            if abs(h[lo][lo - 1]) <= _EPS * size:
-                h[lo][lo - 1] = 0.0j
-                break
-            lo -= 1
-        if lo == hi:
-            hi -= 1
-            since_deflation = 0
-            continue
-        if sweeps >= cap:
-            raise ConvergenceFailureError(
-                f"QR iteration did not converge within {cap} sweeps",
-                best=[h[i][i] for i in range(n)],
-                defect=max(abs(h[i][i - 1]) for i in range(1, n)),
-            )
-        sweeps += 1
-        since_deflation += 1
-        if since_deflation % 10 == 0:  # exceptional shift
-            shift = h[hi][hi] + 0.75 * abs(h[hi][hi - 1])
-        else:
-            shift = _wilkinson_shift(h[hi - 1][hi - 1], h[hi - 1][hi], h[hi][hi - 1], h[hi][hi])
-        for i in range(lo, hi + 1):
-            h[i][i] -= shift
-        rotations = []
-        for k in range(lo, hi):
-            a, b = h[k][k], h[k + 1][k]
-            r = math.hypot(abs(a), abs(b))
-            if r == 0:
-                a, b, r = 1.0, 0.0, 1.0
-            ca, cb, a, b = a.conjugate() / r, b.conjugate() / r, a / r, b / r
-            top, bottom = h[k], h[k + 1]
-            xs, ys = top[k : hi + 1], bottom[k : hi + 1]
-            top[k : hi + 1] = [ca * x + cb * y for x, y in zip(xs, ys)]
-            bottom[k : hi + 1] = [a * y - b * x for x, y in zip(xs, ys)]
-            bottom[k] = 0.0j
-            rotations.append((a, b, ca, cb))
-        # R Q: row i meets the column rotations k >= i - 1 in order
-        for i in range(lo, hi + 1):
-            row = h[i]
-            first = max(lo, i - 1)
-            x = row[first]
-            for k in range(first, hi):
-                a, b, ca, cb = rotations[k - lo]
-                y = row[k + 1]
-                row[k] = a * x + b * y
-                x = ca * y - cb * x
-            row[hi] = x
-        for i in range(lo, hi + 1):
-            h[i][i] += shift
-    return [h[i][i] for i in range(n)]
+def _eigenvalues(diag, prod) -> list[complex]:
+    """All eigenvalues, piece by piece between exactly zero coupling products."""
+    values, defect = [], 0.0
+    cuts = [k for k, b in enumerate(prod) if b == 0] + [len(diag)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        zs, left = _aberth(diag[lo:hi], prod[lo:hi]) if hi - lo > 1 else ([diag[lo]], 0.0)
+        values += zs
+        defect = max(defect, left)
+    if defect:
+        message = f"Aberth iteration did not converge within {ABERTH_STEPS} steps"
+        raise ConvergenceFailureError(message, best=values, defect=defect)
+    return values
 
 
 def _cluster(values: list[complex], tol: float) -> list[tuple[complex, int]]:
@@ -216,6 +189,21 @@ def _inverse_iteration(sub, diag, sup, lam: complex, norm: float) -> list[comple
     return x
 
 
+def _centroid_root(diag, prod, z: complex, m: int, tol: float) -> complex:
+    """Newton on p^(m-1) from the centroid z of an m-member cluster.
+
+    An m-fold eigenvalue is a simple root of p^(m-1), found to full accuracy;
+    the members agree only to about eps^(1/m).  Steps beyond tol are not taken.
+    """
+    for _ in range(2):
+        t = _taylor(diag, prod, z, m)
+        step = t[m - 1] / (m * t[m]) if t[m] else math.inf
+        if abs(step) > tol:
+            break
+        z -= step
+    return z
+
+
 def eigen_solve(m: BlockMatrix) -> list[EigenPair]:
     """Eigenvalues and polynomial eigenvectors of a tridiagonal block, sorted by (Re, Im).
 
@@ -224,12 +212,19 @@ def eigen_solve(m: BlockMatrix) -> list[EigenPair]:
     """
     sub, diag, sup = m.sub, m.diag, m.sup
     n = m.dim
-    h = _balanced_hessenberg(sub, diag, sup)
-    balanced_norm = max(sum(abs(c) for c in row) for row in h)
-    tol = 8.0 * math.sqrt(_EPS * (n + 1)) * balanced_norm
     norm_m = tridiag_norm(sub, diag, sup)
+    # eigenvalues of M / s, s a power of two >= ||M||: exact, no coupling
+    # product overflows, and one underflows only where it is negligible
+    s = math.ldexp(1.0, math.frexp(norm_m)[1])
+    d = [x / s for x in diag]
+    prod = [0.0j] + [(lo / s) * (up / s) for lo, up in zip(sub, sup)]
+    couplings = [math.sqrt(abs(b)) for b in prod[1:]]
+    tol = 8.0 * math.sqrt(_EPS * (n + 1)) * tridiag_norm(couplings, d, couplings)
     pairs = []
-    for lam, mult in _cluster(_hessenberg_eigenvalues(h, balanced_norm), tol):
+    for z, mult in _cluster(_eigenvalues(d, prod), tol):
+        if mult > 1:
+            z = _centroid_root(d, prod, z, mult, tol)
+        lam = s * z
         v = _inverse_iteration(sub, diag, sup, lam, norm_m)
         vmax = max(abs(c) for c in v)
         first = next(i for i, c in enumerate(v) if abs(c) > 1e-12 * vmax)

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from qesolve import cli
 from qesolve.cli import (
     SCAN_HEADER,
@@ -241,14 +243,35 @@ def test_scan_rejects_conflicting_flags(capsys):
     assert run_cli(capsys, *empty, "--family", "morse", "--sector", "even")[0] == 1
 
 
+_SCAN = ("scan", "--family", "sextic", "--two-j", "1", "--mu-range")
+_MODEL = ("--family", "sextic", "--two-j", "1", "--mu", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ((*_SCAN, "0:inf:1"), "--mu-range"),
+        ((*_SCAN, "0:1:nan"), "--mu-range"),
+        ((*_SCAN, "0:nan:1"), "--mu-range"),
+        ((*_SCAN, "0:1:inf"), "--mu-range"),
+        (("verify", *_MODEL, "--domain=-inf,6"), "--domain"),
+        (("partner", *_MODEL, "--range=-inf,1"), "--range"),
+    ],
+)
+def test_non_finite_numbers_rejected(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag} needs finite numbers")
+
+
 def test_convergence_failure_reports_detail(capsys, monkeypatch):
     from qesolve import spectrum
 
-    monkeypatch.setattr(spectrum, "QR_SWEEPS_PER_LEVEL", 0)
+    monkeypatch.setattr(spectrum, "ABERTH_STEPS", 0)
     code, out, err = run_cli(capsys, "solve", "--family", "sextic", "--two-j", "4", "--mu", "1")
     assert code == 2 and out == ""
     message, detail = err.strip().split("\n")
-    assert message.startswith("numeric failure: QR iteration did not converge")
+    assert message.startswith("numeric failure: Aberth iteration did not converge")
     detail = json.loads(detail)
     assert detail["best_count"] == 5
     assert detail["defect"] > 0

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import itertools
 import math
@@ -107,6 +108,66 @@ def test_eigen_solve_diagonal():
     assert abs(pairs[1].value - 5.0) <= 1e-13
     assert pairs[0].vector.coeffs == (1.0 + 0j,)
     assert pairs[1].vector.coeffs == (0.0j, 1.0 + 0j)
+    # degenerate blocks: zero couplings split the block, multiple eigenvalues
+    # come back as one centroid with its multiplicity
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    ramp = BlockMatrix((0.0,) * 9, tuple(k % 3 * 1.0 for k in range(10)), (0.0,) * 9)
+    pairs_of_three = BlockMatrix((1.0, 0.0, 1.0, 0.0, 1.0), (1.0, 2.0) * 3, (1.0, 0.0, 1.0, 0.0, 1.0))
+    cases = [
+        (BlockMatrix((0.0, 0.0), (2.0, 2.0, 2.0), (0.0, 0.0)), [(2.0, 3)]),
+        (BlockMatrix((0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0)), [(0.0, 3)]),
+        (BlockMatrix((0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0)), [(1.0, 3)]),
+        (BlockMatrix((1.0, 0.0, 1.0), (1.0, 2.0, 1.0, 2.0), (1.0, 0.0, 1.0)), [(golden, 2), (3.0 - golden, 2)]),
+        (BlockMatrix((1e-300,), (1.0, 1.0), (1e-300,)), [(1.0, 2)]),
+        # repeated eigenvalues of 1 x 1 and 2 x 2 pieces
+        (ramp, [(0.0, 4), (1.0, 3), (2.0, 3)]),
+        (pairs_of_three, [(golden, 3), (3.0 - golden, 3)]),
+    ]
+    for block, expected in cases:
+        pairs = eigen_solve(block)
+        levels = [(value, mult) for value, mult in expected for _ in range(mult)]
+        assert len(pairs) == len(levels)
+        for p, (value, mult) in zip(pairs, levels):
+            assert abs(p.value - value) <= 1e-13, (block, p.value)
+            assert p.multiplicity == mult
+            assert p.residual <= 1e-12
+
+
+def test_eigen_solve_weakly_coupled_pair():
+    # |p'| dominates the rounding scale of p here: the stopping test must
+    # allow for the rounding of z itself or the iteration never stops
+    block = BlockMatrix(
+        sub=(0.0012261417085039075 - 0.0012832429032156173j,),
+        diag=(0.045081460236451196 + 0.20454739820122475j, 0.6831563219854627 - 0.7060089764288094j),
+        sup=(0.28085979939079425 - 0.06939202527120886j,),
+    )
+    (a, d), bc = block.diag, block.sub[0] * block.sup[0]
+    half = cmath.sqrt(((a - d) / 2) ** 2 + bc)
+    expected = sorted([(a + d) / 2 - half, (a + d) / 2 + half], key=lambda z: (z.real, z.imag))
+    pairs = eigen_solve(block)
+    assert all(abs(p.value - e) <= 1e-15 for p, e in zip(pairs, expected))
+    assert max(p.residual for p in pairs) <= 1e-12
+
+
+def test_eigen_solve_is_exact_under_power_of_two_scaling():
+    # at 2^-660 the coupling products underflow and at 2^660 they overflow
+    # unless the block is scaled first; scaling by a power of two is exact
+    sub, diag, sup = (1.0, 3.0), (1.0, -2.0, 0.5j), (2.0, 1.0 - 1.0j)
+    values = [p.value for p in eigen_solve(BlockMatrix(sub, diag, sup))]
+    for k in (-660, 660):
+        scaled = [tuple(math.ldexp(1.0, k) * c for c in part) for part in (sub, diag, sup)]
+        pairs = eigen_solve(BlockMatrix(*scaled))
+        assert [p.value for p in pairs] == [math.ldexp(1.0, k) * v for v in values]
+        assert max(p.residual for p in pairs) <= 1e-12
+
+
+def test_continuant_rescales_far_from_the_spectrum():
+    # p(z) = (-z)^32 for the zero block overflows at z = 1e20; the running
+    # values are rescaled together, so p / p' = z / 32 stays exact
+    n, z = 32, 1e20 + 0j
+    p, dp, scale = spectrum._newton_terms([0.0j] * n, [0.0j] * n, [0.0] * n, z)
+    assert abs(p / dp - z / n) <= 1e-15 * abs(z)
+    assert abs(p) <= scale < math.inf
 
 
 def _random_dense(rng, dim):
@@ -223,7 +284,7 @@ def test_mu_zero_degenerates_to_real_spectra():
 
 
 def test_exact_eigenvalue_gives_zero_pivot():
-    # near the exceptional point the QR eigenvalue makes T - lambda I exactly
+    # near the exceptional point the computed eigenvalue makes T - lambda I exactly
     # singular in floating point, and a nudge of eps * ||T|| does not change that
     solutions, _ = solve_model(make_sextic(SexticParams.from_mu(1.4118, 1)))
     assert max(s.eigvec_residual for s in solutions) <= 1e-12
@@ -235,7 +296,8 @@ def test_boundary_double_root_is_clustered():
     solutions, result = solve_model(make_sextic(SexticParams.from_mu(mu, 1)))
     assert [s.multiplicity for s in solutions] == [2, 2]
     assert result.found
-    assert max(abs(s.energy_shifted) for s in solutions) <= 1e-6
+    assert max(abs(s.energy_shifted) for s in solutions) <= 1e-12
+    assert max(s.eigvec_residual for s in solutions) <= 1e-12
 
 
 def _sweep_models(mu, two_j):
@@ -282,16 +344,15 @@ def test_solve_refuses_degraded_residuals(monkeypatch):
     assert info.value.defect == 1e-6
 
 
-def test_qr_sweep_cap_reports_best_and_defect(monkeypatch):
-    monkeypatch.setattr(spectrum, "QR_SWEEPS_PER_LEVEL", 0)
+def test_aberth_step_cap_reports_best_and_defect(monkeypatch):
+    monkeypatch.setattr(spectrum, "ABERTH_STEPS", 0)
     model = make_sextic(SexticParams.from_mu(1.0, 4))
     block = build_block(model.combo, model.rep)
     with pytest.raises(ConvergenceFailureError) as info:
         eigen_solve(block)
-    # no sweep ran: best is the block's diagonal, defect its largest balanced coupling
-    assert info.value.best == list(block.diag)
-    couplings = [abs(lo * up) ** 0.5 for lo, up in zip(block.sub, block.sup)]
-    assert max(couplings) / 2.0 <= info.value.defect <= 2.0 * max(couplings)
+    # no step ran: best holds the starting values, defect their largest |p/p'|
+    assert len(info.value.best) == block.dim
+    assert 0 < info.value.defect < math.inf
 
 
 def test_solution_invariants():
