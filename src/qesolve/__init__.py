@@ -11,20 +11,17 @@ discretization cross-check of each eigenvalue.
 
 from .analysis import (
     GridSpec,
-    SusyPartner,
-    Wavefunction,
     default_grid,
     default_residual_sample,
     fd_refine_energy,
     fd_verify,
     is_pt_symmetric,
     norm_squared,
+    partner_potentials,
     psi_eval,
     residual_sup,
-    susy_partner,
 )
 from .cpoly import (
-    ONE,
     ZERO,
     CPolynomial,
     monomial,
@@ -47,7 +44,6 @@ from .families import (
     MORSE,
     ODD,
     SEXTIC,
-    GaugeSpec,
     MorseParams,
     QesModel,
     SexticParams,

@@ -1,4 +1,8 @@
-"""Wavefunction assembly and independent verification of solved models.
+"""Wavefunctions of solved levels and independent verification of solved models.
+
+psi_eval, psi_abs2, residual_sup and norm_squared take a model and one of
+its solved levels: psi(x) = phi(z(x)) * exp(-G(x)) from the level's
+polynomial phi and the model's change of variable and gauge factor.
 
 Verification is deliberately redundant:
 
@@ -12,8 +16,8 @@ Verification is deliberately redundant:
     analytic, super-exponentially decaying integrand the rule converges
     geometrically in 1/h.
   * is_pt_symmetric tests V*(-x) = V(x) including the additive shift.
-  * susy_partner exposes the isospectral construction W^2 +/- W' built from
-    the model's own superpotential.
+  * partner_potentials evaluates the isospectral pair W^2 -/+ W' from the
+    model's own superpotential.
   * fd_verify discretizes the shifted Hamiltonian of a model once, with
     second-order central differences on a Dirichlet grid, and
     fd_refine_energy refines each predicted eigenvalue on it by inverse
@@ -27,11 +31,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cpoly import (
+    poly_add,
     poly_derivative,
     poly_eval,
     poly_eval_bounded,
@@ -40,19 +44,9 @@ from .cpoly import (
     poly_sub,
 )
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
-from .families import MORSE, ODD, SEXTIC, GaugeSpec, QesModel, potential_eval
+from .families import MORSE, ODD, SEXTIC, QesModel, potential_eval
 from .spectrum import QesSolution
-from .tridiag import tridiag_factor, tridiag_matvec, tridiag_norm, tridiag_solve
-
-_EPS = sys.float_info.epsilon
-
-
-@dataclass(frozen=True)
-class Wavefunction:
-    """psi(x) = phi(g(x)) * exp(-G(x)) for one solved level of a model."""
-
-    model: QesModel
-    solution: QesSolution
+from .tridiag import tridiag_factor, tridiag_matvec, tridiag_solve
 
 
 @dataclass(frozen=True)
@@ -70,10 +64,9 @@ class GridSpec:
             raise ValidationError("grid needs at least 64 points")
 
 
-def psi_eval(w: Wavefunction, x: float) -> complex:
-    """Evaluate the full-line wavefunction; underflows to exact 0 in the far tail."""
-    z = w.model.z_of_x(x)
-    return poly_eval(w.solution.phi_coeffs, z) * w.model.gauge.decay_factor(x)
+def psi_eval(model: QesModel, solution: QesSolution, x: float) -> complex:
+    """psi(x) of one solved level; underflows to exact 0 in the far tail."""
+    return poly_eval(solution.phi_coeffs, model.z_of_x(x)) * model.decay_factor(x)
 
 
 RESIDUAL_SAMPLE_COUNT = 21
@@ -89,7 +82,7 @@ def default_residual_sample(model: QesModel) -> list[float]:
     return [lo + i * step for i in range(RESIDUAL_SAMPLE_COUNT)]
 
 
-def residual_sup(w: Wavefunction, sample: Sequence[float]) -> float:
+def residual_sup(model: QesModel, solution: QesSolution, sample: Sequence[float]) -> float:
     """Scaled sup of the z-space equation residual over the sample.
 
     Returns max_x |R(g(x))| / max-coefficient of p2 phi'' + p1 phi' + p0 phi,
@@ -97,15 +90,14 @@ def residual_sup(w: Wavefunction, sample: Sequence[float]) -> float:
     """
     if not sample:
         raise ValidationError("residual_sup needs a nonempty sample")
-    p2, p1, p0 = w.model.ode
-    phi = w.solution.phi_coeffs
+    p2, p1, p0 = model.ode
+    phi = solution.phi_coeffs
     d1 = poly_derivative(phi)
     d2 = poly_derivative(d1)
-    operator_part = poly_mul(p2, d2) + poly_mul(p1, d1) + poly_mul(p0, phi)
-    residual = poly_sub(operator_part, poly_scale(phi, w.solution.energy_base))
-    scale = max((abs(c) for c in operator_part.coeffs), default=0.0)
-    scale = max(scale, 1e-300)
-    return max(abs(poly_eval(residual, w.model.z_of_x(x))) for x in sample) / scale
+    operator_part = poly_add(poly_add(poly_mul(p2, d2), poly_mul(p1, d1)), poly_mul(p0, phi))
+    residual = poly_sub(operator_part, poly_scale(phi, solution.energy_base))
+    scale = max(max((abs(c) for c in operator_part.coeffs), default=0.0), 1e-300)
+    return max(abs(poly_eval(residual, model.z_of_x(x))) for x in sample) / scale
 
 
 # Trapezoidal rule on the line: nodes x = k*h, |x| <= half-width.
@@ -118,19 +110,19 @@ NORM_MAX_WIDENINGS = 60
 NORM_ROUNDING_CAP = 1e-6
 
 
-def psi_abs2(w: Wavefunction, x: float) -> tuple[float, float]:
+def psi_abs2(model: QesModel, solution: QesSolution, x: float) -> tuple[float, float]:
     """|psi(x)|^2 and the Horner error bound of phi carried through it.
 
     The other roundings stay within a few ulps, far below NORM_REL_TOL.
     """
-    value, bound = poly_eval_bounded(w.solution.phi_coeffs, w.model.z_of_x(x))
-    g = w.model.gauge.decay_factor(x)
+    value, bound = poly_eval_bounded(solution.phi_coeffs, model.z_of_x(x))
+    g = model.decay_factor(x)
     psi = value * g
     spread = bound * abs(g) if g else 0.0  # g == 0: psi underflowed to an exact 0
     return psi.real * psi.real + psi.imag * psi.imag, (2.0 * abs(psi) + spread) * spread
 
 
-def norm_squared(w: Wavefunction) -> float:
+def norm_squared(model: QesModel, solution: QesSolution) -> float:
     """Integral of |psi|^2 over the line by the trapezoidal rule on x = k*h.
 
     At step NORM_START_STEP the half-width doubles from
@@ -154,7 +146,6 @@ def norm_squared(w: Wavefunction) -> float:
     Morse only under Re a > 0 and Re d > 0 (an inferred condition; the
     construction itself never states it).
     """
-    model = w.model
     if model.family == MORSE:
         if model.params.a.real <= 0.0 or model.params.d.real <= 0.0:
             raise ValidationError(
@@ -172,7 +163,7 @@ def norm_squared(w: Wavefunction) -> float:
             x = k * h  # h is a power of two times the start step: k*h is exact
             sample = samples.get(x)
             if sample is None:
-                sample = samples[x] = psi_abs2(w, x)
+                sample = samples[x] = psi_abs2(model, solution, x)
             terms.append(sample)
         values, errors = zip(*terms)
         return h * math.fsum(values), h * sum(errors)  # the sum and its rounding bound
@@ -226,37 +217,20 @@ def is_pt_symmetric(model: QesModel, shift: complex = 0.0j) -> bool:
     return defect <= PT_TOL * scale
 
 
-def _finite_or_raise(value: complex, x: float) -> complex:
-    if not cmath.isfinite(value):
-        raise NumericOverflowError(f"partner potential overflowed at x={x!r}")
-    return value
+def partner_potentials(model: QesModel, x: float) -> tuple[complex, complex]:
+    """(v_minus, v_plus) = (W^2 - W', W^2 + W') at x, from one evaluation of W and W'.
 
-
-@dataclass(frozen=True)
-class SusyPartner:
-    """The pair W^2 - W' (the model's own shape at j = 0) and W^2 + W'.
-
-    Both evaluators are built from the superpotential values themselves, so
-    v_plus(x) - v_minus(x) = 2 W'(x) is a checkable identity rather than a
-    definition.  The odd sextic sector has a pole at x = 0.
+    v_minus is the model's own shape at j = 0.  Both are built from the
+    superpotential values themselves, so v_plus - v_minus = 2 W' is a
+    checkable identity rather than a definition.  The odd sextic sector has
+    a pole at x = 0.
     """
-
-    gauge: GaugeSpec
-
-    def v_minus(self, x: float) -> complex:
-        w = self.gauge.superpotential(x)
-        return _finite_or_raise(w * w - self.gauge.superpotential_derivative(x), x)
-
-    def v_plus(self, x: float) -> complex:
-        w = self.gauge.superpotential(x)
-        return _finite_or_raise(w * w + self.gauge.superpotential_derivative(x), x)
-
-    def difference(self, x: float) -> complex:
-        return self.v_plus(x) - self.v_minus(x)
-
-
-def susy_partner(model: QesModel) -> SusyPartner:
-    return SusyPartner(model.gauge)
+    w = model.superpotential(x)
+    dw = model.superpotential_derivative(x)
+    v_minus, v_plus = w * w - dw, w * w + dw
+    if not (cmath.isfinite(v_minus) and cmath.isfinite(v_plus)):
+        raise NumericOverflowError(f"partner potential overflowed at x={x!r}")
+    return v_minus, v_plus
 
 
 def _parity_start(n: int, odd: bool) -> list[float]:
@@ -295,16 +269,15 @@ def fd_refine_energy(
     H and the start vector are built once.  Each prediction gets an LU of
     H - sigma I, sigma = prediction + FD_SHIFT_OFFSET, and inverse
     iteration until successive Rayleigh quotients agree to FD_RQ_TOL.  The
-    off-diagonals are -1/h^2, so only the last pivot can vanish; it becomes
-    eps * ||H||.  The iteration starts from `start` (one real value per
-    interior point), by default a ramp.
+    off-diagonals are -1/h^2, so only the last pivot can vanish, and
+    tridiag_factor replaces it by eps * ||H||.  The iteration starts from
+    `start` (one real value per interior point), by default a ramp.
     """
     n = n_points
     h = (x_max - x_min) / (n + 1)
     inv_h2 = 1.0 / (h * h)
     diag0 = [2.0 * inv_h2 + potential(x_min + (i + 1) * h) for i in range(n)]
     off = [-inv_h2] * (n - 1)
-    zero_pivot = _EPS * tridiag_norm(off, diag0, off)
     if start is None:
         # ramp start: carries both parities, so parity-odd eigenstates on a
         # symmetric grid are reachable without waiting for roundoff
@@ -315,7 +288,7 @@ def fd_refine_energy(
     refined = []
     for guess in predicted:
         sigma = guess + FD_SHIFT_OFFSET
-        factors = tridiag_factor(off, [v - sigma for v in diag0], off, zero_pivot)
+        factors = tridiag_factor(off, diag0, off, sigma)
         v = v0
         rayleigh = None
         for _ in range(FD_MAX_STEPS):

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 from .analysis import (
     FD_GRID_N,
     GridSpec,
-    Wavefunction,
     default_grid,
     default_residual_sample,
     fd_verify,
     is_pt_symmetric,
     norm_squared,
+    partner_potentials,
     residual_sup,
-    susy_partner,
 )
 from .errors import (
     ConvergenceFailureError,
@@ -306,7 +305,7 @@ def build_report(
     """Solve (and optionally verify) a model; returns the report and pass/fail."""
     solutions, shift_result = solve_model(model)
     sample = default_residual_sample(model)
-    rsup = max(residual_sup(Wavefunction(model, s), sample) for s in solutions)
+    rsup = max(residual_sup(model, s, sample) for s in solutions)
     shift = solutions[0].shift
     pt = is_pt_symmetric(model, shift)
     notes = published_comparison(model, solutions, shift_result)
@@ -330,7 +329,7 @@ def build_report(
         bound = fd_defect_bound(model, grid)
         norms: tuple[float, ...] | None
         try:
-            norms = tuple(norm_squared(Wavefunction(model, s)) for s in solutions)
+            norms = tuple(norm_squared(model, s) for s in solutions)
         except ValidationError:
             norms = None
         ok = rsup <= RESIDUAL_TOLERANCE and defect <= bound
@@ -498,7 +497,6 @@ def cmd_scan(args) -> int:
 
 def cmd_partner(args) -> int:
     model = _resolve_model(args, args.mu)
-    partner = susy_partner(model)
     x_min, x_max = _parse_pair(args.range, "--range")
     n = args.samples
     if n < 1:
@@ -507,19 +505,12 @@ def cmd_partner(args) -> int:
     rows = []
     for x in xs:
         try:
-            v_minus = partner.v_minus(x)
-            v_plus = partner.v_plus(x)
-            rows.append(
-                {
-                    "x": x,
-                    "pole": False,
-                    "v_minus": v_minus,
-                    "v_plus": v_plus,
-                    "difference": v_plus - v_minus,
-                }
-            )
+            v_minus, v_plus = partner_potentials(model, x)
+            row = {"pole": False, "v_minus": v_minus, "v_plus": v_plus}
+            row["difference"] = v_plus - v_minus
         except PoleError:
-            rows.append({"x": x, "pole": True, "v_minus": None, "v_plus": None, "difference": None})
+            row = {"pole": True, "v_minus": None, "v_plus": None, "difference": None}
+        rows.append({"x": x, **row})
     print(to_json({"family": model.family, "two_j": model.params.two_j, "samples": rows}))
     return 0
 

@@ -41,26 +41,6 @@ class CPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "CPolynomial") -> "CPolynomial":
-        return poly_add(self, other)
-
-    def __sub__(self, other: "CPolynomial") -> "CPolynomial":
-        return poly_sub(self, other)
-
-    def __neg__(self) -> "CPolynomial":
-        return poly_scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, CPolynomial):
-            return poly_mul(self, other)
-        return poly_scale(self, other)
-
-    def __rmul__(self, other):
-        return poly_scale(self, other)
-
-    def __call__(self, z: complex) -> complex:
-        return poly_eval(self, z)
-
 
 class PackedPolynomial(CPolynomial):
     """A CPolynomial holding its coefficients as packed doubles until they are read.
@@ -99,7 +79,6 @@ class PackedPolynomial(CPolynomial):
 
 
 ZERO = CPolynomial()
-ONE = CPolynomial((1.0,))
 
 
 def monomial(k: int, c: complex = 1.0) -> CPolynomial:

@@ -19,7 +19,9 @@ complex spectrum real are handled downstream as an explicit shift argument.
 
 `make_sextic` / `make_morse` resolve user parameters into a QesModel holding
 the operator combination, the z-space equation p2 phi'' + p1 phi' +
-(p0 - E) phi = 0, the gauge data and the potential coefficients.
+(p0 - E) phi = 0 and the potential coefficients.  The model evaluates the
+gauge itself from its family and parameters: W, W' and the decay factor
+exp(-G) with G' = W, and the change of variable z(x).
 `closed_form_block_action` gives the tridiagonal matrix action of the model
 on basis monomials in closed form; it is the documented oracle against
 `sl2.build_block`, which assembles the block from the generator actions and
@@ -54,7 +56,10 @@ def _cexp(w: complex) -> complex:
 def _rexp(x: float) -> float:
     if x > _EXP_LIMIT:
         raise NumericOverflowError(f"exponential overflow: exp({x!r})")
-    return math.exp(x)
+    value = math.exp(x)
+    if value == 0.0:  # the Morse gauge divides by it
+        raise NumericOverflowError(f"exponential underflow: exp({x!r})")
+    return value
 
 
 def _require_finite(name: str, value: complex) -> complex:
@@ -118,67 +123,6 @@ class MorseParams:
 
 
 @dataclass(frozen=True)
-class GaugeSpec:
-    """Closed-form gauge data: superpotential W, antiderivative G, decay factor exp(-G).
-
-    For the odd sextic sector G contains -ln(x), so `antiderivative` is only
-    defined for x > 0; `decay_factor` uses the analytic continuation
-    x * exp(-x^4/4 - a x^2/2), valid on the whole line.
-    """
-
-    family: str
-    a: complex = 0.0j
-    b: complex = 0.0j
-    d: complex = 0.0j
-    sector: str = EVEN
-
-    def superpotential(self, x: float) -> complex:
-        if self.family == SEXTIC:
-            w = x * x * x + self.a * x
-            if self.sector == ODD:
-                if x == 0.0:
-                    raise PoleError("odd-sector superpotential has a pole at x = 0")
-                w -= 1.0 / x
-            return w
-        ex = _rexp(x)
-        return self.d * ex - self.a / ex + self.b
-
-    def superpotential_derivative(self, x: float) -> complex:
-        if self.family == SEXTIC:
-            dw = 3.0 * x * x + self.a
-            if self.sector == ODD:
-                if x == 0.0:
-                    raise PoleError("odd-sector superpotential has a pole at x = 0")
-                dw += 1.0 / (x * x)
-            return dw
-        ex = _rexp(x)
-        return self.d * ex + self.a / ex
-
-    def antiderivative(self, x: float) -> complex:
-        if self.family == SEXTIC:
-            g = x ** 4 / 4.0 + self.a * x * x / 2.0
-            if self.sector == ODD:
-                if x <= 0.0:
-                    raise ValidationError("odd-sector antiderivative needs x > 0")
-                g -= math.log(x)
-            return g
-        ex = _rexp(x)
-        return self.d * ex + self.a / ex + self.b * x
-
-    def decay_factor(self, x: float) -> complex:
-        """exp(-G(x)); underflow to exact 0 far in the tails is fine."""
-        if self.family == SEXTIC:
-            try:
-                exponent = -(x ** 4) / 4.0 - self.a * x * x / 2.0
-            except OverflowError:
-                # the quartic dominates any a x^2 term long before overflowing
-                return 0.0j
-            core = _cexp(exponent)
-            return x * core if self.sector == ODD else core
-        return _cexp(-self.antiderivative(x))
-
-
-@dataclass(frozen=True)
 class QesModel:
     """A fully resolved family instance.
 
@@ -193,8 +137,6 @@ class QesModel:
     rep: SpinJ
     combo: OperatorCombination
     ode: tuple[CPolynomial, CPolynomial, CPolynomial]
-    gauge: GaugeSpec
-    change_of_variable: str
     potential_coeffs: tuple[complex, ...]
 
     def z_of_x(self, x: float) -> complex:
@@ -202,6 +144,48 @@ class QesModel:
         if self.family == SEXTIC:
             return complex(x * x)
         return complex(_rexp(-x))
+
+    def _odd_sector(self, x: float) -> bool:
+        """True in the odd sextic sector, whose 1/x term raises PoleError at x = 0."""
+        if self.params.sector != ODD:
+            return False
+        if x == 0.0:
+            raise PoleError("odd-sector superpotential has a pole at x = 0")
+        return True
+
+    def superpotential(self, x: float) -> complex:
+        """W(x); the odd sextic sector has a pole at x = 0."""
+        p = self.params
+        if self.family == SEXTIC:
+            w = x * x * x + p.a * x
+            return w - 1.0 / x if self._odd_sector(x) else w
+        ex = _rexp(x)
+        return p.d * ex - p.a / ex + p.b
+
+    def superpotential_derivative(self, x: float) -> complex:
+        p = self.params
+        if self.family == SEXTIC:
+            dw = 3.0 * x * x + p.a
+            return dw + 1.0 / (x * x) if self._odd_sector(x) else dw
+        ex = _rexp(x)
+        return p.d * ex + p.a / ex
+
+    def decay_factor(self, x: float) -> complex:
+        """The gauge factor exp(-G(x)), G' = W; x * exp(-x^4/4 - a x^2/2) in the odd sector.
+
+        The sextic factor underflows to exact 0 far in the tails, which is fine.
+        """
+        p = self.params
+        if self.family == SEXTIC:
+            try:
+                exponent = -(x ** 4) / 4.0 - p.a * x * x / 2.0
+            except OverflowError:
+                # the quartic dominates any a x^2 term long before overflowing
+                return 0.0j
+            core = _cexp(exponent)
+            return x * core if p.sector == ODD else core
+        ex = _rexp(x)
+        return _cexp(-(p.d * ex + p.a / ex + p.b * x))
 
 
 def make_sextic(params: SexticParams) -> QesModel:
@@ -227,8 +211,6 @@ def make_sextic(params: SexticParams) -> QesModel:
         rep=rep,
         combo=combo,
         ode=(CPolynomial((0.0, -4.0)), p1, p0),
-        gauge=GaugeSpec(family=SEXTIC, a=a, sector=params.sector),
-        change_of_variable="z = x^2",
         potential_coeffs=(1.0 + 0.0j, 2.0 * a, x2_coeff),
     )
 
@@ -249,8 +231,6 @@ def make_morse(params: MorseParams) -> QesModel:
         rep=rep,
         combo=combo,
         ode=(p2, p1, p0),
-        gauge=GaugeSpec(family=MORSE, a=a, b=b, d=d),
-        change_of_variable="z = exp(-x)",
         potential_coeffs=(
             d * d,
             -d * (1.0 - 2.0 * b),

@@ -25,6 +25,7 @@ single numerically off-cluster root.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -156,29 +157,32 @@ def _eigenvalues(diag, prod) -> list[complex]:
     return values
 
 
-def _cluster(values: list[complex], tol: float) -> list[tuple[complex, int]]:
-    """(centroid, size) of each group of values linked by gaps <= tol, sorted by (Re, Im)."""
+def _cluster(values: list[complex], tol: float, tie: float) -> list[tuple[complex, int]]:
+    """(centroid, size) of each group of values linked by gaps <= tol, in level order.
+
+    Level order sorts by real part; a run of real parts each within tie of
+    the previous one counts as equal and is ordered by imaginary part.
+    """
     groups: list[list[complex]] = []
     for v in values:
         near = [i for i, g in enumerate(groups) if any(abs(v - w) <= tol for w in g)]
         merged = [v] + [w for i in near for w in groups[i]]
         groups = [g for i, g in enumerate(groups) if i not in near] + [merged]
-    out = [(sum(g) / len(g), len(g)) for g in groups]
-    out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
+    out = sorted(((sum(g) / len(g), len(g)) for g in groups), key=lambda t: t[0].real)
+    gaps = (v[0].real - u[0].real > tie for u, v in zip(out, out[1:]))
+    ranked = zip(itertools.accumulate(gaps, initial=0), out)
+    return [t for _, t in sorted(ranked, key=lambda r: (r[0], r[1][0].imag))]
 
 
-def _inverse_iteration(sub, diag, sup, lam: complex, norm: float) -> list[complex]:
+def _inverse_iteration(sub, diag, sup, lam: complex) -> list[complex]:
     """Eigenvector of the tridiagonal T for the eigenvalue estimate lam.
 
     The first step solves U x = e_f with f the smallest pivot of the LU of
     T - lam I, so components that an exact zero coupling decouples stay
-    exactly zero; two full solves follow.  An exactly zero pivot (lam is an
-    eigenvalue to the last bit) is replaced by eps * norm (by 1 for the zero
-    matrix).
+    exactly zero; two full solves follow.
     """
     n = len(diag)
-    factors = tridiag_factor(sub, [d - lam for d in diag], sup, zero_pivot=_EPS * norm or 1.0)
+    factors = tridiag_factor(sub, diag, sup, lam)
     pivots = factors[0]
     start = [0.0j] * n
     start[min(range(n), key=lambda k: abs(pivots[k]))] = 1.0 + 0.0j
@@ -205,8 +209,10 @@ def _centroid_root(diag, prod, z: complex, m: int, tol: float) -> complex:
 
 
 def eigen_solve(m: BlockMatrix) -> list[EigenPair]:
-    """Eigenvalues and polynomial eigenvectors of a tridiagonal block, sorted by (Re, Im).
+    """Eigenvalues and polynomial eigenvectors of a tridiagonal block, in level order.
 
+    Levels are sorted by real part; real parts that agree to rounding
+    (within 64 n eps ||M||) count as equal and are ordered by imaginary part.
     Degenerate eigenvalues come back once per instance, sharing the
     centroid value and carrying their cluster multiplicity.
     """
@@ -221,11 +227,11 @@ def eigen_solve(m: BlockMatrix) -> list[EigenPair]:
     couplings = [math.sqrt(abs(b)) for b in prod[1:]]
     tol = 8.0 * math.sqrt(_EPS * (n + 1)) * tridiag_norm(couplings, d, couplings)
     pairs = []
-    for z, mult in _cluster(_eigenvalues(d, prod), tol):
+    for z, mult in _cluster(_eigenvalues(d, prod), tol, 64.0 * n * _EPS * norm_m / s):
         if mult > 1:
             z = _centroid_root(d, prod, z, mult, tol)
         lam = s * z
-        v = _inverse_iteration(sub, diag, sup, lam, norm_m)
+        v = _inverse_iteration(sub, diag, sup, lam)
         vmax = max(abs(c) for c in v)
         first = next(i for i, c in enumerate(v) if abs(c) > 1e-12 * vmax)
         lead = v[first]

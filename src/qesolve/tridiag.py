@@ -3,12 +3,15 @@
 A tridiagonal matrix is held as three lists: sub[i] = A[i+1][i],
 diag[i] = A[i][i] and sup[i] = A[i][i+1].
 
-Both callers run inverse iteration on A - sigma I and replace an exactly
-zero pivot by eps * ||A|| (tridiag_norm): the tiny pivot inverse iteration
-wants at an exact eigenvalue, so no caller re-shifts.
+Both callers run inverse iteration on A - sigma I, factored by
+tridiag_factor(sub, diag, sup, sigma).  It replaces an exactly zero pivot
+by eps * ||A|| of the unshifted A: the tiny pivot inverse iteration wants
+at an exact eigenvalue, so no caller re-shifts.
 """
 
 from __future__ import annotations
+
+import sys
 
 
 def tridiag_norm(sub: list[complex], diag: list[complex], sup: list[complex]) -> float:
@@ -17,21 +20,24 @@ def tridiag_norm(sub: list[complex], diag: list[complex], sup: list[complex]) ->
     return max(abs(lo) + abs(d) + abs(up) for lo, d, up in rows)
 
 
-def tridiag_factor(
-    sub: list[complex], diag: list[complex], sup: list[complex], zero_pivot: float
-):
-    """LU of a tridiagonal matrix with adjacent-row partial pivoting.
+def tridiag_factor(sub: list[complex], diag: list[complex], sup: list[complex], shift: complex):
+    """LU of A - shift I with adjacent-row partial pivoting.
 
     Pivoting introduces one extra superdiagonal of fill.  An exactly zero
-    pivot (both candidates zero) is replaced by zero_pivot.
+    pivot (both candidates zero) is replaced by eps * ||A|| of the unshifted
+    A, or by 1 for the zero matrix; the norm is computed only then.
     """
     n = len(diag)
-    b = list(diag)
+    b = [x - shift for x in diag]
     c = list(sup) + [0.0j]
     d = [0.0j] * n
     a = list(sub)
     mult = [0.0j] * max(n - 1, 0)
     swap = [False] * max(n - 1, 0)
+
+    def zero_pivot() -> complex:
+        return complex(sys.float_info.epsilon * tridiag_norm(sub, diag, sup) or 1.0)
+
     for i in range(n - 1):
         if abs(a[i]) > abs(b[i]):
             swap[i] = True
@@ -39,13 +45,13 @@ def tridiag_factor(
             c[i], b[i + 1] = b[i + 1], c[i]
             d[i], c[i + 1] = c[i + 1], d[i]
         if b[i] == 0:
-            b[i] = complex(zero_pivot)
+            b[i] = zero_pivot()
         m = a[i] / b[i]
         mult[i] = m
         b[i + 1] -= m * c[i]
         c[i + 1] -= m * d[i]
     if b[n - 1] == 0:
-        b[n - 1] = complex(zero_pivot)
+        b[n - 1] = zero_pivot()
     return b, c, d, mult, swap
 
 

@@ -9,13 +9,12 @@ import math
 from qesolve import analysis
 from qesolve.analysis import (
     GridSpec,
-    Wavefunction,
     default_residual_sample,
     fd_verify,
     is_pt_symmetric,
     norm_squared,
+    partner_potentials,
     residual_sup,
-    susy_partner,
 )
 from qesolve.cli import SCAN_HEADER, build_report, main
 from qesolve.families import (
@@ -87,7 +86,7 @@ def test_criterion_04_morse_two_level_adjudication():
     model = make_morse(MorseParams.from_mu(1.0, 1, a=1.0, d=1.0))
     solutions, result = solve_model(model)
     sample = default_residual_sample(model)
-    worst = max(residual_sup(Wavefunction(model, s), sample) for s in solutions)
+    worst = max(residual_sup(model, s, sample) for s in solutions)
     assert worst <= 1e-10
     report, _ = build_report(model)
     notes = " ".join(report.published_comparison)
@@ -108,7 +107,7 @@ def test_criterion_05_residual_suite():
             solutions, _ = solve_model(model)
             sample = default_residual_sample(model)
             for s in solutions:
-                worst = max(worst, residual_sup(Wavefunction(model, s), sample))
+                worst = max(worst, residual_sup(model, s, sample))
     assert worst <= 1e-10
     _passed(5, f"50 models, every eigenpair residual <= 1e-10 (worst {worst:.2e})")
 
@@ -219,15 +218,14 @@ def test_criterion_11_normalizability(monkeypatch):
     for model in fixtures:
         solutions, _ = solve_model(model)
         for s in solutions:
-            w = Wavefunction(model, s)
-            value = norm_squared(w)
+            value = norm_squared(model, s)
             with monkeypatch.context() as m:
                 m.setattr(analysis, "NORM_START_HALF_WIDTH", 4.0)
-                again = norm_squared(w)
+                again = norm_squared(model, s)
             assert math.isfinite(value) and value > 0.0
             assert abs(value - again) <= 1e-12 * value
-    ground = Wavefunction(*((m := fixtures[0]), solve_model(m)[0][0]))
-    ground_error = abs(norm_squared(ground) - gamma_value) / gamma_value
+    ground = fixtures[0], solve_model(fixtures[0])[0][0]
+    ground_error = abs(norm_squared(*ground) - gamma_value) / gamma_value
     assert ground_error <= 1e-13
     _passed(11, f"all fixture norms finite and doubling-stable; ground norm = {gamma_value:.7f} to {ground_error:.1e} relative (closed form, quadrature oracle)")
 
@@ -239,11 +237,11 @@ def test_criterion_12_partner_identity():
         make_sextic(SexticParams.from_mu(1.0, 1)),
         make_morse(MorseParams.from_mu(1.0, 1)),
     ):
-        partner = susy_partner(model)
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0)
-            gap = abs(partner.difference(x) - 2.0 * model.gauge.superpotential_derivative(x))
-            scale = max(1.0, abs(partner.v_plus(x)), abs(partner.v_minus(x)))
+            v_minus, v_plus = partner_potentials(model, x)
+            gap = abs((v_plus - v_minus) - 2.0 * model.superpotential_derivative(x))
+            scale = max(1.0, abs(v_plus), abs(v_minus))
             worst = max(worst, gap / scale)
     assert worst <= 1e-12
     _passed(12, f"V+ - V- = 2W' at 100 random points (worst scaled gap {worst:.2e})")

@@ -9,16 +9,15 @@ import pytest
 from qesolve import analysis
 from qesolve.analysis import (
     GridSpec,
-    Wavefunction,
     default_grid,
     default_residual_sample,
     fd_refine_energy,
     fd_verify,
     is_pt_symmetric,
     norm_squared,
+    partner_potentials,
     psi_eval,
     residual_sup,
-    susy_partner,
 )
 from qesolve.cpoly import CPolynomial
 from qesolve.errors import (
@@ -48,27 +47,28 @@ from _helpers import (
 
 
 def _solved(model, index=0):
+    """(model, solution) of one level, the arguments of the wavefunction functions."""
     solutions, _ = solve_model(model)
-    return Wavefunction(model, solutions[index])
+    return model, solutions[index]
 
 
 def test_psi_sextic_ground_profile():
     w = _solved(make_sextic(SexticParams.from_mu(1.0, 0)))
-    assert psi_eval(w, 0.0) == 1.0
+    assert psi_eval(*w, 0.0) == 1.0
     for x in (0.5, 1.0, 2.0):
-        assert rel_err(abs(psi_eval(w, x)), math.exp(-x ** 4 / 4.0)) <= 1e-14
+        assert rel_err(abs(psi_eval(*w, x)), math.exp(-x ** 4 / 4.0)) <= 1e-14
 
 
 def test_psi_sextic_two_level_lower_state():
     model = make_sextic(SexticParams.from_mu(1.0, 1))
     w = _solved(model, index=0)  # E = -2 level has factor 1 + (1-i) z
     expected = (2.0 - 1j) * math.exp(-0.25) * cmath.exp(-0.5j)
-    assert abs(psi_eval(w, 1.0) - expected) <= 1e-14
+    assert abs(psi_eval(*w, 1.0) - expected) <= 1e-14
 
 
 def test_psi_morse_at_origin():
     w = _solved(make_morse(MorseParams.from_mu(1.0, 0)))
-    assert rel_err(psi_eval(w, 0.0), math.exp(-2.0)) <= 1e-14
+    assert rel_err(psi_eval(*w, 0.0), math.exp(-2.0)) <= 1e-14
 
 
 def test_residual_vanishes_for_true_eigenpairs():
@@ -81,14 +81,14 @@ def test_residual_vanishes_for_true_eigenpairs():
             solutions, _ = solve_model(model)
             sample = default_residual_sample(model)
             for s in solutions:
-                assert residual_sup(Wavefunction(model, s), sample) <= 1e-10
+                assert residual_sup(model, s, sample) <= 1e-10
 
 
 def test_residual_detects_wrong_energy():
     model = make_sextic(SexticParams.from_mu(1.0, 1))
     solutions, _ = solve_model(model)
     broken = dataclasses.replace(solutions[0], energy_base=solutions[0].energy_base + 0.1)
-    assert residual_sup(Wavefunction(model, broken), default_residual_sample(model)) >= 1e-3
+    assert residual_sup(model, broken, default_residual_sample(model)) >= 1e-3
 
 
 def test_residual_spin_zero_bracket():
@@ -96,25 +96,24 @@ def test_residual_spin_zero_bracket():
     model = make_sextic(SexticParams.from_mu(0.8, 0))
     solutions, _ = solve_model(model)
     assert solutions[0].energy_base == 0.8j
-    good = residual_sup(Wavefunction(model, solutions[0]), default_residual_sample(model))
+    good = residual_sup(model, solutions[0], default_residual_sample(model))
     assert good <= 1e-12
     broken = dataclasses.replace(solutions[0], energy_base=solutions[0].energy_base - 0.05)
-    assert residual_sup(Wavefunction(model, broken), default_residual_sample(model)) >= 1e-3
+    assert residual_sup(model, broken, default_residual_sample(model)) >= 1e-3
 
 
 def test_residual_needs_sample():
     w = _solved(make_sextic(SexticParams.from_mu(1.0, 0)))
     with pytest.raises(ValidationError):
-        residual_sup(w, [])
+        residual_sup(*w, [])
 
 
 def test_psi_overflow_for_growing_gauge():
     # Re a < 0 flips the left tail of the Morse gauge into growth
     model = make_morse(MorseParams(a=-1.0, d=1.0, b=0.0, two_j=0))
     solutions, _ = solve_model(model)
-    w = Wavefunction(model, solutions[0])
     with pytest.raises(NumericOverflowError):
-        psi_eval(w, -800.0)
+        psi_eval(model, solutions[0], -800.0)
 
 
 def test_norm_matches_quartic_gaussian_oracle():
@@ -123,28 +122,24 @@ def test_norm_matches_quartic_gaussian_oracle():
     quad_value = romberg(lambda x: math.exp(-x ** 4 / 2.0), -8.0, 8.0)
     assert abs(gamma_value - quad_value) <= 1e-9
     w = _solved(make_sextic(SexticParams.from_mu(1.0, 0)))
-    assert abs(norm_squared(w) - gamma_value) <= 1e-13 * gamma_value
+    assert abs(norm_squared(*w) - gamma_value) <= 1e-13 * gamma_value
 
 
 def test_norm_scales_quadratically():
     model = make_sextic(SexticParams.from_mu(1.0, 1))
     solutions, _ = solve_model(model)
-    base = Wavefunction(model, solutions[0])
-    doubled = Wavefunction(
-        model,
-        dataclasses.replace(
-            solutions[0],
-            phi_coeffs=CPolynomial([2.0 * c for c in solutions[0].phi_coeffs.coeffs]),
-        ),
+    base = solutions[0]
+    doubled = dataclasses.replace(
+        base, phi_coeffs=CPolynomial([2.0 * c for c in base.phi_coeffs.coeffs])
     )
-    assert rel_err(norm_squared(doubled), 4.0 * norm_squared(base)) <= 1e-13
+    assert rel_err(norm_squared(model, doubled), 4.0 * norm_squared(model, base)) <= 1e-13
 
 
 def test_norm_morse_interval_doubling_stable(monkeypatch):
     w = _solved(make_morse(MorseParams.from_mu(1.0, 0)))
-    n1 = norm_squared(w)
+    n1 = norm_squared(*w)
     monkeypatch.setattr(analysis, "NORM_START_HALF_WIDTH", 4.0)
-    n2 = norm_squared(w)
+    n2 = norm_squared(*w)
     assert n1 > 0.0 and math.isfinite(n1)
     assert abs(n1 - n2) <= 1e-12 * n1
 
@@ -160,16 +155,16 @@ def test_norm_morse_interval_doubling_stable(monkeypatch):
 def test_norm_samples_each_abscissa_once(model, monkeypatch):
     # halving the step and widening the interval reuse earlier samples
     w = _solved(model)
-    expected = norm_squared(w)
+    expected = norm_squared(*w)
     abscissas = []
     psi_abs2 = analysis.psi_abs2
 
-    def recording_psi_abs2(wave, x):
+    def recording_psi_abs2(model, solution, x):
         abscissas.append(x)
-        return psi_abs2(wave, x)
+        return psi_abs2(model, solution, x)
 
     monkeypatch.setattr(analysis, "psi_abs2", recording_psi_abs2)
-    assert norm_squared(w) == expected
+    assert norm_squared(*w) == expected
     assert abscissas and len(abscissas) == len(set(abscissas))
 
 
@@ -183,7 +178,7 @@ def test_norm_refinement_cap_raises_with_best(monkeypatch):
     w = _solved(make_sextic(SexticParams.from_mu(1.0, 0)))
     monkeypatch.setattr(analysis, "NORM_NODE_CAP", 100)
     with pytest.raises(ConvergenceFailureError, match="refinement") as excinfo:
-        norm_squared(w)
+        norm_squared(*w)
     assert "norm_squared" in _traceback_names(excinfo.value)
     assert rel_err(excinfo.value.best, gamma_value) <= 1e-3
 
@@ -192,7 +187,7 @@ def test_norm_tail_cap_raises_with_best(monkeypatch):
     w = _solved(make_sextic(SexticParams.from_mu(1.0, 0)))
     monkeypatch.setattr(analysis, "NORM_MAX_WIDENINGS", 1)
     with pytest.raises(ConvergenceFailureError, match="tail") as excinfo:
-        norm_squared(w)
+        norm_squared(*w)
     assert "norm_squared" in _traceback_names(excinfo.value)
     assert excinfo.value.best > 0.0
 
@@ -204,8 +199,8 @@ def test_norm_settles_to_its_rounding_bound():
     mp = pytest.importorskip("mpmath")
     model = make_sextic(SexticParams.from_mu(0.7, 20))
     solutions, _ = solve_model(model)
-    w = Wavefunction(model, solutions[17])
-    value = norm_squared(w)
+    w = model, solutions[17]
+    value = norm_squared(*w)
 
     coeffs = [mp.mpc(c.real, c.imag) for c in solutions[17].phi_coeffs.coeffs]
     a = mp.mpc(model.params.a.real, model.params.a.imag)
@@ -220,7 +215,7 @@ def test_norm_settles_to_its_rounding_bound():
         reference = float(2 * mp.quad(density, [0, 1, 2, 3, 4, 6, 10]))
     # rounding bound of one trapezoid sum over the support, for both sums compared
     h = 1.0 / 64.0
-    rounding = 2.0 * h * sum(analysis.psi_abs2(w, k * h)[1] for k in range(-512, 513))
+    rounding = 2.0 * h * sum(analysis.psi_abs2(*w, k * h)[1] for k in range(-512, 513))
     assert rounding > analysis.NORM_REL_TOL * value
     assert abs(value - reference) <= max(analysis.NORM_REL_TOL * value, rounding)
 
@@ -231,9 +226,9 @@ def test_norm_raises_when_rounding_swamps_the_sum():
     # quadrature of 57.00, so no norm may be returned
     model = make_sextic(SexticParams.from_mu(0.7, 31))
     solutions, _ = solve_model(model)
-    w = Wavefunction(model, solutions[31])
+    w = model, solutions[31]
     with pytest.raises(ConvergenceFailureError, match="refinement") as excinfo:
-        norm_squared(w)
+        norm_squared(*w)
     assert "norm_squared" in _traceback_names(excinfo.value)
     assert excinfo.value.best > 0.0
 
@@ -242,7 +237,7 @@ def test_norm_requires_decaying_gauge():
     model = make_morse(MorseParams(a=-1.0, d=1.0, b=0.0, two_j=0))
     solutions, _ = solve_model(model)
     with pytest.raises(ValidationError):
-        norm_squared(Wavefunction(model, solutions[0]))
+        norm_squared(model, solutions[0])
 
 
 def test_pt_symmetry_sextic():
@@ -261,32 +256,36 @@ def test_pt_symmetry_morse():
     assert not is_pt_symmetric(fixture, shift=-1.5j)
 
 
+def _partner_difference(model, x):
+    v_minus, v_plus = partner_potentials(model, x)
+    return v_plus - v_minus
+
+
 def test_partner_difference_even_sector():
     a = 0.4 - 0.9j
-    partner = susy_partner(make_sextic(SexticParams(a=a, two_j=1)))
+    model = make_sextic(SexticParams(a=a, two_j=1))
     for x in (-1.5, 0.0, 0.7):
         expected = 2.0 * (3.0 * x * x + a)
-        assert abs(partner.difference(x) - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert abs(_partner_difference(model, x) - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_partner_difference_at_unit_point():
-    partner = susy_partner(make_sextic(SexticParams(a=0.0, two_j=0)))
-    assert abs(partner.difference(1.0) - 6.0) <= 1e-13
-    assert abs(partner.v_minus(1.0) - (1.0 - 3.0)) <= 1e-13  # x^6 - 3x^2 at x=1
+    model = make_sextic(SexticParams(a=0.0, two_j=0))
+    assert abs(_partner_difference(model, 1.0) - 6.0) <= 1e-13
+    v_minus, _ = partner_potentials(model, 1.0)
+    assert abs(v_minus - (1.0 - 3.0)) <= 1e-13  # x^6 - 3x^2 at x=1
 
 
 def test_partner_morse_origin():
-    partner = susy_partner(make_morse(MorseParams(a=1.0, d=1.0, b=0.0, two_j=0)))
-    assert abs(partner.difference(0.0) - 4.0) <= 1e-13
+    model = make_morse(MorseParams(a=1.0, d=1.0, b=0.0, two_j=0))
+    assert abs(_partner_difference(model, 0.0) - 4.0) <= 1e-13
 
 
 def test_partner_odd_sector_pole():
-    partner = susy_partner(make_sextic(SexticParams.from_mu(0.5, 1, ODD)))
+    model = make_sextic(SexticParams.from_mu(0.5, 1, ODD))
     with pytest.raises(PoleError):
-        partner.v_plus(0.0)
-    with pytest.raises(PoleError):
-        partner.v_minus(0.0)
-    assert cmath.isfinite(partner.v_plus(0.5))
+        partner_potentials(model, 0.0)
+    assert all(cmath.isfinite(v) for v in partner_potentials(model, 0.5))
 
 
 def test_partner_identity_random_points():
@@ -296,17 +295,16 @@ def test_partner_identity_random_points():
         make_morse(MorseParams(a=0.8, d=1.2, b=0.3 - 0.2j, two_j=1)),
     )
     for model in models:
-        partner = susy_partner(model)
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0)
-            lhs = partner.difference(x)
-            rhs = 2.0 * model.gauge.superpotential_derivative(x)
-            scale = max(1.0, abs(partner.v_plus(x)), abs(partner.v_minus(x)))
-            assert abs(lhs - rhs) <= 1e-12 * scale
+            v_minus, v_plus = partner_potentials(model, x)
+            rhs = 2.0 * model.superpotential_derivative(x)
+            scale = max(1.0, abs(v_plus), abs(v_minus))
+            assert abs((v_plus - v_minus) - rhs) <= 1e-12 * scale
 
 
 def test_tridiagonal_solver_direct():
-    from qesolve.tridiag import tridiag_factor, tridiag_matvec, tridiag_norm, tridiag_solve
+    from qesolve.tridiag import tridiag_factor, tridiag_matvec, tridiag_solve
 
     rng = fresh_rng()
     n = 50
@@ -314,8 +312,7 @@ def test_tridiagonal_solver_direct():
     sup = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n - 1)]
     diag = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.1 for _ in range(n)]
     rhs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
-    zero_pivot = sys.float_info.epsilon * tridiag_norm(sub, diag, sup)
-    x = tridiag_solve(tridiag_factor(sub, diag, sup, zero_pivot), rhs)
+    x = tridiag_solve(tridiag_factor(sub, diag, sup, 0.0), rhs)
     ax = tridiag_matvec(sub, diag, sup, x)
     for i in range(n):
         acc = diag[i] * x[i]
@@ -329,13 +326,26 @@ def test_tridiagonal_solver_direct():
 
 def test_zero_pivot_is_replaced():
     # [[1, 1], [1, 1]] eliminates to an exactly zero last pivot; the tiny
-    # stand-in makes a solve return a huge multiple of the null vector (1, -1)
+    # stand-in eps * ||A|| makes a solve return a huge multiple of the null
+    # vector (1, -1)
     from qesolve.tridiag import tridiag_factor, tridiag_solve
 
-    factors = tridiag_factor([1.0 + 0j], [1.0 + 0j, 1.0 + 0j], [1.0 + 0j], 1e-15)
-    assert factors[0][-1] == 1e-15
+    factors = tridiag_factor([1.0 + 0j], [1.0 + 0j, 1.0 + 0j], [1.0 + 0j], 0.0)
+    assert factors[0][-1] == 2.0 * sys.float_info.epsilon
     x = tridiag_solve(factors, [0.0j, 1.0 + 0j])
     assert abs(x[0] + x[1]) <= 1e-15 * abs(x[0]) and abs(x[0]) >= 1e14
+
+
+def test_zero_pivot_uses_the_unshifted_norm():
+    # [[3, 1], [1, 3]] - 2 I is [[1, 1], [1, 1]]: its zero last pivot becomes
+    # eps * ||A|| = 4 eps of the unshifted A, not 2 eps of the shifted one
+    from qesolve.tridiag import tridiag_factor
+
+    eps = sys.float_info.epsilon
+    factors = tridiag_factor([1.0 + 0j], [3.0 + 0j, 3.0 + 0j], [1.0 + 0j], 2.0)
+    assert factors[0] == [1.0 + 0j, 4.0 * eps + 0j]
+    zero = tridiag_factor([0.0j], [0.0j, 0.0j], [0.0j], 0.0)
+    assert zero[0] == [1.0 + 0j, 1.0 + 0j]
 
 
 def test_fd_free_particle_second_order():

@@ -277,16 +277,43 @@ def test_convergence_failure_reports_detail(capsys, monkeypatch):
     assert detail["defect"] > 0
 
 
-def test_module_entry_point():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    result = subprocess.run(
-        [sys.executable, "-m", "qesolve", "solve", "--family", "sextic", "--two-j", "1", "--mu", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_module(*argv):
+    """`python -m qesolve argv` in a fresh process, on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "qesolve", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_module_entry_point():
+    result = run_module("solve", "--family", "sextic", "--two-j", "1", "--mu", "1")
     assert result.returncode == 0
     data = json.loads(result.stdout)
     assert data["family"] == "sextic"
     assert result.stderr == ""
+
+
+@pytest.mark.parametrize("span", ["--range=-800,800", "--range=-746,-744"])
+def test_partner_exponential_underflow_fails_cleanly(span):
+    # e^x is exactly 0 below x = -745.1 and the Morse superpotential divides by it
+    result = run_module(
+        "partner", "--family", "morse", "--two-j", "1", "--mu", "1", "--samples", "3", span
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("numeric failure: exponential underflow: exp(-")
+    assert "Traceback" not in result.stderr
+
+
+def test_fixture_report_matches_golden_output():
+    # scripts/fixture_report.py output is kept byte-identical; a change to
+    # any digit shows up here and has to be explained
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "fixture_report.py")],
+        capture_output=True,
+    )
+    assert result.returncode == 0 and result.stderr == b""
+    with open(os.path.join(ROOT, "tests", "golden", "fixture_report.txt"), "rb") as fh:
+        assert result.stdout == fh.read()

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -117,29 +118,30 @@ def test_generic_block_matches_closed_form_everywhere():
             assert max_matrix_mismatch(generic, oracle) <= 1e-12
 
 
-def test_gauge_antiderivative_matches_superpotential():
+def test_decay_factor_matches_superpotential():
+    # exp(-G) with G' = W: the logarithmic derivative of the decay factor is -W
     rng = fresh_rng()
     h = 1e-5
     cases = []
     even = make_sextic(SexticParams(a=0.3 - 0.8j, two_j=1))
     odd = make_sextic(SexticParams(a=0.3 - 0.8j, two_j=1, sector=ODD))
     morse = make_morse(MorseParams(a=0.9 + 0.2j, d=1.1 - 0.4j, b=0.5j, two_j=1))
-    cases.append((even.gauge, [rng.uniform(-2.0, 2.0) for _ in range(20)]))
-    cases.append((odd.gauge, [rng.uniform(0.2, 2.0) for _ in range(20)]))
-    cases.append((morse.gauge, [rng.uniform(-2.0, 2.0) for _ in range(20)]))
-    for gauge, xs in cases:
+    cases.append((even, [rng.uniform(-2.0, 2.0) for _ in range(20)]))
+    cases.append((odd, [rng.uniform(0.2, 2.0) for _ in range(20)]))
+    cases.append((morse, [rng.uniform(-2.0, 2.0) for _ in range(20)]))
+    for model, xs in cases:
         for x in xs:
-            fd = (gauge.antiderivative(x + h) - gauge.antiderivative(x - h)) / (2.0 * h)
-            assert rel_err(fd, gauge.superpotential(x)) <= 1e-7
+            ratio = model.decay_factor(x + h) / model.decay_factor(x - h)
+            fd = -cmath.log(ratio) / (2.0 * h)
+            assert rel_err(fd, model.superpotential(x)) <= 1e-7
 
 
 def test_gauge_derivative_closed_form():
     model = make_morse(MorseParams(a=0.9 + 0.2j, d=1.1 - 0.4j, b=0.5j, two_j=1))
-    g = model.gauge
     h = 1e-5
     for x in (-1.0, 0.0, 1.5):
-        fd = (g.superpotential(x + h) - g.superpotential(x - h)) / (2.0 * h)
-        assert rel_err(fd, g.superpotential_derivative(x)) <= 1e-7
+        fd = (model.superpotential(x + h) - model.superpotential(x - h)) / (2.0 * h)
+        assert rel_err(fd, model.superpotential_derivative(x)) <= 1e-7
 
 
 def test_sextic_constraint_identity():
@@ -179,12 +181,20 @@ def test_morse_potential_overflow():
         potential_eval(model, 400.0)
 
 
+def test_morse_gauge_underflow_raises():
+    # e^x underflows to exact 0 below x = -745.1, and the Morse W, W' and
+    # decay factor divide by it
+    model = make_morse(MorseParams.from_mu(1.0, 1))
+    for evaluate in (model.superpotential, model.superpotential_derivative, model.decay_factor):
+        with pytest.raises(NumericOverflowError, match="underflow"):
+            evaluate(-800.0)
+
+
 def test_odd_sector_decay_factor_is_odd():
     model = make_sextic(SexticParams.from_mu(0.5, 1, ODD))
-    g = model.gauge
     for x in (0.3, 1.0, 1.7):
-        assert abs(g.decay_factor(-x) + g.decay_factor(x)) <= 1e-15
-    assert g.decay_factor(0.0) == 0.0
+        assert abs(model.decay_factor(-x) + model.decay_factor(x)) <= 1e-15
+    assert model.decay_factor(0.0) == 0.0
 
 
 def test_change_of_variable():
@@ -192,5 +202,3 @@ def test_change_of_variable():
     morse = make_morse(MorseParams(a=1.0, d=1.0, b=0.0, two_j=0))
     assert sextic.z_of_x(-3.0) == 9.0
     assert abs(morse.z_of_x(1.0) - math.exp(-1.0)) <= 1e-16
-    assert sextic.change_of_variable == "z = x^2"
-    assert morse.change_of_variable == "z = exp(-x)"
