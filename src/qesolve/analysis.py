@@ -19,18 +19,20 @@ Verification is deliberately redundant:
   * partner_potentials evaluates the isospectral pair W^2 -/+ W' from the
     model's own superpotential.
   * fd_verify discretizes the shifted Hamiltonian of a model once, with
-    second-order central differences on a Dirichlet grid, and
-    fd_refine_energy refines each predicted eigenvalue on it by inverse
-    iteration (complex tridiagonal LU with partial pivoting).  On a grid
-    symmetric about 0, sextic levels start from a vector of their sector's
-    parity, so a nearly degenerate level of the other parity cannot mix
-    in.
+    second-order central differences on a Dirichlet grid, and refines each
+    predicted eigenvalue on it by inverse iteration: one complex
+    tridiagonal LU per level and about three solves, each giving the
+    bilinear quotient u^T H u / u^T u without a product by H.  On a grid
+    symmetric about 0 the even sextic potential keeps each sector's
+    parity, so sextic levels are refined on the x > 0 half of the grid
+    alone, where no level of the other parity exists to mix in.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,7 +48,7 @@ from .cpoly import (
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import MORSE, ODD, SEXTIC, QesModel, potential_eval
 from .spectrum import QesSolution
-from .tridiag import tridiag_factor, tridiag_matvec, tridiag_solve
+from .tridiag import tridiag_factor, tridiag_solve
 
 
 @dataclass(frozen=True)
@@ -233,27 +235,46 @@ def partner_potentials(model: QesModel, x: float) -> tuple[complex, complex]:
     return v_minus, v_plus
 
 
-def _parity_start(n: int, odd: bool) -> list[float]:
-    """Inverse-iteration start of one parity under the mirror i -> n-1-i.
-
-    These are the even and odd parts of the default ramp start, up to
-    scale.  On a grid symmetric about 0 they keep inverse iteration inside
-    one parity sector, so a nearly degenerate level of the other parity
-    cannot mix into the Rayleigh quotient.  Mirror entries are exactly
-    equal or exactly opposite.
-    """
-    if odd:
-        return [(2.0 * i + 1.0 - n) / n for i in range(n)]
-    return [1.0] * n
-
-
 # Inverse-iteration shift offset from the predicted eigenvalue, the
-# agreement of successive Rayleigh quotients that ends the iteration, the
-# solves allowed per level and the default grid's interior points.
+# agreement of successive quotients that ends the iteration, the solves
+# allowed per level and the default grid's interior points.
 FD_SHIFT_OFFSET = 1e-4
 FD_RQ_TOL = 1e-10
 FD_MAX_STEPS = 200
 FD_GRID_N = 2000
+
+
+def _inverse_iteration(factors, sigma: complex, v: Sequence[complex]) -> complex:
+    """Eigenvalue nearest sigma of a complex symmetric H, from the LU of H - sigma I.
+
+    Each solve (H - sigma I) u = v gives the bilinear quotient u^T H u / u^T u,
+    stationary at eigenvectors of a complex symmetric H (Arbenz & Hochstenbach,
+    SIAM J. Sci. Comput. 25, 2004), as sigma + u^T v / u^T u: no product by H.
+    An isotropic u (u^T u = 0), or FD_MAX_STEPS solves without two quotients
+    agreeing to FD_RQ_TOL, raise ConvergenceFailureError with the last as `best`.
+    """
+    estimate = None
+    for _ in range(FD_MAX_STEPS):
+        u = tridiag_solve(factors, v)
+        uu = sum(map(operator.mul, u, u))
+        if uu == 0:
+            raise ConvergenceFailureError("inverse iteration met u^T u = 0", best=estimate)
+        last, estimate = estimate, sigma + sum(map(operator.mul, u, v)) / uu
+        if last is not None and abs(estimate - last) < FD_RQ_TOL:
+            return estimate
+        scale = math.hypot(*map(abs, u))
+        v = [c / scale for c in u]
+    raise ConvergenceFailureError(
+        f"inverse iteration did not settle within {FD_MAX_STEPS} iterations", best=estimate
+    )
+
+
+def _refine_levels(off: list[float], diag: list[complex], predicted: Sequence[complex]) -> list:
+    """Refine each prediction on tridiag(off, diag, off) from a ramp (it carries both parities)."""
+    n = len(diag)
+    start = [1.0 + (i + 1.0) / n for i in range(n)]
+    sigmas = [guess + FD_SHIFT_OFFSET for guess in predicted]
+    return [_inverse_iteration(tridiag_factor(off, diag, off, s), s, start) for s in sigmas]
 
 
 def fd_refine_energy(
@@ -262,53 +283,17 @@ def fd_refine_energy(
     x_max: float,
     n_points: int,
     predicted: Sequence[complex],
-    start: Sequence[float] | None = None,
 ) -> list[complex]:
-    """Refine each of `predicted` against the central-difference Dirichlet Hamiltonian H.
+    """Refine each of `predicted` on the central-difference Dirichlet Hamiltonian.
 
-    H and the start vector are built once.  Each prediction gets an LU of
-    H - sigma I, sigma = prediction + FD_SHIFT_OFFSET, and inverse
-    iteration until successive Rayleigh quotients agree to FD_RQ_TOL.  The
-    off-diagonals are -1/h^2, so only the last pivot can vanish, and
-    tridiag_factor replaces it by eps * ||H||.  The iteration starts from
-    `start` (one real value per interior point), by default a ramp.
+    H samples the potential once per interior point.  The off-diagonals
+    are -1/h^2, so only the last pivot can vanish, and tridiag_factor
+    replaces it by eps * ||H||.
     """
-    n = n_points
-    h = (x_max - x_min) / (n + 1)
+    h = (x_max - x_min) / (n_points + 1)
     inv_h2 = 1.0 / (h * h)
-    diag0 = [2.0 * inv_h2 + potential(x_min + (i + 1) * h) for i in range(n)]
-    off = [-inv_h2] * (n - 1)
-    if start is None:
-        # ramp start: carries both parities, so parity-odd eigenstates on a
-        # symmetric grid are reachable without waiting for roundoff
-        start = [1.0 + (i + 1.0) / n for i in range(n)]
-    scale = math.sqrt(sum(c * c for c in start))
-    v0 = [complex(c / scale) for c in start]
-
-    refined = []
-    for guess in predicted:
-        sigma = guess + FD_SHIFT_OFFSET
-        factors = tridiag_factor(off, diag0, off, sigma)
-        v = v0
-        rayleigh = None
-        for _ in range(FD_MAX_STEPS):
-            u = tridiag_solve(factors, v)
-            norm = math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in u))
-            u = [c / norm for c in u]
-            hu = tridiag_matvec(off, diag0, off, u)
-            estimate = sum(u[i].conjugate() * hu[i] for i in range(n))
-            if rayleigh is not None and abs(estimate - rayleigh) < FD_RQ_TOL:
-                break
-            rayleigh = estimate
-            v = u
-        else:
-            raise ConvergenceFailureError(
-                f"inverse iteration did not settle within {FD_MAX_STEPS} iterations",
-                best=rayleigh,
-                defect=None,
-            )
-        refined.append(estimate)
-    return refined
+    diag = [2.0 * inv_h2 + potential(x_min + (i + 1) * h) for i in range(n_points)]
+    return _refine_levels([-inv_h2] * (n_points - 1), diag, predicted)
 
 
 def default_grid(model: QesModel, n_points: int = FD_GRID_N) -> GridSpec:
@@ -323,7 +308,10 @@ def fd_verify(
 ) -> tuple[tuple[complex, ...], float]:
     """Grid check of a model's levels on one grid: (refined values, max |refined - predicted|).
 
-    The levels must share one potential shift, as solve_model's do.
+    The levels must share one potential shift, as solve_model's do.  A
+    sextic model on a grid symmetric about 0 is discretized on the x > 0
+    half only, with the mirror neighbour psi(-x) = +/-psi(x) of its sector
+    folded in; every other grid keeps all its points (fd_refine_energy).
     """
     shift = solutions[0].shift
     if any(s.shift != shift for s in solutions):
@@ -334,11 +322,23 @@ def fd_verify(
     def shifted_potential(x: float) -> complex:
         return potential_eval(model, x, shift)
 
-    start = None
-    if model.family == SEXTIC and grid.x_min == -grid.x_max:
-        start = _parity_start(grid.n_points, odd=model.params.sector == ODD)
     predicted = [s.energy_shifted for s in solutions]
-    refined = fd_refine_energy(
-        shifted_potential, grid.x_min, grid.x_max, grid.n_points, predicted, start=start
-    )
+    n = grid.n_points
+    if model.family == SEXTIC and grid.x_min == -grid.x_max:
+        # an odd n puts a point at x = 0; an odd psi vanishes there, and an
+        # even psi couples to its two equal neighbours by -2/h^2, which
+        # scaling psi(0) by 1/sqrt(2) makes a symmetric -sqrt(2)/h^2
+        odd = model.params.sector == ODD
+        h = (grid.x_max - grid.x_min) / (n + 1)
+        inv_h2 = 1.0 / (h * h)
+        first = n // 2 + (n % 2 == 1 and odd)
+        diag = [2.0 * inv_h2 + shifted_potential(grid.x_min + (i + 1) * h) for i in range(first, n)]
+        off = [-inv_h2] * (n - first - 1)
+        if n % 2 == 0:
+            diag[0] += inv_h2 if odd else -inv_h2
+        elif not odd:
+            off[0] *= math.sqrt(2.0)
+        refined = _refine_levels(off, diag, predicted)
+    else:
+        refined = fd_refine_energy(shifted_potential, grid.x_min, grid.x_max, n, predicted)
     return tuple(refined), max(abs(r - p) for r, p in zip(refined, predicted))

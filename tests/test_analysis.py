@@ -394,8 +394,8 @@ def test_fd_confirms_complex_morse_pair():
 )
 def test_fd_parity_start_on_sextic_double_well(sector, mu, monkeypatch):
     # at 2j=5 the lowest level has a nearly degenerate partner of the other
-    # parity on the full grid; a start carrying both parities let the
-    # iteration stop on a mixed Rayleigh quotient 2e-5 to 8e-5 off
+    # parity on the full grid; the half grid holds the sector's parity only,
+    # so that partner cannot mix into the refined value
     np = pytest.importorskip("numpy")
     model = make_sextic(SexticParams.from_mu(mu, 5, sector))
     solutions, _ = solve_model(model)
@@ -426,7 +426,101 @@ def test_fd_parity_start_on_sextic_double_well(sector, mu, monkeypatch):
         (refined,), _ = fd_verify(model, [s], grid)
         nearest = reference[np.argmin(abs(reference - s.energy_shifted))]
         assert abs(refined - nearest) <= 1e-9
-        assert solves[-1] <= 8
+        assert solves[-1] <= 4
+
+
+def _sector_spectrum(np, model, grid, shift):
+    """Eigenvalues of the full-grid Hamiltonian restricted to the sector's parity.
+
+    The full central-difference matrix is projected onto an orthonormal
+    basis of mirror-symmetric (even sector) or antisymmetric (odd sector)
+    grid vectors, independently of how fd_verify folds the half grid.
+    """
+    n = grid.n_points
+    h = (grid.x_max - grid.x_min) / (n + 1)
+    xs = [grid.x_min + (i + 1) * h for i in range(n)]
+    diag = [2.0 / h**2 + potential_eval(model, x, shift) for x in xs]
+    off = np.full(n - 1, -1.0 / h**2)
+    full = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    sign = -1.0 if model.params.sector == ODD else 1.0
+    basis = []
+    for i in range(n // 2):
+        vec = np.zeros(n)
+        vec[i], vec[n - 1 - i] = sign, 1.0
+        basis.append(vec / math.sqrt(2.0))
+    if n % 2 == 1 and sign > 0:
+        centre = np.zeros(n)
+        centre[n // 2] = 1.0
+        basis.append(centre)
+    q = np.array(basis).T
+    return np.linalg.eigvals(q.T @ full @ q)
+
+
+@pytest.mark.parametrize("sector", [EVEN, ODD])
+@pytest.mark.parametrize(
+    "two_j, grid",
+    [(5, GridSpec(-6.0, 6.0, 64)), (5, GridSpec(-6.0, 6.0, 65)), (2, GridSpec(-5.0, 5.0, 701))],
+    ids=["n64", "n65", "n701"],
+)
+def test_fd_levels_are_sector_grid_eigenvalues(sector, two_j, grid):
+    # on coarse grids a full-grid iteration let roundoff carry in the other
+    # parity (even level 5 at n=64 landed on 31.93 instead of 38.69); odd n
+    # exercises the centre point: dropped (odd) or coupled by -sqrt(2)/h^2
+    np = pytest.importorskip("numpy")
+    model = make_sextic(SexticParams.from_mu(0.7, two_j, sector))
+    solutions, _ = solve_model(model)
+    reference = _sector_spectrum(np, model, grid, solutions[0].shift)
+    refined, _ = fd_verify(model, solutions, grid)
+    assert len(refined) == two_j + 1
+    for s, value in zip(solutions, refined):
+        nearest = reference[np.argmin(abs(reference - s.energy_shifted))]
+        assert abs(value - nearest) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "sector, n_points, reduced",
+    [(EVEN, 2000, 1000), (ODD, 2000, 1000), (EVEN, 701, 351), (ODD, 701, 350)],
+)
+def test_fd_verify_cost_on_half_grid(sector, n_points, reduced, monkeypatch):
+    import qesolve.spectrum
+    import qesolve.tridiag
+
+    model = make_sextic(SexticParams.from_mu(0.7, 2, sector))
+    solutions, _ = solve_model(model)
+    samples, factors = [], []
+
+    def counting_potential(*args):
+        samples.append(args[1])
+        return potential_eval(*args)
+
+    def counting_factor(*args):
+        factors.append(len(args[1]))
+        return tridiag_factor(*args)
+
+    def no_matvec(*args):
+        raise AssertionError("the grid check multiplies by H")
+
+    tridiag_factor = analysis.tridiag_factor
+    monkeypatch.setattr(analysis, "potential_eval", counting_potential)
+    monkeypatch.setattr(analysis, "tridiag_factor", counting_factor)
+    monkeypatch.setattr(qesolve.tridiag, "tridiag_matvec", no_matvec)
+    monkeypatch.setattr(qesolve.spectrum, "tridiag_matvec", no_matvec)
+    assert not hasattr(analysis, "tridiag_matvec")
+    fd_verify(model, solutions, GridSpec(-6.0, 6.0, n_points))
+    assert len(samples) == len(set(samples)) == reduced
+    assert min(samples) >= 0.0
+    assert factors == [reduced] * len(solutions)
+
+
+def test_fd_isotropic_vector_raises_with_last_estimate():
+    # H = [[1, i], [i, -1]] is complex symmetric and nilpotent.  From e1 with
+    # sigma = -4, (H + 4)^-1 = [[3, -i], [-i, 5]] / 16 gives u = (3, -i)/16
+    # and the quotient -4 + (3/16) / (8/256) = 2; the next solve gives
+    # u = (1, -i)/(2 sqrt(10)), whose u^T u is exactly 0
+    factors = analysis.tridiag_factor([1j], [1.0 + 0j, -1.0 + 0j], [1j], -4.0)
+    with pytest.raises(ConvergenceFailureError) as info:
+        analysis._inverse_iteration(factors, -4.0, [1.0 + 0j, 0j])
+    assert abs(info.value.best - 2.0) <= 1e-15
 
 
 @pytest.mark.parametrize(
