@@ -59,7 +59,6 @@ from .sl2 import (
     build_block,
 )
 from .spectrum import (
-    EigenPair,
     QesSolution,
     ShiftResult,
     common_imaginary_shift,

@@ -18,9 +18,9 @@ Verification is deliberately redundant:
   * is_pt_symmetric tests V*(-x) = V(x) including the additive shift.
   * partner_potentials evaluates the isospectral pair W^2 -/+ W' from the
     model's own superpotential.
-  * fd_verify discretizes the shifted Hamiltonian of a model once, with
-    second-order central differences on a Dirichlet grid, and refines each
-    predicted eigenvalue on it by inverse iteration: one complex
+  * fd_verify discretizes a model's Hamiltonian, shifted by its one
+    constant, once on a second-order central-difference Dirichlet grid and
+    refines each energy_base + shift on it by inverse iteration: one complex
     tridiagonal LU per level and about three solves, each giving the
     bilinear quotient u^T H u / u^T u without a product by H.  On a grid
     symmetric about 0 the even sextic potential keeps each sector's
@@ -62,6 +62,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.x_min < self.x_max:
             raise ValidationError("grid needs x_min < x_max")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValidationError("grid needs finite ends")
+        if not isinstance(self.n_points, int) or isinstance(self.n_points, bool):
+            raise ValidationError("grid needs an integer number of points")
         if self.n_points < 64:
             raise ValidationError("grid needs at least 64 points")
 
@@ -236,10 +240,13 @@ def partner_potentials(model: QesModel, x: float) -> tuple[complex, complex]:
 
 
 # Inverse-iteration shift offset from the predicted eigenvalue, the
-# agreement of successive quotients that ends the iteration, the solves
-# allowed per level and the default grid's interior points.
+# agreement of successive quotients that ends the iteration, the least
+# |u^T u| / ||u||^2 trusted (grids measured keep it above 4.9e-7; rounding
+# leaves an isotropic u at about 1e-16), the solves allowed per level and
+# the default grid's interior points.
 FD_SHIFT_OFFSET = 1e-4
 FD_RQ_TOL = 1e-10
+FD_ISOTROPY_TOL = 1e-12
 FD_MAX_STEPS = 200
 FD_GRID_N = 2000
 
@@ -250,19 +257,20 @@ def _inverse_iteration(factors, sigma: complex, v: Sequence[complex]) -> complex
     Each solve (H - sigma I) u = v gives the bilinear quotient u^T H u / u^T u,
     stationary at eigenvectors of a complex symmetric H (Arbenz & Hochstenbach,
     SIAM J. Sci. Comput. 25, 2004), as sigma + u^T v / u^T u: no product by H.
-    An isotropic u (u^T u = 0), or FD_MAX_STEPS solves without two quotients
-    agreeing to FD_RQ_TOL, raise ConvergenceFailureError with the last as `best`.
+    A nearly isotropic u (|u^T u| <= FD_ISOTROPY_TOL ||u||^2), or FD_MAX_STEPS
+    solves without two quotients agreeing to FD_RQ_TOL, raise
+    ConvergenceFailureError with the last estimate as `best`.
     """
     estimate = None
     for _ in range(FD_MAX_STEPS):
         u = tridiag_solve(factors, v)
         uu = sum(map(operator.mul, u, u))
-        if uu == 0:
-            raise ConvergenceFailureError("inverse iteration met u^T u = 0", best=estimate)
+        scale = math.hypot(*map(abs, u))
+        if abs(uu) <= FD_ISOTROPY_TOL * scale * scale:
+            raise ConvergenceFailureError("inverse iteration met u^T u ~ 0", best=estimate)
         last, estimate = estimate, sigma + sum(map(operator.mul, u, v)) / uu
         if last is not None and abs(estimate - last) < FD_RQ_TOL:
             return estimate
-        scale = math.hypot(*map(abs, u))
         v = [c / scale for c in u]
     raise ConvergenceFailureError(
         f"inverse iteration did not settle within {FD_MAX_STEPS} iterations", best=estimate
@@ -304,25 +312,23 @@ def default_grid(model: QesModel, n_points: int = FD_GRID_N) -> GridSpec:
 
 
 def fd_verify(
-    model: QesModel, solutions: Sequence[QesSolution], grid: GridSpec | None = None
+    model: QesModel, solutions: Sequence[QesSolution], shift: complex, grid: GridSpec | None = None
 ) -> tuple[tuple[complex, ...], float]:
     """Grid check of a model's levels on one grid: (refined values, max |refined - predicted|).
 
-    The levels must share one potential shift, as solve_model's do.  A
+    The grid Hamiltonian carries the model's potential shift (solve_model's
+    ShiftResult.shift), and each level predicts energy_base + shift.  A
     sextic model on a grid symmetric about 0 is discretized on the x > 0
     half only, with the mirror neighbour psi(-x) = +/-psi(x) of its sector
     folded in; every other grid keeps all its points (fd_refine_energy).
     """
-    shift = solutions[0].shift
-    if any(s.shift != shift for s in solutions):
-        raise ValidationError("fd_verify needs levels that share one potential shift")
     if grid is None:
         grid = default_grid(model)
 
     def shifted_potential(x: float) -> complex:
         return potential_eval(model, x, shift)
 
-    predicted = [s.energy_shifted for s in solutions]
+    predicted = [s.energy_base + shift for s in solutions]
     n = grid.n_points
     if model.family == SEXTIC and grid.x_min == -grid.x_max:
         # an odd n puts a point at x = 0; an odd psi vanishes there, and an

@@ -185,6 +185,7 @@ def published_comparison(
     mu = model.params.mu
     if mu is None:
         return ()
+    shift = shift_result.shift
     notes: list[str] = []
     two_j = model.params.two_j
 
@@ -192,7 +193,7 @@ def published_comparison(
         return "AGREES" if delta <= tol else "DISAGREES"
 
     if model.family == SEXTIC and model.params.sector == EVEN and two_j == 0:
-        shifted = solutions[0].energy_shifted
+        shifted = solutions[0].energy_base + shift
         delta = abs(shifted)
         notes.append(
             f"published level E = 0: computed shifted eigenvalue {_fmt_c(shifted)}, "
@@ -201,7 +202,7 @@ def published_comparison(
         if mu != 0.0:
             notes.append(
                 "published additive potential constant +i*mu has the opposite sign of the "
-                f"computed real-spectrum shift {_fmt_c(solutions[0].shift)}; adjudicated as a "
+                f"computed real-spectrum shift {_fmt_c(shift)}; adjudicated as a "
                 "sign misprint, the computed shift is reported"
             )
         notes.append(
@@ -210,21 +211,21 @@ def published_comparison(
     elif model.family == SEXTIC and model.params.sector == EVEN and two_j == 1:
         root = cmath.sqrt(2.0 - mu * mu)
         published = sorted((-2.0 * root, 2.0 * root), key=lambda c: (c.real, c.imag))
-        computed = [s.energy_shifted for s in solutions]
+        computed = [s.energy_base + shift for s in solutions]
         delta = max(abs(c - p) for c, p in zip(computed, published))
         notes.append(
             "published levels -/+ 2*sqrt(2-mu^2) = "
             f"[{_fmt_c(published[0])}, {_fmt_c(published[1])}]: max |delta| vs computed "
             f"shifted spectrum = {delta:.3g} -> {verdict(delta)}"
         )
-        shift_delta = abs(solutions[0].shift - complex(0.0, -3.0 * mu))
+        shift_delta = abs(shift - complex(0.0, -3.0 * mu))
         notes.append(
             f"published additive potential constant -3*i*mu: computed shift "
-            f"{_fmt_c(solutions[0].shift)}, |delta| = {shift_delta:.3g} -> {verdict(shift_delta)}"
+            f"{_fmt_c(shift)}, |delta| = {shift_delta:.3g} -> {verdict(shift_delta)}"
         )
         if mu != 0.0:
             published_c1 = -(root - complex(0.0, mu))
-            upper = max(solutions, key=lambda s: (s.energy_shifted.real, s.energy_shifted.imag))
+            _, upper = max(zip(computed, solutions), key=lambda t: (t[0].real, t[0].imag))
             computed_c1 = upper.phi_coeffs.coeffs[1] if len(upper.phi_coeffs.coeffs) > 1 else 0.0j
             gap = abs(computed_c1 - published_c1)
             notes.append(
@@ -235,17 +236,17 @@ def published_comparison(
     elif model.family == MORSE and two_j == 0:
         a, d = model.params.a, model.params.d
         published_e = 2.0 * a * d - (9.0 - mu * mu) / 4.0
-        shifted = solutions[0].energy_shifted
+        shifted = solutions[0].energy_base + shift
         delta = abs(shifted - published_e)
         notes.append(
             f"published level 2*a*d - (9-mu^2)/4 (misprinted with symbol c for d) = "
             f"{_fmt_c(published_e)}: computed shifted eigenvalue {_fmt_c(shifted)}, "
             f"|delta| = {delta:.3g} -> {verdict(delta)}"
         )
-        shift_delta = abs(solutions[0].shift - complex(0.0, -1.5 * mu))
+        shift_delta = abs(shift - complex(0.0, -1.5 * mu))
         notes.append(
             f"published additive potential constant -3*i*mu/2: computed shift "
-            f"{_fmt_c(solutions[0].shift)}, |delta| = {shift_delta:.3g} -> {verdict(shift_delta)}"
+            f"{_fmt_c(shift)}, |delta| = {shift_delta:.3g} -> {verdict(shift_delta)}"
         )
         notes.append(
             "published potential misprints adjudicated: e^x coefficient -d(4-i) read as "
@@ -256,7 +257,7 @@ def published_comparison(
         root = cmath.sqrt(16.0 * a * d - mu * mu)
         base = 2.0 * a * d - (9.0 - mu * mu) / 4.0
         published = sorted((base - root, base + root), key=lambda c: (c.real, c.imag))
-        computed = [s.energy_shifted for s in solutions]
+        computed = [s.energy_base + shift for s in solutions]
         notes.append(
             "published levels 2*a*d - (9-mu^2)/4 -/+ sqrt(16*a*d - mu^2) = "
             f"[{_fmt_c(published[0])}, {_fmt_c(published[1])}]"
@@ -306,14 +307,14 @@ def build_report(
     solutions, shift_result = solve_model(model)
     sample = default_residual_sample(model)
     rsup = max(residual_sup(model, s, sample) for s in solutions)
-    shift = solutions[0].shift
+    shift = shift_result.shift
     pt = is_pt_symmetric(model, shift)
     notes = published_comparison(model, solutions, shift_result)
     levels = tuple(
         LevelReport(
             index=i,
             energy_base=s.energy_base,
-            energy_shifted=s.energy_shifted,
+            energy_shifted=s.energy_base + shift,
             phi_coeffs=s.phi_coeffs.coeffs,
             eigvec_residual=s.eigvec_residual,
             multiplicity=s.multiplicity,
@@ -325,7 +326,7 @@ def build_report(
     if verify:
         if grid is None:
             grid = default_grid(model)
-        refined, defect = fd_verify(model, solutions, grid)
+        refined, defect = fd_verify(model, solutions, shift, grid)
         bound = fd_defect_bound(model, grid)
         norms: tuple[float, ...] | None
         try:
@@ -393,7 +394,8 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _parse_range(text: str) -> tuple[float, float, float]:
+def _parse_range(text: str) -> tuple[float, float, int]:
+    """(lo, step, point count) of a lo:hi:step range; empty when hi < lo."""
     try:
         lo, hi, step = map(float, text.split(":"))
     except ValueError:
@@ -402,7 +404,12 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         raise ValidationError(f"--mu-range needs finite numbers — got {text!r}")
     if step <= 0:
         raise ValidationError("range step must be positive")
-    return lo, hi, step
+    if hi < lo:
+        return lo, step, 0
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise ValidationError(f"--mu-range needs finite numbers — got {text!r}: count overflows")
+    return lo, step, int(span + 1e-9) + 1
 
 
 def _add_family_flags(sub: argparse.ArgumentParser, with_mu: bool = True) -> None:
@@ -469,14 +476,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    lo, hi, step = _parse_range(args.mu_range)
-    count = int((hi - lo) / step + 1e-9) + 1 if hi >= lo else 0
+    lo, step, count = _parse_range(args.mu_range)
     _resolve_model(args, lo)  # conflicting flags fail even when the range is empty
     lines = [SCAN_HEADER]
     for k in range(count):
         mu = lo + k * step
         solutions, shift_result = solve_model(_resolve_model(args, mu))
         for level, s in enumerate(solutions):
+            shifted = s.energy_base + shift_result.shift
             lines.append(
                 ",".join(
                     (
@@ -484,9 +491,9 @@ def cmd_scan(args) -> int:
                         str(level),
                         format_float(s.energy_base.real),
                         format_float(s.energy_base.imag),
-                        format_float(s.energy_shifted.real),
-                        format_float(s.energy_shifted.imag),
-                        format_float(s.shift.imag),
+                        format_float(shifted.real),
+                        format_float(shifted.imag),
+                        format_float(shift_result.shift.imag),
                         str(int(shift_result.found)),
                     )
                 )

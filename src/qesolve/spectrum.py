@@ -16,10 +16,11 @@ eigen_solve works on them directly:
                     tridiagonal solves per distinct centroid, and an O(n)
                     residual.
 
-A complex spectrum is re-centered to a real one by a constant potential
-shift exactly when all eigenvalues share one imaginary part; the shift is
-minus i times the median imaginary part, the median being robust against a
-single numerically off-cluster root.
+Each eigenpair is one solved level (QesSolution).  A complex spectrum is
+re-centered to a real one by a constant potential shift, one per model and
+returned once in ShiftResult, exactly when all eigenvalues share one
+imaginary part; the shift is minus i times the median imaginary part, the
+median being robust against a single numerically off-cluster root.
 """
 
 from __future__ import annotations
@@ -46,17 +47,15 @@ ABERTH_STEPS = 60
 
 @dataclass(frozen=True, slots=True)
 class QesSolution:
-    """One exactly known level of a model.
+    """One exactly known level of a model: an eigenpair of its block.
 
-    phi_coeffs holds c_0 .. c_{2j} of the polynomial factor, normalized so
-    the first nonzero coefficient is 1.  energy_shifted = energy_base +
-    shift, where shift is the constant added to the potential (zero when the
-    spectrum admits no common imaginary part).
+    energy_base is the eigenvalue of the canonical (unshifted) potential;
+    the shifted level is energy_base + ShiftResult.shift, one shift per
+    model.  phi_coeffs holds c_0 .. c_{2j} of the polynomial factor,
+    normalized so the first nonzero coefficient is 1.
     """
 
     energy_base: complex
-    energy_shifted: complex
-    shift: complex
     phi_coeffs: CPolynomial
     eigvec_residual: float
     multiplicity: int = 1
@@ -69,14 +68,6 @@ class ShiftResult:
     found: bool
     shift: complex
     spread: float
-
-
-@dataclass(frozen=True, slots=True)
-class EigenPair:
-    value: complex
-    vector: CPolynomial
-    residual: float
-    multiplicity: int = 1
 
 
 def _newton_terms(diag, prod, abs_prod, z: complex) -> tuple[complex, complex, float]:
@@ -208,7 +199,7 @@ def _centroid_root(diag, prod, z: complex, m: int, tol: float) -> complex:
     return z
 
 
-def eigen_solve(m: BlockMatrix) -> list[EigenPair]:
+def eigen_solve(m: BlockMatrix) -> list[QesSolution]:
     """Eigenvalues and polynomial eigenvectors of a tridiagonal block, in level order.
 
     Levels are sorted by real part; real parts that agree to rounding
@@ -226,7 +217,7 @@ def eigen_solve(m: BlockMatrix) -> list[EigenPair]:
     prod = [0.0j] + [(lo / s) * (up / s) for lo, up in zip(sub, sup)]
     couplings = [math.sqrt(abs(b)) for b in prod[1:]]
     tol = 8.0 * math.sqrt(_EPS * (n + 1)) * tridiag_norm(couplings, d, couplings)
-    pairs = []
+    levels = []
     for z, mult in _cluster(_eigenvalues(d, prod), tol, 64.0 * n * _EPS * norm_m / s):
         if mult > 1:
             z = _centroid_root(d, prod, z, mult, tol)
@@ -240,8 +231,8 @@ def eigen_solve(m: BlockMatrix) -> list[EigenPair]:
         mv = tridiag_matvec(sub, diag, sup, v)
         resid = max(abs(mv[i] - lam * v[i]) for i in range(n))
         scale = max(norm_m, 1e-300) * max(max(abs(c) for c in v), 1e-300)
-        pairs += [EigenPair(lam, PackedPolynomial(v), resid / scale, mult)] * mult
-    return pairs
+        levels += [QesSolution(lam, PackedPolynomial(v), resid / scale, mult)] * mult
+    return levels
 
 
 # Largest distance of an imaginary part from the median that still counts as common.
@@ -265,7 +256,7 @@ RESIDUAL_GATE = 1e-10
 
 
 def solve_model(model: QesModel) -> tuple[list[QesSolution], ShiftResult]:
-    """Solve the model's block and apply the common-imaginary-part shift (or none).
+    """Solve the model's block: its levels and their common-imaginary-part shift (0j if none).
 
     Rejects blocks above MAX_BLOCK_DIM before building them, and refuses to
     return silently degraded eigenpairs: if any block residual exceeds the
@@ -274,25 +265,12 @@ def solve_model(model: QesModel) -> tuple[list[QesSolution], ShiftResult]:
     if model.rep.dim > MAX_BLOCK_DIM:
         raise ValidationError(f"block dimension {model.rep.dim} exceeds the cap {MAX_BLOCK_DIM}")
     block = build_block(model.combo, model.rep)
-    pairs = eigen_solve(block)
-    worst = max(p.residual for p in pairs)
+    solutions = eigen_solve(block)
+    worst = max(s.eigvec_residual for s in solutions)
     if worst > RESIDUAL_GATE:
         raise ConvergenceFailureError(
             f"block eigensolve residual {worst:.3e} exceeds {RESIDUAL_GATE:.0e}",
-            best=pairs,
+            best=solutions,
             defect=worst,
         )
-    shift_result = common_imaginary_shift([p.value for p in pairs])
-    shift = shift_result.shift if shift_result.found else 0.0j
-    solutions = [
-        QesSolution(
-            energy_base=p.value,
-            energy_shifted=p.value + shift,
-            shift=shift,
-            phi_coeffs=p.vector,
-            eigvec_residual=p.residual,
-            multiplicity=p.multiplicity,
-        )
-        for p in pairs
-    ]
-    return solutions, shift_result
+    return solutions, common_imaginary_shift([s.energy_base for s in solutions])

@@ -50,11 +50,11 @@ def test_criterion_01_sextic_two_level_spectrum():
         solutions, result = solve_model(make_sextic(SexticParams.from_mu(mu, 1)))
         assert result.found
         expected = 2.0 * math.sqrt(2.0 - mu * mu)
-        shifted = sorted((s.energy_shifted for s in solutions), key=lambda c: c.real)
+        shifted = sorted((s.energy_base + result.shift for s in solutions), key=lambda c: c.real)
         worst_energy = max(
             worst_energy, abs(shifted[0] + expected), abs(shifted[1] - expected)
         )
-        worst_shift = max(worst_shift, abs(solutions[0].shift - complex(0.0, -3.0 * mu)))
+        worst_shift = max(worst_shift, abs(result.shift - complex(0.0, -3.0 * mu)))
         if mu == 1.0:
             assert abs(shifted[0] + 2.0) <= 1e-10 and abs(shifted[1] - 2.0) <= 1e-10
     assert worst_energy <= 1e-10
@@ -65,9 +65,9 @@ def test_criterion_01_sextic_two_level_spectrum():
 def test_criterion_02_sextic_single_level_and_sign_adjudication():
     for mu in (0.5, 1.0, 1.3):
         model = make_sextic(SexticParams.from_mu(mu, 0))
-        solutions, _ = solve_model(model)
+        solutions, result = solve_model(model)
         assert abs(solutions[0].energy_base - complex(0.0, mu)) <= 1e-12
-        assert abs(solutions[0].energy_shifted) <= 1e-12
+        assert abs(solutions[0].energy_base + result.shift) <= 1e-12
         report, _ = build_report(model)
         notes = " ".join(report.published_comparison)
         assert "opposite sign" in notes and "adjudicated" in notes
@@ -77,8 +77,8 @@ def test_criterion_02_sextic_single_level_and_sign_adjudication():
 def test_criterion_03_morse_single_level():
     solutions, result = solve_model(make_morse(MorseParams.from_mu(1.0, 0, a=1.0, d=1.0)))
     assert result.found
-    assert abs(solutions[0].shift + 1.5j) <= 1e-10
-    assert abs(solutions[0].energy_shifted) <= 1e-10  # 2ad - (9-mu^2)/4 = 0 here
+    assert abs(result.shift + 1.5j) <= 1e-10
+    assert abs(solutions[0].energy_base + result.shift) <= 1e-10  # 2ad - (9-mu^2)/4 = 0 here
     _passed(3, "shift -1.5i and shifted level 0 at a=d=mu=1")
 
 
@@ -145,20 +145,23 @@ def test_criterion_07_algebra_suite():
 def test_criterion_08_grid_cross_check():
     fixtures = []
     sextic_two = make_sextic(SexticParams.from_mu(1.0, 1))
-    solutions, _ = solve_model(sextic_two)
-    fixtures.append((sextic_two, max(solutions, key=lambda s: s.energy_shifted.real)))
+    solutions, result = solve_model(sextic_two)
+    top = max(solutions, key=lambda s: (s.energy_base + result.shift).real)
+    fixtures.append((sextic_two, top, result.shift))
     sextic_one = make_sextic(SexticParams.from_mu(1.0, 0))
-    fixtures.append((sextic_one, solve_model(sextic_one)[0][0]))
+    solutions, result = solve_model(sextic_one)
+    fixtures.append((sextic_one, solutions[0], result.shift))
     morse_one = make_morse(MorseParams.from_mu(1.0, 0))
-    fixtures.append((morse_one, solve_model(morse_one)[0][0]))
+    solutions, result = solve_model(morse_one)
+    fixtures.append((morse_one, solutions[0], result.shift))
     details = []
-    for model, solution in fixtures:
+    for model, solution, shift in fixtures:
         if model.family == "sextic":
             coarse, fine = GridSpec(-6.0, 6.0, 2000), GridSpec(-6.0, 6.0, 4001)
         else:
             coarse, fine = GridSpec(-12.0, 4.0, 2000), GridSpec(-12.0, 4.0, 4001)
-        _, defect = fd_verify(model, [solution], coarse)
-        _, defect_fine = fd_verify(model, [solution], fine)
+        _, defect = fd_verify(model, [solution], shift, coarse)
+        _, defect_fine = fd_verify(model, [solution], shift, fine)
         assert defect <= 5e-3
         ratio = defect / defect_fine
         assert 3.2 <= ratio <= 4.8
@@ -195,11 +198,11 @@ def test_criterion_10_pt_symmetry():
     morse_one = make_morse(MorseParams.from_mu(1.0, 0))
     morse_two = make_morse(MorseParams.from_mu(1.0, 1))
     for model in (sextic_one, sextic_two, morse_one, morse_two):
-        shift = solve_model(model)[0][0].shift
+        shift = solve_model(model)[1].shift
         assert not is_pt_symmetric(model, shift)
     for two_j in (0, 1):
         model = make_sextic(SexticParams.from_mu(0.0, two_j))
-        shift = solve_model(model)[0][0].shift
+        shift = solve_model(model)[1].shift
         assert is_pt_symmetric(model, shift)
     assert is_pt_symmetric(make_morse(MorseParams(a=1.0, d=1.0, b=0.0, two_j=0)))
     _passed(10, "all four mu=1 potentials complex without PT symmetry; mu=0 sextic degenerations PT-symmetric")

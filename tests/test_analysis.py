@@ -358,9 +358,9 @@ def test_fd_free_particle_second_order():
 
 def test_fd_verify_fixture_small_grid():
     model = make_sextic(SexticParams.from_mu(1.0, 1))
-    solutions, _ = solve_model(model)
-    top = max(solutions, key=lambda s: s.energy_shifted.real)
-    (refined,), defect = fd_verify(model, [top], GridSpec(-6.0, 6.0, 500))
+    solutions, result = solve_model(model)
+    top = max(solutions, key=lambda s: (s.energy_base + result.shift).real)
+    (refined,), defect = fd_verify(model, [top], result.shift, GridSpec(-6.0, 6.0, 500))
     assert 0.0 < defect <= 2e-3
     assert abs(refined - 2.0) <= 2e-3
 
@@ -369,8 +369,8 @@ def test_fd_odd_sector_level():
     # parity-odd eigenstate on a symmetric grid; start vector must reach it
     model = make_sextic(SexticParams.from_mu(1.0, 1, ODD))
     solutions, result = solve_model(model)
-    assert result.found and abs(solutions[0].shift + 5j) <= 1e-10
-    (refined,), defect = fd_verify(model, [solutions[1]], GridSpec(-6.0, 6.0, 1000))
+    assert result.found and abs(result.shift + 5j) <= 1e-10
+    (refined,), defect = fd_verify(model, [solutions[1]], result.shift, GridSpec(-6.0, 6.0, 1000))
     assert defect <= 5e-3
     assert abs(refined - 2.0 * math.sqrt(5.0)) <= 5e-3
 
@@ -382,9 +382,9 @@ def test_fd_confirms_complex_morse_pair():
     solutions, result = solve_model(model)
     assert not result.found
     for s in solutions:
-        (refined,), defect = fd_verify(model, [s], GridSpec(-12.0, 4.0, 1000))
+        (refined,), defect = fd_verify(model, [s], result.shift, GridSpec(-12.0, 4.0, 1000))
         assert defect <= 5e-3
-        assert abs(refined.imag - s.energy_shifted.imag) <= 5e-3
+        assert abs(refined.imag - (s.energy_base + result.shift).imag) <= 5e-3
 
 
 @pytest.mark.parametrize(
@@ -398,9 +398,8 @@ def test_fd_parity_start_on_sextic_double_well(sector, mu, monkeypatch):
     # so that partner cannot mix into the refined value
     np = pytest.importorskip("numpy")
     model = make_sextic(SexticParams.from_mu(mu, 5, sector))
-    solutions, _ = solve_model(model)
-    shift = solutions[0].shift
-    assert all(s.shift == shift for s in solutions)
+    solutions, result = solve_model(model)
+    shift = result.shift
     grid = default_grid(model)
     n = grid.n_points
     h = (grid.x_max - grid.x_min) / (n + 1)
@@ -423,8 +422,8 @@ def test_fd_parity_start_on_sextic_double_well(sector, mu, monkeypatch):
     monkeypatch.setattr(analysis, "tridiag_solve", counting_solve)
     for s in solutions:
         solves.append(0)
-        (refined,), _ = fd_verify(model, [s], grid)
-        nearest = reference[np.argmin(abs(reference - s.energy_shifted))]
+        (refined,), _ = fd_verify(model, [s], shift, grid)
+        nearest = reference[np.argmin(abs(reference - (s.energy_base + shift)))]
         assert abs(refined - nearest) <= 1e-9
         assert solves[-1] <= 4
 
@@ -468,12 +467,12 @@ def test_fd_levels_are_sector_grid_eigenvalues(sector, two_j, grid):
     # exercises the centre point: dropped (odd) or coupled by -sqrt(2)/h^2
     np = pytest.importorskip("numpy")
     model = make_sextic(SexticParams.from_mu(0.7, two_j, sector))
-    solutions, _ = solve_model(model)
-    reference = _sector_spectrum(np, model, grid, solutions[0].shift)
-    refined, _ = fd_verify(model, solutions, grid)
+    solutions, result = solve_model(model)
+    reference = _sector_spectrum(np, model, grid, result.shift)
+    refined, _ = fd_verify(model, solutions, result.shift, grid)
     assert len(refined) == two_j + 1
     for s, value in zip(solutions, refined):
-        nearest = reference[np.argmin(abs(reference - s.energy_shifted))]
+        nearest = reference[np.argmin(abs(reference - (s.energy_base + result.shift)))]
         assert abs(value - nearest) <= 1e-9
 
 
@@ -486,7 +485,7 @@ def test_fd_verify_cost_on_half_grid(sector, n_points, reduced, monkeypatch):
     import qesolve.tridiag
 
     model = make_sextic(SexticParams.from_mu(0.7, 2, sector))
-    solutions, _ = solve_model(model)
+    solutions, result = solve_model(model)
     samples, factors = [], []
 
     def counting_potential(*args):
@@ -506,7 +505,7 @@ def test_fd_verify_cost_on_half_grid(sector, n_points, reduced, monkeypatch):
     monkeypatch.setattr(qesolve.tridiag, "tridiag_matvec", no_matvec)
     monkeypatch.setattr(qesolve.spectrum, "tridiag_matvec", no_matvec)
     assert not hasattr(analysis, "tridiag_matvec")
-    fd_verify(model, solutions, GridSpec(-6.0, 6.0, n_points))
+    fd_verify(model, solutions, result.shift, GridSpec(-6.0, 6.0, n_points))
     assert len(samples) == len(set(samples)) == reduced
     assert min(samples) >= 0.0
     assert factors == [reduced] * len(solutions)
@@ -521,6 +520,14 @@ def test_fd_isotropic_vector_raises_with_last_estimate():
     with pytest.raises(ConvergenceFailureError) as info:
         analysis._inverse_iteration(factors, -4.0, [1.0 + 0j, 0j])
     assert abs(info.value.best - 2.0) <= 1e-15
+    # from the isotropic null vector (1, i) every u is parallel to it, and
+    # rounding leaves |u^T u| / ||u||^2 near 1e-16: the first quotient is
+    # noise (it used to settle on 1.0, -0.0625 and 0.0833), so none is kept
+    for sigma in (3.0, -0.25, 0.75):
+        factors = analysis.tridiag_factor([1j], [1.0 + 0j, -1.0 + 0j], [1j], sigma)
+        with pytest.raises(ConvergenceFailureError) as info:
+            analysis._inverse_iteration(factors, sigma, [1.0 + 0j, 1j])
+        assert info.value.best is None
 
 
 @pytest.mark.parametrize(
@@ -529,9 +536,9 @@ def test_fd_isotropic_vector_raises_with_last_estimate():
     ids=["sextic", "morse"],
 )
 def test_fd_verify_all_levels_equals_per_level(model):
-    solutions, _ = solve_model(model)
-    refined, defect = fd_verify(model, solutions)
-    singles = [fd_verify(model, [s]) for s in solutions]
+    solutions, result = solve_model(model)
+    refined, defect = fd_verify(model, solutions, result.shift)
+    singles = [fd_verify(model, [s], result.shift) for s in solutions]
     assert refined == tuple(r for (r,), _ in singles)
     assert defect == max(d for _, d in singles)
 
@@ -548,14 +555,6 @@ def test_fd_refine_samples_potential_once():
     assert len(calls) == 300
 
 
-def test_fd_verify_needs_one_shift():
-    model = make_sextic(SexticParams.from_mu(1.0, 1))
-    solutions, _ = solve_model(model)
-    moved = dataclasses.replace(solutions[1], shift=solutions[1].shift + 1j)
-    with pytest.raises(ValidationError):
-        fd_verify(model, [solutions[0], moved], GridSpec(-6.0, 6.0, 300))
-
-
 def test_fd_inverse_iteration_budget(monkeypatch):
     monkeypatch.setattr(analysis, "FD_MAX_STEPS", 1)
     with pytest.raises(ConvergenceFailureError):
@@ -567,6 +566,12 @@ def test_grid_validation():
         GridSpec(0.0, 1.0, 32)
     with pytest.raises(ValidationError):
         GridSpec(1.0, 0.0, 128)
+    for x_min, x_max in ((-math.inf, 6.0), (-6.0, math.inf)):
+        with pytest.raises(ValidationError):
+            GridSpec(x_min, x_max, 100)
+    for n_points in (100.5, 100.0, True):
+        with pytest.raises(ValidationError):
+            GridSpec(-6.0, 6.0, n_points)
 
 
 def test_default_grids():

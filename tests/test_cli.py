@@ -157,9 +157,7 @@ def test_verify_rejects_injected_error(capsys, monkeypatch):
     def off_by_a_tenth(model):
         solutions, shift_result = solve_model(model)
         wrong = [
-            dataclasses.replace(
-                s, energy_base=s.energy_base + 0.1, energy_shifted=s.energy_shifted + 0.1
-            )
+            dataclasses.replace(s, energy_base=s.energy_base + 0.1)
             for s in solutions
         ]
         return wrong, shift_result
@@ -256,6 +254,7 @@ _MODEL = ("--family", "sextic", "--two-j", "1", "--mu", "1")
         ((*_SCAN, "0:1:inf"), "--mu-range"),
         (("verify", *_MODEL, "--domain=-inf,6"), "--domain"),
         (("partner", *_MODEL, "--range=-inf,1"), "--range"),
+        ((*_SCAN, "0:1e300:1e-300"), "--mu-range"),
     ],
 )
 def test_non_finite_numbers_rejected(capsys, argv, flag):

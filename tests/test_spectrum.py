@@ -85,29 +85,29 @@ def test_roots_convergence_failure_carries_best():
 def test_eigen_solve_fixture_vectors():
     # null space by hand: v1 = (sqrt(2-mu^2) -/+ i*mu) at mu=1 -> 1 -/+ i with signs per level
     pairs = eigen_solve(FIXTURE_BLOCK)
-    assert abs(pairs[0].value - (-2.0 + 3j)) <= 1e-12
-    assert abs(pairs[1].value - (2.0 + 3j)) <= 1e-12
-    low = pairs[0].vector.coeffs
-    high = pairs[1].vector.coeffs
+    assert abs(pairs[0].energy_base - (-2.0 + 3j)) <= 1e-12
+    assert abs(pairs[1].energy_base - (2.0 + 3j)) <= 1e-12
+    low = pairs[0].phi_coeffs.coeffs
+    high = pairs[1].phi_coeffs.coeffs
     assert abs(low[0] - 1.0) == 0.0
     assert abs(low[1] - (1.0 - 1j)) <= 1e-12
     assert abs(high[1] - (-1.0 - 1j)) <= 1e-12
-    assert all(p.residual <= 1e-10 for p in pairs)
+    assert all(p.eigvec_residual <= 1e-10 for p in pairs)
 
 
 def test_eigen_solve_morse_1x1():
     model = make_morse(MorseParams.from_mu(1.0, 0))
     pairs = eigen_solve(build_block(model.combo, model.rep))
-    assert abs(pairs[0].value - 1.5j) <= 1e-14
-    assert pairs[0].vector.coeffs == (1.0 + 0j,)
+    assert abs(pairs[0].energy_base - 1.5j) <= 1e-14
+    assert pairs[0].phi_coeffs.coeffs == (1.0 + 0j,)
 
 
 def test_eigen_solve_diagonal():
     pairs = eigen_solve(BlockMatrix(sub=(0.0,), diag=(2.0, 5.0), sup=(0.0,)))
-    assert abs(pairs[0].value - 2.0) <= 1e-13
-    assert abs(pairs[1].value - 5.0) <= 1e-13
-    assert pairs[0].vector.coeffs == (1.0 + 0j,)
-    assert pairs[1].vector.coeffs == (0.0j, 1.0 + 0j)
+    assert abs(pairs[0].energy_base - 2.0) <= 1e-13
+    assert abs(pairs[1].energy_base - 5.0) <= 1e-13
+    assert pairs[0].phi_coeffs.coeffs == (1.0 + 0j,)
+    assert pairs[1].phi_coeffs.coeffs == (0.0j, 1.0 + 0j)
     # degenerate blocks: zero couplings split the block, multiple eigenvalues
     # come back as one centroid with its multiplicity
     golden = (3.0 - math.sqrt(5.0)) / 2.0
@@ -128,9 +128,9 @@ def test_eigen_solve_diagonal():
         levels = [(value, mult) for value, mult in expected for _ in range(mult)]
         assert len(pairs) == len(levels)
         for p, (value, mult) in zip(pairs, levels):
-            assert abs(p.value - value) <= 1e-13, (block, p.value)
+            assert abs(p.energy_base - value) <= 1e-13, (block, p.energy_base)
             assert p.multiplicity == mult
-            assert p.residual <= 1e-12
+            assert p.eigvec_residual <= 1e-12
 
 
 def test_eigen_solve_weakly_coupled_pair():
@@ -145,20 +145,20 @@ def test_eigen_solve_weakly_coupled_pair():
     half = cmath.sqrt(((a - d) / 2) ** 2 + bc)
     expected = sorted([(a + d) / 2 - half, (a + d) / 2 + half], key=lambda z: (z.real, z.imag))
     pairs = eigen_solve(block)
-    assert all(abs(p.value - e) <= 1e-15 for p, e in zip(pairs, expected))
-    assert max(p.residual for p in pairs) <= 1e-12
+    assert all(abs(p.energy_base - e) <= 1e-15 for p, e in zip(pairs, expected))
+    assert max(p.eigvec_residual for p in pairs) <= 1e-12
 
 
 def test_eigen_solve_is_exact_under_power_of_two_scaling():
     # at 2^-660 the coupling products underflow and at 2^660 they overflow
     # unless the block is scaled first; scaling by a power of two is exact
     sub, diag, sup = (1.0, 3.0), (1.0, -2.0, 0.5j), (2.0, 1.0 - 1.0j)
-    values = [p.value for p in eigen_solve(BlockMatrix(sub, diag, sup))]
+    values = [p.energy_base for p in eigen_solve(BlockMatrix(sub, diag, sup))]
     for k in (-660, 660):
         scaled = [tuple(math.ldexp(1.0, k) * c for c in part) for part in (sub, diag, sup)]
         pairs = eigen_solve(BlockMatrix(*scaled))
-        assert [p.value for p in pairs] == [math.ldexp(1.0, k) * v for v in values]
-        assert max(p.residual for p in pairs) <= 1e-12
+        assert [p.energy_base for p in pairs] == [math.ldexp(1.0, k) * v for v in values]
+        assert max(p.eigvec_residual for p in pairs) <= 1e-12
 
 
 def test_continuant_rescales_far_from_the_spectrum():
@@ -192,7 +192,7 @@ def test_trace_identity_random_matrices():
         block = _random_tridiagonal(rng, dim)
         pairs = eigen_solve(block)
         trace = sum(block.diag)
-        assert rel_err(sum(p.value for p in pairs), trace) <= 1e-10
+        assert rel_err(sum(p.energy_base for p in pairs), trace) <= 1e-10
 
 
 def test_trace_identity_family_blocks():
@@ -204,11 +204,11 @@ def test_trace_identity_family_blocks():
             block = build_block(model.combo, model.rep)
             pairs = eigen_solve(block)
             trace = sum(block.diag)
-            assert rel_err(sum(p.value for p in pairs), trace) <= 1e-10
+            assert rel_err(sum(p.energy_base for p in pairs), trace) <= 1e-10
             # the characteristic-polynomial route is an independent check on small blocks
             roots = poly_roots(char_poly(block.entries)) if block.dim > 1 else [block.diag[0]]
             for p in pairs:
-                assert min(abs(p.value - r) for r in roots) <= 1e-8 * max(1.0, abs(p.value))
+                assert min(abs(p.energy_base - r) for r in roots) <= 1e-8 * max(1.0, abs(p.energy_base))
 
 
 def test_root_defect_bound():
@@ -232,11 +232,11 @@ def test_shift_equivariance():
         base_pairs = eigen_solve(block)
         shifted_pairs = eigen_solve(shifted)
         for p, q in zip(base_pairs, shifted_pairs):
-            assert abs(q.value - (p.value + c)) <= 1e-10
+            assert abs(q.energy_base - (p.energy_base + c)) <= 1e-10
             assert max(
                 abs(x - y)
                 for x, y in zip(
-                    p.vector.coeffs + (0.0j,) * dim, q.vector.coeffs + (0.0j,) * dim
+                    p.phi_coeffs.coeffs + (0.0j,) * dim, q.phi_coeffs.coeffs + (0.0j,) * dim
                 )
             ) <= 1e-10
 
@@ -268,11 +268,11 @@ def test_reality_regime_sweep():
     for mu in (0.0, 0.5, 1.0, 1.3):
         solutions, result = solve_model(make_sextic(SexticParams.from_mu(mu, 1)))
         assert result.found
-        assert max(abs(s.energy_shifted.imag) for s in solutions) <= 1e-10
+        assert max(abs((s.energy_base + result.shift).imag) for s in solutions) <= 1e-10
     for mu in (1.5, 2.0):
         solutions, result = solve_model(make_sextic(SexticParams.from_mu(mu, 1)))
         assert not result.found
-        assert max(abs(s.energy_shifted.imag) for s in solutions) > 0.1
+        assert max(abs((s.energy_base + result.shift).imag) for s in solutions) > 0.1
 
 
 def test_mu_zero_degenerates_to_real_spectra():
@@ -296,7 +296,7 @@ def test_boundary_double_root_is_clustered():
     solutions, result = solve_model(make_sextic(SexticParams.from_mu(mu, 1)))
     assert [s.multiplicity for s in solutions] == [2, 2]
     assert result.found
-    assert max(abs(s.energy_shifted) for s in solutions) <= 1e-12
+    assert max(abs(s.energy_base + result.shift) for s in solutions) <= 1e-12
     assert max(s.eigvec_residual for s in solutions) <= 1e-12
 
 
@@ -332,14 +332,14 @@ def test_high_spin_blocks_stay_accurate():
             reference, kappas = high_precision_spectrum(block.entries)
             pairs = eigen_solve(block)
             assert len(pairs) == n
-            assert max(p.residual for p in pairs) <= 1e-12
+            assert max(p.eigvec_residual for p in pairs) <= 1e-12
             trace = sum(block.diag)
-            assert rel_err(sum(p.value for p in pairs), trace) <= 1e-10
+            assert rel_err(sum(p.energy_base for p in pairs), trace) <= 1e-10
             for p in pairs:
-                gaps = [abs(p.value - r) for r in reference]
+                gaps = [abs(p.energy_base - r) for r in reference]
                 k = min(range(n), key=gaps.__getitem__)
                 assert gaps[k] <= 10.0 * kappas[k] * n * sys.float_info.epsilon * norm, (
-                    model.family, model.params, p.value
+                    model.family, model.params, p.energy_base
                 )
 
 
@@ -350,7 +350,7 @@ def test_solve_refuses_degraded_residuals(monkeypatch):
 
     def degraded(block):
         pairs = honest(block)
-        return [dataclasses.replace(pairs[0], residual=1e-6)] + pairs[1:]
+        return [dataclasses.replace(pairs[0], eigvec_residual=1e-6)] + pairs[1:]
 
     monkeypatch.setattr(spectrum, "eigen_solve", degraded)
     with pytest.raises(ConvergenceFailureError) as info:
@@ -371,9 +371,12 @@ def test_aberth_step_cap_reports_best_and_defect(monkeypatch):
 
 
 def test_solution_invariants():
-    solutions, _ = solve_model(make_morse(MorseParams.from_mu(1.0, 3)))
+    model = make_morse(MorseParams.from_mu(1.0, 3))
+    report, _ = cli.build_report(model)
+    for level in report.levels:
+        assert level.energy_shifted == level.energy_base + report.shift
+    solutions, _ = solve_model(model)
     for s in solutions:
-        assert s.energy_shifted == s.energy_base + s.shift
         assert s.eigvec_residual <= 1e-10
         first = next(c for c in s.phi_coeffs.coeffs if abs(c) > 0)
         assert first == 1.0
