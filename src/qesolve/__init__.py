@@ -12,8 +12,6 @@ discretization cross-check of each eigenvalue.
 from .analysis import (
     GridSpec,
     default_grid,
-    default_residual_sample,
-    fd_refine_energy,
     fd_verify,
     is_pt_symmetric,
     norm_squared,

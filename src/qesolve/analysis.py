@@ -15,17 +15,19 @@ Verification is deliberately redundant:
     halves h until the sum settles, reusing every earlier sample.  For an
     analytic, super-exponentially decaying integrand the rule converges
     geometrically in 1/h.
-  * is_pt_symmetric tests V*(-x) = V(x) including the additive shift.
+  * is_pt_symmetric tests V*(-x) = V(x) including the additive shift, each
+    coefficient against the conjugate of its mirror term's.
   * partner_potentials evaluates the isospectral pair W^2 -/+ W' from the
     model's own superpotential.
-  * fd_verify discretizes a model's Hamiltonian, shifted by its one
-    constant, once on a second-order central-difference Dirichlet grid and
-    refines each energy_base + shift on it by inverse iteration: one complex
+  * fd_verify builds a model's Hamiltonian, shifted by its one constant,
+    once on a second-order central-difference Dirichlet grid and refines
+    each energy_base + shift on it by inverse iteration: one complex
     tridiagonal LU per level and about three solves, each giving the
-    bilinear quotient u^T H u / u^T u without a product by H.  On a grid
-    symmetric about 0 the even sextic potential keeps each sector's
-    parity, so sextic levels are refined on the x > 0 half of the grid
-    alone, where no level of the other parity exists to mix in.
+    bilinear quotient u^T H u / u^T u without a product by H.  The grid
+    keeps all its points, except that on a grid symmetric about 0 the even
+    sextic potential keeps each sector's parity, so sextic levels are
+    refined on the x > 0 half alone, where no level of the other parity
+    exists to mix in.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .cpoly import (
     poly_add,
@@ -49,6 +51,9 @@ from .errors import ConvergenceFailureError, NumericOverflowError, ValidationErr
 from .families import MORSE, ODD, SEXTIC, QesModel, potential_eval
 from .spectrum import QesSolution
 from .tridiag import tridiag_factor, tridiag_solve
+
+
+MAX_POINTS = 10**6  # the most points a grid, a scan or a partner sample may hold
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,8 @@ class GridSpec:
             raise ValidationError("grid needs an integer number of points")
         if self.n_points < 64:
             raise ValidationError("grid needs at least 64 points")
+        if self.n_points > MAX_POINTS:
+            raise ValidationError(f"grid needs at most {MAX_POINTS} points")
 
 
 def psi_eval(model: QesModel, solution: QesSolution, x: float) -> complex:
@@ -78,24 +85,17 @@ def psi_eval(model: QesModel, solution: QesSolution, x: float) -> complex:
 RESIDUAL_SAMPLE_COUNT = 21
 
 
-def default_residual_sample(model: QesModel) -> list[float]:
-    """Sample abscissas covering the region where the block polynomials have weight."""
-    if model.family == SEXTIC:
-        lo, hi = -1.5, 1.5
-    else:
-        lo, hi = -1.0, 3.0
-    step = (hi - lo) / (RESIDUAL_SAMPLE_COUNT - 1)
-    return [lo + i * step for i in range(RESIDUAL_SAMPLE_COUNT)]
-
-
-def residual_sup(model: QesModel, solution: QesSolution, sample: Sequence[float]) -> float:
-    """Scaled sup of the z-space equation residual over the sample.
+def residual_sup(model: QesModel, solution: QesSolution) -> float:
+    """Scaled sup of the z-space equation residual over RESIDUAL_SAMPLE_COUNT points.
 
     Returns max_x |R(g(x))| / max-coefficient of p2 phi'' + p1 phi' + p0 phi,
     with R assembled coefficient-wise; at most 1e-10 for genuine eigenpairs.
+    The points are evenly spaced over the region where the block polynomials
+    have weight: [-1.5, 1.5] for sextic, [-1, 3] for Morse.
     """
-    if not sample:
-        raise ValidationError("residual_sup needs a nonempty sample")
+    lo, hi = (-1.5, 1.5) if model.family == SEXTIC else (-1.0, 3.0)
+    step = (hi - lo) / (RESIDUAL_SAMPLE_COUNT - 1)
+    sample = [lo + i * step for i in range(RESIDUAL_SAMPLE_COUNT)]
     p2, p1, p0 = model.ode
     phi = solution.phi_coeffs
     d1 = poly_derivative(phi)
@@ -204,23 +204,17 @@ PT_TOL = 1e-9
 
 
 def is_pt_symmetric(model: QesModel, shift: complex = 0.0j) -> bool:
-    """Test V*(-x) = V(x) for the shifted potential.
+    """Test V*(-x) = V(x) for the shifted potential, coefficient by coefficient.
 
-    The sextic potential is even in x, so the test reduces to all
-    coefficients (and the shift) being real; the Morse test compares
-    function values on a symmetric sample.
+    Each coefficient c must match the conjugate of its mirror m,
+    |c - conj(m)| <= 2 PT_TOL max(1, |c|).  A sextic x^{2m} term and the
+    shift are their own mirrors, so they must be real; a Morse e^{kx} term
+    mirrors e^{-kx}, so the Morse coefficients pair with their reverse.
     """
-    shift = complex(shift)
-    if model.family == SEXTIC:
-        values = list(model.potential_coeffs) + [shift]
-        return all(abs(v.imag) <= PT_TOL * max(1.0, abs(v)) for v in values)
-    count = 64
-    xs = [-3.0 + 6.0 * i / (count - 1) for i in range(count)]
-    vals = [potential_eval(model, x) + shift for x in xs]
-    mirrored = [(potential_eval(model, -x) + shift).conjugate() for x in xs]
-    scale = max(1.0, max(abs(v) for v in vals))
-    defect = max(abs(a - b) for a, b in zip(vals, mirrored))
-    return defect <= PT_TOL * scale
+    coeffs = model.potential_coeffs
+    mirrors = coeffs if model.family == SEXTIC else coeffs[::-1]
+    pairs = zip((*coeffs, complex(shift)), (*mirrors, complex(shift)))
+    return all(abs(c - m.conjugate()) <= 2.0 * PT_TOL * max(1.0, abs(c)) for c, m in pairs)
 
 
 def partner_potentials(model: QesModel, x: float) -> tuple[complex, complex]:
@@ -278,30 +272,15 @@ def _inverse_iteration(factors, sigma: complex, v: Sequence[complex]) -> complex
 
 
 def _refine_levels(off: list[float], diag: list[complex], predicted: Sequence[complex]) -> list:
-    """Refine each prediction on tridiag(off, diag, off) from a ramp (it carries both parities)."""
+    """Refine each prediction on tridiag(off, diag, off) from a ramp (it carries both parities).
+
+    The off-diagonals are nonzero, so only the last pivot can vanish, and
+    tridiag_factor replaces it by eps * ||H||.
+    """
     n = len(diag)
     start = [1.0 + (i + 1.0) / n for i in range(n)]
     sigmas = [guess + FD_SHIFT_OFFSET for guess in predicted]
     return [_inverse_iteration(tridiag_factor(off, diag, off, s), s, start) for s in sigmas]
-
-
-def fd_refine_energy(
-    potential: Callable[[float], complex],
-    x_min: float,
-    x_max: float,
-    n_points: int,
-    predicted: Sequence[complex],
-) -> list[complex]:
-    """Refine each of `predicted` on the central-difference Dirichlet Hamiltonian.
-
-    H samples the potential once per interior point.  The off-diagonals
-    are -1/h^2, so only the last pivot can vanish, and tridiag_factor
-    replaces it by eps * ||H||.
-    """
-    h = (x_max - x_min) / (n_points + 1)
-    inv_h2 = 1.0 / (h * h)
-    diag = [2.0 * inv_h2 + potential(x_min + (i + 1) * h) for i in range(n_points)]
-    return _refine_levels([-inv_h2] * (n_points - 1), diag, predicted)
 
 
 def default_grid(model: QesModel, n_points: int = FD_GRID_N) -> GridSpec:
@@ -317,34 +296,29 @@ def fd_verify(
     """Grid check of a model's levels on one grid: (refined values, max |refined - predicted|).
 
     The grid Hamiltonian carries the model's potential shift (solve_model's
-    ShiftResult.shift), and each level predicts energy_base + shift.  A
-    sextic model on a grid symmetric about 0 is discretized on the x > 0
-    half only, with the mirror neighbour psi(-x) = +/-psi(x) of its sector
-    folded in; every other grid keeps all its points (fd_refine_energy).
+    ShiftResult.shift), and each level predicts energy_base + shift.  Its
+    diagonal samples the potential once per kept point.  A sextic model on
+    a grid symmetric about 0 keeps the x > 0 half only, with the mirror
+    neighbour psi(-x) = +/-psi(x) of its sector folded in; every other grid
+    keeps all its points.
     """
-    if grid is None:
-        grid = default_grid(model)
-
-    def shifted_potential(x: float) -> complex:
-        return potential_eval(model, x, shift)
-
+    grid = grid or default_grid(model)
     predicted = [s.energy_base + shift for s in solutions]
     n = grid.n_points
-    if model.family == SEXTIC and grid.x_min == -grid.x_max:
-        # an odd n puts a point at x = 0; an odd psi vanishes there, and an
-        # even psi couples to its two equal neighbours by -2/h^2, which
-        # scaling psi(0) by 1/sqrt(2) makes a symmetric -sqrt(2)/h^2
-        odd = model.params.sector == ODD
-        h = (grid.x_max - grid.x_min) / (n + 1)
-        inv_h2 = 1.0 / (h * h)
-        first = n // 2 + (n % 2 == 1 and odd)
-        diag = [2.0 * inv_h2 + shifted_potential(grid.x_min + (i + 1) * h) for i in range(first, n)]
-        off = [-inv_h2] * (n - first - 1)
-        if n % 2 == 0:
-            diag[0] += inv_h2 if odd else -inv_h2
-        elif not odd:
-            off[0] *= math.sqrt(2.0)
-        refined = _refine_levels(off, diag, predicted)
-    else:
-        refined = fd_refine_energy(shifted_potential, grid.x_min, grid.x_max, n, predicted)
+    h = (grid.x_max - grid.x_min) / (n + 1)
+    inv_h2 = 1.0 / (h * h)
+    half = model.family == SEXTIC and grid.x_min == -grid.x_max
+    odd = half and model.params.sector == ODD
+    # an odd n puts a point at x = 0; an odd psi vanishes there, and an even
+    # psi couples to its two equal neighbours by -2/h^2, which scaling psi(0)
+    # by 1/sqrt(2) makes a symmetric -sqrt(2)/h^2
+    first = n // 2 + (n % 2 == 1 and odd) if half else 0
+    xs = [grid.x_min + (i + 1) * h for i in range(first, n)]
+    diag = [2.0 * inv_h2 + potential_eval(model, x, shift) for x in xs]
+    off = [-inv_h2] * (n - first - 1)
+    if half and n % 2 == 0:
+        diag[0] += inv_h2 if odd else -inv_h2
+    elif half and not odd:
+        off[0] *= math.sqrt(2.0)
+    refined = _refine_levels(off, diag, predicted)
     return tuple(refined), max(abs(r - p) for r, p in zip(refined, predicted))

@@ -16,15 +16,13 @@ import dataclasses
 import json
 import math
 import sys
-import types
-import typing
 from dataclasses import dataclass
 
 from .analysis import (
     FD_GRID_N,
+    MAX_POINTS,
     GridSpec,
     default_grid,
-    default_residual_sample,
     fd_verify,
     is_pt_symmetric,
     norm_squared,
@@ -143,31 +141,6 @@ class RunReport:
     pt_symmetric: bool
     published_comparison: tuple[str, ...]
     verification: VerificationReport | None
-
-
-def _decode(tp, value):
-    """Rebuild a value of annotated type tp from its to_json form."""
-    if value is None:
-        return None
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):  # X | None
-        (tp,) = [a for a in args if a is not type(None)]
-        return _decode(tp, value)
-    if origin is tuple:  # tuple[T, ...]
-        return tuple(_decode(args[0], v) for v in value)
-    if dataclasses.is_dataclass(tp):
-        hints = typing.get_type_hints(tp)
-        return tp(**{f.name: _decode(hints[f.name], value[f.name]) for f in dataclasses.fields(tp)})
-    if tp is complex:
-        return complex(value["re"], value["im"])
-    if tp is dict:  # report parameters: complex, number, string or null values
-        return {k: _decode(complex, v) if isinstance(v, dict) else v for k, v in value.items()}
-    return value
-
-
-def report_from_dict(data: dict) -> RunReport:
-    """Inverse of json.loads(render_report(r))."""
-    return _decode(RunReport, data)
 
 
 def render_report(r: RunReport) -> str:
@@ -305,8 +278,7 @@ def build_report(
 ) -> tuple[RunReport, bool]:
     """Solve (and optionally verify) a model; returns the report and pass/fail."""
     solutions, shift_result = solve_model(model)
-    sample = default_residual_sample(model)
-    rsup = max(residual_sup(model, s, sample) for s in solutions)
+    rsup = max(residual_sup(model, s) for s in solutions)
     shift = shift_result.shift
     pt = is_pt_symmetric(model, shift)
     notes = published_comparison(model, solutions, shift_result)
@@ -412,6 +384,12 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return lo, step, int(span + 1e-9) + 1
 
 
+def _check_size(flag: str, count: int, what: str) -> None:
+    """Refuse a flag asking for more than MAX_POINTS points, rows or samples, before any exist."""
+    if count > MAX_POINTS:
+        raise ValidationError(f"{flag} asks for more than {MAX_POINTS} {what}")
+
+
 def _add_family_flags(sub: argparse.ArgumentParser, with_mu: bool = True) -> None:
     sub.add_argument("--family", required=True, choices=(SEXTIC, MORSE))
     sub.add_argument("--two-j", required=True, type=int, help="2j, a non-negative integer")
@@ -465,6 +443,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     model = _resolve_model(args, args.mu)
+    _check_size("--grid-n", args.grid_n, "grid points")
     if args.domain is not None:
         x_min, x_max = _parse_pair(args.domain, "--domain")
         grid = GridSpec(x_min, x_max, args.grid_n)
@@ -478,6 +457,7 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     lo, step, count = _parse_range(args.mu_range)
     _resolve_model(args, lo)  # conflicting flags fail even when the range is empty
+    _check_size("--mu-range", count * (args.two_j + 1), "rows")
     lines = [SCAN_HEADER]
     for k in range(count):
         mu = lo + k * step
@@ -508,6 +488,7 @@ def cmd_partner(args) -> int:
     n = args.samples
     if n < 1:
         raise ValidationError("--samples must be at least 1")
+    _check_size("--samples", n, "samples")
     xs = [x_min] if n == 1 else [x_min + i * (x_max - x_min) / (n - 1) for i in range(n)]
     rows = []
     for x in xs:

@@ -9,7 +9,6 @@ import math
 from qesolve import analysis
 from qesolve.analysis import (
     GridSpec,
-    default_residual_sample,
     fd_verify,
     is_pt_symmetric,
     norm_squared,
@@ -85,8 +84,7 @@ def test_criterion_03_morse_single_level():
 def test_criterion_04_morse_two_level_adjudication():
     model = make_morse(MorseParams.from_mu(1.0, 1, a=1.0, d=1.0))
     solutions, result = solve_model(model)
-    sample = default_residual_sample(model)
-    worst = max(residual_sup(model, s, sample) for s in solutions)
+    worst = max(residual_sup(model, s) for s in solutions)
     assert worst <= 1e-10
     report, _ = build_report(model)
     notes = " ".join(report.published_comparison)
@@ -105,9 +103,8 @@ def test_criterion_05_residual_suite():
         models += [reality_regime_morse(rng, two_j) for _ in range(5)]
         for model in models:
             solutions, _ = solve_model(model)
-            sample = default_residual_sample(model)
             for s in solutions:
-                worst = max(worst, residual_sup(model, s, sample))
+                worst = max(worst, residual_sup(model, s))
     assert worst <= 1e-10
     _passed(5, f"50 models, every eigenpair residual <= 1e-10 (worst {worst:.2e})")
 

@@ -10,8 +10,6 @@ from qesolve import analysis
 from qesolve.analysis import (
     GridSpec,
     default_grid,
-    default_residual_sample,
-    fd_refine_energy,
     fd_verify,
     is_pt_symmetric,
     norm_squared,
@@ -79,16 +77,15 @@ def test_residual_vanishes_for_true_eigenpairs():
         models += [reality_regime_morse(rng, two_j) for _ in range(5)]
         for model in models:
             solutions, _ = solve_model(model)
-            sample = default_residual_sample(model)
             for s in solutions:
-                assert residual_sup(model, s, sample) <= 1e-10
+                assert residual_sup(model, s) <= 1e-10
 
 
 def test_residual_detects_wrong_energy():
     model = make_sextic(SexticParams.from_mu(1.0, 1))
     solutions, _ = solve_model(model)
     broken = dataclasses.replace(solutions[0], energy_base=solutions[0].energy_base + 0.1)
-    assert residual_sup(model, broken, default_residual_sample(model)) >= 1e-3
+    assert residual_sup(model, broken) >= 1e-3
 
 
 def test_residual_spin_zero_bracket():
@@ -96,16 +93,10 @@ def test_residual_spin_zero_bracket():
     model = make_sextic(SexticParams.from_mu(0.8, 0))
     solutions, _ = solve_model(model)
     assert solutions[0].energy_base == 0.8j
-    good = residual_sup(model, solutions[0], default_residual_sample(model))
+    good = residual_sup(model, solutions[0])
     assert good <= 1e-12
     broken = dataclasses.replace(solutions[0], energy_base=solutions[0].energy_base - 0.05)
-    assert residual_sup(model, broken, default_residual_sample(model)) >= 1e-3
-
-
-def test_residual_needs_sample():
-    w = _solved(make_sextic(SexticParams.from_mu(1.0, 0)))
-    with pytest.raises(ValidationError):
-        residual_sup(*w, [])
+    assert residual_sup(model, broken) >= 1e-3
 
 
 def test_psi_overflow_for_growing_gauge():
@@ -245,6 +236,9 @@ def test_pt_symmetry_sextic():
     assert not is_pt_symmetric(fixture, shift=-3j)
     real_case = make_sextic(SexticParams.from_mu(0.0, 1))
     assert is_pt_symmetric(real_case, shift=0.0)
+    # the shift is its own mirror, so it must be real
+    assert is_pt_symmetric(real_case, shift=0.5)
+    assert not is_pt_symmetric(real_case, shift=0.5j)
 
 
 def test_pt_symmetry_morse():
@@ -252,8 +246,17 @@ def test_pt_symmetry_morse():
     assert is_pt_symmetric(symmetric)
     lopsided = make_morse(MorseParams(a=1.0, d=2.0, b=0.0, two_j=0))
     assert not is_pt_symmetric(lopsided)
+    nearly = make_morse(MorseParams(a=1.0, d=1.0 + 1e-6, b=0.0, two_j=0))
+    assert not is_pt_symmetric(nearly)
     fixture = make_morse(MorseParams.from_mu(1.0, 0))
     assert not is_pt_symmetric(fixture, shift=-1.5j)
+    # only at 2j = 3 is the e^x coefficient -4 + i mu the conjugate of the
+    # e^{-x} coefficient -(2j - 2 + i mu)
+    for mu in (0.0, 0.7, 1.4):
+        for two_j in (2, 3, 4):
+            model = make_morse(MorseParams.from_mu(mu, two_j))
+            _, result = solve_model(model)
+            assert is_pt_symmetric(model, result.shift) == (two_j == 3), (mu, two_j)
 
 
 def _partner_difference(model, x):
@@ -348,9 +351,15 @@ def test_zero_pivot_uses_the_unshifted_norm():
     assert zero[0] == [1.0 + 0j, 1.0 + 0j]
 
 
+def _free_particle(n_points):
+    """(off, diag) of -d^2/dx^2 on n_points interior points of the Dirichlet box [0, pi]."""
+    h = math.pi / (n_points + 1)
+    return [-1.0 / (h * h)] * (n_points - 1), [2.0 / (h * h) + 0j] * n_points
+
+
 def test_fd_free_particle_second_order():
-    (refined,) = fd_refine_energy(lambda x: 0.0j, 0.0, math.pi, 500, [1.0 + 0j])
-    (finer,) = fd_refine_energy(lambda x: 0.0j, 0.0, math.pi, 1001, [1.0 + 0j])
+    (refined,) = analysis._refine_levels(*_free_particle(500), [1.0 + 0j])
+    (finer,) = analysis._refine_levels(*_free_particle(1001), [1.0 + 0j])
     defect, defect_fine = abs(refined - 1.0), abs(finer - 1.0)
     assert defect <= 1e-4
     assert 3.2 <= defect / defect_fine <= 4.8
@@ -543,22 +552,26 @@ def test_fd_verify_all_levels_equals_per_level(model):
     assert defect == max(d for _, d in singles)
 
 
-def test_fd_refine_samples_potential_once():
+def test_fd_refine_samples_potential_once(monkeypatch):
+    # a Morse grid keeps all its points: one potential sample at each
+    model = make_morse(MorseParams.from_mu(0.7, 2))
+    solutions, result = solve_model(model)
     calls = []
 
-    def counting_potential(x):
-        calls.append(x)
-        return x * x + 0j
+    def counting_potential(*args):
+        calls.append(args[1])
+        return potential_eval(*args)
 
-    refined = fd_refine_energy(counting_potential, -6.0, 6.0, 300, [1.0, 3.0, 5.0])
+    monkeypatch.setattr(analysis, "potential_eval", counting_potential)
+    refined, _ = fd_verify(model, solutions, result.shift, GridSpec(-12.0, 4.0, 300))
     assert len(refined) == 3
-    assert len(calls) == 300
+    assert len(calls) == len(set(calls)) == 300
 
 
 def test_fd_inverse_iteration_budget(monkeypatch):
     monkeypatch.setattr(analysis, "FD_MAX_STEPS", 1)
     with pytest.raises(ConvergenceFailureError):
-        fd_refine_energy(lambda x: 0.0j, 0.0, math.pi, 200, [1.0 + 0j])
+        analysis._refine_levels(*_free_particle(200), [1.0 + 0j])
 
 
 def test_grid_validation():
@@ -569,7 +582,7 @@ def test_grid_validation():
     for x_min, x_max in ((-math.inf, 6.0), (-6.0, math.inf)):
         with pytest.raises(ValidationError):
             GridSpec(x_min, x_max, 100)
-    for n_points in (100.5, 100.0, True):
+    for n_points in (100.5, 100.0, True, 10**6 + 1):
         with pytest.raises(ValidationError):
             GridSpec(-6.0, 6.0, n_points)
 

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -13,7 +15,6 @@ from qesolve.cli import (
     build_report,
     main,
     render_report,
-    report_from_dict,
 )
 from qesolve.families import MorseParams, SexticParams, make_morse, make_sextic
 from qesolve.analysis import GridSpec
@@ -69,10 +70,23 @@ def test_solve_morse_explicit_b(capsys):
     assert data["published_comparison"] == []  # no mu, no published fixture to compare
 
 
+def _as_json(value):
+    """value as json.loads reads back its render: complex as {re, im}, tuples as lists."""
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _as_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_json(v) for v in value]
+    return value
+
+
 def test_report_round_trip():
+    # floats print at 17 significant digits, so json.loads recovers every double
     report, _ = build_report(make_morse(MorseParams.from_mu(1.0, 1)))
-    again = report_from_dict(json.loads(render_report(report)))
-    assert again == report
+    assert json.loads(render_report(report)) == _as_json(report)
 
 
 def test_report_round_trip_with_verification():
@@ -82,8 +96,7 @@ def test_report_round_trip_with_verification():
         grid=GridSpec(-6.0, 6.0, 200),
     )
     assert ok
-    again = report_from_dict(json.loads(render_report(report)))
-    assert again == report
+    assert json.loads(render_report(report)) == _as_json(report)
 
 
 def test_byte_determinism(capsys):
@@ -263,6 +276,21 @@ def test_non_finite_numbers_rejected(capsys, argv, flag):
     assert err.startswith(f"error: {flag} needs finite numbers")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ((*_SCAN, "0:1e300:1"), "--mu-range"),
+        (("verify", *_MODEL, "--grid-n", "1000000001"), "--grid-n"),
+        (("partner", *_MODEL, "--samples", "1000000000000"), "--samples"),
+    ],
+)
+def test_sizes_are_bounded(capsys, argv, flag):
+    # each fails validation before anything of the requested size is allocated
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag} asks for more than 1000000 ")
+
+
 def test_convergence_failure_reports_detail(capsys, monkeypatch):
     from qesolve import spectrum
 
@@ -316,3 +344,31 @@ def test_fixture_report_matches_golden_output():
     assert result.returncode == 0 and result.stderr == b""
     with open(os.path.join(ROOT, "tests", "golden", "fixture_report.txt"), "rb") as fh:
         assert result.stdout == fh.read()
+
+
+# Each case exits 0: default grids, a centre point with its sqrt(2) coupling
+# (odd n on a symmetric sextic grid), odd-sector half grids, and full grids
+# (an asymmetric domain, and Morse).
+VERIFY_GOLDEN_CASES = (
+    ("--family", "sextic", "--two-j", "2", "--mu", "0.7"),
+    ("--family", "sextic", "--sector", "odd", "--two-j", "3", "--mu", "0.7", "--grid-n", "701"),
+    ("--family", "sextic", "--two-j", "1", "--mu", "1", "--grid-n", "65"),
+    ("--family", "sextic", "--two-j", "1", "--mu", "1", "--domain=-5,6"),
+    ("--family", "morse", "--two-j", "2", "--mu", "0.7"),
+    ("--family", "morse", "--two-j", "1", "--mu", "0.7", "--grid-n", "257", "--domain=-10,3"),
+)
+
+
+def verify_golden_output() -> bytes:
+    """The concatenated stdout of `verify` on VERIFY_GOLDEN_CASES."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for case in VERIFY_GOLDEN_CASES:
+            assert main(["verify", *case]) == 0, case
+    return out.getvalue().encode()
+
+
+def test_verify_reports_match_golden_output():
+    # grid checks stay byte-identical; a change to any digit shows up here
+    with open(os.path.join(ROOT, "tests", "golden", "verify_report.txt"), "rb") as fh:
+        assert verify_golden_output() == fh.read()
