@@ -7,9 +7,11 @@ polynomial phi and the model's change of variable and gauge factor.
 Verification is deliberately redundant:
 
   * residual_sup evaluates the gauged equation symbolically in z.  The
-    bracket R = p2 phi'' + p1 phi' + (p0 - E) phi is assembled with exact
-    polynomial arithmetic, so for a genuine eigenpair its coefficients
-    cancel to roundoff and no numerical differentiation ever happens.
+    bracket R = p2 phi'' + p1 phi' + (p0 - E) phi is assembled coefficient
+    by coefficient, with no sample points and no numerical differentiation,
+    and its largest coefficient is divided by the largest sum of the
+    magnitudes of the four terms that make it up: the normwise backward
+    error of phi, rounding-sized for a genuine eigenpair.
   * norm_squared integrates |psi|^2 by the trapezoidal rule on the nodes
     x = k*h: it doubles the interval until the tail is negligible, then
     halves h until the sum settles, reusing every earlier sample.  For an
@@ -21,9 +23,13 @@ Verification is deliberately redundant:
     model's own superpotential.
   * fd_verify builds a model's Hamiltonian, shifted by its one constant,
     once on a second-order central-difference Dirichlet grid and refines
-    each energy_base + shift on it by inverse iteration: one complex
-    tridiagonal LU per level and about three solves, each giving the
-    bilinear quotient u^T H u / u^T u without a product by H.  The grid
+    each energy_base + shift on it by Newton on det(H - zI), each step one
+    O(n) pass of the LDL^T pivot recurrence for p'/p.  A Newton root within
+    the level's defect bound of the prediction is kept; any other level
+    falls back to inverse iteration, one complex tridiagonal LU and about
+    three solves, each giving the bilinear quotient u^T H u / u^T u without
+    a product by H, which names the grid eigenvalue nearest the prediction
+    however far off it lies.  The grid
     keeps all its points, except that on a grid symmetric about 0 the even
     sextic potential keeps each sector's parity, so sextic levels are
     refined on the x > 0 half alone, where no level of the other parity
@@ -36,21 +42,14 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
-from .cpoly import (
-    poly_add,
-    poly_derivative,
-    poly_eval,
-    poly_eval_bounded,
-    poly_mul,
-    poly_scale,
-    poly_sub,
-)
+from .cpoly import poly_derivative, poly_eval, poly_eval_bounded, poly_mul, poly_scale
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import MORSE, ODD, SEXTIC, QesModel, potential_eval
 from .spectrum import QesSolution
-from .tridiag import tridiag_factor, tridiag_solve
+from .tridiag import tridiag_factor, tridiag_log_derivative, tridiag_solve
 
 
 MAX_POINTS = 10**6  # the most points a grid, a scan or a partner sample may hold
@@ -82,28 +81,24 @@ def psi_eval(model: QesModel, solution: QesSolution, x: float) -> complex:
     return poly_eval(solution.phi_coeffs, model.z_of_x(x)) * model.decay_factor(x)
 
 
-RESIDUAL_SAMPLE_COUNT = 21
-
-
 def residual_sup(model: QesModel, solution: QesSolution) -> float:
-    """Scaled sup of the z-space equation residual over RESIDUAL_SAMPLE_COUNT points.
+    """Normwise backward error of a level in the z-space equation; 0 when every term is 0.
 
-    Returns max_x |R(g(x))| / max-coefficient of p2 phi'' + p1 phi' + p0 phi,
-    with R assembled coefficient-wise; at most 1e-10 for genuine eigenpairs.
-    The points are evenly spaced over the region where the block polynomials
-    have weight: [-1.5, 1.5] for sextic, [-1, 3] for Morse.
+    With a, b, c the coefficients of p2 phi'', p1 phi' and p0 phi, and
+    r = a + b + c - E phi those of the residual R, returns
+    max_k |r_k| / max_k (|a_k| + |b_k| + |c_k| + |E phi_k|) (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 7.1); at most
+    1e-10 for genuine eigenpairs.  It reads no sample points, so it stays
+    rounding-sized where every term vanishes at some z (E = 0 at z = 0).
     """
-    lo, hi = (-1.5, 1.5) if model.family == SEXTIC else (-1.0, 3.0)
-    step = (hi - lo) / (RESIDUAL_SAMPLE_COUNT - 1)
-    sample = [lo + i * step for i in range(RESIDUAL_SAMPLE_COUNT)]
     p2, p1, p0 = model.ode
     phi = solution.phi_coeffs
     d1 = poly_derivative(phi)
-    d2 = poly_derivative(d1)
-    operator_part = poly_add(poly_add(poly_mul(p2, d2), poly_mul(p1, d1)), poly_mul(p0, phi))
-    residual = poly_sub(operator_part, poly_scale(phi, solution.energy_base))
-    scale = max(max((abs(c) for c in operator_part.coeffs), default=0.0), 1e-300)
-    return max(abs(poly_eval(residual, model.z_of_x(x))) for x in sample) / scale
+    a, b, c = poly_mul(p2, poly_derivative(d1)), poly_mul(p1, d1), poly_mul(p0, phi)
+    e = poly_scale(phi, -solution.energy_base)
+    columns = list(zip_longest(a.coeffs, b.coeffs, c.coeffs, e.coeffs, fillvalue=0j))
+    scale = max((sum(map(abs, col)) for col in columns), default=0.0)
+    return max(abs(sum(col)) for col in columns) / scale if scale else 0.0
 
 
 # Trapezoidal rule on the line: nodes x = k*h, |x| <= half-width.
@@ -233,16 +228,44 @@ def partner_potentials(model: QesModel, x: float) -> tuple[complex, complex]:
     return v_minus, v_plus
 
 
-# Inverse-iteration shift offset from the predicted eigenvalue, the
-# agreement of successive quotients that ends the iteration, the least
-# |u^T u| / ||u||^2 trusted (grids measured keep it above 4.9e-7; rounding
-# leaves an isotropic u at about 1e-16), the solves allowed per level and
-# the default grid's interior points.
+# Newton steps allowed per level before the fallback (every default-grid
+# level of a block with 2j <= 5 settles in 3; coarse grids and large 2j can
+# take more than 20), the inverse-iteration shift offset from the predicted
+# eigenvalue, the step (Newton) or the agreement of successive quotients
+# (inverse iteration) that ends the refinement, the least |u^T u| / ||u||^2
+# trusted (grids measured keep it above 4.9e-7; rounding leaves an isotropic
+# u at about 1e-16), the solves allowed per level and the default grid's
+# interior points.
+FD_NEWTON_STEPS = 6
 FD_SHIFT_OFFSET = 1e-4
 FD_RQ_TOL = 1e-10
 FD_ISOTROPY_TOL = 1e-12
 FD_MAX_STEPS = 200
 FD_GRID_N = 2000
+# Second-order truncation budget of a level on the default grid.
+FD_REFERENCE_DEFECT = 5e-3
+
+
+def _newton_root(
+    diag: list[complex], prod: list[float], guess: complex, radius: float
+) -> complex | None:
+    """Eigenvalue of H within radius of guess by Newton on det(H - zI), or None.
+
+    Each step is 1 / (p'/p) from tridiag_log_derivative; a root is returned
+    once a step is below FD_RQ_TOL.  None means the level needs inverse
+    iteration: a step that is not finite, an iterate farther than radius
+    from guess, or FD_NEWTON_STEPS steps without settling.
+    """
+    z = guess
+    for _ in range(FD_NEWTON_STEPS):
+        ratio = tridiag_log_derivative(diag, prod, z)
+        step = 1.0 / ratio if ratio else complex(math.inf)
+        z -= step
+        if not cmath.isfinite(step) or abs(z - guess) > radius:
+            return None
+        if abs(step) < FD_RQ_TOL:
+            return z
+    return None
 
 
 def _inverse_iteration(factors, sigma: complex, v: Sequence[complex]) -> complex:
@@ -271,16 +294,29 @@ def _inverse_iteration(factors, sigma: complex, v: Sequence[complex]) -> complex
     )
 
 
-def _refine_levels(off: list[float], diag: list[complex], predicted: Sequence[complex]) -> list:
-    """Refine each prediction on tridiag(off, diag, off) from a ramp (it carries both parities).
+def _refine_levels(
+    off: list[float], diag: list[complex], predicted: Sequence[complex], radius: float
+) -> list:
+    """Refine each prediction on tridiag(off, diag, off): Newton, else inverse iteration.
 
-    The off-diagonals are nonzero, so only the last pivot can vanish, and
-    tridiag_factor replaces it by eps * ||H||.
+    A Newton root within radius of its prediction is kept.  Any other level
+    is refined by inverse iteration from prediction + FD_SHIFT_OFFSET and a
+    ramp start (it carries both parities), which finds the grid eigenvalue
+    nearest the shift wherever it lies.  The off-diagonals are nonzero, so
+    only the last LU pivot can vanish, and tridiag_factor replaces it by
+    eps * ||H||.
     """
-    n = len(diag)
-    start = [1.0 + (i + 1.0) / n for i in range(n)]
-    sigmas = [guess + FD_SHIFT_OFFSET for guess in predicted]
-    return [_inverse_iteration(tridiag_factor(off, diag, off, s), s, start) for s in sigmas]
+    prod = [0.0, *(c * c for c in off)]
+    refined = []
+    for guess in predicted:
+        root = _newton_root(diag, prod, guess, radius)
+        if root is None:
+            n = len(diag)
+            sigma = guess + FD_SHIFT_OFFSET
+            start = [1.0 + (i + 1.0) / n for i in range(n)]
+            root = _inverse_iteration(tridiag_factor(off, diag, off, sigma), sigma, start)
+        refined.append(root)
+    return refined
 
 
 def default_grid(model: QesModel, n_points: int = FD_GRID_N) -> GridSpec:
@@ -288,6 +324,14 @@ def default_grid(model: QesModel, n_points: int = FD_GRID_N) -> GridSpec:
     if model.family == SEXTIC:
         return GridSpec(-6.0, 6.0, n_points)
     return GridSpec(-12.0, 4.0, n_points)
+
+
+def fd_defect_bound(model: QesModel, grid: GridSpec) -> float:
+    """A level's allowed |refined - predicted|: FD_REFERENCE_DEFECT scaled by h^2."""
+    reference = default_grid(model)
+    h_ref = (reference.x_max - reference.x_min) / (reference.n_points + 1)
+    h = (grid.x_max - grid.x_min) / (grid.n_points + 1)
+    return max(FD_REFERENCE_DEFECT * (h / h_ref) ** 2, 1e-8)
 
 
 def fd_verify(
@@ -320,5 +364,5 @@ def fd_verify(
         diag[0] += inv_h2 if odd else -inv_h2
     elif half and not odd:
         off[0] *= math.sqrt(2.0)
-    refined = _refine_levels(off, diag, predicted)
+    refined = _refine_levels(off, diag, predicted, fd_defect_bound(model, grid))
     return tuple(refined), max(abs(r - p) for r, p in zip(refined, predicted))

@@ -23,6 +23,7 @@ from .analysis import (
     MAX_POINTS,
     GridSpec,
     default_grid,
+    fd_defect_bound,
     fd_verify,
     is_pt_symmetric,
     norm_squared,
@@ -51,7 +52,6 @@ from .spectrum import QesSolution, ShiftResult, solve_model
 SCAN_HEADER = "mu,level,re_base,im_base,re_shifted,im_shifted,shift_im,common_shift_found"
 
 RESIDUAL_TOLERANCE = 1e-10
-FD_REFERENCE_DEFECT = 5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +263,6 @@ def _parameters_dict(model: QesModel) -> dict:
     if model.family == SEXTIC:
         return {"a": p.a, "mu": p.mu, "sector": p.sector}
     return {"a": p.a, "d": p.d, "b": p.b, "mu": p.mu}
-
-
-def fd_defect_bound(model: QesModel, grid: GridSpec) -> float:
-    """Second-order truncation budget, scaled from the default grid."""
-    reference = default_grid(model)
-    h_ref = (reference.x_max - reference.x_min) / (reference.n_points + 1)
-    h = (grid.x_max - grid.x_min) / (grid.n_points + 1)
-    return max(FD_REFERENCE_DEFECT * (h / h_ref) ** 2, 1e-8)
 
 
 def build_report(

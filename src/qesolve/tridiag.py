@@ -6,7 +6,9 @@ diag[i] = A[i][i] and sup[i] = A[i][i+1].
 Both callers run inverse iteration on A - sigma I, factored by
 tridiag_factor(sub, diag, sup, sigma).  It replaces an exactly zero pivot
 by eps * ||A|| of the unshifted A: the tiny pivot inverse iteration wants
-at an exact eigenvalue, so no caller re-shifts.
+at an exact eigenvalue, so no caller re-shifts.  tridiag_log_derivative
+gives the grid check its Newton step from the pivots of the same
+elimination without pivoting, under the same zero-pivot rule.
 """
 
 from __future__ import annotations
@@ -53,6 +55,30 @@ def tridiag_factor(sub: list[complex], diag: list[complex], sup: list[complex], 
     if b[n - 1] == 0:
         b[n - 1] = zero_pivot()
     return b, c, d, mult, swap
+
+
+def tridiag_log_derivative(diag: list[complex], prod: list[complex], z: complex) -> complex:
+    """p'(z) / p(z) for p(z) = det(T - zI), in one O(n) pass.
+
+    T is given by its diagonal and coupling products, prod[k] = sub[k-1] *
+    sup[k-1] with prod[0] = 0.  The LDL^T pivots of T - zI follow
+    r_k = prod[k] / d_{k-1}, d_k = (diag[k] - z) - r_k, and p = prod_k d_k,
+    so p'/p is the sum of e_k = d_k' / d_k = (r_k e_{k-1} - 1) / d_k.  p
+    itself is never formed, so its growth or decay with n cannot under- or
+    overflow.  An exactly zero pivot is replaced by eps * ||T|| of the
+    unshifted T with its couplings balanced to |prod|^(1/2), as in
+    tridiag_factor.
+    """
+    d, e, total = 1.0, 0.0, 0.0j
+    for a, b in zip(diag, prod):
+        r = b / d
+        d = a - z - r
+        if not d:
+            coupling = [abs(c) ** 0.5 for c in prod[1:]]
+            d = sys.float_info.epsilon * tridiag_norm(coupling, diag, coupling) or 1.0
+        e = (r * e - 1.0) / d
+        total += e
+    return total
 
 
 def upper_solve(factors, y: list[complex]) -> list[complex]:

@@ -99,6 +99,49 @@ def test_residual_spin_zero_bracket():
     assert residual_sup(model, broken) >= 1e-3
 
 
+def test_residual_is_zero_when_every_term_vanishes():
+    # sextic 2j = 0 at mu = 0: phi = 1, E = 0 and p0 = 0, so R has no terms
+    model = make_sextic(SexticParams.from_mu(0.0, 0))
+    solutions, _ = solve_model(model)
+    assert residual_sup(model, solutions[0]) == 0.0
+
+
+def test_residual_of_an_energy_zero_level_is_rounding_sized():
+    # sextic 2j = 2 at mu = 0 has E = 0 exactly; a sampled ratio read 5.56
+    # at z = 0, where every term of the bracket vanishes
+    model = make_sextic(SexticParams.from_mu(0.0, 2))
+    solutions, _ = solve_model(model)
+    assert any(s.energy_base == 0 for s in solutions)
+    assert max(residual_sup(model, s) for s in solutions) <= 1e-15
+
+
+def _residual_control_models():
+    for two_j in (1, 2, 5):
+        for mu in (0.0, 0.7, 1.4):
+            yield make_sextic(SexticParams.from_mu(mu, two_j))
+            yield make_sextic(SexticParams.from_mu(mu, two_j, ODD))
+            yield make_morse(MorseParams.from_mu(mu, two_j))
+
+
+def test_residual_fails_the_gate_when_the_energy_moves():
+    for model in _residual_control_models():
+        solutions, _ = solve_model(model)
+        for s in solutions:
+            assert residual_sup(model, s) <= 1e-10
+            moved = s.energy_base + 1e-8 * max(1.0, abs(s.energy_base))
+            assert residual_sup(model, dataclasses.replace(s, energy_base=moved)) > 1e-10
+
+
+def test_residual_fails_the_gate_when_one_coefficient_moves():
+    for model in _residual_control_models():
+        solutions, _ = solve_model(model)
+        for s in solutions:
+            coeffs = list(s.phi_coeffs.coeffs)
+            coeffs[len(coeffs) // 2] += 1e-6 * max(map(abs, coeffs))
+            broken = dataclasses.replace(s, phi_coeffs=CPolynomial(coeffs))
+            assert residual_sup(model, broken) > 1e-10
+
+
 def test_psi_overflow_for_growing_gauge():
     # Re a < 0 flips the left tail of the Morse gauge into growth
     model = make_morse(MorseParams(a=-1.0, d=1.0, b=0.0, two_j=0))
@@ -351,6 +394,29 @@ def test_zero_pivot_uses_the_unshifted_norm():
     assert zero[0] == [1.0 + 0j, 1.0 + 0j]
 
 
+def test_log_derivative_matches_the_continuant():
+    from qesolve.spectrum import _newton_terms
+    from qesolve.tridiag import tridiag_log_derivative
+
+    rng = fresh_rng()
+    for n in (1, 2, 7):
+        diag = [complex(rng.uniform(-2, 2), rng.uniform(-1, 1)) for _ in range(n)]
+        prod = [0j] + [complex(rng.uniform(-2, 2), rng.uniform(-1, 1)) for _ in range(n - 1)]
+        for _ in range(5):
+            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            p, dp, _ = _newton_terms(diag, prod, [abs(b) for b in prod], z)
+            assert abs(tridiag_log_derivative(diag, prod, z) - dp / p) <= 1e-11 * abs(dp / p)
+
+
+def test_log_derivative_replaces_a_zero_pivot():
+    from qesolve.tridiag import tridiag_log_derivative
+
+    # [[0, 1], [1, 0]] at z = 0: the first pivot is exactly 0, and p = z^2 - 1
+    # has p'(0)/p(0) = 0; the eps * ||T|| stand-in leaves eps
+    value = tridiag_log_derivative([0j, 0j], [0.0, 1.0], 0j)
+    assert abs(value) <= 2.0 * sys.float_info.epsilon
+
+
 def _free_particle(n_points):
     """(off, diag) of -d^2/dx^2 on n_points interior points of the Dirichlet box [0, pi]."""
     h = math.pi / (n_points + 1)
@@ -358,8 +424,9 @@ def _free_particle(n_points):
 
 
 def test_fd_free_particle_second_order():
-    (refined,) = analysis._refine_levels(*_free_particle(500), [1.0 + 0j])
-    (finer,) = analysis._refine_levels(*_free_particle(1001), [1.0 + 0j])
+    # both grids refine by Newton: the roots lie well inside the 1e-3 disc
+    (refined,) = analysis._refine_levels(*_free_particle(500), [1.0 + 0j], 1e-3)
+    (finer,) = analysis._refine_levels(*_free_particle(1001), [1.0 + 0j], 1e-3)
     defect, defect_fine = abs(refined - 1.0), abs(finer - 1.0)
     assert defect <= 1e-4
     assert 3.2 <= defect / defect_fine <= 4.8
@@ -495,29 +562,106 @@ def test_fd_verify_cost_on_half_grid(sector, n_points, reduced, monkeypatch):
 
     model = make_sextic(SexticParams.from_mu(0.7, 2, sector))
     solutions, result = solve_model(model)
-    samples, factors = [], []
+    samples, passes = [], []
 
     def counting_potential(*args):
         samples.append(args[1])
         return potential_eval(*args)
 
-    def counting_factor(*args):
-        factors.append(len(args[1]))
-        return tridiag_factor(*args)
+    def counting_log_derivative(*args):
+        passes.append(len(args[0]))
+        return tridiag_log_derivative(*args)
+
+    def no_factor(*args):
+        raise AssertionError("an in-gate level was factored")
 
     def no_matvec(*args):
         raise AssertionError("the grid check multiplies by H")
 
-    tridiag_factor = analysis.tridiag_factor
+    tridiag_log_derivative = analysis.tridiag_log_derivative
     monkeypatch.setattr(analysis, "potential_eval", counting_potential)
-    monkeypatch.setattr(analysis, "tridiag_factor", counting_factor)
+    monkeypatch.setattr(analysis, "tridiag_log_derivative", counting_log_derivative)
+    monkeypatch.setattr(analysis, "tridiag_factor", no_factor)
     monkeypatch.setattr(qesolve.tridiag, "tridiag_matvec", no_matvec)
     monkeypatch.setattr(qesolve.spectrum, "tridiag_matvec", no_matvec)
     assert not hasattr(analysis, "tridiag_matvec")
     fd_verify(model, solutions, result.shift, GridSpec(-6.0, 6.0, n_points))
     assert len(samples) == len(set(samples)) == reduced
     assert min(samples) >= 0.0
-    assert factors == [reduced] * len(solutions)
+    # each level takes a few one-pass Newton steps over the half grid's rows
+    assert set(passes) == {reduced}
+    assert len(solutions) <= len(passes) <= analysis.FD_NEWTON_STEPS * len(solutions)
+
+
+@pytest.mark.parametrize("sector", [EVEN, ODD])
+def test_fd_newton_matches_sector_spectrum_on_default_grid(sector, monkeypatch):
+    # the default sextic grid is refined on its 1,000-row half grid by Newton
+    # alone: no LU, and every value is the sector's grid eigenvalue
+    np = pytest.importorskip("numpy")
+
+    def no_factor(*args):
+        raise AssertionError("an in-gate level was factored")
+
+    model = make_sextic(SexticParams.from_mu(0.7, 3, sector))
+    solutions, result = solve_model(model)
+    grid = default_grid(model)
+    reference = _sector_spectrum(np, model, grid, result.shift)
+    monkeypatch.setattr(analysis, "tridiag_factor", no_factor)
+    refined, defect = fd_verify(model, solutions, result.shift, grid)
+    assert defect <= analysis.fd_defect_bound(model, grid)
+    for s, value in zip(solutions, refined):
+        nearest = reference[np.argmin(abs(reference - (s.energy_base + result.shift)))]
+        assert abs(value - nearest) <= 1e-9
+
+
+def test_fd_newton_matches_full_morse_grid(monkeypatch):
+    np = pytest.importorskip("numpy")
+
+    def no_factor(*args):
+        raise AssertionError("an in-gate level was factored")
+
+    model = make_morse(MorseParams.from_mu(0.7, 3))
+    solutions, result = solve_model(model)
+    grid = GridSpec(-12.0, 4.0, 701)
+    h = (grid.x_max - grid.x_min) / (grid.n_points + 1)
+    xs = [grid.x_min + (i + 1) * h for i in range(grid.n_points)]
+    off = np.full(grid.n_points - 1, -1.0 / h**2)
+    full = np.diag([2.0 / h**2 + potential_eval(model, x, result.shift) for x in xs])
+    reference = np.linalg.eigvals(full + np.diag(off, 1) + np.diag(off, -1))
+    monkeypatch.setattr(analysis, "tridiag_factor", no_factor)
+    refined, _ = fd_verify(model, solutions, result.shift, grid)
+    for s, value in zip(solutions, refined):
+        nearest = reference[np.argmin(abs(reference - (s.energy_base + result.shift)))]
+        assert abs(value - nearest) <= 1e-9
+
+
+def test_fd_exhausted_newton_budget_falls_back(monkeypatch):
+    model = make_morse(MorseParams.from_mu(0.7, 2))
+    solutions, result = solve_model(model)
+    grid = GridSpec(-12.0, 4.0, 300)
+    newton, _ = fd_verify(model, solutions, result.shift, grid)
+    factors = []
+    tridiag_factor = analysis.tridiag_factor
+
+    def counting_factor(*args):
+        factors.append(args[3])
+        return tridiag_factor(*args)
+
+    monkeypatch.setattr(analysis, "FD_NEWTON_STEPS", 1)
+    monkeypatch.setattr(analysis, "tridiag_factor", counting_factor)
+    fallback, _ = fd_verify(model, solutions, result.shift, grid)
+    assert len(factors) == len(solutions)
+    for a, b in zip(newton, fallback):
+        assert abs(a - b) <= 1e-9 * abs(a)
+
+
+def test_fd_newton_rejects_a_non_finite_step():
+    # p(z) = (1 - z)(-1 - z) has p'(0) = 0: the step 1 / (p'/p) is infinite
+    assert analysis._newton_root([1.0 + 0j, -1.0 + 0j], [0.0, 0.0], 0j, 10.0) is None
+    # and from 0.5 the first iterate, 1.25, leaves a disc of radius 0.5
+    assert analysis._newton_root([1.0 + 0j, -1.0 + 0j], [0.0, 0.0], 0.5 + 0j, 0.5) is None
+    root = analysis._newton_root([1.0 + 0j, -1.0 + 0j], [0.0, 0.0], 0.5 + 0j, 1.0)
+    assert abs(root - 1.0) <= 1e-15
 
 
 def test_fd_isotropic_vector_raises_with_last_estimate():
@@ -569,9 +713,10 @@ def test_fd_refine_samples_potential_once(monkeypatch):
 
 
 def test_fd_inverse_iteration_budget(monkeypatch):
+    # a 1e-12 disc sends the level to inverse iteration, whose budget runs out
     monkeypatch.setattr(analysis, "FD_MAX_STEPS", 1)
     with pytest.raises(ConvergenceFailureError):
-        analysis._refine_levels(*_free_particle(200), [1.0 + 0j])
+        analysis._refine_levels(*_free_particle(200), [1.0 + 0j], 1e-12)
 
 
 def test_grid_validation():

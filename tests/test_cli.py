@@ -186,6 +186,16 @@ def test_verify_rejects_injected_error(capsys, monkeypatch):
     assert data["verification"]["passed"] is False
 
 
+def test_verify_passes_an_energy_zero_level(capsys):
+    # sextic mu = 0, 2j = 2 has a level at E = 0 exactly; the residual gate
+    # used to fail it at 5.56
+    code, out, _ = run_cli(capsys, "verify", "--family", "sextic", "--two-j", "2", "--mu", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verification"]["passed"] is True
+    assert data["residual_sup"] <= 1e-15
+
+
 def test_verify_custom_domain(capsys):
     code, out, _ = run_cli(
         capsys,
