@@ -5,14 +5,14 @@ Runs build_report(verify=True) on the default grid for sextic even, sextic
 odd and Morse, 2j = 0..31, mu in {0.3, 0.7, 1.0, 1.4}: 384 blocks.  Each
 block gets one outcome: `pass`, the failed gates (`grid`, `residual` or
 `grid+residual`), or the message of the error that stopped it.  The script
-prints one line per family and outcome, with the first 2j at which that
-outcome occurs and its block count, then the total that pass.  With
---blocks it first prints one line per block, so two checkouts' runs can be
-diffed block by block.  It imports qesolve from the `src` directory next to
-it; to run another checkout, copy the script into that checkout's
-`scripts` directory and run it there.  It takes about a minute.
+prints one line per block, so two checkouts' runs can be diffed block by
+block, then one line per family and outcome, with the first 2j at which
+that outcome occurs and its block count, then the total that pass.  It
+imports qesolve from the `src` directory next to it; to run another
+checkout, copy the script into that checkout's `scripts` directory and run
+it there.  It takes about a minute.
 
-    python3 scripts/verify_matrix.py [--blocks]
+    python3 scripts/verify_matrix.py
 """
 
 import os
@@ -53,16 +53,14 @@ def outcome(model) -> str:
     return "+".join(failed)
 
 
-def main(argv: list[str]) -> int:
-    blocks = "--blocks" in argv
+def main() -> int:
     groups: dict[tuple[str, str], list[int]] = {}
     passed = total = 0
     for family, make in FAMILIES.items():
         for two_j in TWO_JS:
             for mu in MUS:
                 label = outcome(make(mu, two_j))
-                if blocks:
-                    print(f"block {family} 2j={two_j} mu={mu}: {label}")
+                print(f"block {family} 2j={two_j} mu={mu}: {label}")
                 groups.setdefault((family, label), []).append(two_j)
                 passed += label == "pass"
                 total += 1
@@ -73,4 +71,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

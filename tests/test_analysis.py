@@ -471,7 +471,10 @@ def test_fd_confirms_complex_morse_pair():
 def test_fd_parity_start_on_sextic_double_well(sector, mu, monkeypatch):
     # at 2j=5 the lowest level has a nearly degenerate partner of the other
     # parity on the full grid; the half grid holds the sector's parity only,
-    # so that partner cannot mix into the refined value
+    # so that partner cannot mix into the refined value.  Newton settles
+    # each level inside the grid gate without a solve; the levels outside
+    # it, and every level when Newton has no steps, go to inverse iteration
+    # from the ramp start, which keeps its solve budget
     np = pytest.importorskip("numpy")
     model = make_sextic(SexticParams.from_mu(mu, 5, sector))
     solutions, result = solve_model(model)
@@ -496,12 +499,23 @@ def test_fd_parity_start_on_sextic_double_well(sector, mu, monkeypatch):
         return tridiag_solve(*args)
 
     monkeypatch.setattr(analysis, "tridiag_solve", counting_solve)
-    for s in solutions:
-        solves.append(0)
-        (refined,), _ = fd_verify(model, [s], shift, grid)
-        nearest = reference[np.argmin(abs(reference - (s.energy_base + shift)))]
-        assert abs(refined - nearest) <= 1e-9
-        assert solves[-1] <= 4
+    bound = analysis.fd_defect_bound(model, grid)
+    paths = []
+    for newton_steps in (analysis.FD_NEWTON_STEPS, 0):
+        monkeypatch.setattr(analysis, "FD_NEWTON_STEPS", newton_steps)
+        for s in solutions:
+            solves.append(0)
+            (refined,), _ = fd_verify(model, [s], shift, grid)
+            nearest = reference[np.argmin(abs(reference - (s.energy_base + shift)))]
+            assert abs(refined - nearest) <= 1e-9
+            newton = newton_steps and abs(refined - (s.energy_base + shift)) <= bound
+            paths.append(bool(newton))
+            if newton:
+                assert solves[-1] == 0
+            else:
+                assert 2 <= solves[-1] <= 4
+    # both paths ran on the default step budget
+    assert len(set(paths[: len(solutions)])) == 2
 
 
 def _sector_spectrum(np, model, grid, shift):
@@ -534,13 +548,19 @@ def _sector_spectrum(np, model, grid, shift):
 @pytest.mark.parametrize("sector", [EVEN, ODD])
 @pytest.mark.parametrize(
     "two_j, grid",
-    [(5, GridSpec(-6.0, 6.0, 64)), (5, GridSpec(-6.0, 6.0, 65)), (2, GridSpec(-5.0, 5.0, 701))],
-    ids=["n64", "n65", "n701"],
+    [
+        (5, GridSpec(-6.0, 6.0, 64)),
+        (5, GridSpec(-6.0, 6.0, 65)),
+        (2, GridSpec(-5.0, 5.0, 701)),
+        (3, GridSpec(-6.0, 6.0, 2000)),
+    ],
+    ids=["n64", "n65", "n701", "n2000"],
 )
 def test_fd_levels_are_sector_grid_eigenvalues(sector, two_j, grid):
     # on coarse grids a full-grid iteration let roundoff carry in the other
     # parity (even level 5 at n=64 landed on 31.93 instead of 38.69); odd n
-    # exercises the centre point: dropped (odd) or coupled by -sqrt(2)/h^2
+    # exercises the centre point: dropped (odd) or coupled by -sqrt(2)/h^2;
+    # n=2000 is the default grid, refined by Newton on its 1,000-row half
     np = pytest.importorskip("numpy")
     model = make_sextic(SexticParams.from_mu(0.7, two_j, sector))
     solutions, result = solve_model(model)
@@ -591,27 +611,6 @@ def test_fd_verify_cost_on_half_grid(sector, n_points, reduced, monkeypatch):
     # each level takes a few one-pass Newton steps over the half grid's rows
     assert set(passes) == {reduced}
     assert len(solutions) <= len(passes) <= analysis.FD_NEWTON_STEPS * len(solutions)
-
-
-@pytest.mark.parametrize("sector", [EVEN, ODD])
-def test_fd_newton_matches_sector_spectrum_on_default_grid(sector, monkeypatch):
-    # the default sextic grid is refined on its 1,000-row half grid by Newton
-    # alone: no LU, and every value is the sector's grid eigenvalue
-    np = pytest.importorskip("numpy")
-
-    def no_factor(*args):
-        raise AssertionError("an in-gate level was factored")
-
-    model = make_sextic(SexticParams.from_mu(0.7, 3, sector))
-    solutions, result = solve_model(model)
-    grid = default_grid(model)
-    reference = _sector_spectrum(np, model, grid, result.shift)
-    monkeypatch.setattr(analysis, "tridiag_factor", no_factor)
-    refined, defect = fd_verify(model, solutions, result.shift, grid)
-    assert defect <= analysis.fd_defect_bound(model, grid)
-    for s, value in zip(solutions, refined):
-        nearest = reference[np.argmin(abs(reference - (s.energy_base + result.shift)))]
-        assert abs(value - nearest) <= 1e-9
 
 
 def test_fd_newton_matches_full_morse_grid(monkeypatch):
