@@ -20,9 +20,10 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from qesolve.cli import RESIDUAL_TOLERANCE, build_report
+from qesolve.cli import build_report
 from qesolve.errors import QesError
 from qesolve.families import EVEN, ODD, MorseParams, SexticParams, make_morse, make_sextic
+from qesolve.spectrum import RESIDUAL_GATE
 
 TWO_JS = range(32)
 MUS = (0.3, 0.7, 1.0, 1.4)
@@ -46,7 +47,7 @@ def outcome(model) -> str:
         name
         for name, over in (
             ("grid", fd.defect > fd.defect_bound),
-            ("residual", report.residual_sup > RESIDUAL_TOLERANCE),
+            ("residual", report.residual_sup > RESIDUAL_GATE),
         )
         if over
     ]

@@ -26,10 +26,10 @@ Verification is deliberately redundant:
     each energy_base + shift on it by Newton on det(H - zI), each step one
     O(n) pass of the LDL^T pivot recurrence for p'/p.  A Newton root within
     the level's defect bound of the prediction is kept; any other level
-    falls back to inverse iteration, one complex tridiagonal LU and about
-    three solves, each giving the bilinear quotient u^T H u / u^T u without
-    a product by H, which names the grid eigenvalue nearest the prediction
-    however far off it lies.  The grid
+    falls back to inverse iteration, one complex tridiagonal LU of H minus
+    the prediction itself and about three solves, each giving the bilinear
+    quotient u^T H u / u^T u without a product by H, which names the grid
+    eigenvalue nearest the prediction however far off it lies.  The grid
     keeps all its points, except that on a grid symmetric about 0 the even
     sextic potential keeps each sector's parity, so sextic levels are
     refined on the x > 0 half alone, where no level of the other parity
@@ -106,7 +106,6 @@ NORM_START_HALF_WIDTH = 2.0
 NORM_START_STEP = 0.25
 NORM_REL_TOL = 1e-12
 NORM_NODE_CAP = 1 << 16
-NORM_MAX_WIDENINGS = 60
 # Largest rounding bound, relative to the sum, that the step test accepts.
 NORM_ROUNDING_CAP = 1e-6
 
@@ -139,9 +138,10 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
     exponential, so the error falls geometrically as the step halves
     (Trefethen & Weideman, SIAM Rev. 56, 2014).  Halving or widening
     evaluates only the new nodes; every abscissa is sampled at most once
-    per call.  More than NORM_NODE_CAP nodes, or more than
-    NORM_MAX_WIDENINGS doublings, raise ConvergenceFailureError carrying
-    the last sum as `best`.
+    per call.  A sum over more than NORM_NODE_CAP nodes raises
+    ConvergenceFailureError with the last sum as `best`: "normalization tail
+    did not stabilize" while widening (from half-width 8192 at the start
+    step), "quadrature refinement did not converge" while halving.
 
     Requires a decaying gauge: always true for the sextic family, and for
     Morse only under Re a > 0 and Re d > 0 (an inferred condition; the
@@ -155,10 +155,8 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
 
     samples: dict[float, tuple[float, float]] = {}
 
-    def trapezoid(h: float, half: float, best: float | None) -> tuple[float, float]:
+    def trapezoid(h: float, half: float) -> tuple[float, float]:
         last = int(half / h)
-        if 2 * last + 1 > NORM_NODE_CAP:
-            raise ConvergenceFailureError("quadrature refinement did not converge", best=best)
         terms = []
         for k in range(-last, last + 1):
             x = k * h  # h is a power of two times the start step: k*h is exact
@@ -174,19 +172,21 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
 
     h = NORM_START_STEP
     half = NORM_START_HALF_WIDTH
-    total, _ = trapezoid(h, half, None)
-    for _ in range(NORM_MAX_WIDENINGS):
+    total, _ = trapezoid(h, half)
+    while True:
         half *= 2.0
-        wider, rounding = trapezoid(h, half, total)
+        if 2 * int(half / h) + 1 > NORM_NODE_CAP:
+            raise ConvergenceFailureError("normalization tail did not stabilize", best=total)
+        wider, rounding = trapezoid(h, half)
         if agree(total, wider):
             break
         total = wider
-    else:
-        raise ConvergenceFailureError("normalization tail did not stabilize", best=total)
     # refine on the wider interval, whose edge samples the tail test showed negligible
     total = wider
     while True:
-        finer, finer_rounding = trapezoid(h / 2.0, half, total)
+        if 2 * int(2.0 * half / h) + 1 > NORM_NODE_CAP:
+            raise ConvergenceFailureError("quadrature refinement did not converge", best=total)
+        finer, finer_rounding = trapezoid(h / 2.0, half)
         if rounding + finer_rounding > NORM_ROUNDING_CAP * abs(finer):
             raise ConvergenceFailureError("quadrature refinement did not converge", best=finer)
         if agree(total, finer, rounding + finer_rounding):
@@ -230,14 +230,12 @@ def partner_potentials(model: QesModel, x: float) -> tuple[complex, complex]:
 
 # Newton steps allowed per level before the fallback (every default-grid
 # level of a block with 2j <= 5 settles in 3; coarse grids and large 2j can
-# take more than 20), the inverse-iteration shift offset from the predicted
-# eigenvalue, the step (Newton) or the agreement of successive quotients
-# (inverse iteration) that ends the refinement, the least |u^T u| / ||u||^2
-# trusted (grids measured keep it above 4.9e-7; rounding leaves an isotropic
-# u at about 1e-16), the solves allowed per level and the default grid's
-# interior points.
+# take more than 20), the step (Newton) or the agreement of successive
+# quotients (inverse iteration, shifted by the prediction itself) that ends
+# the refinement, the least |u^T u| / ||u||^2 trusted (grids measured keep
+# it above 4.9e-7; rounding leaves an isotropic u at about 1e-16), the
+# solves allowed per level and the default grid's interior points.
 FD_NEWTON_STEPS = 6
-FD_SHIFT_OFFSET = 1e-4
 FD_RQ_TOL = 1e-10
 FD_ISOTROPY_TOL = 1e-12
 FD_MAX_STEPS = 200
@@ -300,10 +298,11 @@ def _refine_levels(
     """Refine each prediction on tridiag(off, diag, off): Newton, else inverse iteration.
 
     A Newton root within radius of its prediction is kept.  Any other level
-    is refined by inverse iteration from prediction + FD_SHIFT_OFFSET and a
+    is refined by inverse iteration shifted by the prediction itself, from a
     ramp start (it carries both parities), which finds the grid eigenvalue
-    nearest the shift wherever it lies.  The off-diagonals are nonzero, so
-    only the last LU pivot can vanish, and tridiag_factor replaces it by
+    nearest the prediction wherever it lies.  The off-diagonals are
+    nonzero, so only the last LU pivot can vanish, as it does when the
+    prediction is a grid eigenvalue, and tridiag_factor replaces it by
     eps * ||H||.
     """
     prod = [0.0, *(c * c for c in off)]
@@ -312,9 +311,8 @@ def _refine_levels(
         root = _newton_root(diag, prod, guess, radius)
         if root is None:
             n = len(diag)
-            sigma = guess + FD_SHIFT_OFFSET
             start = [1.0 + (i + 1.0) / n for i in range(n)]
-            root = _inverse_iteration(tridiag_factor(off, diag, off, sigma), sigma, start)
+            root = _inverse_iteration(tridiag_factor(off, diag, off, guess), guess, start)
         refined.append(root)
     return refined
 

@@ -47,11 +47,9 @@ from .families import (
     make_morse,
     make_sextic,
 )
-from .spectrum import QesSolution, ShiftResult, solve_model
+from .spectrum import RESIDUAL_GATE, QesSolution, ShiftResult, solve_model
 
 SCAN_HEADER = "mu,level,re_base,im_base,re_shifted,im_shifted,shift_im,common_shift_found"
-
-RESIDUAL_TOLERANCE = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +295,9 @@ def build_report(
             norms = tuple(norm_squared(model, s) for s in solutions)
         except ValidationError:
             norms = None
-        ok = rsup <= RESIDUAL_TOLERANCE and defect <= bound
+        ok = rsup <= RESIDUAL_GATE and defect <= bound
         verification = VerificationReport(
-            residual_tolerance=RESIDUAL_TOLERANCE,
+            residual_tolerance=RESIDUAL_GATE,
             fd=FdReport(
                 grid_n=grid.n_points,
                 x_min=grid.x_min,

@@ -252,6 +252,7 @@ def common_imaginary_shift(eigs: list[complex]) -> ShiftResult:
     return ShiftResult(found=False, shift=0.0j, spread=spread)
 
 
+# The contracted 1e-10: the block eigensolve residual here, the backward error in verify.
 RESIDUAL_GATE = 1e-10
 
 

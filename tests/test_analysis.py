@@ -33,6 +33,7 @@ from qesolve.families import (
     make_sextic,
     potential_eval,
 )
+from qesolve.sl2 import build_block
 from qesolve.spectrum import solve_model
 
 from _helpers import (
@@ -218,8 +219,9 @@ def test_norm_refinement_cap_raises_with_best(monkeypatch):
 
 
 def test_norm_tail_cap_raises_with_best(monkeypatch):
+    # widening from half-width 4 to 8 at step 1/4 would take 65 nodes
     w = _solved(make_sextic(SexticParams.from_mu(1.0, 0)))
-    monkeypatch.setattr(analysis, "NORM_MAX_WIDENINGS", 1)
+    monkeypatch.setattr(analysis, "NORM_NODE_CAP", 40)
     with pytest.raises(ConvergenceFailureError, match="tail") as excinfo:
         norm_squared(*w)
     assert "norm_squared" in _traceback_names(excinfo.value)
@@ -265,6 +267,48 @@ def test_norm_raises_when_rounding_swamps_the_sum():
         norm_squared(*w)
     assert "norm_squared" in _traceback_names(excinfo.value)
     assert excinfo.value.best > 0.0
+
+
+def test_morse_top_levels_get_a_true_norm_or_none():
+    # the top coefficients of the upper Morse levels at 2j = 22 are
+    # rounding-sized in the first U-solve of the block's inverse iteration
+    # yet dominate |psi|^2; an eigenvector that stopped there would read
+    # 2.2e6 and 4.1e5 for the norms 3.0e-5 and 3.5e-6 below, and no gate of
+    # solve_model objects.  Each of the top three levels must match a
+    # 30-digit norm or raise.
+    mp = pytest.importorskip("mpmath")
+    model = make_morse(MorseParams.from_mu(0.7, 22))
+    solutions, _ = solve_model(model)
+    block = build_block(model.combo, model.rep)
+    n = block.dim
+    with mp.workdps(30):
+        a, d, b = (mp.mpc(c) for c in (model.params.a, model.params.d, model.params.b))
+        for s in solutions[-3:]:
+            # three inverse-iteration steps on the block, then phi_0 = 1 as stored
+            shifted = mp.matrix(n, n)
+            for i in range(n):
+                shifted[i, i] = mp.mpc(block.diag[i]) - mp.mpc(s.energy_base)
+            for i in range(n - 1):
+                shifted[i + 1, i], shifted[i, i + 1] = mp.mpc(block.sub[i]), mp.mpc(block.sup[i])
+            v = mp.matrix([1] * n)
+            for _ in range(3):
+                v = mp.lu_solve(shifted, v)
+                v /= mp.norm(v)
+            assert s.phi_coeffs.coeffs[0] == 1.0
+            coeffs = [v[i] / v[0] for i in range(n)]
+
+            def density(x):
+                z, phi = mp.exp(-x), mp.mpc(0)
+                for c in reversed(coeffs):
+                    phi = phi * z + c
+                return abs(phi * mp.exp(-(d / z + a * z + b * x))) ** 2
+
+            reference = mp.quad(density, list(range(-9, 5)))
+            try:
+                value = norm_squared(model, s)
+            except ConvergenceFailureError:
+                continue
+            assert abs(value - reference) <= 1e-8 * reference
 
 
 def test_norm_requires_decaying_gauge():
@@ -650,6 +694,8 @@ def test_fd_exhausted_newton_budget_falls_back(monkeypatch):
     monkeypatch.setattr(analysis, "tridiag_factor", counting_factor)
     fallback, _ = fd_verify(model, solutions, result.shift, grid)
     assert len(factors) == len(solutions)
+    # the fallback is shifted by the prediction itself
+    assert factors == [s.energy_base + result.shift for s in solutions]
     for a, b in zip(newton, fallback):
         assert abs(a - b) <= 1e-9 * abs(a)
 
