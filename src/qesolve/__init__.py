@@ -10,6 +10,7 @@ discretization cross-check of each eigenvalue.
 """
 
 from .analysis import (
+    GridCheck,
     GridSpec,
     default_grid,
     fd_verify,

@@ -33,7 +33,9 @@ Verification is deliberately redundant:
     keeps all its points, except that on a grid symmetric about 0 the even
     sextic potential keeps each sector's parity, so sextic levels are
     refined on the x > 0 half alone, where no level of the other parity
-    exists to mix in.
+    exists to mix in.  It returns one GridCheck: the grid, the refined
+    values, their largest defect and the bound that is both the Newton
+    radius and the verify gate.
 """
 
 from __future__ import annotations
@@ -141,7 +143,8 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
     per call.  A sum over more than NORM_NODE_CAP nodes raises
     ConvergenceFailureError with the last sum as `best`: "normalization tail
     did not stabilize" while widening (from half-width 8192 at the start
-    step), "quadrature refinement did not converge" while halving.
+    step), "quadrature refinement did not converge" while halving; a sum
+    beyond the largest double raises it too.
 
     Requires a decaying gauge: always true for the sextic family, and for
     Morse only under Re a > 0 and Re d > 0 (an inferred condition; the
@@ -165,7 +168,10 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
                 sample = samples[x] = psi_abs2(model, solution, x)
             terms.append(sample)
         values, errors = zip(*terms)
-        return h * math.fsum(values), h * sum(errors)  # the sum and its rounding bound
+        try:
+            return h * math.fsum(values), h * sum(errors)  # the sum and its rounding bound
+        except OverflowError:  # finite samples whose sum is beyond the largest double
+            raise ConvergenceFailureError("normalization sum overflowed") from None
 
     def agree(a: float, b: float, rounding: float = 0.0) -> bool:
         return abs(a - b) <= max(NORM_REL_TOL * max(abs(b), 1e-300), rounding)
@@ -332,10 +338,22 @@ def fd_defect_bound(model: QesModel, grid: GridSpec) -> float:
     return max(FD_REFERENCE_DEFECT * (h / h_ref) ** 2, 1e-8)
 
 
+@dataclass(frozen=True)
+class GridCheck:
+    """A grid check: the grid, each level's grid eigenvalue, the largest defect and its bound."""
+
+    grid_n: int
+    x_min: float
+    x_max: float
+    refined: tuple[complex, ...]
+    defect: float
+    defect_bound: float
+
+
 def fd_verify(
     model: QesModel, solutions: Sequence[QesSolution], shift: complex, grid: GridSpec | None = None
-) -> tuple[tuple[complex, ...], float]:
-    """Grid check of a model's levels on one grid: (refined values, max |refined - predicted|).
+) -> GridCheck:
+    """Grid check of a model's levels on one grid (the family default when None).
 
     The grid Hamiltonian carries the model's potential shift (solve_model's
     ShiftResult.shift), and each level predicts energy_base + shift.  Its
@@ -362,5 +380,7 @@ def fd_verify(
         diag[0] += inv_h2 if odd else -inv_h2
     elif half and not odd:
         off[0] *= math.sqrt(2.0)
-    refined = _refine_levels(off, diag, predicted, fd_defect_bound(model, grid))
-    return tuple(refined), max(abs(r - p) for r, p in zip(refined, predicted))
+    bound = fd_defect_bound(model, grid)
+    refined = tuple(_refine_levels(off, diag, predicted, bound))
+    defect = max(abs(r - p) for r, p in zip(refined, predicted))
+    return GridCheck(n, grid.x_min, grid.x_max, refined, defect, bound)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from .analysis import (
     FD_GRID_N,
     MAX_POINTS,
+    GridCheck,
     GridSpec,
     default_grid,
-    fd_defect_bound,
     fd_verify,
     is_pt_symmetric,
     norm_squared,
@@ -99,29 +99,9 @@ def _fmt_c(c: complex) -> str:
 
 
 @dataclass(frozen=True)
-class LevelReport:
-    index: int
-    energy_base: complex
-    energy_shifted: complex
-    phi_coeffs: tuple[complex, ...]
-    eigvec_residual: float
-    multiplicity: int
-
-
-@dataclass(frozen=True)
-class FdReport:
-    grid_n: int
-    x_min: float
-    x_max: float
-    refined: tuple[complex, ...]
-    defect: float
-    defect_bound: float
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     residual_tolerance: float
-    fd: FdReport
+    fd: GridCheck
     norms: tuple[float, ...] | None
     passed: bool
 
@@ -134,7 +114,7 @@ class RunReport:
     shift: complex
     common_shift_found: bool
     shift_spread: float
-    levels: tuple[LevelReport, ...]
+    levels: tuple[dict, ...]
     residual_sup: float
     pt_symmetric: bool
     published_comparison: tuple[str, ...]
@@ -273,43 +253,28 @@ def build_report(
     pt = is_pt_symmetric(model, shift)
     notes = published_comparison(model, solutions, shift_result)
     levels = tuple(
-        LevelReport(
-            index=i,
-            energy_base=s.energy_base,
-            energy_shifted=s.energy_base + shift,
-            phi_coeffs=s.phi_coeffs.coeffs,
-            eigvec_residual=s.eigvec_residual,
-            multiplicity=s.multiplicity,
-        )
+        {
+            "index": i,
+            "energy_base": s.energy_base,
+            "energy_shifted": s.energy_base + shift,
+            "phi_coeffs": s.phi_coeffs.coeffs,
+            "eigvec_residual": s.eigvec_residual,
+            "multiplicity": s.multiplicity,
+        }
         for i, s in enumerate(solutions)
     )
     verification = None
     ok = True
     if verify:
-        if grid is None:
-            grid = default_grid(model)
-        refined, defect = fd_verify(model, solutions, shift, grid)
-        bound = fd_defect_bound(model, grid)
+        fd = fd_verify(model, solutions, shift, grid)
         norms: tuple[float, ...] | None
         try:
             norms = tuple(norm_squared(model, s) for s in solutions)
         except ValidationError:
             norms = None
-        ok = rsup <= RESIDUAL_GATE and defect <= bound
-        verification = VerificationReport(
-            residual_tolerance=RESIDUAL_GATE,
-            fd=FdReport(
-                grid_n=grid.n_points,
-                x_min=grid.x_min,
-                x_max=grid.x_max,
-                refined=refined,
-                defect=defect,
-                defect_bound=bound,
-            ),
-            norms=norms,
-            passed=ok,
-        )
-    report = RunReport(
+        ok = rsup <= RESIDUAL_GATE and fd.defect <= fd.defect_bound
+        verification = VerificationReport(RESIDUAL_GATE, fd, norms, ok)
+    return RunReport(
         family=model.family,
         parameters=_parameters_dict(model),
         two_j=model.params.two_j,
@@ -321,8 +286,7 @@ def build_report(
         pt_symmetric=pt,
         published_comparison=notes,
         verification=verification,
-    )
-    return report, ok
+    ), ok
 
 
 # ---------------------------------------------------------------------------

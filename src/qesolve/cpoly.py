@@ -1,7 +1,7 @@
 """Dense complex-coefficient polynomials in one variable.
 
 Everything downstream lives on polynomials of tiny degree (at most 2j + 2),
-so coefficients are stored densely and each operation builds a fresh tuple.
+so coefficients are stored densely and each operation builds a fresh polynomial.
 Trailing coefficients are dropped only when they are exactly zero in both
 parts: numerical near-zeros carry information (residual checks depend on
 seeing them) and are never trimmed.
@@ -12,17 +12,23 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NumericOverflowError
 
 
-@dataclass(frozen=True, init=False, slots=True)
 class CPolynomial:
-    """Polynomial sum(coeffs[k] * z**k); the empty tuple is the zero polynomial."""
+    """Polynomial sum(coeffs[k] * z**k); no coefficients is the zero polynomial.
 
-    coeffs: tuple[complex, ...]
+    The coefficients are held as packed doubles, 16 bytes each against 40
+    for a complex object and its tuple slot, which matters for results that
+    are kept by the thousand, such as solved levels.  The first read of
+    `coeffs` builds the tuple and keeps it.  A CPolynomial is an immutable
+    value: assignment raises, equality compares the coefficients and the
+    hash agrees with it, signed zeros included.
+    """
+
+    __slots__ = ("_packed", "coeffs")
 
     def __init__(self, coeffs: Iterable[complex] = ()) -> None:
         items = [complex(c) for c in coeffs]
@@ -31,35 +37,9 @@ class CPolynomial:
                 raise NumericOverflowError(f"non-finite polynomial coefficient {c!r}")
         while items and items[-1].real == 0.0 and items[-1].imag == 0.0:
             items.pop()
-        object.__setattr__(self, "coeffs", tuple(items))
+        object.__setattr__(self, "_packed", array("d", [x for c in items for x in (c.real, c.imag)]))
 
-    @property
-    def degree(self) -> int | None:
-        """Degree of the polynomial, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
-class PackedPolynomial(CPolynomial):
-    """A CPolynomial holding its coefficients as packed doubles until they are read.
-
-    A packed coefficient takes 16 bytes against 40 for a complex object and
-    its tuple slot, which matters for results that are kept by the
-    thousand, such as solved levels.  The first read of `coeffs` fills the
-    ordinary slot, so later reads cost what they cost on a CPolynomial;
-    equality between two packed polynomials compares the packed values
-    without building anything.
-    """
-
-    __slots__ = ("_packed",)
-
-    def __init__(self, coeffs: Iterable[complex] = ()) -> None:
-        trimmed = CPolynomial(coeffs).coeffs
-        object.__setattr__(self, "_packed", array("d", [x for c in trimmed for x in (c.real, c.imag)]))
-
-    def __getattr__(self, name: str):
+    def __getattr__(self, name: str):  # reached only while `coeffs` is unset
         if name != "coeffs":
             raise AttributeError(name)
         p = self._packed
@@ -67,15 +47,29 @@ class PackedPolynomial(CPolynomial):
         object.__setattr__(self, "coeffs", value)
         return value
 
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"CPolynomial is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
     def __eq__(self, other) -> bool:
-        if isinstance(other, PackedPolynomial):
-            return self._packed == other._packed
         if isinstance(other, CPolynomial):
-            return self.coeffs == other.coeffs
+            return self._packed == other._packed  # float equality: -0.0 == 0.0
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.coeffs,))
+        return hash(tuple(self._packed))  # hash(-0.0) == hash(0.0)
+
+    def __repr__(self) -> str:
+        return f"CPolynomial({self.coeffs!r})"
+
+    @property
+    def degree(self) -> int | None:
+        """Degree of the polynomial, or None for the zero polynomial."""
+        return len(self._packed) // 2 - 1 if self._packed else None
+
+    def is_zero(self) -> bool:
+        return not self._packed
 
 
 ZERO = CPolynomial()

@@ -31,8 +31,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .cpoly import CPolynomial, PackedPolynomial
-from .errors import ConvergenceFailureError, ValidationError
+from .cpoly import CPolynomial
+from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import QesModel
 from .sl2 import BlockMatrix, build_block
 from .tridiag import tridiag_factor, tridiag_matvec, tridiag_norm, tridiag_solve, upper_solve
@@ -106,7 +106,8 @@ def _aberth(diag, prod) -> tuple[list[complex], float]:
 
     The start is a circle about the diagonal's mean m with radius
     ||T - mI||_F / sqrt(n), the couplings balanced to |prod|^(1/2) (by Schur's
-    inequality, at least the root mean square of |lambda - m|).  An iterate is
+    inequality, at least the root mean square of |lambda - m|), but at least
+    n eps |m|, so that no two starts round to one point.  An iterate is
     accepted once |p| <= 4 (n + 1) eps (scale + |z p'|), and then takes one
     last Newton step.  Returns the iterates and the largest |p/p'| of those
     not accepted within ABERTH_STEPS sweeps (0 when none is left).
@@ -114,6 +115,7 @@ def _aberth(diag, prod) -> tuple[list[complex], float]:
     n = len(diag)
     center = sum(diag) / n
     radius = math.sqrt((sum(abs(d - center) ** 2 for d in diag) + 2.0 * sum(map(abs, prod))) / n)
+    radius = max(radius, n * _EPS * abs(center))
     zs = [center + radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
     abs_prod = [abs(b) for b in prod]
     tol = 4.0 * (n + 1) * _EPS
@@ -170,17 +172,24 @@ def _inverse_iteration(sub, diag, sup, lam: complex) -> list[complex]:
 
     The first step solves U x = e_f with f the smallest pivot of the LU of
     T - lam I, so components that an exact zero coupling decouples stay
-    exactly zero; two full solves follow.
+    exactly zero; two full solves follow.  When the smallest pivot is below
+    2^-512, every right-hand side is scaled by 2^512 times its power of
+    two: exact, and the division by that pivot cannot overflow.
     """
     n = len(diag)
     factors = tridiag_factor(sub, diag, sup, lam)
     pivots = factors[0]
+    f = min(range(n), key=lambda k: abs(pivots[k]))
+    scale = math.ldexp(1.0, min(0, math.frexp(abs(pivots[f]))[1] + 512))
     start = [0.0j] * n
-    start[min(range(n), key=lambda k: abs(pivots[k]))] = 1.0 + 0.0j
+    start[f] = complex(scale)
     x = upper_solve(factors, start)
     for _ in range(2):
         big = max(abs(c) for c in x)
-        x = tridiag_solve(factors, [c / big for c in x])
+        x = [c / big for c in x]
+        if scale < 1.0:  # real products: a complex one would flip the sign of some zeros
+            x = [complex(c.real * scale, c.imag * scale) for c in x]
+        x = tridiag_solve(factors, x)
     return x
 
 
@@ -210,11 +219,12 @@ def eigen_solve(m: BlockMatrix) -> list[QesSolution]:
     sub, diag, sup = m.sub, m.diag, m.sup
     n = m.dim
     norm_m = tridiag_norm(sub, diag, sup)
-    # eigenvalues of M / s, s a power of two >= ||M||: exact, no coupling
-    # product overflows, and one underflows only where it is negligible
-    s = math.ldexp(1.0, math.frexp(norm_m)[1])
-    d = [x / s for x in diag]
-    prod = [0.0j] + [(lo / s) * (up / s) for lo, up in zip(sub, sup)]
+    # eigenpairs of M / s, s a power of two >= ||M|| (>= ||M|| / 2 past the
+    # largest double): exact, no coupling product or solve overflows, and
+    # an entry underflows only where it is negligible
+    s = math.ldexp(1.0, min(math.frexp(norm_m)[1], 1023))
+    lo, d, up = [x / s for x in sub], [x / s for x in diag], [x / s for x in sup]
+    prod = [0.0j] + [a * b for a, b in zip(lo, up)]
     couplings = [math.sqrt(abs(b)) for b in prod[1:]]
     tol = 8.0 * math.sqrt(_EPS * (n + 1)) * tridiag_norm(couplings, d, couplings)
     levels = []
@@ -222,16 +232,18 @@ def eigen_solve(m: BlockMatrix) -> list[QesSolution]:
         if mult > 1:
             z = _centroid_root(d, prod, z, mult, tol)
         lam = s * z
-        v = _inverse_iteration(sub, diag, sup, lam)
+        v = _inverse_iteration(lo, d, up, z)
+        if not all(map(cmath.isfinite, v)):
+            raise NumericOverflowError(f"eigenvector for eigenvalue {lam!r} overflowed")
         vmax = max(abs(c) for c in v)
         first = next(i for i, c in enumerate(v) if abs(c) > 1e-12 * vmax)
         lead = v[first]
         v = [c / lead for c in v]
         v[first] = 1.0 + 0.0j
-        mv = tridiag_matvec(sub, diag, sup, v)
-        resid = max(abs(mv[i] - lam * v[i]) for i in range(n))
-        scale = max(norm_m, 1e-300) * max(max(abs(c) for c in v), 1e-300)
-        levels += [QesSolution(lam, PackedPolynomial(v), resid / scale, mult)] * mult
+        mv = tridiag_matvec(lo, d, up, v)
+        resid = max(abs(mv[i] - z * v[i]) for i in range(n))
+        scale = max(norm_m / s, 1e-300) * max(max(abs(c) for c in v), 1e-300)
+        levels += [QesSolution(lam, CPolynomial(v), resid / scale, mult)] * mult
     return levels
 
 

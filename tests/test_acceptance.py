@@ -157,8 +157,8 @@ def test_criterion_08_grid_cross_check():
             coarse, fine = GridSpec(-6.0, 6.0, 2000), GridSpec(-6.0, 6.0, 4001)
         else:
             coarse, fine = GridSpec(-12.0, 4.0, 2000), GridSpec(-12.0, 4.0, 4001)
-        _, defect = fd_verify(model, [solution], shift, coarse)
-        _, defect_fine = fd_verify(model, [solution], shift, fine)
+        defect = fd_verify(model, [solution], shift, coarse).defect
+        defect_fine = fd_verify(model, [solution], shift, fine).defect
         assert defect <= 5e-3
         ratio = defect / defect_fine
         assert 3.2 <= ratio <= 4.8

@@ -480,7 +480,8 @@ def test_fd_verify_fixture_small_grid():
     model = make_sextic(SexticParams.from_mu(1.0, 1))
     solutions, result = solve_model(model)
     top = max(solutions, key=lambda s: (s.energy_base + result.shift).real)
-    (refined,), defect = fd_verify(model, [top], result.shift, GridSpec(-6.0, 6.0, 500))
+    check = fd_verify(model, [top], result.shift, GridSpec(-6.0, 6.0, 500))
+    (refined,), defect = check.refined, check.defect
     assert 0.0 < defect <= 2e-3
     assert abs(refined - 2.0) <= 2e-3
 
@@ -490,7 +491,8 @@ def test_fd_odd_sector_level():
     model = make_sextic(SexticParams.from_mu(1.0, 1, ODD))
     solutions, result = solve_model(model)
     assert result.found and abs(result.shift + 5j) <= 1e-10
-    (refined,), defect = fd_verify(model, [solutions[1]], result.shift, GridSpec(-6.0, 6.0, 1000))
+    check = fd_verify(model, [solutions[1]], result.shift, GridSpec(-6.0, 6.0, 1000))
+    (refined,), defect = check.refined, check.defect
     assert defect <= 5e-3
     assert abs(refined - 2.0 * math.sqrt(5.0)) <= 5e-3
 
@@ -502,7 +504,8 @@ def test_fd_confirms_complex_morse_pair():
     solutions, result = solve_model(model)
     assert not result.found
     for s in solutions:
-        (refined,), defect = fd_verify(model, [s], result.shift, GridSpec(-12.0, 4.0, 1000))
+        check = fd_verify(model, [s], result.shift, GridSpec(-12.0, 4.0, 1000))
+        (refined,), defect = check.refined, check.defect
         assert defect <= 5e-3
         assert abs(refined.imag - (s.energy_base + result.shift).imag) <= 5e-3
 
@@ -549,7 +552,7 @@ def test_fd_parity_start_on_sextic_double_well(sector, mu, monkeypatch):
         monkeypatch.setattr(analysis, "FD_NEWTON_STEPS", newton_steps)
         for s in solutions:
             solves.append(0)
-            (refined,), _ = fd_verify(model, [s], shift, grid)
+            (refined,) = fd_verify(model, [s], shift, grid).refined
             nearest = reference[np.argmin(abs(reference - (s.energy_base + shift)))]
             assert abs(refined - nearest) <= 1e-9
             newton = newton_steps and abs(refined - (s.energy_base + shift)) <= bound
@@ -609,7 +612,7 @@ def test_fd_levels_are_sector_grid_eigenvalues(sector, two_j, grid):
     model = make_sextic(SexticParams.from_mu(0.7, two_j, sector))
     solutions, result = solve_model(model)
     reference = _sector_spectrum(np, model, grid, result.shift)
-    refined, _ = fd_verify(model, solutions, result.shift, grid)
+    refined = fd_verify(model, solutions, result.shift, grid).refined
     assert len(refined) == two_j + 1
     for s, value in zip(solutions, refined):
         nearest = reference[np.argmin(abs(reference - (s.energy_base + result.shift)))]
@@ -672,7 +675,7 @@ def test_fd_newton_matches_full_morse_grid(monkeypatch):
     full = np.diag([2.0 / h**2 + potential_eval(model, x, result.shift) for x in xs])
     reference = np.linalg.eigvals(full + np.diag(off, 1) + np.diag(off, -1))
     monkeypatch.setattr(analysis, "tridiag_factor", no_factor)
-    refined, _ = fd_verify(model, solutions, result.shift, grid)
+    refined = fd_verify(model, solutions, result.shift, grid).refined
     for s, value in zip(solutions, refined):
         nearest = reference[np.argmin(abs(reference - (s.energy_base + result.shift)))]
         assert abs(value - nearest) <= 1e-9
@@ -682,7 +685,7 @@ def test_fd_exhausted_newton_budget_falls_back(monkeypatch):
     model = make_morse(MorseParams.from_mu(0.7, 2))
     solutions, result = solve_model(model)
     grid = GridSpec(-12.0, 4.0, 300)
-    newton, _ = fd_verify(model, solutions, result.shift, grid)
+    newton = fd_verify(model, solutions, result.shift, grid).refined
     factors = []
     tridiag_factor = analysis.tridiag_factor
 
@@ -692,7 +695,7 @@ def test_fd_exhausted_newton_budget_falls_back(monkeypatch):
 
     monkeypatch.setattr(analysis, "FD_NEWTON_STEPS", 1)
     monkeypatch.setattr(analysis, "tridiag_factor", counting_factor)
-    fallback, _ = fd_verify(model, solutions, result.shift, grid)
+    fallback = fd_verify(model, solutions, result.shift, grid).refined
     assert len(factors) == len(solutions)
     # the fallback is shifted by the prediction itself
     assert factors == [s.energy_base + result.shift for s in solutions]
@@ -735,10 +738,10 @@ def test_fd_isotropic_vector_raises_with_last_estimate():
 )
 def test_fd_verify_all_levels_equals_per_level(model):
     solutions, result = solve_model(model)
-    refined, defect = fd_verify(model, solutions, result.shift)
+    check = fd_verify(model, solutions, result.shift)
     singles = [fd_verify(model, [s], result.shift) for s in solutions]
-    assert refined == tuple(r for (r,), _ in singles)
-    assert defect == max(d for _, d in singles)
+    assert check.refined == tuple(r for single in singles for r in single.refined)
+    assert check.defect == max(single.defect for single in singles)
 
 
 def test_fd_refine_samples_potential_once(monkeypatch):
@@ -752,7 +755,7 @@ def test_fd_refine_samples_potential_once(monkeypatch):
         return potential_eval(*args)
 
     monkeypatch.setattr(analysis, "potential_eval", counting_potential)
-    refined, _ = fd_verify(model, solutions, result.shift, GridSpec(-12.0, 4.0, 300))
+    refined = fd_verify(model, solutions, result.shift, GridSpec(-12.0, 4.0, 300)).refined
     assert len(refined) == 3
     assert len(calls) == len(set(calls)) == 300
 

@@ -382,3 +382,51 @@ def test_verify_reports_match_golden_output():
     # grid checks stay byte-identical; a change to any digit shows up here
     with open(os.path.join(ROOT, "tests", "golden", "verify_report.txt"), "rb") as fh:
         assert verify_golden_output() == fh.read()
+
+
+# Blocks at the ends of the double range, each of which used to end in a
+# traceback: a pivot below 1e-300 overflowed the eigenvector solves (the
+# mu = 1e-300 blocks), ||M|| >= 2^1023 overflowed the eigenvalue scaling,
+# entries near 1e300 overflowed the unscaled eigenvector solves, Aberth's
+# starts fell within one ulp of their centre and coincided, and the norm's
+# sum overflowed on a gauge that decays only beyond x = 368.
+EDGE_OF_RANGE = [
+    ("solve", "--family", "sextic", "--two-j", "2", "--mu", "1e-300"),
+    ("solve", "--family", "sextic", "--two-j", "0", "--sector", "odd", "--mu", "1e-300"),
+    ("solve", "--family", "morse", "--two-j", "2", "--mu", "1e-300"),
+    ("solve", "--family", "morse", "--two-j", "3", "--b=1,1e154"),
+    ("solve", "--family", "morse", "--two-j", "6", "--b=1,1e150"),
+    ("solve", "--family", "morse", "--two-j", "1", "--a=-1,-1e8", "--d=1e154,1e8", "--mu", "0"),
+    ("verify", "--family", "morse", "--two-j", "0", "--d=1e-160,-1", "--mu", "-1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    zip(EDGE_OF_RANGE, (0, 0, 0, 0, 0, 0, 2)),
+    ids=[" ".join(argv) for argv in EDGE_OF_RANGE],
+)
+def test_edge_of_range_blocks_solve_or_fail_loudly(capsys, argv, expected_code):
+    from qesolve.sl2 import build_block
+    from qesolve.tridiag import tridiag_norm
+
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected_code and "Traceback" not in err
+    if code == 2:
+        message, detail = err.strip().split("\n")
+        assert out == "" and message.startswith("numeric failure: ")
+        assert set(json.loads(detail)) == {"defect", "best_count"}
+        return
+    assert err == ""
+    mpmath = pytest.importorskip("mpmath")
+    args = cli.build_arg_parser().parse_args(list(argv))
+    model = cli._resolve_model(args, args.mu)
+    block = build_block(model.combo, model.rep)
+    with mpmath.workdps(60):
+        reference = mpmath.eig(mpmath.matrix([list(row) for row in block.entries]))[0]
+    data = json.loads(out)
+    assert len(data["levels"]) == block.dim and data["residual_sup"] <= 1e-10
+    norm = tridiag_norm(block.sub, block.diag, block.sup)
+    for level in data["levels"]:
+        energy = complex(level["energy_base"]["re"], level["energy_base"]["im"])
+        assert min(abs(energy - complex(r)) for r in reference) <= 1e-13 * norm

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from qesolve.cpoly import (
     ZERO,
     CPolynomial,
-    PackedPolynomial,
     monomial,
     poly_add,
     poly_derivative,
@@ -180,13 +179,52 @@ def test_add_sub_round_trip():
     assert poly_sub(poly_add(p, q), q) == p
 
 
-def test_packed_polynomial_behaves_like_plain():
-    plain = CPolynomial([1.0, 2.0j, -0.5 + 0.25j, 0.0])
-    packed = PackedPolynomial([1.0, 2.0j, -0.5 + 0.25j, 0.0])
-    assert packed == PackedPolynomial(plain.coeffs) and packed != PackedPolynomial([1.0])
-    assert packed.coeffs == plain.coeffs
-    assert packed == plain and plain == packed and hash(packed) == hash(plain)
-    assert packed.degree == 2 and poly_eval(packed, 0.5j) == poly_eval(plain, 0.5j)
-    assert poly_mul(packed, plain) == poly_mul(plain, plain)
+def test_equal_polynomials_hash_equal_signed_zeros_included():
+    # the coefficients are stored packed and the tuple is built on first
+    # read; neither the signs of zeros nor that read may split one value
+    a = CPolynomial([-0.0, 1.0, complex(0.5, -0.0), 0.0])
+    b = CPolynomial([0.0, 1.0, 0.5, complex(-0.0, -0.0)])
+    assert a == b and b == a and hash(a) == hash(b)
+    assert b.coeffs == (0.0, 1.0, 0.5)
+    assert a == b and b == a and hash(a) == hash(b)
+    assert a != CPolynomial([0.0, 1.0]) and a != CPolynomial([0.0, 1.0, 0.5, 1e-300])
+    assert a != a.coeffs and len({a, b, CPolynomial([0.0, 1.0, 0.5])}) == 1
+
+
+def _flip_zero_signs(c: complex) -> complex:
+    return complex(c.real if c.real else -c.real, c.imag if c.imag else -c.imag)
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -0.0 - 1j, 2.0 + 0.0j]), max_size=5), st.booleans())
+def test_hash_agrees_with_equality(items, read_first):
+    p = CPolynomial(items)
+    q = CPolynomial(_flip_zero_signs(complex(c)) for c in items)
+    if read_first:
+        p.coeffs
+    assert p == q and hash(p) == hash(q)
+
+
+def test_assignment_raises():
+    p = CPolynomial([1.0, 2.0j])
+    for name in ("coeffs", "_packed", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
+    p.coeffs
     with pytest.raises(AttributeError):
-        packed.missing
+        del p.coeffs
+    with pytest.raises(AttributeError):
+        p.missing
+    assert p == CPolynomial([1.0, 2.0j]) and p.coeffs == (1.0, 2.0j)
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, complex(0.0, -0.0), 1.0, 0.5j]), max_size=6))
+def test_degree_and_is_zero_follow_the_trimmed_coefficients(items):
+    # trailing coefficients go only when both parts are exactly zero
+    trimmed = [complex(c) for c in items]
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    p = CPolynomial(items)
+    assert p.coeffs == tuple(trimmed)
+    assert p.degree == (len(trimmed) - 1 if trimmed else None)
+    assert p.is_zero() == (not trimmed) == (p == ZERO)
+    assert CPolynomial([1e-300j]).degree == 0 and not CPolynomial([1e-300j]).is_zero()

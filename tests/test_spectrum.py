@@ -9,7 +9,7 @@ import pytest
 
 from qesolve import cli, spectrum
 from qesolve.cpoly import CPolynomial, poly_eval
-from qesolve.errors import ConvergenceFailureError, ValidationError
+from qesolve.errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from qesolve.families import ODD, MorseParams, SexticParams, make_morse, make_sextic
 from qesolve.sl2 import BlockMatrix, build_block
 from qesolve.spectrum import common_imaginary_shift, eigen_solve, solve_model
@@ -370,11 +370,20 @@ def test_aberth_step_cap_reports_best_and_defect(monkeypatch):
     assert 0 < info.value.defect < math.inf
 
 
+def test_overflowing_eigenvector_fails_loudly():
+    # a strongly non-normal block (couplings 1 above, 1e-300 below a
+    # diagonal in steps of 1e-150i) whose inverse iteration overflows; the
+    # non-finite vector used to escape as a bare StopIteration
+    block = BlockMatrix(sub=(1e-300, 1e-300), diag=(0.0, 1e-150j, 2e-150j), sup=(1.0, 1.0))
+    with pytest.raises(NumericOverflowError, match="eigenvector .* overflowed"):
+        eigen_solve(block)
+
+
 def test_solution_invariants():
     model = make_morse(MorseParams.from_mu(1.0, 3))
     report, _ = cli.build_report(model)
     for level in report.levels:
-        assert level.energy_shifted == level.energy_base + report.shift
+        assert level["energy_shifted"] == level["energy_base"] + report.shift
     solutions, _ = solve_model(model)
     for s in solutions:
         assert s.eigvec_residual <= 1e-10
