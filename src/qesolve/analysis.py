@@ -44,6 +44,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import zip_longest
 from typing import Sequence
 
@@ -99,7 +100,8 @@ def residual_sup(model: QesModel, solution: QesSolution) -> float:
     a, b, c = poly_mul(p2, poly_derivative(d1)), poly_mul(p1, d1), poly_mul(p0, phi)
     e = poly_scale(phi, -solution.energy_base)
     columns = list(zip_longest(a.coeffs, b.coeffs, c.coeffs, e.coeffs, fillvalue=0j))
-    scale = max((sum(map(abs, col)) for col in columns), default=0.0)
+    # float sums left to right: builtin sum() compensates floats from Python 3.12 on
+    scale = max((reduce(operator.add, map(abs, col), 0.0) for col in columns), default=0.0)
     return max(abs(sum(col)) for col in columns) / scale if scale else 0.0
 
 
@@ -169,7 +171,8 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
             terms.append(sample)
         values, errors = zip(*terms)
         try:
-            return h * math.fsum(values), h * sum(errors)  # the sum and its rounding bound
+            # the sum and its rounding bound, added left to right on every Python version
+            return h * math.fsum(values), h * reduce(operator.add, errors, 0.0)
         except OverflowError:  # finite samples whose sum is beyond the largest double
             raise ConvergenceFailureError("normalization sum overflowed") from None
 

@@ -28,8 +28,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from functools import reduce
 
 from .cpoly import CPolynomial
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
@@ -114,7 +116,9 @@ def _aberth(diag, prod) -> tuple[list[complex], float]:
     """
     n = len(diag)
     center = sum(diag) / n
-    radius = math.sqrt((sum(abs(d - center) ** 2 for d in diag) + 2.0 * sum(map(abs, prod))) / n)
+    # float sums left to right: builtin sum() compensates floats from Python 3.12 on
+    spread = reduce(operator.add, (abs(d - center) ** 2 for d in diag), 0.0)
+    radius = math.sqrt((spread + 2.0 * reduce(operator.add, map(abs, prod), 0.0)) / n)
     radius = max(radius, n * _EPS * abs(center))
     zs = [center + radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
     abs_prod = [abs(b) for b in prod]
