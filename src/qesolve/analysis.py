@@ -136,14 +136,15 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
     NORM_REL_TOL, or within the two sums' rounding bound (psi_abs2) if
     that is larger, as for the cancelling upper levels of large blocks.
     A rounding bound above NORM_ROUNDING_CAP of the sum leaves no sum to
-    trust and raises ConvergenceFailureError.
+    trust and raises ConvergenceFailureError with that ratio as `defect`.
     Nodes carry full weight, so the step test also fails while the edge
     samples matter.  |psi|^2 is analytic and decays faster than any
     exponential, so the error falls geometrically as the step halves
     (Trefethen & Weideman, SIAM Rev. 56, 2014).  Halving or widening
     evaluates only the new nodes; every abscissa is sampled at most once
     per call.  A sum over more than NORM_NODE_CAP nodes raises
-    ConvergenceFailureError with the last sum as `best`: "normalization tail
+    ConvergenceFailureError with the last sum as `best` and the relative
+    change of the last widening or halving as `defect`: "normalization tail
     did not stabilize" while widening (from half-width 8192 at the start
     step), "quadrature refinement did not converge" while halving; a sum
     beyond the largest double raises it too.
@@ -176,8 +177,13 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
         except OverflowError:  # finite samples whose sum is beyond the largest double
             raise ConvergenceFailureError("normalization sum overflowed") from None
 
+    change = math.inf  # relative change of the last widening or halving: a cap's defect
+
     def agree(a: float, b: float, rounding: float = 0.0) -> bool:
-        return abs(a - b) <= max(NORM_REL_TOL * max(abs(b), 1e-300), rounding)
+        nonlocal change
+        scale = max(abs(b), 1e-300)
+        change = abs(a - b) / scale
+        return abs(a - b) <= max(NORM_REL_TOL * scale, rounding)
 
     h = NORM_START_STEP
     half = NORM_START_HALF_WIDTH
@@ -185,7 +191,9 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
     while True:
         half *= 2.0
         if 2 * int(half / h) + 1 > NORM_NODE_CAP:
-            raise ConvergenceFailureError("normalization tail did not stabilize", best=total)
+            raise ConvergenceFailureError(
+                "normalization tail did not stabilize", best=total, defect=change
+            )
         wider, rounding = trapezoid(h, half)
         if agree(total, wider):
             break
@@ -194,10 +202,15 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
     total = wider
     while True:
         if 2 * int(2.0 * half / h) + 1 > NORM_NODE_CAP:
-            raise ConvergenceFailureError("quadrature refinement did not converge", best=total)
+            raise ConvergenceFailureError(
+                "quadrature refinement did not converge", best=total, defect=change
+            )
         finer, finer_rounding = trapezoid(h / 2.0, half)
         if rounding + finer_rounding > NORM_ROUNDING_CAP * abs(finer):
-            raise ConvergenceFailureError("quadrature refinement did not converge", best=finer)
+            bound = (rounding + finer_rounding) / abs(finer) if finer else math.inf
+            raise ConvergenceFailureError(
+                "quadrature refinement did not converge", best=finer, defect=bound
+            )
         if agree(total, finer, rounding + finer_rounding):
             return finer
         total, rounding = finer, finer_rounding
@@ -283,7 +296,9 @@ def _inverse_iteration(factors, sigma: complex, v: Sequence[complex]) -> complex
     SIAM J. Sci. Comput. 25, 2004), as sigma + u^T v / u^T u: no product by H.
     A nearly isotropic u (|u^T u| <= FD_ISOTROPY_TOL ||u||^2), or FD_MAX_STEPS
     solves without two quotients agreeing to FD_RQ_TOL, raise
-    ConvergenceFailureError with the last estimate as `best`.
+    ConvergenceFailureError with the last estimate as `best` and, as
+    `defect`, |u^T u| / ||u||^2 or the last change of the quotient (from
+    sigma after one solve).
     """
     estimate = None
     for _ in range(FD_MAX_STEPS):
@@ -291,13 +306,18 @@ def _inverse_iteration(factors, sigma: complex, v: Sequence[complex]) -> complex
         uu = sum(map(operator.mul, u, u))
         scale = math.hypot(*map(abs, u))
         if abs(uu) <= FD_ISOTROPY_TOL * scale * scale:
-            raise ConvergenceFailureError("inverse iteration met u^T u ~ 0", best=estimate)
+            raise ConvergenceFailureError(
+                "inverse iteration met u^T u ~ 0", best=estimate, defect=abs(uu) / scale / scale
+            )
         last, estimate = estimate, sigma + sum(map(operator.mul, u, v)) / uu
-        if last is not None and abs(estimate - last) < FD_RQ_TOL:
+        change = abs(estimate - (sigma if last is None else last))
+        if last is not None and change < FD_RQ_TOL:
             return estimate
         v = [c / scale for c in u]
     raise ConvergenceFailureError(
-        f"inverse iteration did not settle within {FD_MAX_STEPS} iterations", best=estimate
+        f"inverse iteration did not settle within {FD_MAX_STEPS} iterations",
+        best=estimate,
+        defect=change,
     )
 
 

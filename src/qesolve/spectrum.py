@@ -110,8 +110,10 @@ def _aberth(diag, prod) -> tuple[list[complex], float]:
     ||T - mI||_F / sqrt(n), the couplings balanced to |prod|^(1/2) (by Schur's
     inequality, at least the root mean square of |lambda - m|), but at least
     n eps |m|, so that no two starts round to one point.  An iterate is
-    accepted once |p| <= 4 (n + 1) eps (scale + |z p'|), and then takes one
-    last Newton step.  Returns the iterates and the largest |p/p'| of those
+    accepted once |p| <= 4 (n + 1) eps (scale + |z p'|) + (n + 1) 2^-1074,
+    the last term the gradual-underflow error of the n + 1 products (Higham,
+    section 2.1) that a subnormal scale leaves no room for, and then takes
+    one last Newton step.  Returns the iterates and the largest |p/p'| of those
     not accepted within ABERTH_STEPS sweeps (0 when none is left).
     """
     n = len(diag)
@@ -122,13 +124,13 @@ def _aberth(diag, prod) -> tuple[list[complex], float]:
     radius = max(radius, n * _EPS * abs(center))
     zs = [center + radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
     abs_prod = [abs(b) for b in prod]
-    tol = 4.0 * (n + 1) * _EPS
+    tol, underflow = 4.0 * (n + 1) * _EPS, (n + 1) * 2.0**-1074
     live = list(range(n))
     for _ in range(ABERTH_STEPS):
         for i in live:
             zi = zs[i]
             p, dp, scale = _newton_terms(diag, prod, abs_prod, zi)
-            if abs(p) <= tol * (scale + abs(zi * dp)):
+            if abs(p) <= tol * (scale + abs(zi * dp)) + underflow:
                 zs[i] = zi - p / dp if dp else zi
                 live = [k for k in live if k != i]
             else:

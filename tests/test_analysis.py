@@ -729,6 +729,7 @@ def test_fd_isotropic_vector_raises_with_last_estimate():
         with pytest.raises(ConvergenceFailureError) as info:
             analysis._inverse_iteration(factors, sigma, [1.0 + 0j, 1j])
         assert info.value.best is None
+        assert info.value.defect <= analysis.FD_ISOTROPY_TOL
 
 
 @pytest.mark.parametrize(
@@ -763,8 +764,10 @@ def test_fd_refine_samples_potential_once(monkeypatch):
 def test_fd_inverse_iteration_budget(monkeypatch):
     # a 1e-12 disc sends the level to inverse iteration, whose budget runs out
     monkeypatch.setattr(analysis, "FD_MAX_STEPS", 1)
-    with pytest.raises(ConvergenceFailureError):
+    with pytest.raises(ConvergenceFailureError) as info:
         analysis._refine_levels(*_free_particle(200), [1.0 + 0j], 1e-12)
+    # one solve: the defect is the quotient's move away from the shift
+    assert info.value.defect == abs(info.value.best - 1.0)
 
 
 def test_grid_validation():

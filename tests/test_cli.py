@@ -314,6 +314,24 @@ def test_convergence_failure_reports_detail(capsys, monkeypatch):
     assert detail["defect"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # inverse iteration on a coarse grid: the last change of the quotient
+        (("--family", "morse", "--two-j", "10", "--mu", "0.7", "--grid-n", "64"), "did not settle"),
+        # a cancelling top level: the norm's rounding bound over its sum
+        (("--family", "sextic", "--two-j", "20", "--mu", "0.7"), "refinement did not converge"),
+    ],
+)
+def test_failed_verify_stage_reports_its_defect(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    first, detail = err.strip().split("\n")
+    assert message in first
+    defect = json.loads(detail)["defect"]
+    assert math.isfinite(defect) and defect > 0
+
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -389,10 +407,14 @@ def test_verify_reports_match_golden_output():
 # mu = 1e-300 blocks), ||M|| >= 2^1023 overflowed the eigenvalue scaling,
 # entries near 1e300 overflowed the unscaled eigenvector solves, Aberth's
 # starts fell within one ulp of their centre and coincided, and the norm's
-# sum overflowed on a gauge that decays only beyond x = 368.
+# sum overflowed on a gauge that decays only beyond x = 368.  The mu = 1e-308
+# and odd 2j = 8 blocks exited 2 instead: Aberth's acceptance test had no
+# gradual-underflow term, so a subnormal scale could never meet it.
 EDGE_OF_RANGE = [
     ("solve", "--family", "sextic", "--two-j", "2", "--mu", "1e-300"),
     ("solve", "--family", "sextic", "--two-j", "0", "--sector", "odd", "--mu", "1e-300"),
+    ("solve", "--family", "sextic", "--two-j", "2", "--mu", "1e-308"),
+    ("solve", "--family", "sextic", "--sector", "odd", "--two-j", "8", "--mu", "1e-300"),
     ("solve", "--family", "morse", "--two-j", "2", "--mu", "1e-300"),
     ("solve", "--family", "morse", "--two-j", "3", "--b=1,1e154"),
     ("solve", "--family", "morse", "--two-j", "6", "--b=1,1e150"),
@@ -403,7 +425,7 @@ EDGE_OF_RANGE = [
 
 @pytest.mark.parametrize(
     "argv, expected_code",
-    zip(EDGE_OF_RANGE, (0, 0, 0, 0, 0, 0, 2)),
+    zip(EDGE_OF_RANGE, (0, 0, 0, 0, 0, 0, 0, 0, 2)),
     ids=[" ".join(argv) for argv in EDGE_OF_RANGE],
 )
 def test_edge_of_range_blocks_solve_or_fail_loudly(capsys, argv, expected_code):
