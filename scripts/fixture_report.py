@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Print the four mu = 1 reference configurations as full JSON reports.
 
-These are the cases whose closed forms appear in the literature; each report
-carries a published_comparison section flagging agreements and the
-adjudicated misprints.
+These are the blocks (2j = 0 and 1 of the even sextic and of Morse) whose
+closed forms the paper prints.  Each report's published_comparison holds
+one line per published level, additive constant and, for the two-level
+sextic, upper-level coefficient c_1, each ending in AGREES or DISAGREES
+(within 1e-9), and then the notes on the adjudicated misprints.
 """
 
 import os

@@ -126,110 +126,79 @@ def render_report(r: RunReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# published closed-form comparison (populated for the four mu-parameterized
-# reference configurations; the solver output is always the one reported)
+# the paper's closed forms for 2j = 0 and 1 of the even sextic and of Morse
+
+
+def _closed_forms(
+    model: QesModel, solutions: list[QesSolution], shift_result: ShiftResult
+) -> tuple[list[tuple[str, complex, complex]], list[str]]:
+    """(name, published, computed) of each published level, constant and coefficient; notes."""
+    p, mu, shift = model.params, model.params.mu, shift_result.shift
+    computed = [s.energy_base + shift for s in solutions]
+
+    def levels(form: str, *published: complex) -> list[tuple[str, complex, complex]]:
+        ordered = sorted(published, key=lambda c: (c.real, c.imag))
+        return [(f"level E_{i} {form}", *pair) for i, pair in enumerate(zip(ordered, computed))]
+
+    def constant(form: str, im: float) -> tuple[str, complex, complex]:
+        return f"additive potential constant {form}", complex(0.0, im), shift
+
+    if model.family == SEXTIC and p.sector == EVEN and p.two_j == 0:
+        sign = "published +i*mu has the opposite sign of the computed shift: adjudicated a misprint"
+        profile = "published ground state exp(-x^4/4 - i*mu*x^2/2) matches the gauge factor"
+        notes = ([sign] if mu != 0.0 else []) + [profile]
+        return [*levels("= 0", 0j), constant("+i*mu", mu)], notes
+    if model.family == SEXTIC and p.sector == EVEN and p.two_j == 1:
+        root = cmath.sqrt(2.0 - mu * mu)
+        forms = [*levels("of -/+ 2*sqrt(2-mu^2)", -2.0 * root, 2.0 * root)]
+        forms.append(constant("-3*i*mu", -3.0 * mu))
+        if mu == 0.0:
+            return forms, []
+        _, upper = max(zip(computed, solutions), key=lambda t: (t[0].real, t[0].imag))
+        c1 = upper.phi_coeffs.coeffs[1] if len(upper.phi_coeffs.coeffs) > 1 else 0.0j
+        forms.append(("upper-level c_1 = -(sqrt(2-mu^2)-i*mu)", -(root - complex(0.0, mu)), c1))
+        return forms, [
+            "published upper-level c_1 adjudicated: the computed null vector has "
+            "c_1 = -(sqrt(2-mu^2)+i*mu) and is retained"
+        ]
+    if model.family == MORSE and p.two_j <= 1:
+        base = 2.0 * p.a * p.d - (9.0 - mu * mu) / 4.0
+        if p.two_j == 0:
+            return [*levels("= 2*a*d - (9-mu^2)/4", base), constant("-3*i*mu/2", -1.5 * mu)], [
+                "published misprints adjudicated: the level's symbol c read as d, the e^x "
+                "coefficient -d(4-i) as -d(4-i*mu), and the final a^2 e^{2x} term as a^2 e^{-2x}"
+            ]
+        root = cmath.sqrt(16.0 * p.a * p.d - mu * mu)
+        spread = (
+            f"imaginary parts of the computed pair differ by {shift_result.spread:.6g}; no "
+            "constant shift makes both levels real, so the published levels are not reproduced"
+        )
+        gauge = (
+            "with gauge offset b = (i*mu-1)/2 instead of (i*mu-3)/2 the block spectrum is real "
+            "with zero shift: 2*a*d - (1-mu^2)/4 -/+ sqrt(16*a*d - mu^2)/2"
+        )
+        notes = ([] if shift_result.found else [spread]) + [gauge]
+        form = "of 2*a*d - (9-mu^2)/4 -/+ sqrt(16*a*d - mu^2)"
+        return levels(form, base - root, base + root), notes
+    return [], []
 
 
 def published_comparison(
     model: QesModel, solutions: list[QesSolution], shift_result: ShiftResult
 ) -> tuple[str, ...]:
-    mu = model.params.mu
-    if mu is None:
+    """One verdict per published closed form, AGREES within 1e-9, then the notes; no mu, none."""
+    if model.params.mu is None:
         return ()
-    shift = shift_result.shift
-    notes: list[str] = []
-    two_j = model.params.two_j
-
-    def verdict(delta: float, tol: float = 1e-9) -> str:
-        return "AGREES" if delta <= tol else "DISAGREES"
-
-    if model.family == SEXTIC and model.params.sector == EVEN and two_j == 0:
-        shifted = solutions[0].energy_base + shift
-        delta = abs(shifted)
-        notes.append(
-            f"published level E = 0: computed shifted eigenvalue {_fmt_c(shifted)}, "
-            f"|delta| = {delta:.3g} -> {verdict(delta)}"
+    forms, notes = _closed_forms(model, solutions, shift_result)
+    verdicts = []
+    for name, published, computed in forms:
+        delta = abs(computed - published)
+        outcome = "AGREES" if delta <= 1e-9 else "DISAGREES"
+        verdicts.append(
+            f"published {name} = {_fmt_c(published)}: computed {_fmt_c(computed)}, "
+            f"|delta| = {delta:.3g} -> {outcome}"
         )
-        if mu != 0.0:
-            notes.append(
-                "published additive potential constant +i*mu has the opposite sign of the "
-                f"computed real-spectrum shift {_fmt_c(shift)}; adjudicated as a "
-                "sign misprint, the computed shift is reported"
-            )
-        notes.append(
-            "published ground-state profile exp(-x^4/4 - i*mu*x^2/2) matches the gauge factor"
-        )
-    elif model.family == SEXTIC and model.params.sector == EVEN and two_j == 1:
-        root = cmath.sqrt(2.0 - mu * mu)
-        published = sorted((-2.0 * root, 2.0 * root), key=lambda c: (c.real, c.imag))
-        computed = [s.energy_base + shift for s in solutions]
-        delta = max(abs(c - p) for c, p in zip(computed, published))
-        notes.append(
-            "published levels -/+ 2*sqrt(2-mu^2) = "
-            f"[{_fmt_c(published[0])}, {_fmt_c(published[1])}]: max |delta| vs computed "
-            f"shifted spectrum = {delta:.3g} -> {verdict(delta)}"
-        )
-        shift_delta = abs(shift - complex(0.0, -3.0 * mu))
-        notes.append(
-            f"published additive potential constant -3*i*mu: computed shift "
-            f"{_fmt_c(shift)}, |delta| = {shift_delta:.3g} -> {verdict(shift_delta)}"
-        )
-        if mu != 0.0:
-            published_c1 = -(root - complex(0.0, mu))
-            _, upper = max(zip(computed, solutions), key=lambda t: (t[0].real, t[0].imag))
-            computed_c1 = upper.phi_coeffs.coeffs[1] if len(upper.phi_coeffs.coeffs) > 1 else 0.0j
-            gap = abs(computed_c1 - published_c1)
-            notes.append(
-                f"published upper-level coefficient -(sqrt(2-mu^2)-i*mu) = {_fmt_c(published_c1)} "
-                f"vs computed {_fmt_c(computed_c1)} = -(sqrt(2-mu^2)+i*mu): |delta| = {gap:.3g} "
-                f"-> {verdict(gap)} (null-space result retained)"
-            )
-    elif model.family == MORSE and two_j == 0:
-        a, d = model.params.a, model.params.d
-        published_e = 2.0 * a * d - (9.0 - mu * mu) / 4.0
-        shifted = solutions[0].energy_base + shift
-        delta = abs(shifted - published_e)
-        notes.append(
-            f"published level 2*a*d - (9-mu^2)/4 (misprinted with symbol c for d) = "
-            f"{_fmt_c(published_e)}: computed shifted eigenvalue {_fmt_c(shifted)}, "
-            f"|delta| = {delta:.3g} -> {verdict(delta)}"
-        )
-        shift_delta = abs(shift - complex(0.0, -1.5 * mu))
-        notes.append(
-            f"published additive potential constant -3*i*mu/2: computed shift "
-            f"{_fmt_c(shift)}, |delta| = {shift_delta:.3g} -> {verdict(shift_delta)}"
-        )
-        notes.append(
-            "published potential misprints adjudicated: e^x coefficient -d(4-i) read as "
-            "-d(4-i*mu), and the final a^2 e^{2x} term read as a^2 e^{-2x}"
-        )
-    elif model.family == MORSE and two_j == 1:
-        a, d = model.params.a, model.params.d
-        root = cmath.sqrt(16.0 * a * d - mu * mu)
-        base = 2.0 * a * d - (9.0 - mu * mu) / 4.0
-        published = sorted((base - root, base + root), key=lambda c: (c.real, c.imag))
-        computed = [s.energy_base + shift for s in solutions]
-        notes.append(
-            "published levels 2*a*d - (9-mu^2)/4 -/+ sqrt(16*a*d - mu^2) = "
-            f"[{_fmt_c(published[0])}, {_fmt_c(published[1])}]"
-        )
-        for i, (c, p) in enumerate(zip(computed, published)):
-            gap = abs(c - p)
-            notes.append(
-                f"level {i}: computed {_fmt_c(c)} vs published {_fmt_c(p)}: "
-                f"|delta| = {gap:.3g} -> {verdict(gap)}"
-            )
-        if not shift_result.found:
-            notes.append(
-                f"imaginary parts of the computed pair differ by {shift_result.spread:.6g}; "
-                "no constant shift makes both levels real, so the published real pair is not "
-                "reproduced by the block eigenproblem"
-            )
-        notes.append(
-            "with gauge offset b = (i*mu-1)/2 instead of (i*mu-3)/2 the block spectrum is real "
-            "with zero shift: 2*a*d - (1-mu^2)/4 -/+ sqrt(16*a*d - mu^2)/2"
-        )
-    return tuple(notes)
+    return (*verdicts, *notes)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,43 @@ def test_solve_morse_fixture(capsys):
     assert abs(complex(data["shift"]["re"], data["shift"]["im"]) + 1.5j) <= 1e-10
 
 
+# Each published closed form's outcome per reference case and mu, in report
+# order: the levels, the additive constant, then (two-level sextic, mu != 0)
+# the upper level's c_1.  Each sextic level repeats the single verdict that
+# once covered both levels; the +i*mu constant disagrees exactly when mu != 0.
+A, D = "AGREES", "DISAGREES"
+REFERENCE_CASES = {
+    "sextic-0": (lambda mu: make_sextic(SexticParams.from_mu(mu, 0)), 1),
+    "sextic-1": (lambda mu: make_sextic(SexticParams.from_mu(mu, 1)), 2),
+    "morse-0": (lambda mu: make_morse(MorseParams.from_mu(mu, 0)), 1),
+    "morse-1": (lambda mu: make_morse(MorseParams.from_mu(mu, 1)), 2),
+}
+PUBLISHED_VERDICTS = {
+    "sextic-0": {0.0: (A, A), 0.7: (A, D), 1.3: (A, D), 2**0.5: (A, D), 2.2: (A, D)},
+    "sextic-1": {
+        0.0: (A, A, A),
+        0.7: (A, A, A, D),
+        1.3: (A, A, A, D),
+        2**0.5: (D, D, A, D),
+        2.2: (D, D, D, D),
+    },
+    "morse-0": dict.fromkeys((0.0, 0.7, 1.3, 2**0.5, 2.2), (A, A)),
+    "morse-1": dict.fromkeys((0.0, 0.7, 1.3, 2**0.5, 2.2), (D, D)),
+}
+
+
+@pytest.mark.parametrize("mu", (0.0, 0.7, 1.3, 2**0.5, 2.2), ids=("0", "0.7", "1.3", "sqrt2", "2.2"))
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_published_verdicts_per_closed_form(case, mu):
+    make, dim = REFERENCE_CASES[case]
+    report, _ = build_report(make(mu))
+    verdicts = [line for line in report.published_comparison if " -> " in line]
+    assert len([line for line in verdicts if line.startswith("published level E_")]) == dim
+    assert tuple(line.rsplit(" -> ", 1)[1] for line in verdicts) == PUBLISHED_VERDICTS[case][mu]
+    # the notes follow the verdicts
+    assert report.published_comparison[: len(verdicts)] == tuple(verdicts)
+
+
 def test_solve_morse_explicit_b(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--family", "morse", "--two-j", "0", "--b", "0,0", "--a", "1,0", "--d", "1,0"
