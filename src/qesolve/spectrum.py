@@ -113,8 +113,8 @@ def _aberth(diag, prod) -> tuple[list[complex], float]:
     accepted once |p| <= 4 (n + 1) eps (scale + |z p'|) + (n + 1) 2^-1074,
     the last term the gradual-underflow error of the n + 1 products (Higham,
     section 2.1) that a subnormal scale leaves no room for, and then takes
-    one last Newton step.  Returns the iterates and the largest |p/p'| of those
-    not accepted within ABERTH_STEPS sweeps (0 when none is left).
+    one last Newton step.  Returns the iterates and the largest |p/p'| of
+    those not accepted within ABERTH_STEPS sweeps (0 when none is left).
     """
     n = len(diag)
     center = sum(diag) / n
