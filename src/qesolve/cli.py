@@ -150,7 +150,7 @@ def _closed_forms(
         return [*levels("= 0", 0j), constant("+i*mu", mu)], notes
     if model.family == SEXTIC and p.sector == EVEN and p.two_j == 1:
         root = cmath.sqrt(2.0 - mu * mu)
-        forms = [*levels("of -/+ 2*sqrt(2-mu^2)", -2.0 * root, 2.0 * root)]
+        forms = levels("of -/+ 2*sqrt(2-mu^2)", -2.0 * root, 2.0 * root)
         forms.append(constant("-3*i*mu", -3.0 * mu))
         if mu == 0.0:
             return forms, []

@@ -61,8 +61,8 @@ def test_solve_morse_fixture(capsys):
 
 # Each published closed form's outcome per reference case and mu, in report
 # order: the levels, the additive constant, then (two-level sextic, mu != 0)
-# the upper level's c_1.  Each sextic level repeats the single verdict that
-# once covered both levels; the +i*mu constant disagrees exactly when mu != 0.
+# the upper level's c_1.  The two sextic levels agree or disagree together,
+# and the +i*mu constant disagrees exactly when mu != 0.
 A, D = "AGREES", "DISAGREES"
 REFERENCE_CASES = {
     "sextic-0": (lambda mu: make_sextic(SexticParams.from_mu(mu, 0)), 1),
