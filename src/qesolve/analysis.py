@@ -43,6 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import zip_longest
@@ -146,8 +147,9 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
     ConvergenceFailureError with the last sum as `best` and the relative
     change of the last widening or halving as `defect`: "normalization tail
     did not stabilize" while widening (from half-width 8192 at the start
-    step), "quadrature refinement did not converge" while halving; a sum
-    beyond the largest double raises it too.
+    step), "quadrature refinement did not converge" while halving.  A sum
+    beyond the largest double raises it too, "normalization sum overflowed",
+    with the largest finite sample over the largest double as `defect`.
 
     Requires a decaying gauge: always true for the sextic family, and for
     Morse only under Re a > 0 and Re d > 0 (an inferred condition; the
@@ -160,12 +162,17 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
             )
 
     samples: dict[float, tuple[float, float]] = {}
+    # |psi(-x)|^2 is |psi(x)|^2 to the last bit for the sextic: x enters as x*x
+    # and x^4, and the odd sector's factor x flips the sign of psi exactly
+    mirrored = model.family == SEXTIC
 
     def trapezoid(h: float, half: float) -> tuple[float, float]:
         last = int(half / h)
         terms = []
         for k in range(-last, last + 1):
             x = k * h  # h is a power of two times the start step: k*h is exact
+            if mirrored:
+                x = abs(x)
             sample = samples.get(x)
             if sample is None:
                 sample = samples[x] = psi_abs2(model, solution, x)
@@ -175,7 +182,10 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
             # the sum and its rounding bound, added left to right on every Python version
             return h * math.fsum(values), h * reduce(operator.add, errors, 0.0)
         except OverflowError:  # finite samples whose sum is beyond the largest double
-            raise ConvergenceFailureError("normalization sum overflowed") from None
+            largest = max(filter(math.isfinite, values))
+            raise ConvergenceFailureError(
+                "normalization sum overflowed", defect=largest / sys.float_info.max
+            ) from None
 
     change = math.inf  # relative change of the last widening or halving: a cap's defect
 

@@ -27,6 +27,7 @@ from qesolve.errors import (
 from qesolve.families import (
     EVEN,
     ODD,
+    SEXTIC,
     MorseParams,
     SexticParams,
     make_morse,
@@ -182,13 +183,15 @@ def test_norm_morse_interval_doubling_stable(monkeypatch):
 @pytest.mark.parametrize(
     "model",
     [
+        make_sextic(SexticParams.from_mu(0.7, 3)),
         make_sextic(SexticParams.from_mu(0.7, 3, ODD)),
         make_morse(MorseParams.from_mu(1.0, 2)),
     ],
-    ids=["sextic-odd", "morse"],
+    ids=["sextic-even", "sextic-odd", "morse"],
 )
 def test_norm_samples_each_abscissa_once(model, monkeypatch):
-    # halving the step and widening the interval reuse earlier samples
+    # halving the step and widening the interval reuse earlier samples, and
+    # the sextic |psi|^2 is even, so x and -x share one sample
     w = _solved(model)
     expected = norm_squared(*w)
     abscissas = []
@@ -201,6 +204,8 @@ def test_norm_samples_each_abscissa_once(model, monkeypatch):
     monkeypatch.setattr(analysis, "psi_abs2", recording_psi_abs2)
     assert norm_squared(*w) == expected
     assert abscissas and len(abscissas) == len(set(abscissas))
+    if model.family == SEXTIC:
+        assert min(abscissas) >= 0.0
 
 
 def _traceback_names(exc):

@@ -358,6 +358,8 @@ def test_convergence_failure_reports_detail(capsys, monkeypatch):
         (("--family", "morse", "--two-j", "10", "--mu", "0.7", "--grid-n", "64"), "did not settle"),
         # a cancelling top level: the norm's rounding bound over its sum
         (("--family", "sextic", "--two-j", "20", "--mu", "0.7"), "refinement did not converge"),
+        # a sum beyond the largest double: its largest sample over that double
+        (("--family", "morse", "--two-j", "0", "--d=1e-160,-1", "--mu", "-1"), "sum overflowed"),
     ],
 )
 def test_failed_verify_stage_reports_its_defect(capsys, argv, message):
