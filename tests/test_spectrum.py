@@ -427,7 +427,7 @@ def test_aberth_start_saves_continuant_evaluations(monkeypatch):
 
 
 def test_graded_block_converges():
-    # couplings graded over 10^-8 .. 10^8 need 106 sweeps from either start
+    # couplings graded over 10^-8 .. 10^8: 105 sweeps from a circle, 106 from the ellipse
     n = 32
     sub = [10.0 ** (8 * math.sin(k)) for k in range(n - 1)]
     diag = [cmath.exp(1j * k) for k in range(n)]
