@@ -7,10 +7,19 @@ block gets one outcome: `pass`, the failed gates (`grid`, `residual` or
 `grid+residual`), or the message of the error that stopped it.  The script
 prints one line per block, so two checkouts' runs can be diffed block by
 block, then one line per family and outcome, with the first 2j at which
-that outcome occurs and its block count, then the total that pass.  It
-imports qesolve from the `src` directory next to it; to run another
-checkout, copy the script into that checkout's `scripts` directory and run
-it there.  It takes about a minute.
+that outcome occurs and its block count, then the total that pass.
+
+A second table surveys the grid check on coarse grids: fd_verify on the
+family default domain for the same three families, 2j = 0..12, 20 and 31,
+mu in {0, 0.7, 1.4}, with n = 64, 65, 257 and the default 2000 points: 540
+calls.  Each call gets one `grid` line with its outcome, `within` or `over`
+the defect bound, or the message of the error that stopped it, then one
+`survey` line per grid size and outcome with its call count, then the
+number of calls that raised.
+
+The script imports qesolve from the `src` directory next to it; to run
+another checkout, copy the script into that checkout's `scripts` directory
+and run it there.  It takes about two minutes.
 
     python3 scripts/verify_matrix.py
 """
@@ -20,10 +29,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
+from qesolve.analysis import default_grid, fd_verify
 from qesolve.cli import build_report
 from qesolve.errors import QesError
 from qesolve.families import EVEN, ODD, MorseParams, SexticParams, make_morse, make_sextic
-from qesolve.spectrum import RESIDUAL_GATE
+from qesolve.spectrum import RESIDUAL_GATE, solve_model
 
 TWO_JS = range(32)
 MUS = (0.3, 0.7, 1.0, 1.4)
@@ -32,6 +42,9 @@ FAMILIES = {
     "sextic-odd": lambda mu, two_j: make_sextic(SexticParams.from_mu(mu, two_j, ODD)),
     "morse": lambda mu, two_j: make_morse(MorseParams.from_mu(mu, two_j)),
 }
+GRID_TWO_JS = (*range(13), 20, 31)
+GRID_MUS = (0.0, 0.7, 1.4)
+GRID_NS = (64, 65, 257, 2000)
 
 
 def outcome(model) -> str:
@@ -54,6 +67,16 @@ def outcome(model) -> str:
     return "+".join(failed)
 
 
+def grid_outcome(model, n_points: int) -> str:
+    """`within` or `over` the grid check's defect bound, or the error message."""
+    try:
+        solutions, result = solve_model(model)
+        check = fd_verify(model, solutions, result.shift, default_grid(model, n_points))
+    except QesError as exc:
+        return f"error: {exc}"
+    return "within" if check.defect <= check.defect_bound else "over"
+
+
 def main() -> int:
     groups: dict[tuple[str, str], list[int]] = {}
     passed = total = 0
@@ -68,6 +91,22 @@ def main() -> int:
     for (family, label), two_js in groups.items():
         print(f"{family} | {label} | first 2j={min(two_js)} | {len(two_js)} blocks")
     print(f"total: {passed} of {total} blocks pass")
+
+    counts: dict[tuple[int, str], int] = {}
+    raised = calls = 0
+    for family, make in FAMILIES.items():
+        for two_j in GRID_TWO_JS:
+            for mu in GRID_MUS:
+                model = make(mu, two_j)
+                for n in GRID_NS:
+                    label = grid_outcome(model, n)
+                    print(f"grid {family} 2j={two_j} mu={mu} n={n}: {label}")
+                    counts[n, label] = counts.get((n, label), 0) + 1
+                    raised += label.startswith("error")
+                    calls += 1
+    for (n, label), count in sorted(counts.items()):
+        print(f"survey n={n} | {label} | {count} calls")
+    print(f"survey total: {raised} of {calls} calls raise")
     return 0
 
 

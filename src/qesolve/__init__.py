@@ -23,13 +23,10 @@ from .analysis import (
 from .cpoly import (
     ZERO,
     CPolynomial,
-    monomial,
-    poly_add,
     poly_derivative,
     poly_eval,
     poly_mul,
     poly_scale,
-    poly_sub,
 )
 from .errors import (
     ConvergenceFailureError,

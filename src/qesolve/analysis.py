@@ -24,8 +24,10 @@ Verification is deliberately redundant:
   * fd_verify builds a model's Hamiltonian, shifted by its one constant,
     once on a second-order central-difference Dirichlet grid and refines
     each energy_base + shift on it by Newton on det(H - zI), each step one
-    O(n) pass of the LDL^T pivot recurrence for p'/p.  A Newton root within
-    the level's defect bound of the prediction is kept; any other level
+    O(n) pass of the LDL^T pivot recurrence for p'/p.  Newton stops once the
+    step it would take next is below the level's rounding floor
+    eps * (4/h^2 + |z|), two passes on the default grid.  A Newton root
+    within the level's defect bound of the prediction is kept; any other level
     falls back to inverse iteration, one complex tridiagonal LU of H minus
     the prediction itself and about three solves, each giving the bilinear
     quotient u^T H u / u^T u without a product by H, which names the grid
@@ -261,8 +263,9 @@ def partner_potentials(model: QesModel, x: float) -> tuple[complex, complex]:
 
 
 # Newton steps allowed per level before the fallback (every default-grid
-# level of a block with 2j <= 5 settles in 3; coarse grids and large 2j can
-# take more than 20), the step (Newton) or the agreement of successive
+# level of a block with 2j <= 5 that Newton keeps settles in 2, its second
+# step below the rounding floor; coarse grids and large 2j can take more
+# than 20), the step (Newton) or the agreement of successive
 # quotients (inverse iteration, shifted by the prediction itself) that ends
 # the refinement, the least |u^T u| / ||u||^2 trusted (grids measured keep
 # it above 4.9e-7; rounding leaves an isotropic u at about 1e-16), the
@@ -277,24 +280,33 @@ FD_REFERENCE_DEFECT = 5e-3
 
 
 def _newton_root(
-    diag: list[complex], prod: list[float], guess: complex, radius: float
+    diag: list[complex], prod: list[float], guess: complex, radius: float, kinetic: float = 0.0
 ) -> complex | None:
     """Eigenvalue of H within radius of guess by Newton on det(H - zI), or None.
 
-    Each step is 1 / (p'/p) from tridiag_log_derivative; a root is returned
-    once a step is below FD_RQ_TOL.  None means the level needs inverse
-    iteration: a step that is not finite, an iterate farther than radius
-    from guess, or FD_NEWTON_STEPS steps without settling.
+    Each step is 1 / (p'/p) from tridiag_log_derivative.  A root is
+    returned once a step is below FD_RQ_TOL, or once a step shorter than
+    the one before, and not the last allowed, puts the quadratic model's
+    next step |s_k|^3 / |s_{k-1}|^2 at or below the level's rounding floor
+    eps * (kinetic + |z|), kinetic being H's kinetic row sum 4 / h^2.  None
+    means the level needs inverse iteration: a step that is not finite, an
+    iterate farther than radius from guess, or FD_NEWTON_STEPS steps
+    without settling.
     """
-    z = guess
-    for _ in range(FD_NEWTON_STEPS):
+    z, previous = guess, 0.0  # no step comes before the first
+    for k in range(1, FD_NEWTON_STEPS + 1):
         ratio = tridiag_log_derivative(diag, prod, z)
         step = 1.0 / ratio if ratio else complex(math.inf)
         z -= step
         if not cmath.isfinite(step) or abs(z - guess) > radius:
             return None
-        if abs(step) < FD_RQ_TOL:
+        size = abs(step)
+        if size < FD_RQ_TOL:
             return z
+        floor = sys.float_info.epsilon * (kinetic + abs(z))
+        if k < FD_NEWTON_STEPS and size < previous and size**3 <= floor * previous**2:
+            return z
+        previous = size
     return None
 
 
@@ -345,9 +357,10 @@ def _refine_levels(
     eps * ||H||.
     """
     prod = [0.0, *(c * c for c in off)]
+    kinetic = 4.0 * max(map(abs, off))
     refined = []
     for guess in predicted:
-        root = _newton_root(diag, prod, guess, radius)
+        root = _newton_root(diag, prod, guess, radius, kinetic)
         if root is None:
             n = len(diag)
             start = [1.0 + (i + 1.0) / n for i in range(n)]

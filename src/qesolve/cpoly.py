@@ -75,30 +75,6 @@ class CPolynomial:
 ZERO = CPolynomial()
 
 
-def monomial(k: int, c: complex = 1.0) -> CPolynomial:
-    """c * z**k."""
-    if k < 0:
-        raise ValueError("monomial exponent must be non-negative")
-    return CPolynomial((0.0,) * k + (c,))
-
-
-def poly_add(p: CPolynomial, q: CPolynomial) -> CPolynomial:
-    a, b = p.coeffs, q.coeffs
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, c in enumerate(b):
-        out[k] += c
-    return CPolynomial(out)
-
-
-def poly_sub(p: CPolynomial, q: CPolynomial) -> CPolynomial:
-    out = list(p.coeffs) + [0.0j] * max(0, len(q.coeffs) - len(p.coeffs))
-    for k, c in enumerate(q.coeffs):
-        out[k] -= c
-    return CPolynomial(out)
-
-
 def poly_scale(p: CPolynomial, c: complex) -> CPolynomial:
     return CPolynomial(c * x for x in p.coeffs)
 

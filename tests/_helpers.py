@@ -3,16 +3,7 @@
 import math
 import random
 
-from qesolve.cpoly import (
-    ZERO,
-    CPolynomial,
-    monomial,
-    poly_add,
-    poly_derivative,
-    poly_mul,
-    poly_scale,
-    poly_sub,
-)
+from qesolve.cpoly import ZERO, CPolynomial, poly_derivative, poly_mul, poly_scale
 from qesolve.errors import ValidationError
 from qesolve.families import (
     EVEN,
@@ -23,6 +14,8 @@ from qesolve.families import (
     make_sextic,
 )
 from qesolve.sl2 import OperatorCombination, SpinJ
+
+from _oracles import monomial, poly_add, poly_sub
 
 SEED = 20260808
 

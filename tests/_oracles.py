@@ -6,6 +6,8 @@
   tests use them on small blocks only.
 * high_precision_spectrum: each eigenvalue of a tridiagonal block to 60
   digits, with its condition number.
+* monomial, poly_add, poly_sub: polynomial building blocks that only the
+  tests' closed-form generator actions and algebra checks use.
 """
 
 import cmath
@@ -17,6 +19,30 @@ from qesolve.cpoly import CPolynomial
 from qesolve.errors import ConvergenceFailureError, ValidationError
 
 _EPS = sys.float_info.epsilon
+
+
+def monomial(k: int, c: complex = 1.0) -> CPolynomial:
+    """c * z**k."""
+    if k < 0:
+        raise ValueError("monomial exponent must be non-negative")
+    return CPolynomial((0.0,) * k + (c,))
+
+
+def poly_add(p: CPolynomial, q: CPolynomial) -> CPolynomial:
+    a, b = p.coeffs, q.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    return CPolynomial(out)
+
+
+def poly_sub(p: CPolynomial, q: CPolynomial) -> CPolynomial:
+    out = list(p.coeffs) + [0.0j] * max(0, len(q.coeffs) - len(p.coeffs))
+    for k, c in enumerate(q.coeffs):
+        out[k] -= c
+    return CPolynomial(out)
 
 
 def _trace(m):

@@ -23,7 +23,6 @@ from qesolve.families import (
     make_sextic,
 )
 from qesolve.sl2 import SpinJ, build_block
-from qesolve.cpoly import monomial
 from qesolve.spectrum import solve_model
 
 from _helpers import (
@@ -36,6 +35,7 @@ from _helpers import (
     romberg,
     tridiagonal_from_action,
 )
+from _oracles import monomial
 
 
 def _passed(number: int, detail: str) -> None:

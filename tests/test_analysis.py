@@ -660,9 +660,14 @@ def test_fd_verify_cost_on_half_grid(sector, n_points, reduced, monkeypatch):
     fd_verify(model, solutions, result.shift, GridSpec(-6.0, 6.0, n_points))
     assert len(samples) == len(set(samples)) == reduced
     assert min(samples) >= 0.0
-    # each level takes a few one-pass Newton steps over the half grid's rows
+    # each level takes a few one-pass Newton steps over the half grid's rows;
+    # on the default grid the second step already lies below the level's
+    # rounding floor, so no third pass confirms it
     assert set(passes) == {reduced}
-    assert len(solutions) <= len(passes) <= analysis.FD_NEWTON_STEPS * len(solutions)
+    if n_points == 2000:
+        assert len(passes) == 2 * len(solutions)
+    else:
+        assert len(solutions) <= len(passes) <= analysis.FD_NEWTON_STEPS * len(solutions)
 
 
 def test_fd_newton_matches_full_morse_grid(monkeypatch):
@@ -715,6 +720,124 @@ def test_fd_newton_rejects_a_non_finite_step():
     assert analysis._newton_root([1.0 + 0j, -1.0 + 0j], [0.0, 0.0], 0.5 + 0j, 0.5) is None
     root = analysis._newton_root([1.0 + 0j, -1.0 + 0j], [0.0, 0.0], 0.5 + 0j, 1.0)
     assert abs(root - 1.0) <= 1e-15
+
+
+def _default_grid_models():
+    """Sextic even, sextic odd and Morse at 2j = 0..5, mu in {0, 0.7, 1.4}: 189 levels."""
+    for two_j in range(6):
+        for mu in (0.0, 0.7, 1.4):
+            yield make_sextic(SexticParams.from_mu(mu, two_j, EVEN))
+            yield make_sextic(SexticParams.from_mu(mu, two_j, ODD))
+            yield make_morse(MorseParams.from_mu(mu, two_j))
+
+
+@pytest.fixture(scope="module")
+def default_grid_newton():
+    """(log-derivative passes, levels, [(diag, prod, kinetic, root)]) over the default grids.
+
+    kinetic is 4 / h^2 of each model's default grid, read from the grid
+    itself; root is each level's Newton root, None where it fell back.
+    """
+    passes, roots = [], []
+    log_derivative, newton_root = analysis.tridiag_log_derivative, analysis._newton_root
+    levels = 0
+
+    def counting_log_derivative(*args):
+        passes.append(len(args[0]))
+        return log_derivative(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "tridiag_log_derivative", counting_log_derivative)
+        for model in _default_grid_models():
+            grid = default_grid(model)
+            kinetic = 4.0 * ((grid.n_points + 1) / (grid.x_max - grid.x_min)) ** 2
+
+            def recording_root(diag, prod, guess, radius, *rest):
+                root = newton_root(diag, prod, guess, radius, *rest)
+                roots.append((diag, prod, kinetic, root))
+                return root
+
+            patch.setattr(analysis, "_newton_root", recording_root)
+            solutions, result = solve_model(model)
+            fd_verify(model, solutions, result.shift)
+            levels += len(solutions)
+    return passes, levels, roots
+
+
+def test_fd_newton_passes_on_default_grids(default_grid_newton):
+    # every level stopped on a step below FD_RQ_TOL took 538 passes here;
+    # stopping once the next step is below the rounding floor takes 366
+    passes, levels, roots = default_grid_newton
+    assert levels == len(roots) == 189
+    assert len(passes) <= 400
+
+
+def test_fd_newton_roots_are_fixed_points(default_grid_newton):
+    # one more Newton step from any returned root stays within twice its
+    # rounding floor eps * (4 / h^2 + |z|): the pass that was saved would
+    # only have confirmed the root
+    _, _, roots = default_grid_newton
+    kept = [entry for entry in roots if entry[3] is not None]
+    assert len(kept) == 177  # the other 12 levels fall back to inverse iteration
+    for diag, prod, kinetic, root in kept:
+        step = 1.0 / analysis.tridiag_log_derivative(diag, prod, root)
+        assert abs(step) <= 2.0 * sys.float_info.epsilon * (kinetic + abs(root))
+
+
+def _morse_grid(model, shift, grid):
+    """diag, coupling products and 4 / h^2 of the full Morse grid Hamiltonian, as fd_verify builds it."""
+    h = (grid.x_max - grid.x_min) / (grid.n_points + 1)
+    inv_h2 = 1.0 / (h * h)
+    xs = [grid.x_min + (i + 1) * h for i in range(grid.n_points)]
+    diag = [2.0 * inv_h2 + potential_eval(model, x, shift) for x in xs]
+    return diag, [0.0] + [inv_h2 * inv_h2] * (grid.n_points - 1), 4.0 * inv_h2
+
+
+def test_fd_newton_does_not_stop_early_on_its_last_step():
+    # on this coarse grid Newton from -21.745 - 2.616i wanders for all its
+    # steps; a rounding-floor stop on the last one would keep -17.862 - 1.115i,
+    # a grid eigenvalue, but not the one nearest the prediction (-25.619 - 2.010i)
+    model = make_morse(MorseParams.from_mu(0.7, 11))
+    solutions, result = solve_model(model)
+    grid = GridSpec(-12.0, 4.0, 64)
+    diag, prod, kinetic = _morse_grid(model, result.shift, grid)
+    (guess,) = [
+        s.energy_base + result.shift
+        for s in solutions
+        if abs(s.energy_base + result.shift - (-21.745 - 2.616j)) < 1e-3
+    ]
+    radius = analysis.fd_defect_bound(model, grid)
+    assert analysis._newton_root(diag, prod, guess, radius, kinetic) is None
+
+
+def test_fd_coarse_morse_levels_match_a_40_digit_grid_eigenvalue():
+    # the rounding floor uses 4 / h^2, not ||H||: the far-tail potential
+    # (e^24 at x = -12) sets ||H|| on Morse grids, and a floor from it stops
+    # Newton about 2e-6 short of these levels
+    mp = pytest.importorskip("mpmath")
+    model = make_morse(MorseParams.from_mu(0.7, 5))
+    solutions, result = solve_model(model)
+    grid = GridSpec(-12.0, 4.0, 64)
+    refined = fd_verify(model, solutions, result.shift, grid).refined
+    diag, prod, _ = _morse_grid(model, result.shift, grid)
+    with mp.workdps(40):
+        diag40 = [mp.mpc(d) for d in diag]
+        prod40 = [mp.mpf(b) for b in prod]
+        for value in refined:
+            # Newton on the continuant p(z) = det(H - zI) and p'(z), in 40 digits
+            z = mp.mpc(value)
+            for _ in range(50):
+                p0, p1, d0, d1 = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0)
+                for a, b in zip(diag40, prod40):
+                    p0, p1 = (a - z) * p0 - b * p1, p0
+                    d0, d1 = (a - z) * d0 - p1 - b * d1, d0
+                step = p0 / d0
+                z -= step
+                if abs(step) <= mp.mpf(10) ** -35 * (1 + abs(z)):
+                    break
+            else:
+                raise AssertionError("40-digit Newton did not settle")
+            assert abs(complex(z) - value) <= 1e-10
 
 
 def test_fd_isotropic_vector_raises_with_last_estimate():

@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 from qesolve.cpoly import (
     ZERO,
     CPolynomial,
-    monomial,
-    poly_add,
     poly_derivative,
     poly_eval,
     poly_eval_bounded,
     poly_mul,
-    poly_sub,
 )
 from qesolve.errors import NumericOverflowError
 
 from _helpers import fresh_rng, rel_err
+from _oracles import monomial, poly_add, poly_sub
 
 unit_coeffs = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 polys = st.lists(unit_coeffs, max_size=13).map(CPolynomial)

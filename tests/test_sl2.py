@@ -1,6 +1,6 @@
 import pytest
 
-from qesolve.cpoly import CPolynomial, monomial
+from qesolve.cpoly import CPolynomial
 from qesolve.errors import ValidationError
 from qesolve.sl2 import BlockMatrix, OperatorCombination, SpinJ, build_block
 
@@ -12,6 +12,7 @@ from _helpers import (
     max_matrix_mismatch,
     unit_complex,
 )
+from _oracles import monomial
 
 
 def test_raising_annihilates_top_state_exactly():
