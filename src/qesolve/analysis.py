@@ -14,9 +14,9 @@ Verification is deliberately redundant:
     error of phi, rounding-sized for a genuine eigenpair.
   * norm_squared integrates |psi|^2 by the trapezoidal rule on the nodes
     x = k*h: it doubles the interval until the tail is negligible, then
-    halves h until the sum settles, reusing every earlier sample.  For an
-    analytic, super-exponentially decaying integrand the rule converges
-    geometrically in 1/h.
+    halves h until the sum settles, each rule fsumming running lists that
+    gain only its new nodes.  For an analytic, super-exponentially decaying
+    integrand the rule converges geometrically in 1/h.
   * is_pt_symmetric tests V*(-x) = V(x) including the additive shift, each
     coefficient against the conjugate of its mirror term's.
   * partner_potentials evaluates the isospectral pair W^2 -/+ W' from the
@@ -143,15 +143,16 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
     Nodes carry full weight, so the step test also fails while the edge
     samples matter.  |psi|^2 is analytic and decays faster than any
     exponential, so the error falls geometrically as the step halves
-    (Trefethen & Weideman, SIAM Rev. 56, 2014).  Halving or widening
-    evaluates only the new nodes; every abscissa is sampled at most once
-    per call.  A sum over more than NORM_NODE_CAP nodes raises
-    ConvergenceFailureError with the last sum as `best` and the relative
-    change of the last widening or halving as `defect`: "normalization tail
-    did not stabilize" while widening (from half-width 8192 at the start
-    step), "quadrature refinement did not converge" while halving.  A sum
-    beyond the largest double raises it too, "normalization sum overflowed",
-    with the largest finite sample over the largest double as `defect`.
+    (Trefethen & Weideman, SIAM Rev. 56, 2014).  Each rule appends only its
+    new nodes to running lists of |psi|^2 and its bound and takes h times
+    their fsums; a sextic x > 0 stands for -x too.  A sum over more than
+    NORM_NODE_CAP nodes raises ConvergenceFailureError with the last sum as
+    `best` and the relative change of the last widening or halving as
+    `defect`: "normalization tail did not stabilize" while widening (from
+    half-width 8192 at the start step), "quadrature refinement did not
+    converge" while halving.  A sum beyond the largest double raises it
+    too, "normalization sum overflowed", with the largest finite sample
+    over the largest double as `defect`.
 
     Requires a decaying gauge: always true for the sextic family, and for
     Morse only under Re a > 0 and Re d > 0 (an inferred condition; the
@@ -163,31 +164,29 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
                 "Morse normalization needs Re a > 0 and Re d > 0 for a decaying gauge"
             )
 
-    samples: dict[float, tuple[float, float]] = {}
-    # |psi(-x)|^2 is |psi(x)|^2 to the last bit for the sextic: x enters as x*x
-    # and x^4, and the odd sector's factor x flips the sign of psi exactly
-    mirrored = model.family == SEXTIC
+    # |psi|^2 and its rounding bound at every node of the current rule, x = 0 first
+    values, errors = ([sample] for sample in psi_abs2(model, solution, 0.0))
 
-    def trapezoid(h: float, half: float) -> tuple[float, float]:
-        last = int(half / h)
-        terms = []
-        for k in range(-last, last + 1):
+    def trapezoid(h: float, new: range) -> tuple[float, float]:
+        for k in new:  # sample the new nodes x = k*h and -k*h, then sum every node
             x = k * h  # h is a power of two times the start step: k*h is exact
-            if mirrored:
-                x = abs(x)
-            sample = samples.get(x)
-            if sample is None:
-                sample = samples[x] = psi_abs2(model, solution, x)
-            terms.append(sample)
-        values, errors = zip(*terms)
+            right = psi_abs2(model, solution, x)
+            # |psi(-x)|^2 is |psi(x)|^2 to the last bit for the sextic: x enters as x*x
+            # and x^4, and the odd sector's factor x flips the sign of psi exactly
+            left = right if model.family == SEXTIC else psi_abs2(model, solution, -x)
+            values.extend((right[0], left[0]))
+            errors.extend((right[1], left[1]))
         try:
-            # the sum and its rounding bound, added left to right on every Python version
-            return h * math.fsum(values), h * reduce(operator.add, errors, 0.0)
+            total = h * math.fsum(values)
         except OverflowError:  # finite samples whose sum is beyond the largest double
             largest = max(filter(math.isfinite, values))
             raise ConvergenceFailureError(
                 "normalization sum overflowed", defect=largest / sys.float_info.max
             ) from None
+        try:
+            return total, h * math.fsum(errors)
+        except OverflowError:  # a finite bound beyond the largest double
+            return total, math.inf
 
     change = math.inf  # relative change of the last widening or halving: a cap's defect
 
@@ -199,14 +198,15 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
 
     h = NORM_START_STEP
     half = NORM_START_HALF_WIDTH
-    total, _ = trapezoid(h, half)
+    total, _ = trapezoid(h, range(1, int(half / h) + 1))
     while True:
         half *= 2.0
-        if 2 * int(half / h) + 1 > NORM_NODE_CAP:
+        last = int(half / h)
+        if 2 * last + 1 > NORM_NODE_CAP:
             raise ConvergenceFailureError(
                 "normalization tail did not stabilize", best=total, defect=change
             )
-        wider, rounding = trapezoid(h, half)
+        wider, rounding = trapezoid(h, range(last // 2 + 1, last + 1))
         if agree(total, wider):
             break
         total = wider
@@ -217,7 +217,8 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
             raise ConvergenceFailureError(
                 "quadrature refinement did not converge", best=total, defect=change
             )
-        finer, finer_rounding = trapezoid(h / 2.0, half)
+        h /= 2.0
+        finer, finer_rounding = trapezoid(h, range(1, int(half / h) + 1, 2))
         if rounding + finer_rounding > NORM_ROUNDING_CAP * abs(finer):
             bound = (rounding + finer_rounding) / abs(finer) if finer else math.inf
             raise ConvergenceFailureError(
@@ -226,7 +227,6 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
         if agree(total, finer, rounding + finer_rounding):
             return finer
         total, rounding = finer, finer_rounding
-        h /= 2.0
 
 
 PT_TOL = 1e-9
@@ -280,7 +280,7 @@ FD_REFERENCE_DEFECT = 5e-3
 
 
 def _newton_root(
-    diag: list[complex], prod: list[float], guess: complex, radius: float, kinetic: float = 0.0
+    diag: list[complex], prod: list[float], guess: complex, radius: float, kinetic: float
 ) -> complex | None:
     """Eigenvalue of H within radius of guess by Newton on det(H - zI), or None.
 
@@ -370,10 +370,15 @@ def _refine_levels(
 
 
 def default_grid(model: QesModel, n_points: int = FD_GRID_N) -> GridSpec:
-    """Family defaults sized so the gauge factor is below 1e-16 at the ends."""
+    """Family defaults sized so the gauge factor is below 1e-16 at the ends.
+
+    Morse takes [-12, 4] moved by Re x0 = ln(|a| / |d|) / 2: V_{a,d}(x) is
+    V_{c,c}(x - x0) with c = sqrt(a d), so the shift is 0 where |a| = |d|.
+    """
     if model.family == SEXTIC:
         return GridSpec(-6.0, 6.0, n_points)
-    return GridSpec(-12.0, 4.0, n_points)
+    x0 = 0.5 * (math.log(abs(model.params.a)) - math.log(abs(model.params.d)))
+    return GridSpec(-12.0 + x0, 4.0 + x0, n_points)
 
 
 def fd_defect_bound(model: QesModel, grid: GridSpec) -> float:

@@ -17,6 +17,7 @@ from qesolve.analysis import (
     psi_eval,
     residual_sup,
 )
+from qesolve.cli import build_report
 from qesolve.cpoly import CPolynomial
 from qesolve.errors import (
     ConvergenceFailureError,
@@ -194,18 +195,37 @@ def test_norm_samples_each_abscissa_once(model, monkeypatch):
     # the sextic |psi|^2 is even, so x and -x share one sample
     w = _solved(model)
     expected = norm_squared(*w)
-    abscissas = []
+    samples = {}
     psi_abs2 = analysis.psi_abs2
 
     def recording_psi_abs2(model, solution, x):
-        abscissas.append(x)
-        return psi_abs2(model, solution, x)
+        assert x not in samples
+        samples[x] = psi_abs2(model, solution, x)
+        return samples[x]
+
+    sums, fsum = [], math.fsum
+
+    def recording_fsum(terms):
+        sums.append(list(terms))
+        return fsum(sums[-1])
 
     monkeypatch.setattr(analysis, "psi_abs2", recording_psi_abs2)
+    monkeypatch.setattr(math, "fsum", recording_fsum)
     assert norm_squared(*w) == expected
-    assert abscissas and len(abscissas) == len(set(abscissas))
-    if model.family == SEXTIC:
-        assert min(abscissas) >= 0.0
+    monkeypatch.undo()
+    # the samples are the nodes of the finest rule, x >= 0 alone for the sextic
+    abscissas = sorted(samples)
+    h = min(b - a for a, b in zip(abscissas, abscissas[1:]))
+    last = round(abscissas[-1] / h)
+    first = 0 if model.family == SEXTIC else -last
+    assert abscissas == [k * h for k in range(first, last + 1)]
+    # and the running sums add up to that rule: every node counted once, a
+    # sextic x > 0 also for -x, none dropped and none doubled
+    weight = 2 if model.family == SEXTIC else 1
+    values = [v for x, (v, _) in samples.items() for _ in range(weight if x else 1)]
+    assert expected == h * math.fsum(values)
+    # the last rule summed exactly those samples, tail nodes far below an ulp included
+    assert sorted(sums[-2]) == sorted(values)
 
 
 def _traceback_names(exc):
@@ -714,11 +734,13 @@ def test_fd_exhausted_newton_budget_falls_back(monkeypatch):
 
 
 def test_fd_newton_rejects_a_non_finite_step():
-    # p(z) = (1 - z)(-1 - z) has p'(0) = 0: the step 1 / (p'/p) is infinite
-    assert analysis._newton_root([1.0 + 0j, -1.0 + 0j], [0.0, 0.0], 0j, 10.0) is None
+    # p(z) = (1 - z)(-1 - z) has p'(0) = 0: the step 1 / (p'/p) is infinite; a
+    # diagonal H has no off-diagonal entries, so its kinetic row sum 4 max|off| is 0
+    diag, prod = [1.0 + 0j, -1.0 + 0j], [0.0, 0.0]
+    assert analysis._newton_root(diag, prod, 0j, 10.0, 0.0) is None
     # and from 0.5 the first iterate, 1.25, leaves a disc of radius 0.5
-    assert analysis._newton_root([1.0 + 0j, -1.0 + 0j], [0.0, 0.0], 0.5 + 0j, 0.5) is None
-    root = analysis._newton_root([1.0 + 0j, -1.0 + 0j], [0.0, 0.0], 0.5 + 0j, 1.0)
+    assert analysis._newton_root(diag, prod, 0.5 + 0j, 0.5, 0.0) is None
+    root = analysis._newton_root(diag, prod, 0.5 + 0j, 1.0, 0.0)
     assert abs(root - 1.0) <= 1e-15
 
 
@@ -916,3 +938,42 @@ def test_default_grids():
     morse = default_grid(make_morse(MorseParams.from_mu(1.0, 0)))
     assert (sextic.x_min, sextic.x_max, sextic.n_points) == (-6.0, 6.0, 2000)
     assert (morse.x_min, morse.x_max, morse.n_points) == (-12.0, 4.0, 2000)
+    # a complex a or d of the same modulus leaves the Morse grid where it is
+    tilted = default_grid(make_morse(MorseParams.from_mu(1.0, 0, a=1j, d=0.6 + 0.8j)))
+    assert (tilted.x_min, tilted.x_max) == (-12.0, 4.0)
+    # V_{a,d}(x) = V_{1,1}(x - x0) for a d = 1, with x0 = ln(a / d) / 2 = ln 100
+    moved = default_grid(make_morse(MorseParams.from_mu(1.0, 0, a=100.0, d=0.01)))
+    assert abs(moved.x_min - (-12.0 + math.log(100.0))) <= 1e-15 * 12.0
+    assert abs(moved.x_max - (4.0 + math.log(100.0))) <= 1e-15 * 12.0
+
+
+# Morse 2j = 2, mu = 0.7 at a = 1e3, d = 1e-3: the block's eigenvector residual is
+# 1.07e-10, over solve_model's 1e-10 gate, although its energies match a = d = 1's
+_UNBALANCED_EIGENVECTOR = pytest.mark.xfail(
+    raises=ConvergenceFailureError, strict=True, reason="eigenvectors of the unbalanced block"
+)
+
+
+@pytest.mark.parametrize(
+    "two_j, mu, power",
+    [
+        pytest.param(two_j, mu, power, marks=_UNBALANCED_EIGENVECTOR)
+        if (two_j, mu, power) == (2, 0.7, 3)
+        else (two_j, mu, power)
+        for two_j in range(8)
+        for mu in (0.3, 0.7, 1.4)
+        for power in (-3, 2, 3)
+    ],
+)
+def test_morse_depends_on_a_and_d_through_their_product(two_j, mu, power):
+    # a d = 1 makes V_{a,d} a translate of V_{1,1}: the same spectrum, and on
+    # the translated default grid the same verify outcome
+    reference = make_morse(MorseParams.from_mu(mu, two_j))
+    model = make_morse(MorseParams.from_mu(mu, two_j, a=10.0**power, d=10.0**-power))
+    expected, _ = solve_model(reference)
+    solutions, _ = solve_model(model)
+    for s, e in zip(solutions, expected, strict=True):
+        assert abs(s.energy_base - e.energy_base) <= 1e-14 * max(1.0, abs(e.energy_base))
+    _, passed_reference = build_report(reference, verify=True)
+    _, passed = build_report(model, verify=True)
+    assert passed or not passed_reference
