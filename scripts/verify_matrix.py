@@ -17,6 +17,12 @@ the defect bound, or the message of the error that stopped it, then one
 `survey` line per grid size and outcome with its call count, then the
 number of calls that raised.
 
+A third table surveys Morse with a d = 1, whose potential is a translate of
+the a = d = 1 one with the same spectrum: build_report(verify=True) with
+a = 10^p, d = 10^-p, p = -4..4, 2j = 0..7, mu in {0.3, 0.7, 1.0, 1.4}: 288
+calls.  Each call gets one `translate` line with its outcome, as in the
+first table, then the total that pass.
+
 The script imports qesolve from the `src` directory next to it; to run
 another checkout, copy the script into that checkout's `scripts` directory
 and run it there.  It takes about two minutes.
@@ -45,6 +51,8 @@ FAMILIES = {
 GRID_TWO_JS = (*range(13), 20, 31)
 GRID_MUS = (0.0, 0.7, 1.4)
 GRID_NS = (64, 65, 257, 2000)
+TRANSLATE_POWERS = range(-4, 5)
+TRANSLATE_TWO_JS = range(8)
 
 
 def outcome(model) -> str:
@@ -107,6 +115,17 @@ def main() -> int:
     for (n, label), count in sorted(counts.items()):
         print(f"survey n={n} | {label} | {count} calls")
     print(f"survey total: {raised} of {calls} calls raise")
+
+    passed = total = 0
+    for power in TRANSLATE_POWERS:
+        for two_j in TRANSLATE_TWO_JS:
+            for mu in MUS:
+                params = MorseParams.from_mu(mu, two_j, a=10.0**power, d=10.0**-power)
+                label = outcome(make_morse(params))
+                print(f"translate p={power} 2j={two_j} mu={mu}: {label}")
+                passed += label == "pass"
+                total += 1
+    print(f"translation total: {passed} of {total} calls pass")
     return 0
 
 

@@ -16,9 +16,9 @@ eigen_solve works on them directly:
                     the block norm, are replaced by their centroid, refined by
                     Newton on p^(m-1) for a cluster of m, and reported with
                     their multiplicity, with no attempt at Jordan structure.
-  * eigenvectors    inverse iteration on M - lambda I, three O(n)
-                    tridiagonal solves per distinct centroid, and an O(n)
-                    residual.
+  * eigenvectors    the null vector of the twisted factorization of
+                    M - lambda I, one O(n) pass per distinct centroid with
+                    every row but the twist row exact, and an O(n) residual.
 
 Each eigenpair is one solved level (QesSolution).  A complex spectrum is
 re-centered to a real one by a constant potential shift, one per model and
@@ -41,7 +41,7 @@ from .cpoly import CPolynomial
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import QesModel
 from .sl2 import BlockMatrix, build_block
-from .tridiag import tridiag_factor, tridiag_matvec, tridiag_norm, tridiag_solve, upper_solve
+from .tridiag import tridiag_matvec, tridiag_norm, tridiag_null_vector
 
 _EPS = sys.float_info.epsilon
 
@@ -191,32 +191,6 @@ def _cluster(values: list[complex], tol: float, tie: float) -> list[tuple[comple
     return [t for _, t in sorted(ranked, key=lambda r: (r[0], r[1][0].imag))]
 
 
-def _inverse_iteration(sub, diag, sup, lam: complex) -> list[complex]:
-    """Eigenvector of the tridiagonal T for the eigenvalue estimate lam.
-
-    The first step solves U x = e_f with f the smallest pivot of the LU of
-    T - lam I, so components that an exact zero coupling decouples stay
-    exactly zero; two full solves follow.  When the smallest pivot is below
-    2^-512, every right-hand side is scaled by 2^512 times its power of
-    two: exact, and the division by that pivot cannot overflow.
-    """
-    n = len(diag)
-    factors = tridiag_factor(sub, diag, sup, lam)
-    pivots = factors[0]
-    f = min(range(n), key=lambda k: abs(pivots[k]))
-    scale = math.ldexp(1.0, min(0, math.frexp(abs(pivots[f]))[1] + 512))
-    start = [0.0j] * n
-    start[f] = complex(scale)
-    x = upper_solve(factors, start)
-    for _ in range(2):
-        big = max(abs(c) for c in x)
-        x = [c / big for c in x]
-        if scale < 1.0:  # real products: a complex one would flip the sign of some zeros
-            x = [complex(c.real * scale, c.imag * scale) for c in x]
-        x = tridiag_solve(factors, x)
-    return x
-
-
 def _centroid_root(diag, prod, z: complex, m: int, tol: float) -> complex:
     """Newton on p^(m-1) from the centroid z of an m-member cluster.
 
@@ -256,7 +230,7 @@ def eigen_solve(m: BlockMatrix) -> list[QesSolution]:
         if mult > 1:
             z = _centroid_root(d, prod, z, mult, tol)
         lam = s * z
-        v = _inverse_iteration(lo, d, up, z)
+        v = tridiag_null_vector(lo, d, up, z)
         if not all(map(cmath.isfinite, v)):
             raise NumericOverflowError(f"eigenvector for eigenvalue {lam!r} overflowed")
         vmax = max(abs(c) for c in v)

@@ -3,12 +3,12 @@
 A tridiagonal matrix is held as three lists: sub[i] = A[i+1][i],
 diag[i] = A[i][i] and sup[i] = A[i][i+1].
 
-Both callers run inverse iteration on A - sigma I, factored by
-tridiag_factor(sub, diag, sup, sigma).  It replaces an exactly zero pivot
-by eps * ||A|| of the unshifted A: the tiny pivot inverse iteration wants
-at an exact eigenvalue, so no caller re-shifts.  tridiag_log_derivative
-gives the grid check its Newton step from the pivots of the same
-elimination without pivoting, under the same zero-pivot rule.
+The block eigensolver takes each eigenvector from the twisted factorization
+of A - zI (tridiag_null_vector).  The grid check takes its Newton step from
+the top-down pivots of the same elimination (tridiag_log_derivative) and
+falls back to inverse iteration on tridiag_factor's pivoted LU.  Each
+replaces an exactly zero pivot by eps * ||A|| of the unshifted A: the tiny
+pivot an exact eigenvalue wants, so no caller re-shifts.
 """
 
 from __future__ import annotations
@@ -81,10 +81,45 @@ def tridiag_log_derivative(diag: list[complex], prod: list[complex], z: complex)
     return total
 
 
-def upper_solve(factors, y: list[complex]) -> list[complex]:
-    """Back substitution with the U factor alone (pivots b, two superdiagonals c, d)."""
-    b, c, d, _, _ = factors
+def tridiag_null_vector(sub: list[complex], diag: list[complex], sup: list[complex], z: complex):
+    """Null vector of A - zI, z an eigenvalue, from its twisted factorization.
+
+    Pivots run down, P_k = (diag[k] - z) - prod[k] / P_{k-1} as in
+    tridiag_log_derivative, and up, Q_k = (diag[k] - z) - prod[k+1] / Q_{k+1}.
+    The twist r minimizes |P_r + Q_r - (diag[r] - z)|, the residual of row r
+    (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997; Parlett & Dhillon, Linear
+    Algebra Appl. 267, 1997).  With x_r = 1, x_k = -sup[k] x_{k+1} / P_k above
+    r and x_k = -sub[k-1] x_{k-1} / Q_k below, every other row holds, and an
+    exactly zero coupling keeps the components it decouples exactly zero.  x
+    is not scaled, so a strongly non-normal A can overflow it.
+    """
+    n = len(diag)
+    tiny = sys.float_info.epsilon * tridiag_norm(sub, diag, sup) or 1.0
+    shifted = [a - z for a in diag]
+    prod = [0.0, *(b * c for b, c in zip(sub, sup)), 0.0]
+    down, up, p, q = [0.0j] * n, [0.0j] * n, 1.0, 1.0
+    for k, j in zip(range(n), reversed(range(n))):
+        down[k] = p = shifted[k] - prod[k] / p or tiny
+        up[j] = q = shifted[j] - prod[j + 1] / q or tiny
+    r = min(range(n), key=lambda k: abs(down[k] + up[k] - shifted[k]))
+    x = [0.0j] * n
+    x[r] = 1.0 + 0.0j
+    for k in range(r - 1, -1, -1):
+        x[k] = -sup[k] * x[k + 1] / down[k]
+    for k in range(r + 1, n):
+        x[k] = -sub[k - 1] * x[k - 1] / up[k]
+    return x
+
+
+def tridiag_solve(factors, rhs: list[complex]) -> list[complex]:
+    """Solve A x = rhs from tridiag_factor's output."""
+    b, c, d, mult, swap = factors
     n = len(b)
+    y = list(rhs)
+    for i in range(n - 1):
+        if swap[i]:
+            y[i], y[i + 1] = y[i + 1], y[i]
+        y[i + 1] -= mult[i] * y[i]
     x = [0.0j] * n
     x[n - 1] = y[n - 1] / b[n - 1]
     if n >= 2:
@@ -92,17 +127,6 @@ def upper_solve(factors, y: list[complex]) -> list[complex]:
     for i in range(n - 3, -1, -1):
         x[i] = (y[i] - c[i] * x[i + 1] - d[i] * x[i + 2]) / b[i]
     return x
-
-
-def tridiag_solve(factors, rhs: list[complex]) -> list[complex]:
-    """Solve A x = rhs from tridiag_factor's output."""
-    _, _, _, mult, swap = factors
-    y = list(rhs)
-    for i in range(len(y) - 1):
-        if swap[i]:
-            y[i], y[i + 1] = y[i + 1], y[i]
-        y[i + 1] -= mult[i] * y[i]
-    return upper_solve(factors, y)
 
 
 def tridiag_matvec(

@@ -947,23 +947,9 @@ def test_default_grids():
     assert abs(moved.x_max - (4.0 + math.log(100.0))) <= 1e-15 * 12.0
 
 
-# Morse 2j = 2, mu = 0.7 at a = 1e3, d = 1e-3: the block's eigenvector residual is
-# 1.07e-10, over solve_model's 1e-10 gate, although its energies match a = d = 1's
-_UNBALANCED_EIGENVECTOR = pytest.mark.xfail(
-    raises=ConvergenceFailureError, strict=True, reason="eigenvectors of the unbalanced block"
-)
-
-
 @pytest.mark.parametrize(
     "two_j, mu, power",
-    [
-        pytest.param(two_j, mu, power, marks=_UNBALANCED_EIGENVECTOR)
-        if (two_j, mu, power) == (2, 0.7, 3)
-        else (two_j, mu, power)
-        for two_j in range(8)
-        for mu in (0.3, 0.7, 1.4)
-        for power in (-3, 2, 3)
-    ],
+    [(two_j, mu, power) for two_j in range(8) for mu in (0.3, 0.7, 1.4) for power in (-3, 2, 3)],
 )
 def test_morse_depends_on_a_and_d_through_their_product(two_j, mu, power):
     # a d = 1 makes V_{a,d} a translate of V_{1,1}: the same spectrum, and on
@@ -977,3 +963,20 @@ def test_morse_depends_on_a_and_d_through_their_product(two_j, mu, power):
     _, passed_reference = build_report(reference, verify=True)
     _, passed = build_report(model, verify=True)
     assert passed or not passed_reference
+
+
+@pytest.mark.parametrize(
+    "power, two_j, mu",
+    [(2, 17, 0.3), (3, 2, 0.7), (4, 2, 1.4), (4, 5, 0.7), (4, 6, 0.7), (4, 17, 0.3), (6, 2, 0.7), (6, 2, 1.4)],
+)
+def test_graded_morse_blocks_solve(power, two_j, mu):
+    # a = 10^p, d = 10^-p grades the couplings sub_k = -2dk and sup_k = 2a(k - n)
+    # by 10^2p, yet the spectrum depends on a d = 1 alone; each eigenvector
+    # must satisfy the graded block as well as the energies match a = d = 1
+    reference, _ = solve_model(make_morse(MorseParams.from_mu(mu, two_j)))
+    graded = make_morse(MorseParams.from_mu(mu, two_j, a=10.0**power, d=10.0**-power))
+    solutions, _ = solve_model(graded)
+    largest = max(abs(e.energy_base) for e in reference)
+    for s, e in zip(solutions, reference, strict=True):
+        assert s.eigvec_residual <= 1e-12
+        assert abs(s.energy_base - e.energy_base) <= 1e-14 * largest

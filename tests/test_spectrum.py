@@ -123,6 +123,9 @@ def test_eigen_solve_diagonal():
         # repeated eigenvalues of 1 x 1 and 2 x 2 pieces
         (ramp, [(0.0, 4), (1.0, 3), (2.0, 3)]),
         (pairs_of_three, [(golden, 3), (3.0 - golden, 3)]),
+        # Jordan blocks: a nilpotent 3 x 3 and the 4 x 4 lower shift
+        (BlockMatrix((1.0, -1.0), (0.0, 0.0, 0.0), (1.0, 1.0)), [(0.0, 3)]),
+        (BlockMatrix((1.0, 1.0, 1.0), (0.0,) * 4, (0.0, 0.0, 0.0)), [(0.0, 4)]),
     ]
     for block, expected in cases:
         pairs = eigen_solve(block)
@@ -443,10 +446,13 @@ def test_graded_block_converges():
 
 
 def test_overflowing_eigenvector_fails_loudly():
-    # a strongly non-normal block (couplings 1 above, 1e-300 below a
-    # diagonal in steps of 1e-150i) whose inverse iteration overflows; the
-    # non-finite vector used to escape as a bare StopIteration
+    # strongly non-normal blocks (couplings 1 above, 1e-300 below a diagonal
+    # in steps of 1e-150i): the 3 x 3 still solves, the 4 x 4's eigenvector
+    # overflows, and the non-finite vector must not escape as a bare
+    # StopIteration
     block = BlockMatrix(sub=(1e-300, 1e-300), diag=(0.0, 1e-150j, 2e-150j), sup=(1.0, 1.0))
+    assert max(p.eigvec_residual for p in eigen_solve(block)) <= 1e-10
+    block = BlockMatrix(sub=(1e-300,) * 3, diag=(0.0, 1e-150j, 2e-150j, 3e-150j), sup=(1.0, 1.0, 1.0))
     with pytest.raises(NumericOverflowError, match="eigenvector .* overflowed"):
         eigen_solve(block)
 
