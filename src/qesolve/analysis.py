@@ -28,10 +28,11 @@ Verification is deliberately redundant:
     step it would take next is below the level's rounding floor
     eps * (4/h^2 + |z|), two passes on the default grid.  A Newton root
     within the level's defect bound of the prediction is kept; any other level
-    falls back to inverse iteration, one complex tridiagonal LU of H minus
-    the prediction itself and about three solves, each giving the bilinear
-    quotient u^T H u / u^T u without a product by H, which names the grid
-    eigenvalue nearest the prediction however far off it lies.  The grid
+    falls back to inverse iteration, one unpivoted LDL^T of the complex
+    symmetric H minus the prediction itself, on the pivots of the same
+    recurrence, and about three solves, each giving the bilinear quotient
+    u^T H u / u^T u without a product by H, which names the grid eigenvalue
+    nearest the prediction however far off it lies.  The grid
     keeps all its points, except that on a grid symmetric about 0 the even
     sextic potential keeps each sector's parity, so sextic levels are
     refined on the x > 0 half alone, where no level of the other parity
@@ -55,7 +56,7 @@ from .cpoly import poly_derivative, poly_eval, poly_eval_bounded, poly_mul, poly
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import MORSE, ODD, SEXTIC, QesModel, potential_eval
 from .spectrum import QesSolution
-from .tridiag import tridiag_factor, tridiag_log_derivative, tridiag_solve
+from .tridiag import tridiag_ldlt, tridiag_log_derivative, tridiag_solve
 
 
 MAX_POINTS = 10**6  # the most points a grid, a scan or a partner sample may hold
@@ -311,7 +312,7 @@ def _newton_root(
 
 
 def _inverse_iteration(factors, sigma: complex, v: Sequence[complex]) -> complex:
-    """Eigenvalue nearest sigma of a complex symmetric H, from the LU of H - sigma I.
+    """Eigenvalue nearest sigma of a complex symmetric H, from the LDL^T of H - sigma I.
 
     Each solve (H - sigma I) u = v gives the bilinear quotient u^T H u / u^T u,
     stationary at eigenvectors of a complex symmetric H (Arbenz & Hochstenbach,
@@ -351,10 +352,9 @@ def _refine_levels(
     A Newton root within radius of its prediction is kept.  Any other level
     is refined by inverse iteration shifted by the prediction itself, from a
     ramp start (it carries both parities), which finds the grid eigenvalue
-    nearest the prediction wherever it lies.  The off-diagonals are
-    nonzero, so only the last LU pivot can vanish, as it does when the
-    prediction is a grid eigenvalue, and tridiag_factor replaces it by
-    eps * ||H||.
+    nearest the prediction wherever it lies.  tridiag_ldlt replaces an
+    exactly zero pivot, as the last one is when the prediction is a grid
+    eigenvalue, by eps * ||H||.
     """
     prod = [0.0, *(c * c for c in off)]
     kinetic = 4.0 * max(map(abs, off))
@@ -364,7 +364,7 @@ def _refine_levels(
         if root is None:
             n = len(diag)
             start = [1.0 + (i + 1.0) / n for i in range(n)]
-            root = _inverse_iteration(tridiag_factor(off, diag, off, guess), guess, start)
+            root = _inverse_iteration(tridiag_ldlt(off, diag, guess), guess, start)
         refined.append(root)
     return refined
 

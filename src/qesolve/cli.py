@@ -91,7 +91,7 @@ def to_json(value, indent: int = 0) -> str:
 
 
 def _fmt_c(c: complex) -> str:
-    return f"{c.real:.12g}{c.imag:+.12g}i"
+    return f"{c.real + 0.0:.12g}{c.imag + 0.0:+.12g}i"  # + 0.0 turns -0.0 into 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ diag[i] = A[i][i] and sup[i] = A[i][i+1].
 The block eigensolver takes each eigenvector from the twisted factorization
 of A - zI (tridiag_null_vector).  The grid check takes its Newton step from
 the top-down pivots of the same elimination (tridiag_log_derivative) and
-falls back to inverse iteration on tridiag_factor's pivoted LU.  Each
-replaces an exactly zero pivot by eps * ||A|| of the unshifted A: the tiny
-pivot an exact eigenvalue wants, so no caller re-shifts.
+falls back to inverse iteration on tridiag_ldlt, the unpivoted LDL^T of its
+complex symmetric H with those same pivots.  Each replaces an exactly zero
+pivot by eps * ||A|| of the unshifted A: the tiny pivot an exact eigenvalue
+wants, so no caller re-shifts.
 """
 
 from __future__ import annotations
@@ -22,39 +23,24 @@ def tridiag_norm(sub: list[complex], diag: list[complex], sup: list[complex]) ->
     return max(abs(lo) + abs(d) + abs(up) for lo, d, up in rows)
 
 
-def tridiag_factor(sub: list[complex], diag: list[complex], sup: list[complex], shift: complex):
-    """LU of A - shift I with adjacent-row partial pivoting.
+def tridiag_ldlt(off: list[complex], diag: list[complex], shift: complex):
+    """Unpivoted LDL^T of the complex symmetric A - shift I, A = tridiag(off, diag, off).
 
-    Pivoting introduces one extra superdiagonal of fill.  An exactly zero
-    pivot (both candidates zero) is replaced by eps * ||A|| of the unshifted
-    A, or by 1 for the zero matrix; the norm is computed only then.
+    Returns the pivots d_k = (diag[k] - shift) - l_{k-1} off[k-1], the
+    top-down pivots of tridiag_log_derivative, and the multipliers
+    l_k = off[k] / d_k.  An exactly zero pivot is replaced by eps * ||A|| of
+    the unshifted A, or by 1 for the zero matrix; the norm is computed only
+    then.
     """
-    n = len(diag)
-    b = [x - shift for x in diag]
-    c = list(sup) + [0.0j]
-    d = [0.0j] * n
-    a = list(sub)
-    mult = [0.0j] * max(n - 1, 0)
-    swap = [False] * max(n - 1, 0)
-
-    def zero_pivot() -> complex:
-        return complex(sys.float_info.epsilon * tridiag_norm(sub, diag, sup) or 1.0)
-
-    for i in range(n - 1):
-        if abs(a[i]) > abs(b[i]):
-            swap[i] = True
-            b[i], a[i] = a[i], b[i]
-            c[i], b[i + 1] = b[i + 1], c[i]
-            d[i], c[i + 1] = c[i + 1], d[i]
-        if b[i] == 0:
-            b[i] = zero_pivot()
-        m = a[i] / b[i]
-        mult[i] = m
-        b[i + 1] -= m * c[i]
-        c[i + 1] -= m * d[i]
-    if b[n - 1] == 0:
-        b[n - 1] = zero_pivot()
-    return b, c, d, mult, swap
+    pivots, mult = [], []
+    for k, a in enumerate(diag):
+        d = a - shift - mult[-1] * off[k - 1] if k else a - shift
+        if not d:
+            d = sys.float_info.epsilon * tridiag_norm(off, diag, off) or 1.0
+        pivots.append(d)
+        if k < len(off):
+            mult.append(off[k] / d)
+    return pivots, mult
 
 
 def tridiag_log_derivative(diag: list[complex], prod: list[complex], z: complex) -> complex:
@@ -67,7 +53,7 @@ def tridiag_log_derivative(diag: list[complex], prod: list[complex], z: complex)
     itself is never formed, so its growth or decay with n cannot under- or
     overflow.  An exactly zero pivot is replaced by eps * ||T|| of the
     unshifted T with its couplings balanced to |prod|^(1/2), as in
-    tridiag_factor.
+    tridiag_ldlt.
     """
     d, e, total = 1.0, 0.0, 0.0j
     for a, b in zip(diag, prod):
@@ -112,20 +98,18 @@ def tridiag_null_vector(sub: list[complex], diag: list[complex], sup: list[compl
 
 
 def tridiag_solve(factors, rhs: list[complex]) -> list[complex]:
-    """Solve A x = rhs from tridiag_factor's output."""
-    b, c, d, mult, swap = factors
-    n = len(b)
-    y = list(rhs)
-    for i in range(n - 1):
-        if swap[i]:
-            y[i], y[i + 1] = y[i + 1], y[i]
-        y[i + 1] -= mult[i] * y[i]
-    x = [0.0j] * n
-    x[n - 1] = y[n - 1] / b[n - 1]
-    if n >= 2:
-        x[n - 2] = (y[n - 2] - c[n - 2] * x[n - 1]) / b[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (y[i] - c[i] * x[i + 1] - d[i] * x[i + 2]) / b[i]
+    """Solve (A - shift I) x = rhs from tridiag_ldlt's pivots and multipliers.
+
+    Forward y_k = rhs[k] - l_{k-1} y_{k-1}, then back x_k = y_k / d_k - l_k x_{k+1}.
+    """
+    pivots, mult = factors
+    y = [rhs[0]]
+    for v, m in zip(rhs[1:], mult):
+        y.append(v - m * y[-1])
+    x = [y[-1] / pivots[-1]]
+    for yk, d, m in zip(y[-2::-1], pivots[-2::-1], mult[::-1]):
+        x.append(yk / d - m * x[-1])
+    x.reverse()
     return x
 
 

@@ -12,6 +12,7 @@ from qesolve.families import (
     closed_form_block_action,
     make_morse,
     make_sextic,
+    potential_eval,
 )
 from qesolve.sl2 import OperatorCombination, SpinJ
 
@@ -178,3 +179,18 @@ def commutator_defect(rep: SpinJ) -> float:
             for c in r.coeffs:
                 worst = max(worst, abs(c))
     return worst
+
+
+def full_grid_hamiltonian(model, shift, grid):
+    """(diag, off) of the grid Hamiltonian on every point of grid, as fd_verify builds it.
+
+    H = tridiag(off, diag, off) is the central-difference -d^2/dx^2 plus the
+    potential shifted by shift, sampled at x_i = x_min + (i + 1) h.  No point
+    is dropped: fd_verify folds a sextic model on a grid symmetric about 0
+    onto its x > 0 half, and this is the full matrix behind that fold.
+    """
+    n = grid.n_points
+    h = (grid.x_max - grid.x_min) / (n + 1)
+    inv_h2 = 1.0 / (h * h)
+    xs = [grid.x_min + (i + 1) * h for i in range(n)]
+    return [2.0 * inv_h2 + potential_eval(model, x, shift) for x in xs], [-inv_h2] * (n - 1)

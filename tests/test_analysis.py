@@ -40,6 +40,7 @@ from qesolve.spectrum import solve_model
 
 from _helpers import (
     fresh_rng,
+    full_grid_hamiltonian,
     reality_regime_morse,
     reality_regime_sextic,
     rel_err,
@@ -419,15 +420,16 @@ def test_partner_identity_random_points():
 
 
 def test_tridiagonal_solver_direct():
-    from qesolve.tridiag import tridiag_factor, tridiag_matvec, tridiag_solve
+    # a random complex symmetric A (sub = sup), as the grid Hamiltonian is
+    from qesolve.tridiag import tridiag_ldlt, tridiag_matvec, tridiag_solve
 
     rng = fresh_rng()
     n = 50
     sub = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n - 1)]
-    sup = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n - 1)]
+    sup = sub
     diag = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.1 for _ in range(n)]
     rhs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
-    x = tridiag_solve(tridiag_factor(sub, diag, sup, 0.0), rhs)
+    x = tridiag_solve(tridiag_ldlt(sub, diag, 0.0), rhs)
     ax = tridiag_matvec(sub, diag, sup, x)
     for i in range(n):
         acc = diag[i] * x[i]
@@ -443,9 +445,9 @@ def test_zero_pivot_is_replaced():
     # [[1, 1], [1, 1]] eliminates to an exactly zero last pivot; the tiny
     # stand-in eps * ||A|| makes a solve return a huge multiple of the null
     # vector (1, -1)
-    from qesolve.tridiag import tridiag_factor, tridiag_solve
+    from qesolve.tridiag import tridiag_ldlt, tridiag_solve
 
-    factors = tridiag_factor([1.0 + 0j], [1.0 + 0j, 1.0 + 0j], [1.0 + 0j], 0.0)
+    factors = tridiag_ldlt([1.0 + 0j], [1.0 + 0j, 1.0 + 0j], 0.0)
     assert factors[0][-1] == 2.0 * sys.float_info.epsilon
     x = tridiag_solve(factors, [0.0j, 1.0 + 0j])
     assert abs(x[0] + x[1]) <= 1e-15 * abs(x[0]) and abs(x[0]) >= 1e14
@@ -454,12 +456,12 @@ def test_zero_pivot_is_replaced():
 def test_zero_pivot_uses_the_unshifted_norm():
     # [[3, 1], [1, 3]] - 2 I is [[1, 1], [1, 1]]: its zero last pivot becomes
     # eps * ||A|| = 4 eps of the unshifted A, not 2 eps of the shifted one
-    from qesolve.tridiag import tridiag_factor
+    from qesolve.tridiag import tridiag_ldlt
 
     eps = sys.float_info.epsilon
-    factors = tridiag_factor([1.0 + 0j], [3.0 + 0j, 3.0 + 0j], [1.0 + 0j], 2.0)
+    factors = tridiag_ldlt([1.0 + 0j], [3.0 + 0j, 3.0 + 0j], 2.0)
     assert factors[0] == [1.0 + 0j, 4.0 * eps + 0j]
-    zero = tridiag_factor([0.0j], [0.0j, 0.0j], [0.0j], 0.0)
+    zero = tridiag_ldlt([0.0j], [0.0j, 0.0j], 0.0)
     assert zero[0] == [1.0 + 0j, 1.0 + 0j]
 
 
@@ -598,10 +600,7 @@ def _sector_spectrum(np, model, grid, shift):
     grid vectors, independently of how fd_verify folds the half grid.
     """
     n = grid.n_points
-    h = (grid.x_max - grid.x_min) / (n + 1)
-    xs = [grid.x_min + (i + 1) * h for i in range(n)]
-    diag = [2.0 / h**2 + potential_eval(model, x, shift) for x in xs]
-    off = np.full(n - 1, -1.0 / h**2)
+    diag, off = full_grid_hamiltonian(model, shift, grid)
     full = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     sign = -1.0 if model.params.sector == ODD else 1.0
     basis = []
@@ -673,7 +672,7 @@ def test_fd_verify_cost_on_half_grid(sector, n_points, reduced, monkeypatch):
     tridiag_log_derivative = analysis.tridiag_log_derivative
     monkeypatch.setattr(analysis, "potential_eval", counting_potential)
     monkeypatch.setattr(analysis, "tridiag_log_derivative", counting_log_derivative)
-    monkeypatch.setattr(analysis, "tridiag_factor", no_factor)
+    monkeypatch.setattr(analysis, "tridiag_ldlt", no_factor)
     monkeypatch.setattr(qesolve.tridiag, "tridiag_matvec", no_matvec)
     monkeypatch.setattr(qesolve.spectrum, "tridiag_matvec", no_matvec)
     assert not hasattr(analysis, "tridiag_matvec")
@@ -699,12 +698,9 @@ def test_fd_newton_matches_full_morse_grid(monkeypatch):
     model = make_morse(MorseParams.from_mu(0.7, 3))
     solutions, result = solve_model(model)
     grid = GridSpec(-12.0, 4.0, 701)
-    h = (grid.x_max - grid.x_min) / (grid.n_points + 1)
-    xs = [grid.x_min + (i + 1) * h for i in range(grid.n_points)]
-    off = np.full(grid.n_points - 1, -1.0 / h**2)
-    full = np.diag([2.0 / h**2 + potential_eval(model, x, result.shift) for x in xs])
-    reference = np.linalg.eigvals(full + np.diag(off, 1) + np.diag(off, -1))
-    monkeypatch.setattr(analysis, "tridiag_factor", no_factor)
+    diag, off = full_grid_hamiltonian(model, result.shift, grid)
+    reference = np.linalg.eigvals(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    monkeypatch.setattr(analysis, "tridiag_ldlt", no_factor)
     refined = fd_verify(model, solutions, result.shift, grid).refined
     for s, value in zip(solutions, refined):
         nearest = reference[np.argmin(abs(reference - (s.energy_base + result.shift)))]
@@ -717,20 +713,47 @@ def test_fd_exhausted_newton_budget_falls_back(monkeypatch):
     grid = GridSpec(-12.0, 4.0, 300)
     newton = fd_verify(model, solutions, result.shift, grid).refined
     factors = []
-    tridiag_factor = analysis.tridiag_factor
+    tridiag_ldlt = analysis.tridiag_ldlt
 
     def counting_factor(*args):
-        factors.append(args[3])
-        return tridiag_factor(*args)
+        factors.append(args[2])
+        return tridiag_ldlt(*args)
 
     monkeypatch.setattr(analysis, "FD_NEWTON_STEPS", 1)
-    monkeypatch.setattr(analysis, "tridiag_factor", counting_factor)
+    monkeypatch.setattr(analysis, "tridiag_ldlt", counting_factor)
     fallback = fd_verify(model, solutions, result.shift, grid).refined
     assert len(factors) == len(solutions)
     # the fallback is shifted by the prediction itself
     assert factors == [s.energy_base + result.shift for s in solutions]
     for a, b in zip(newton, fallback):
         assert abs(a - b) <= 1e-9 * abs(a)
+
+
+@pytest.mark.parametrize("two_j, mu", [(9, 0.7), (12, 1.4)])
+def test_fd_fallback_finds_the_in_gate_level_newton_leaves(two_j, mu, monkeypatch):
+    # on these coarse grids Newton leaves the disc of some levels whose
+    # nearest grid eigenvalue lies inside it; inverse iteration shifted by
+    # the prediction finds that eigenvalue, so the model passes the gate
+    np = pytest.importorskip("numpy")
+    model = make_morse(MorseParams.from_mu(mu, two_j))
+    solutions, result = solve_model(model)
+    grid = GridSpec(-12.0, 4.0, 64)
+    factors = []
+    tridiag_ldlt = analysis.tridiag_ldlt
+
+    def counting_factor(*args):
+        factors.append(args[2])
+        return tridiag_ldlt(*args)
+
+    monkeypatch.setattr(analysis, "tridiag_ldlt", counting_factor)
+    check = fd_verify(model, solutions, result.shift, grid)
+    assert factors
+    diag, off = full_grid_hamiltonian(model, result.shift, grid)
+    reference = np.linalg.eigvals(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    for s, value in zip(solutions, check.refined):
+        nearest = reference[np.argmin(abs(reference - (s.energy_base + result.shift)))]
+        assert abs(value - nearest) <= 1e-9
+    assert check.defect <= check.defect_bound
 
 
 def test_fd_newton_rejects_a_non_finite_step():
@@ -808,11 +831,8 @@ def test_fd_newton_roots_are_fixed_points(default_grid_newton):
 
 def _morse_grid(model, shift, grid):
     """diag, coupling products and 4 / h^2 of the full Morse grid Hamiltonian, as fd_verify builds it."""
-    h = (grid.x_max - grid.x_min) / (grid.n_points + 1)
-    inv_h2 = 1.0 / (h * h)
-    xs = [grid.x_min + (i + 1) * h for i in range(grid.n_points)]
-    diag = [2.0 * inv_h2 + potential_eval(model, x, shift) for x in xs]
-    return diag, [0.0] + [inv_h2 * inv_h2] * (grid.n_points - 1), 4.0 * inv_h2
+    diag, off = full_grid_hamiltonian(model, shift, grid)
+    return diag, [0.0] + [c * c for c in off], -4.0 * off[0]
 
 
 def test_fd_newton_does_not_stop_early_on_its_last_step():
@@ -867,7 +887,7 @@ def test_fd_isotropic_vector_raises_with_last_estimate():
     # sigma = -4, (H + 4)^-1 = [[3, -i], [-i, 5]] / 16 gives u = (3, -i)/16
     # and the quotient -4 + (3/16) / (8/256) = 2; the next solve gives
     # u = (1, -i)/(2 sqrt(10)), whose u^T u is exactly 0
-    factors = analysis.tridiag_factor([1j], [1.0 + 0j, -1.0 + 0j], [1j], -4.0)
+    factors = analysis.tridiag_ldlt([1j], [1.0 + 0j, -1.0 + 0j], -4.0)
     with pytest.raises(ConvergenceFailureError) as info:
         analysis._inverse_iteration(factors, -4.0, [1.0 + 0j, 0j])
     assert abs(info.value.best - 2.0) <= 1e-15
@@ -875,7 +895,7 @@ def test_fd_isotropic_vector_raises_with_last_estimate():
     # rounding leaves |u^T u| / ||u||^2 near 1e-16: the first quotient is
     # noise (it used to settle on 1.0, -0.0625 and 0.0833), so none is kept
     for sigma in (3.0, -0.25, 0.75):
-        factors = analysis.tridiag_factor([1j], [1.0 + 0j, -1.0 + 0j], [1j], sigma)
+        factors = analysis.tridiag_ldlt([1j], [1.0 + 0j, -1.0 + 0j], sigma)
         with pytest.raises(ConvergenceFailureError) as info:
             analysis._inverse_iteration(factors, sigma, [1.0 + 0j, 1j])
         assert info.value.best is None

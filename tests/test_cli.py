@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -94,6 +95,8 @@ def test_published_verdicts_per_closed_form(case, mu):
     assert tuple(line.rsplit(" -> ", 1)[1] for line in verdicts) == PUBLISHED_VERDICTS[case][mu]
     # the notes follow the verdicts
     assert report.published_comparison[: len(verdicts)] == tuple(verdicts)
+    # a zero part prints as 0, never with the sign of a rounding-level -0.0
+    assert not [line for line in verdicts if re.search(r"-0(?![.\d])", line)]
 
 
 def test_solve_morse_explicit_b(capsys):
