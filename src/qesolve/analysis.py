@@ -32,13 +32,13 @@ Verification is deliberately redundant:
     symmetric H minus the prediction itself, on the pivots of the same
     recurrence, and about three solves, each giving the bilinear quotient
     u^T H u / u^T u without a product by H, which names the grid eigenvalue
-    nearest the prediction however far off it lies.  The grid
-    keeps all its points, except that on a grid symmetric about 0 the even
-    sextic potential keeps each sector's parity, so sextic levels are
-    refined on the x > 0 half alone, where no level of the other parity
-    exists to mix in.  It returns one GridCheck: the grid, the refined
-    values, their largest defect and the bound that is both the Newton
-    radius and the verify gate.
+    nearest the prediction however far off it lies.  The grid keeps all its
+    points, except that on a grid symmetric about 0 the even sextic
+    potential keeps each sector's parity, so sextic levels are refined on
+    the x > 0 half alone, where no level of the other parity exists to mix
+    in.  It returns one GridCheck: the grid, the refined values, their
+    largest defect and the bound that is both the Newton radius and the
+    verify gate.
 """
 
 from __future__ import annotations
