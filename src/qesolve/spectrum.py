@@ -16,9 +16,9 @@ eigen_solve works on them directly:
                     the block norm, are replaced by their centroid, refined by
                     Newton on p^(m-1) for a cluster of m, and reported with
                     their multiplicity, with no attempt at Jordan structure.
-  * eigenvectors    the null vector of the twisted factorization of
-                    M - lambda I, one O(n) pass per distinct centroid with
-                    every row but the twist row exact, and an O(n) residual.
+  * eigenvectors    the twisted-factorization null vectors of M - lambda I,
+                    from one call per block: O(n) per distinct centroid, exact
+                    in every row but the twist row; then an O(n) residual.
 
 Each eigenpair is one solved level (QesSolution).  A complex spectrum is
 re-centered to a real one by a constant potential shift, one per model and
@@ -41,7 +41,7 @@ from .cpoly import CPolynomial
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import QesModel
 from .sl2 import BlockMatrix, build_block
-from .tridiag import tridiag_matvec, tridiag_norm, tridiag_null_vector
+from .tridiag import tridiag_matvec, tridiag_norm, tridiag_null_vectors
 
 _EPS = sys.float_info.epsilon
 
@@ -78,18 +78,19 @@ class ShiftResult:
     spread: float
 
 
-def _newton_terms(diag, prod, abs_prod, z: complex) -> tuple[complex, complex, float]:
+def _newton_terms(rows, z: complex) -> tuple[complex, complex, float]:
     """p(z), p'(z) and the rounding scale of p(z), for p(z) = det(T - zI).
 
-    With prod[k] = sub[k-1] * sup[k-1] and prod[0] = 0, p is the continuant
-    p_k = (d_k - z) p_{k-1} - prod[k] p_{k-2}; the scale is the same recurrence
-    on absolute values.  All running values are divided by the scale when it
-    passes 2^500, which leaves every ratio unchanged.
+    rows holds (d_k, prod[k], |prod[k]|) per row, prod[k] = sub[k-1] * sup[k-1]
+    and prod[0] = 0; p is the continuant p_k = (d_k - z) p_{k-1} - prod[k] p_{k-2}
+    and the scale the same recurrence on absolute values.  All running values
+    are divided by the scale when it passes 2^500, leaving every ratio unchanged.
     """
     p0, p1, q0, q1, a0, a1 = 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 0.0, 1.0
-    for d, b, ab in zip(diag, prod, abs_prod):
+    for d, b, ab in rows:
         w = d - z
-        p0, p1, q0, q1 = p1, w * p1 - b * p0, q1, w * q1 - p1 - b * q0
+        q0, q1 = q1, w * q1 - p1 - b * q0
+        p0, p1 = p1, w * p1 - b * p0
         a0, a1 = a1, abs(w) * a1 + ab * a0
         if a1 > 2.0**500:
             p0, p1, q0, q1, a0, a1 = p0 / a1, p1 / a1, q0 / a1, q1 / a1, a0 / a1, 1.0
@@ -141,22 +142,23 @@ def _aberth(diag, prod) -> tuple[list[complex], float]:
     axis = cmath.rect(1.0, 0.5 * cmath.phase(s2))
     angles = (2.0 * math.pi * k / n + 0.4 for k in range(n))
     zs = [center + axis * complex(major * math.cos(t), minor * math.sin(t)) for t in angles]
-    abs_prod = [abs(b) for b in prod]
+    rows = [(d, b, abs(b)) for d, b in zip(diag, prod)]
     tol, underflow = 4.0 * (n + 1) * _EPS, (n + 1) * 2.0**-1074
     live = list(range(n))
     for _ in range(ABERTH_STEPS):
+        left = []
         for i in live:
             zi = zs[i]
-            p, dp, scale = _newton_terms(diag, prod, abs_prod, zi)
+            p, dp, scale = _newton_terms(rows, zi)
             if abs(p) <= tol * (scale + abs(zi * dp)) + underflow:
                 zs[i] = zi - p / dp if dp else zi
-                live = [k for k in live if k != i]
             else:
-                repulsion = sum(1.0 / (zi - w) for w in zs if w != zi)
-                zs[i] = zi - p / (dp - p * repulsion)
+                zs[i] = zi - p / (dp - p * sum([1.0 / (zi - w) for w in zs if w != zi]))
+                left.append(i)
+        live = left
         if not live:
             return zs, 0.0
-    terms = [_newton_terms(diag, prod, abs_prod, zs[i]) for i in live]
+    terms = [_newton_terms(rows, zs[i]) for i in live]
     return zs, max(abs(p / dp) if dp else math.inf for p, dp, _ in terms)
 
 
@@ -184,7 +186,9 @@ def _cluster(values: list[complex], tol: float, tie: float) -> list[tuple[comple
     for v in values:
         near = [i for i, g in enumerate(groups) if any(abs(v - w) <= tol for w in g)]
         merged = [v] + [w for i in near for w in groups[i]]
-        groups = [g for i, g in enumerate(groups) if i not in near] + [merged]
+        if near:
+            groups = [g for i, g in enumerate(groups) if i not in near]
+        groups.append(merged)
     out = sorted(((sum(g) / len(g), len(g)) for g in groups), key=lambda t: t[0].real)
     gaps = (v[0].real - u[0].real > tie for u, v in zip(out, out[1:]))
     ranked = zip(itertools.accumulate(gaps, initial=0), out)
@@ -225,23 +229,21 @@ def eigen_solve(m: BlockMatrix) -> list[QesSolution]:
     prod = [0.0j] + [a * b for a, b in zip(lo, up)]
     couplings = [math.sqrt(abs(b)) for b in prod[1:]]
     tol = 8.0 * math.sqrt(_EPS * (n + 1)) * tridiag_norm(couplings, d, couplings)
+    clusters = _cluster(_eigenvalues(d, prod), tol, 64.0 * n * _EPS * norm_m / s)
+    zs = [_centroid_root(d, prod, z, mult, tol) if mult > 1 else z for z, mult in clusters]
     levels = []
-    for z, mult in _cluster(_eigenvalues(d, prod), tol, 64.0 * n * _EPS * norm_m / s):
-        if mult > 1:
-            z = _centroid_root(d, prod, z, mult, tol)
-        lam = s * z
-        v = tridiag_null_vector(lo, d, up, z)
+    for z, (_, mult), v in zip(zs, clusters, tridiag_null_vectors(lo, d, up, zs)):
         if not all(map(cmath.isfinite, v)):
-            raise NumericOverflowError(f"eigenvector for eigenvalue {lam!r} overflowed")
-        vmax = max(abs(c) for c in v)
-        first = next(i for i, c in enumerate(v) if abs(c) > 1e-12 * vmax)
+            raise NumericOverflowError(f"eigenvector for eigenvalue {s * z!r} overflowed")
+        mags = [abs(c) for c in v]
+        cut = 1e-12 * max(mags)
+        first = next(i for i, a in enumerate(mags) if a > cut)
         lead = v[first]
         v = [c / lead for c in v]
         v[first] = 1.0 + 0.0j
-        mv = tridiag_matvec(lo, d, up, v)
-        resid = max(abs(mv[i] - z * v[i]) for i in range(n))
-        scale = max(norm_m / s, 1e-300) * max(max(abs(c) for c in v), 1e-300)
-        levels += [QesSolution(lam, CPolynomial(v), resid / scale, mult)] * mult
+        resid = max([abs(a - z * c) for a, c in zip(tridiag_matvec(lo, d, up, v), v)])
+        scale = max(norm_m / s, 1e-300) * max(max(map(abs, v)), 1e-300)
+        levels += [QesSolution(s * z, CPolynomial(v), resid / scale, mult)] * mult
     return levels
 
 

@@ -3,13 +3,13 @@
 A tridiagonal matrix is held as three lists: sub[i] = A[i+1][i],
 diag[i] = A[i][i] and sup[i] = A[i][i+1].
 
-The block eigensolver takes each eigenvector from the twisted factorization
-of A - zI (tridiag_null_vector).  The grid check takes its Newton step from
-the top-down pivots of the same elimination (tridiag_log_derivative) and
-falls back to inverse iteration on tridiag_ldlt, the unpivoted LDL^T of its
-complex symmetric H with those same pivots.  Each replaces an exactly zero
-pivot by eps * ||A|| of the unshifted A: the tiny pivot an exact eigenvalue
-wants, so no caller re-shifts.
+The block eigensolver takes its eigenvectors from the twisted factorizations
+of A - zI, one call per block (tridiag_null_vectors).  The grid check takes
+its Newton step from the top-down pivots of the same elimination
+(tridiag_log_derivative) and falls back to inverse iteration on
+tridiag_ldlt, the unpivoted LDL^T of its complex symmetric H with those same
+pivots.  Each replaces an exactly zero pivot by eps * ||A|| of the unshifted
+A: the tiny pivot an exact eigenvalue wants, so no caller re-shifts.
 """
 
 from __future__ import annotations
@@ -67,34 +67,37 @@ def tridiag_log_derivative(diag: list[complex], prod: list[complex], z: complex)
     return total
 
 
-def tridiag_null_vector(sub: list[complex], diag: list[complex], sup: list[complex], z: complex):
-    """Null vector of A - zI, z an eigenvalue, from its twisted factorization.
+def tridiag_null_vectors(sub: list[complex], diag: list[complex], sup: list[complex], zs):
+    """For each eigenvalue z in zs, yield the twisted-factorization null vector of A - zI.
 
     Pivots run down, P_k = (diag[k] - z) - prod[k] / P_{k-1} as in
-    tridiag_log_derivative, and up, Q_k = (diag[k] - z) - prod[k+1] / Q_{k+1}.
-    The twist r minimizes |P_r + Q_r - (diag[r] - z)|, the residual of row r
-    (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997; Parlett & Dhillon, Linear
-    Algebra Appl. 267, 1997).  With x_r = 1, x_k = -sup[k] x_{k+1} / P_k above
-    r and x_k = -sub[k-1] x_{k-1} / Q_k below, every other row holds, and an
-    exactly zero coupling keeps the components it decouples exactly zero.  x
-    is not scaled, so a strongly non-normal A can overflow it.
+    tridiag_log_derivative, and up, Q_k = (diag[k] - z) - prod[k+1] / Q_{k+1};
+    prod and eps * ||A|| are computed once for all of zs.  The twist r is the
+    first row that minimizes |P_r + Q_r - (diag[r] - z)|, the residual of row
+    r (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997; Parlett & Dhillon,
+    Linear Algebra Appl. 267, 1997).  With x_r = 1, x_k = -sup[k] x_{k+1} / P_k
+    above r and x_k = -sub[k-1] x_{k-1} / Q_k below, every other row holds, and
+    an exactly zero coupling keeps the components it decouples exactly zero.
+    Once a component passes 2^500, all so far are scaled by 2^-500, exactly.
     """
     n = len(diag)
     tiny = sys.float_info.epsilon * tridiag_norm(sub, diag, sup) or 1.0
-    shifted = [a - z for a in diag]
     prod = [0.0, *(b * c for b, c in zip(sub, sup)), 0.0]
-    down, up, p, q = [0.0j] * n, [0.0j] * n, 1.0, 1.0
-    for k, j in zip(range(n), reversed(range(n))):
-        down[k] = p = shifted[k] - prod[k] / p or tiny
-        up[j] = q = shifted[j] - prod[j + 1] / q or tiny
-    r = min(range(n), key=lambda k: abs(down[k] + up[k] - shifted[k]))
-    x = [0.0j] * n
-    x[r] = 1.0 + 0.0j
-    for k in range(r - 1, -1, -1):
-        x[k] = -sup[k] * x[k + 1] / down[k]
-    for k in range(r + 1, n):
-        x[k] = -sub[k - 1] * x[k - 1] / up[k]
-    return x
+    for z in zs:
+        shifted = [a - z for a in diag]
+        down, up, p, q = [0.0j] * n, [0.0j] * n, 1.0, 1.0
+        for k, j in zip(range(n), reversed(range(n))):
+            down[k] = p = shifted[k] - prod[k] / p or tiny
+            up[j] = q = shifted[j] - prod[j + 1] / q or tiny
+        gaps = [abs(pk + qk - a) for pk, qk, a in zip(down, up, shifted)]
+        r = gaps.index(min(gaps))
+        x = [0.0j] * n
+        x[r] = 1.0 + 0.0j
+        for k in (*range(r - 1, -1, -1), *range(r + 1, n)):
+            x[k] = -sup[k] * x[k + 1] / down[k] if k < r else -sub[k - 1] * x[k - 1] / up[k]
+            if abs(x[k]) > 2.0**500:
+                x = [c * 2.0**-500 for c in x]
+        yield x
 
 
 def tridiag_solve(factors, rhs: list[complex]) -> list[complex]:
@@ -117,10 +120,10 @@ def tridiag_matvec(
     sub: list[complex], diag: list[complex], sup: list[complex], x: list[complex]
 ) -> list[complex]:
     """A x in O(n)."""
-    n = len(diag)
-    if n == 1:
+    if len(diag) == 1:
         return [diag[0] * x[0]]
+    rows = zip(diag[1:], x[1:], sub, x, sup[1:], x[2:])
     out = [diag[0] * x[0] + sup[0] * x[1]]
-    out += [diag[i] * x[i] + sub[i - 1] * x[i - 1] + sup[i] * x[i + 1] for i in range(1, n - 1)]
-    out.append(diag[n - 1] * x[n - 1] + sub[n - 2] * x[n - 2])
+    out += [d * c + lo * left + up * right for d, c, lo, left, up, right in rows]
+    out.append(diag[-1] * x[-1] + sub[-1] * x[-2])
     return out

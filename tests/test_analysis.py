@@ -475,7 +475,7 @@ def test_log_derivative_matches_the_continuant():
         prod = [0j] + [complex(rng.uniform(-2, 2), rng.uniform(-1, 1)) for _ in range(n - 1)]
         for _ in range(5):
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            p, dp, _ = _newton_terms(diag, prod, [abs(b) for b in prod], z)
+            p, dp, _ = _newton_terms(list(zip(diag, prod, [abs(b) for b in prod])), z)
             assert abs(tridiag_log_derivative(diag, prod, z) - dp / p) <= 1e-11 * abs(dp / p)
 
 

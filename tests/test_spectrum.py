@@ -13,7 +13,7 @@ from qesolve.errors import ConvergenceFailureError, NumericOverflowError, Valida
 from qesolve.families import ODD, MorseParams, SexticParams, make_morse, make_sextic
 from qesolve.sl2 import BlockMatrix, build_block
 from qesolve.spectrum import common_imaginary_shift, eigen_solve, solve_model
-from qesolve.tridiag import tridiag_norm
+from qesolve.tridiag import tridiag_norm, tridiag_null_vectors
 
 from _helpers import fresh_rng, rel_err, unit_complex
 from _oracles import char_poly, high_precision_spectrum, poly_roots
@@ -169,7 +169,7 @@ def test_continuant_rescales_far_from_the_spectrum():
     # p(z) = (-z)^32 for the zero block overflows at z = 1e20; the running
     # values are rescaled together, so p / p' = z / 32 stays exact
     n, z = 32, 1e20 + 0j
-    p, dp, scale = spectrum._newton_terms([0.0j] * n, [0.0j] * n, [0.0] * n, z)
+    p, dp, scale = spectrum._newton_terms([(0.0j, 0.0j, 0.0)] * n, z)
     assert abs(p / dp - z / n) <= 1e-15 * abs(z)
     assert abs(p) <= scale < math.inf
 
@@ -445,16 +445,53 @@ def test_graded_block_converges():
     assert abs(sum(v * v for v in values) - sum(x * x for x in d) - 2 * sum(prod)) <= 1e-15
 
 
-def test_overflowing_eigenvector_fails_loudly():
+def test_overflowing_eigenvector_fails_loudly(monkeypatch):
     # strongly non-normal blocks (couplings 1 above, 1e-300 below a diagonal
-    # in steps of 1e-150i): the 3 x 3 still solves, the 4 x 4's eigenvector
-    # overflows, and the non-finite vector must not escape as a bare
-    # StopIteration
+    # in steps of 1e-150i): each row above the twist grows the unscaled
+    # vector by about 1e150, so the 4 x 4's would pass the largest double
+    # without the running 2^-500 rescale; both normalized vectors are
+    # representable and both blocks solve
     block = BlockMatrix(sub=(1e-300, 1e-300), diag=(0.0, 1e-150j, 2e-150j), sup=(1.0, 1.0))
     assert max(p.eigvec_residual for p in eigen_solve(block)) <= 1e-10
     block = BlockMatrix(sub=(1e-300,) * 3, diag=(0.0, 1e-150j, 2e-150j, 3e-150j), sup=(1.0, 1.0, 1.0))
+    pairs = eigen_solve(block)
+    assert len(pairs) == 4
+    assert all(cmath.isfinite(c) for p in pairs for c in p.phi_coeffs.coeffs)
+    assert max(p.eigvec_residual for p in pairs) <= 1e-10
+
+    def overflowed(sub, diag, sup, zs):
+        # a vector that does overflow must fail loudly, not escape as a bare StopIteration
+        return ([complex(math.inf, 0.0)] * len(diag) for _ in zs)
+
+    monkeypatch.setattr(spectrum, "tridiag_null_vectors", overflowed)
     with pytest.raises(NumericOverflowError, match="eigenvector .* overflowed"):
         eigen_solve(block)
+
+
+def test_twist_ties_go_to_the_first_row():
+    # [[0, 1/2], [2, 0]] at z = +-1: P_1 and Q_0 are exactly 0 and become the
+    # same eps * ||A||, so rows 0 and 1 tie for the smallest twist gap; row 0
+    # gives x = (1, 2) and (1, -2), row 1 would give (1/2, 1) and (-1/2, 1)
+    vectors = list(tridiag_null_vectors([2.0 + 0j], [0j, 0j], [0.5 + 0j], [1.0 + 0j, -1.0 + 0j]))
+    assert vectors == [[1.0, 2.0], [1.0, -2.0]]
+
+
+def test_zero_coupling_decouples_the_batched_null_vectors():
+    # an exactly zero coupling splits the block into [[1, 1], [1, 2]] and
+    # [[3, 1], [1, 4]]: each piece's null vectors are exactly zero on the other
+    sub, diag, sup = [1.0 + 0j, 0j, 1.0 + 0j], [1.0 + 0j, 2.0 + 0j, 3.0 + 0j, 4.0 + 0j], [1.0 + 0j, 0j, 1.0 + 0j]
+    root5 = math.sqrt(5.0)
+    zs = [(3.0 - root5) / 2, (3.0 + root5) / 2, (7.0 - root5) / 2, (7.0 + root5) / 2]
+    vectors = list(tridiag_null_vectors(sub, diag, sup, zs))
+    assert len(vectors) == 4
+    for x in vectors[:2]:
+        assert x[2] == x[3] == 0.0 and abs(x[0]) > 0.0 and abs(x[1]) > 0.0
+    for x in vectors[2:]:
+        assert x[0] == x[1] == 0.0 and abs(x[2]) > 0.0 and abs(x[3]) > 0.0
+    # and eigen_solve keeps those zeros in phi
+    for level in eigen_solve(BlockMatrix(tuple(sub), tuple(diag), tuple(sup))):
+        coeffs = level.phi_coeffs.coeffs
+        assert len(coeffs) == 2 or coeffs[:2] == (0j, 0j)
 
 
 def test_solution_invariants():
