@@ -184,7 +184,7 @@ def _cluster(values: list[complex], tol: float, tie: float) -> list[tuple[comple
     """
     groups: list[list[complex]] = []
     for v in values:
-        near = [i for i, g in enumerate(groups) if any(abs(v - w) <= tol for w in g)]
+        near = sorted({i for i, g in enumerate(groups) for w in g if abs(v - w) <= tol})
         merged = [v] + [w for i in near for w in groups[i]]
         if near:
             groups = [g for i, g in enumerate(groups) if i not in near]
