@@ -78,7 +78,7 @@ def tridiag_null_vectors(sub: list[complex], diag: list[complex], sup: list[comp
     Linear Algebra Appl. 267, 1997).  With x_r = 1, x_k = -sup[k] x_{k+1} / P_k
     above r and x_k = -sub[k-1] x_{k-1} / Q_k below, every other row holds, and
     an exactly zero coupling keeps the components it decouples exactly zero.
-    Once a component passes 2^500, all so far are scaled by 2^-500, exactly.
+    A component past 2^500 scales all so far by 2^-500, exact bar underflow.
     """
     n = len(diag)
     tiny = sys.float_info.epsilon * tridiag_norm(sub, diag, sup) or 1.0
@@ -124,6 +124,6 @@ def tridiag_matvec(
         return [diag[0] * x[0]]
     rows = zip(diag[1:], x[1:], sub, x, sup[1:], x[2:])
     out = [diag[0] * x[0] + sup[0] * x[1]]
-    out += [d * c + lo * left + up * right for d, c, lo, left, up, right in rows]
+    out += [d * mid + lo * left + up * right for d, mid, lo, left, up, right in rows]
     out.append(diag[-1] * x[-1] + sub[-1] * x[-2])
     return out
