@@ -24,21 +24,18 @@ Verification is deliberately redundant:
   * fd_verify builds a model's Hamiltonian, shifted by its one constant,
     once on a second-order central-difference Dirichlet grid and refines
     each energy_base + shift on it by Newton on det(H - zI), each step one
-    O(n) pass of the LDL^T pivot recurrence for p'/p.  Newton stops once the
-    step it would take next is below the level's rounding floor
-    eps * (4/h^2 + |z|), two passes on the default grid.  A Newton root
-    within the level's defect bound of the prediction is kept; any other level
-    falls back to inverse iteration, one unpivoted LDL^T of the complex
-    symmetric H minus the prediction itself, on the pivots of the same
-    recurrence, and about three solves, each giving the bilinear quotient
-    u^T H u / u^T u without a product by H, which names the grid eigenvalue
-    nearest the prediction however far off it lies.  The grid keeps all its
-    points, except that on a grid symmetric about 0 the even sextic
+    O(n) pass of the LDL^T pivot recurrence for p'/p, until the step it
+    would take next is below the level's rounding floor eps * (4/h^2 + |z|):
+    two passes on the default grid.  A root within the level's defect bound
+    of the prediction is kept; for any other level the grid eigenvalues in
+    that disc are counted by the argument principle, with p'/p from the same
+    pass at each contour node, and the one nearest the prediction is kept,
+    or None when there is none.  On a grid symmetric about 0 the even sextic
     potential keeps each sector's parity, so sextic levels are refined on
     the x > 0 half alone, where no level of the other parity exists to mix
     in.  It returns one GridCheck: the grid, the refined values, their
-    largest defect and the bound that is both the Newton radius and the
-    verify gate.
+    largest defect (inf for a None) and the bound that is both the Newton
+    radius and the verify gate.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from .cpoly import poly_derivative, poly_eval, poly_eval_bounded, poly_mul, poly
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import MORSE, ODD, SEXTIC, QesModel, potential_eval
 from .spectrum import QesSolution
-from .tridiag import tridiag_ldlt, tridiag_log_derivative, tridiag_solve
+from .tridiag import tridiag_log_derivative
 
 
 MAX_POINTS = 10**6  # the most points a grid, a scan or a partner sample may hold
@@ -263,40 +260,42 @@ def partner_potentials(model: QesModel, x: float) -> tuple[complex, complex]:
     return v_minus, v_plus
 
 
-# Newton steps allowed per level before the fallback (every default-grid
-# level of a block with 2j <= 5 that Newton keeps settles in 2, its second
-# step below the rounding floor; coarse grids and large 2j can take more
-# than 20), the step (Newton) or the agreement of successive
-# quotients (inverse iteration, shifted by the prediction itself) that ends
-# the refinement, the least |u^T u| / ||u||^2 trusted (grids measured keep
-# it above 4.9e-7; rounding leaves an isotropic u at about 1e-16), the
-# solves allowed per level and the default grid's interior points.
+# Newton steps allowed per level before the count (every default-grid level
+# of a block with 2j <= 5 that Newton keeps settles in 2, its second step
+# below the rounding floor; coarse grids and large 2j can take more than
+# 20), the step that ends a Newton refinement, the change between two
+# contour rules that settles a count (at 1/4 the coarse-grid survey misses 3
+# levels), the nodes a count takes before it deflates a pole (a power of two
+# from 8; at 32, 21 of the survey's 405 coarse calls raise, at 64 none) and
+# the default grid's interior points.
 FD_NEWTON_STEPS = 6
 FD_RQ_TOL = 1e-10
-FD_ISOTROPY_TOL = 1e-12
-FD_MAX_STEPS = 200
+FD_COUNT_TOL = 1e-2
+FD_CONTOUR_NODES = 256
 FD_GRID_N = 2000
 # Second-order truncation budget of a level on the default grid.
 FD_REFERENCE_DEFECT = 5e-3
 
 
 def _newton_root(
-    diag: list[complex], prod: list[float], guess: complex, radius: float, kinetic: float
+    diag: list[complex], prod: list[float], guess: complex, radius: float, kinetic: float, known=()
 ) -> complex | None:
     """Eigenvalue of H within radius of guess by Newton on det(H - zI), or None.
 
-    Each step is 1 / (p'/p) from tridiag_log_derivative.  A root is
-    returned once a step is below FD_RQ_TOL, or once a step shorter than
-    the one before, and not the last allowed, puts the quadratic model's
-    next step |s_k|^3 / |s_{k-1}|^2 at or below the level's rounding floor
-    eps * (kinetic + |z|), kinetic being H's kinetic row sum 4 / h^2.  None
-    means the level needs inverse iteration: a step that is not finite, an
-    iterate farther than radius from guess, or FD_NEWTON_STEPS steps
-    without settling.
+    Each step is 1 / (p'/p) from tridiag_log_derivative, less 1 / (z - w)
+    for each known eigenvalue w, which divides it out of p (Maehly's
+    deflation).  A root is returned once a step is below FD_RQ_TOL, or once
+    a step shorter than the one before, and not the last allowed, puts the
+    quadratic model's next step |s_k|^3 / |s_{k-1}|^2 at or below the
+    level's rounding floor eps * (kinetic + |z|), kinetic being H's kinetic
+    row sum 4 / h^2.  None means a step that is not finite, an iterate
+    farther than radius from guess, or FD_NEWTON_STEPS steps without
+    settling.
     """
     z, previous = guess, 0.0  # no step comes before the first
     for k in range(1, FD_NEWTON_STEPS + 1):
         ratio = tridiag_log_derivative(diag, prod, z)
+        ratio = reduce(operator.sub, (1.0 / (z - w) for w in known), ratio)  # left to right
         step = 1.0 / ratio if ratio else complex(math.inf)
         z -= step
         if not cmath.isfinite(step) or abs(z - guess) > radius:
@@ -311,50 +310,85 @@ def _newton_root(
     return None
 
 
-def _inverse_iteration(factors, sigma: complex, v: Sequence[complex]) -> complex:
-    """Eigenvalue nearest sigma of a complex symmetric H, from the LDL^T of H - sigma I.
+def _power_sum_roots(sums: list[complex]) -> list[complex]:
+    """The k numbers whose j-th powers sum to sums[j - 1], j = 1..k: their
+    monic polynomial by Newton's identities, then its roots by 64 sweeps of
+    Weierstrass' simultaneous iteration from (0.4 + 0.9i)^i."""
+    coeffs = [1.0 + 0.0j]  # highest power first
+    for k in range(1, len(sums) + 1):
+        coeffs.append(-reduce(operator.add, map(operator.mul, reversed(coeffs), sums)) / k)
+    roots = [(0.4 + 0.9j) ** i for i in range(len(sums))]
+    for _ in range(64):
+        for i, w in enumerate(roots):
+            gap = math.prod(w - v for j, v in enumerate(roots) if j != i)
+            roots[i] = w - reduce(lambda acc, c: acc * w + c, coeffs, 0.0j) / (gap or 1.0)
+    return roots
 
-    Each solve (H - sigma I) u = v gives the bilinear quotient u^T H u / u^T u,
-    stationary at eigenvectors of a complex symmetric H (Arbenz & Hochstenbach,
-    SIAM J. Sci. Comput. 25, 2004), as sigma + u^T v / u^T u: no product by H.
-    A nearly isotropic u (|u^T u| <= FD_ISOTROPY_TOL ||u||^2), or FD_MAX_STEPS
-    solves without two quotients agreeing to FD_RQ_TOL, raise
-    ConvergenceFailureError with the last estimate as `best` and, as
-    `defect`, |u^T u| / ||u||^2 or the last change of the quotient (from
-    sigma after one solve).
+
+def _disc_eigenvalues(
+    diag: list[complex], prod: list[float], centre: complex, radius: float, kinetic: float
+) -> list[complex]:
+    """The eigenvalues of H in the disc |z - centre| <= radius.
+
+    They are counted by the argument principle, the integral of p'/p / 2 pi i
+    around the circle, by the trapezoid rule on m nodes (one kept pass of
+    tridiag_log_derivative each), m doubling from 4 until two rules differ
+    by at most FD_COUNT_TOL (Delves & Lyness, Math. Comp. 21, 1967).  Its
+    error falls like q^m for a pole at q or 1/q times the radius, so p'/p
+    loses 1 / (z - w) of each known eigenvalue w: the Newton root from the
+    centre, and whenever FD_CONTOUR_NODES nodes leave the count unsettled
+    the Newton root from the node where the rest is largest, the count then
+    restarting from 4 nodes.  The k eigenvalues still counted are polished
+    by Newton from the roots whose power sums are the rule's moments of
+    (z - centre)^j p'/p, j = 1..k.  If Newton fails at the node cap,
+    ConvergenceFailureError carries the last change of the rule as `defect`.
     """
-    estimate = None
-    for _ in range(FD_MAX_STEPS):
-        u = tridiag_solve(factors, v)
-        uu = sum(map(operator.mul, u, u))
-        scale = math.hypot(*map(abs, u))
-        if abs(uu) <= FD_ISOTROPY_TOL * scale * scale:
-            raise ConvergenceFailureError(
-                "inverse iteration met u^T u ~ 0", best=estimate, defect=abs(uu) / scale / scale
-            )
-        last, estimate = estimate, sigma + sum(map(operator.mul, u, v)) / uu
-        change = abs(estimate - (sigma if last is None else last))
-        if last is not None and change < FD_RQ_TOL:
-            return estimate
-        v = [c / scale for c in u]
-    raise ConvergenceFailureError(
-        f"inverse iteration did not settle within {FD_MAX_STEPS} iterations",
-        best=estimate,
-        defect=change,
-    )
+    first = _newton_root(diag, prod, centre, math.inf, kinetic)
+    known = [] if first is None else [first]
+    units, ratios = [], []  # each node as (z - centre) / radius, in doubling order; p'/p there
+
+    def deflated(u: complex, f: complex) -> complex:
+        return reduce(operator.sub, (1.0 / (centre + radius * u - w) for w in known), f)
+
+    def moment(m: int, power: int) -> complex:
+        """The rule on the first m nodes for the power-th moment over radius^power."""
+        terms = (u ** (power + 1) * deflated(u, f) for u, f in zip(units[:m], ratios))
+        return radius * reduce(operator.add, terms) / m
+
+    m, last = 4, None
+    while True:
+        if len(units) < m:  # the first 4 nodes, then the odd multiples of 2 pi / m
+            for i in range(1, m, 2) if units else range(m):
+                units.append(cmath.rect(1.0, 2.0 * math.pi * i / m))
+                ratios.append(tridiag_log_derivative(diag, prod, centre + radius * units[-1]))
+        count = moment(m, 0)
+        if last is not None and abs(count - last) <= FD_COUNT_TOL:
+            break
+        if m < FD_CONTOUR_NODES:
+            last, m = count, 2 * m
+            continue
+        sizes = [abs(deflated(u, f)) for u, f in zip(units, ratios)]
+        start = centre + radius * units[sizes.index(max(sizes))]
+        pole = _newton_root(diag, prod, start, math.inf, kinetic, known)
+        if pole is None or len(known) == len(diag):
+            message = f"grid eigenvalue count did not settle within {FD_CONTOUR_NODES} nodes"
+            raise ConvergenceFailureError(message, defect=abs(count - last))
+        known.append(pole)
+        m, last = 4, None
+    for w in _power_sum_roots([moment(m, power) for power in range(1, round(count.real) + 1)]):
+        root = _newton_root(diag, prod, centre + radius * w, math.inf, kinetic, known)
+        if root is not None:
+            known.append(root)
+    return [w for w in known if abs(w - centre) <= radius]
 
 
 def _refine_levels(
     off: list[float], diag: list[complex], predicted: Sequence[complex], radius: float
 ) -> list:
-    """Refine each prediction on tridiag(off, diag, off): Newton, else inverse iteration.
+    """Each prediction's grid eigenvalue on tridiag(off, diag, off) within radius, or None.
 
-    A Newton root within radius of its prediction is kept.  Any other level
-    is refined by inverse iteration shifted by the prediction itself, from a
-    ramp start (it carries both parities), which finds the grid eigenvalue
-    nearest the prediction wherever it lies.  tridiag_ldlt replaces an
-    exactly zero pivot, as the last one is when the prediction is a grid
-    eigenvalue, by eps * ||H||.
+    A Newton root within radius of its prediction is kept; any other level
+    takes its disc's eigenvalue nearest the prediction from _disc_eigenvalues.
     """
     prod = [0.0, *(c * c for c in off)]
     kinetic = 4.0 * max(map(abs, off))
@@ -362,9 +396,8 @@ def _refine_levels(
     for guess in predicted:
         root = _newton_root(diag, prod, guess, radius, kinetic)
         if root is None:
-            n = len(diag)
-            start = [1.0 + (i + 1.0) / n for i in range(n)]
-            root = _inverse_iteration(tridiag_ldlt(off, diag, guess), guess, start)
+            inside = _disc_eigenvalues(diag, prod, guess, radius, kinetic)
+            root = min(inside, key=lambda w: abs(w - guess), default=None)
         refined.append(root)
     return refined
 
@@ -391,12 +424,12 @@ def fd_defect_bound(model: QesModel, grid: GridSpec) -> float:
 
 @dataclass(frozen=True)
 class GridCheck:
-    """A grid check: the grid, each level's grid eigenvalue, the largest defect and its bound."""
+    """A grid check: the grid, each level's grid eigenvalue or None, the worst defect, its bound."""
 
     grid_n: int
     x_min: float
     x_max: float
-    refined: tuple[complex, ...]
+    refined: tuple[complex | None, ...]
     defect: float
     defect_bound: float
 
@@ -433,5 +466,5 @@ def fd_verify(
         off[0] *= math.sqrt(2.0)
     bound = fd_defect_bound(model, grid)
     refined = tuple(_refine_levels(off, diag, predicted, bound))
-    defect = max(abs(r - p) for r, p in zip(refined, predicted))
+    defect = max(math.inf if r is None else abs(r - p) for r, p in zip(refined, predicted))
     return GridCheck(n, grid.x_min, grid.x_max, refined, defect, bound)

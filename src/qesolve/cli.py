@@ -69,8 +69,8 @@ def to_json(value, indent: int = 0) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return format_float(value)
+    if isinstance(value, float):  # JSON has no inf or nan
+        return format_float(value) if math.isfinite(value) else "null"
     if isinstance(value, complex):
         return to_json({"re": value.real, "im": value.imag}, indent)
     if dataclasses.is_dataclass(value):

@@ -5,11 +5,11 @@ diag[i] = A[i][i] and sup[i] = A[i][i+1].
 
 The block eigensolver takes its eigenvectors from the twisted factorizations
 of A - zI, one call per block (tridiag_null_vectors).  The grid check takes
-its Newton step from the top-down pivots of the same elimination
-(tridiag_log_derivative) and falls back to inverse iteration on
-tridiag_ldlt, the unpivoted LDL^T of its complex symmetric H with those same
-pivots.  Each replaces an exactly zero pivot by eps * ||A|| of the unshifted
-A: the tiny pivot an exact eigenvalue wants, so no caller re-shifts.
+p'/p from the top-down pivots of the same elimination
+(tridiag_log_derivative), both for its Newton steps and at the contour
+nodes where it counts eigenvalues.  Each replaces an exactly zero pivot by
+eps * ||A|| of the unshifted A: the tiny pivot an exact eigenvalue wants, so
+no caller re-shifts.
 """
 
 from __future__ import annotations
@@ -23,26 +23,6 @@ def tridiag_norm(sub: list[complex], diag: list[complex], sup: list[complex]) ->
     return max(abs(lo) + abs(d) + abs(up) for lo, d, up in rows)
 
 
-def tridiag_ldlt(off: list[complex], diag: list[complex], shift: complex):
-    """Unpivoted LDL^T of the complex symmetric A - shift I, A = tridiag(off, diag, off).
-
-    Returns the pivots d_k = (diag[k] - shift) - l_{k-1} off[k-1], the
-    top-down pivots of tridiag_log_derivative, and the multipliers
-    l_k = off[k] / d_k.  An exactly zero pivot is replaced by eps * ||A|| of
-    the unshifted A, or by 1 for the zero matrix; the norm is computed only
-    then.
-    """
-    pivots, mult = [], []
-    for k, a in enumerate(diag):
-        d = a - shift - mult[-1] * off[k - 1] if k else a - shift
-        if not d:
-            d = sys.float_info.epsilon * tridiag_norm(off, diag, off) or 1.0
-        pivots.append(d)
-        if k < len(off):
-            mult.append(off[k] / d)
-    return pivots, mult
-
-
 def tridiag_log_derivative(diag: list[complex], prod: list[complex], z: complex) -> complex:
     """p'(z) / p(z) for p(z) = det(T - zI), in one O(n) pass.
 
@@ -52,8 +32,7 @@ def tridiag_log_derivative(diag: list[complex], prod: list[complex], z: complex)
     so p'/p is the sum of e_k = d_k' / d_k = (r_k e_{k-1} - 1) / d_k.  p
     itself is never formed, so its growth or decay with n cannot under- or
     overflow.  An exactly zero pivot is replaced by eps * ||T|| of the
-    unshifted T with its couplings balanced to |prod|^(1/2), as in
-    tridiag_ldlt.
+    unshifted T with its couplings balanced to |prod|^(1/2).
     """
     d, e, total = 1.0, 0.0, 0.0j
     for a, b in zip(diag, prod):
@@ -98,22 +77,6 @@ def tridiag_null_vectors(sub: list[complex], diag: list[complex], sup: list[comp
             if abs(x[k]) > 2.0**500:
                 x = [c * 2.0**-500 for c in x]
         yield x
-
-
-def tridiag_solve(factors, rhs: list[complex]) -> list[complex]:
-    """Solve (A - shift I) x = rhs from tridiag_ldlt's pivots and multipliers.
-
-    Forward y_k = rhs[k] - l_{k-1} y_{k-1}, then back x_k = y_k / d_k - l_k x_{k+1}.
-    """
-    pivots, mult = factors
-    y = [rhs[0]]
-    for v, m in zip(rhs[1:], mult):
-        y.append(v - m * y[-1])
-    x = [y[-1] / pivots[-1]]
-    for yk, d, m in zip(y[-2::-1], pivots[-2::-1], mult[::-1]):
-        x.append(yk / d - m * x[-1])
-    x.reverse()
-    return x
 
 
 def tridiag_matvec(

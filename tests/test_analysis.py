@@ -419,17 +419,15 @@ def test_partner_identity_random_points():
             assert abs((v_plus - v_minus) - rhs) <= 1e-12 * scale
 
 
-def test_tridiagonal_solver_direct():
-    # a random complex symmetric A (sub = sup), as the grid Hamiltonian is
-    from qesolve.tridiag import tridiag_ldlt, tridiag_matvec, tridiag_solve
+def test_tridiag_matvec_direct():
+    # a random complex A with sub != sup, against the three-term row sums
+    from qesolve.tridiag import tridiag_matvec
 
     rng = fresh_rng()
     n = 50
-    sub = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n - 1)]
-    sup = sub
-    diag = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.1 for _ in range(n)]
-    rhs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
-    x = tridiag_solve(tridiag_ldlt(sub, diag, 0.0), rhs)
+    sub, sup = ([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n - 1)] for _ in "ab")
+    diag = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+    x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
     ax = tridiag_matvec(sub, diag, sup, x)
     for i in range(n):
         acc = diag[i] * x[i]
@@ -438,31 +436,30 @@ def test_tridiagonal_solver_direct():
         if i < n - 1:
             acc += sup[i] * x[i + 1]
         assert ax[i] == acc
-        assert abs(acc - rhs[i]) <= 1e-11 * max(1.0, abs(rhs[i]))
+    assert tridiag_matvec([], [2.0 + 0j], [], [3.0 + 0j]) == [6.0 + 0j]
 
 
 def test_zero_pivot_is_replaced():
-    # [[1, 1], [1, 1]] eliminates to an exactly zero last pivot; the tiny
-    # stand-in eps * ||A|| makes a solve return a huge multiple of the null
-    # vector (1, -1)
-    from qesolve.tridiag import tridiag_ldlt, tridiag_solve
+    # [[0, 1, 0], [1, 0, 1], [0, 1, 0]] at z = 0: the first pivot down and the
+    # last one up are exactly 0 and are divided by; their stand-in
+    # eps * ||A|| = 2 eps gives the null vector (1, 0, -1) to rounding
+    from qesolve.tridiag import tridiag_null_vectors
 
-    factors = tridiag_ldlt([1.0 + 0j], [1.0 + 0j, 1.0 + 0j], 0.0)
-    assert factors[0][-1] == 2.0 * sys.float_info.epsilon
-    x = tridiag_solve(factors, [0.0j, 1.0 + 0j])
-    assert abs(x[0] + x[1]) <= 1e-15 * abs(x[0]) and abs(x[0]) >= 1e14
+    ones = [1.0 + 0j, 1.0 + 0j]
+    (x,) = tridiag_null_vectors(ones, [0j, 0j, 0j], ones, [0j])
+    assert x[0] == 1.0 and abs(x[1]) <= 1e-15 and abs(x[2] + 1.0) <= 1e-15
 
 
 def test_zero_pivot_uses_the_unshifted_norm():
     # [[3, 1], [1, 3]] - 2 I is [[1, 1], [1, 1]]: its zero last pivot becomes
-    # eps * ||A|| = 4 eps of the unshifted A, not 2 eps of the shifted one
-    from qesolve.tridiag import tridiag_ldlt
+    # eps * ||T|| = 4 eps of the unshifted T, not 2 eps of the shifted one, so
+    # p'/p = e_0 + e_1 = -1 + (1 * -1 - 1) / (4 eps), exactly
+    from qesolve.tridiag import tridiag_log_derivative
 
     eps = sys.float_info.epsilon
-    factors = tridiag_ldlt([1.0 + 0j], [3.0 + 0j, 3.0 + 0j], 2.0)
-    assert factors[0] == [1.0 + 0j, 4.0 * eps + 0j]
-    zero = tridiag_ldlt([0.0j], [0.0j, 0.0j], 0.0)
-    assert zero[0] == [1.0 + 0j, 1.0 + 0j]
+    assert tridiag_log_derivative([3.0 + 0j, 3.0 + 0j], [0.0, 1.0], 2.0 + 0j) == -1.0 - 0.5 / eps
+    # the zero matrix has no norm to borrow: its zero pivots become 1
+    assert tridiag_log_derivative([0j, 0j], [0.0, 0.0], 0j) == -2.0
 
 
 def test_log_derivative_matches_the_continuant():
@@ -546,9 +543,9 @@ def test_fd_parity_start_on_sextic_double_well(sector, mu, monkeypatch):
     # at 2j=5 the lowest level has a nearly degenerate partner of the other
     # parity on the full grid; the half grid holds the sector's parity only,
     # so that partner cannot mix into the refined value.  Newton settles
-    # each level inside the grid gate without a solve; the levels outside
-    # it, and every level when Newton has no steps, go to inverse iteration
-    # from the ramp start, which keeps its solve budget
+    # each level inside the grid gate without a count; the levels outside
+    # it, and every level when that Newton finds nothing, have their disc
+    # counted once, which names the sector's grid eigenvalue in it or none
     np = pytest.importorskip("numpy")
     model = make_sextic(SexticParams.from_mu(mu, 5, sector))
     solutions, result = solve_model(model)
@@ -565,29 +562,36 @@ def test_fd_parity_start_on_sextic_double_well(sector, mu, monkeypatch):
     off = np.full(len(half) - 1, -1.0 / h**2)
     reference = np.linalg.eigvals(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
-    solves = []
-    tridiag_solve = analysis.tridiag_solve
+    counts = []
+    disc_eigenvalues = analysis._disc_eigenvalues
 
-    def counting_solve(*args):
-        solves[-1] += 1
-        return tridiag_solve(*args)
+    def counting_disc(*args):
+        counts[-1] += 1
+        return disc_eigenvalues(*args)
 
-    monkeypatch.setattr(analysis, "tridiag_solve", counting_solve)
+    monkeypatch.setattr(analysis, "_disc_eigenvalues", counting_disc)
+    newton_root = analysis._newton_root
+
+    def no_gate_newton(diag, prod, guess, radius, *rest):
+        # the level's own Newton, the one with a finite radius, finds nothing
+        return None if math.isfinite(radius) else newton_root(diag, prod, guess, radius, *rest)
+
     bound = analysis.fd_defect_bound(model, grid)
     paths = []
-    for newton_steps in (analysis.FD_NEWTON_STEPS, 0):
-        monkeypatch.setattr(analysis, "FD_NEWTON_STEPS", newton_steps)
+    for root in (newton_root, no_gate_newton):
+        monkeypatch.setattr(analysis, "_newton_root", root)
         for s in solutions:
-            solves.append(0)
+            counts.append(0)
             (refined,) = fd_verify(model, [s], shift, grid).refined
-            nearest = reference[np.argmin(abs(reference - (s.energy_base + shift)))]
-            assert abs(refined - nearest) <= 1e-9
-            newton = newton_steps and abs(refined - (s.energy_base + shift)) <= bound
-            paths.append(bool(newton))
-            if newton:
-                assert solves[-1] == 0
+            predicted = s.energy_base + shift
+            nearest = reference[np.argmin(abs(reference - predicted))]
+            if abs(nearest - predicted) <= bound:
+                assert abs(refined - nearest) <= 1e-9
             else:
-                assert 2 <= solves[-1] <= 4
+                assert refined is None
+            paths.append(counts[-1] == 0)
+            if root is no_gate_newton:
+                assert counts[-1] == 1
     # both paths ran on the default step budget
     assert len(set(paths[: len(solutions)])) == 2
 
@@ -631,16 +635,21 @@ def test_fd_levels_are_sector_grid_eigenvalues(sector, two_j, grid):
     # on coarse grids a full-grid iteration let roundoff carry in the other
     # parity (even level 5 at n=64 landed on 31.93 instead of 38.69); odd n
     # exercises the centre point: dropped (odd) or coupled by -sqrt(2)/h^2;
-    # n=2000 is the default grid, refined by Newton on its 1,000-row half
+    # n=2000 is the default grid, refined by Newton on its 1,000-row half.
+    # A level whose disc holds no sector eigenvalue is refined to None
     np = pytest.importorskip("numpy")
     model = make_sextic(SexticParams.from_mu(0.7, two_j, sector))
     solutions, result = solve_model(model)
     reference = _sector_spectrum(np, model, grid, result.shift)
-    refined = fd_verify(model, solutions, result.shift, grid).refined
-    assert len(refined) == two_j + 1
-    for s, value in zip(solutions, refined):
-        nearest = reference[np.argmin(abs(reference - (s.energy_base + result.shift)))]
-        assert abs(value - nearest) <= 1e-9
+    check = fd_verify(model, solutions, result.shift, grid)
+    assert len(check.refined) == two_j + 1
+    for s, value in zip(solutions, check.refined):
+        predicted = s.energy_base + result.shift
+        nearest = reference[np.argmin(abs(reference - predicted))]
+        if abs(nearest - predicted) <= check.defect_bound:
+            assert abs(value - nearest) <= 1e-9
+        else:
+            assert value is None
 
 
 @pytest.mark.parametrize(
@@ -663,8 +672,8 @@ def test_fd_verify_cost_on_half_grid(sector, n_points, reduced, monkeypatch):
         passes.append(len(args[0]))
         return tridiag_log_derivative(*args)
 
-    def no_factor(*args):
-        raise AssertionError("an in-gate level was factored")
+    def no_count(*args):
+        raise AssertionError("an in-gate level was counted")
 
     def no_matvec(*args):
         raise AssertionError("the grid check multiplies by H")
@@ -672,7 +681,7 @@ def test_fd_verify_cost_on_half_grid(sector, n_points, reduced, monkeypatch):
     tridiag_log_derivative = analysis.tridiag_log_derivative
     monkeypatch.setattr(analysis, "potential_eval", counting_potential)
     monkeypatch.setattr(analysis, "tridiag_log_derivative", counting_log_derivative)
-    monkeypatch.setattr(analysis, "tridiag_ldlt", no_factor)
+    monkeypatch.setattr(analysis, "_disc_eigenvalues", no_count)
     monkeypatch.setattr(qesolve.tridiag, "tridiag_matvec", no_matvec)
     monkeypatch.setattr(qesolve.spectrum, "tridiag_matvec", no_matvec)
     assert not hasattr(analysis, "tridiag_matvec")
@@ -692,19 +701,32 @@ def test_fd_verify_cost_on_half_grid(sector, n_points, reduced, monkeypatch):
 def test_fd_newton_matches_full_morse_grid(monkeypatch):
     np = pytest.importorskip("numpy")
 
-    def no_factor(*args):
-        raise AssertionError("an in-gate level was factored")
+    def no_count(*args):
+        raise AssertionError("an in-gate level was counted")
 
     model = make_morse(MorseParams.from_mu(0.7, 3))
     solutions, result = solve_model(model)
     grid = GridSpec(-12.0, 4.0, 701)
     diag, off = full_grid_hamiltonian(model, result.shift, grid)
     reference = np.linalg.eigvals(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    monkeypatch.setattr(analysis, "tridiag_ldlt", no_factor)
+    monkeypatch.setattr(analysis, "_disc_eigenvalues", no_count)
     refined = fd_verify(model, solutions, result.shift, grid).refined
     for s, value in zip(solutions, refined):
         nearest = reference[np.argmin(abs(reference - (s.energy_base + result.shift)))]
         assert abs(value - nearest) <= 1e-9
+
+
+def _counted_centres(monkeypatch):
+    """Record the centre of every disc fd_verify counts."""
+    centres = []
+    disc_eigenvalues = analysis._disc_eigenvalues
+
+    def counting_disc(diag, prod, centre, *rest):
+        centres.append(centre)
+        return disc_eigenvalues(diag, prod, centre, *rest)
+
+    monkeypatch.setattr(analysis, "_disc_eigenvalues", counting_disc)
+    return centres
 
 
 def test_fd_exhausted_newton_budget_falls_back(monkeypatch):
@@ -712,19 +734,17 @@ def test_fd_exhausted_newton_budget_falls_back(monkeypatch):
     solutions, result = solve_model(model)
     grid = GridSpec(-12.0, 4.0, 300)
     newton = fd_verify(model, solutions, result.shift, grid).refined
-    factors = []
-    tridiag_ldlt = analysis.tridiag_ldlt
+    newton_root = analysis._newton_root
 
-    def counting_factor(*args):
-        factors.append(args[2])
-        return tridiag_ldlt(*args)
+    def exhausted(diag, prod, guess, radius, *rest):
+        # the level's own Newton, the one with a finite radius, runs out of steps
+        return None if math.isfinite(radius) else newton_root(diag, prod, guess, radius, *rest)
 
-    monkeypatch.setattr(analysis, "FD_NEWTON_STEPS", 1)
-    monkeypatch.setattr(analysis, "tridiag_ldlt", counting_factor)
+    centres = _counted_centres(monkeypatch)
+    monkeypatch.setattr(analysis, "_newton_root", exhausted)
     fallback = fd_verify(model, solutions, result.shift, grid).refined
-    assert len(factors) == len(solutions)
-    # the fallback is shifted by the prediction itself
-    assert factors == [s.energy_base + result.shift for s in solutions]
+    # the fallback counts the disc about the prediction itself
+    assert centres == [s.energy_base + result.shift for s in solutions]
     for a, b in zip(newton, fallback):
         assert abs(a - b) <= 1e-9 * abs(a)
 
@@ -732,28 +752,58 @@ def test_fd_exhausted_newton_budget_falls_back(monkeypatch):
 @pytest.mark.parametrize("two_j, mu", [(9, 0.7), (12, 1.4)])
 def test_fd_fallback_finds_the_in_gate_level_newton_leaves(two_j, mu, monkeypatch):
     # on these coarse grids Newton leaves the disc of some levels whose
-    # nearest grid eigenvalue lies inside it; inverse iteration shifted by
-    # the prediction finds that eigenvalue, so the model passes the gate
+    # nearest grid eigenvalue lies inside it; the count finds that
+    # eigenvalue, so the model passes the gate
     np = pytest.importorskip("numpy")
     model = make_morse(MorseParams.from_mu(mu, two_j))
     solutions, result = solve_model(model)
     grid = GridSpec(-12.0, 4.0, 64)
-    factors = []
-    tridiag_ldlt = analysis.tridiag_ldlt
-
-    def counting_factor(*args):
-        factors.append(args[2])
-        return tridiag_ldlt(*args)
-
-    monkeypatch.setattr(analysis, "tridiag_ldlt", counting_factor)
+    centres = _counted_centres(monkeypatch)
     check = fd_verify(model, solutions, result.shift, grid)
-    assert factors
+    assert centres
     diag, off = full_grid_hamiltonian(model, result.shift, grid)
     reference = np.linalg.eigvals(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     for s, value in zip(solutions, check.refined):
         nearest = reference[np.argmin(abs(reference - (s.energy_base + result.shift)))]
         assert abs(value - nearest) <= 1e-9
     assert check.defect <= check.defect_bound
+
+
+@pytest.mark.parametrize(
+    "family, two_j, mu, n_points, passed",
+    [
+        ("morse", 10, 0.7, 64, True),  # inverse iteration did not settle here
+        ("morse", 31, 0.7, 257, False),  # 31 of 32 discs hold no grid eigenvalue
+        ("sextic", 7, 0.0, 64, True),  # a disc's eigenvalue at 0.988 of its radius
+        ("sextic", 12, 0.7, 64, False),  # a disc's eigenvalue at 0.999 of its radius
+        ("morse", 11, 0.0, 65, True),  # discs that hold 2 grid eigenvalues
+    ],
+)
+def test_fd_disc_count_matches_numpy_on_coarse_grids(family, two_j, mu, n_points, passed):
+    # each level's value is the grid eigenvalue nearest its prediction when
+    # one lies in its disc, and None otherwise; the sextic reference is the
+    # full grid restricted to the sector's parity
+    np = pytest.importorskip("numpy")
+    if family == "morse":
+        model = make_morse(MorseParams.from_mu(mu, two_j))
+    else:
+        model = make_sextic(SexticParams.from_mu(mu, two_j, EVEN))
+    solutions, result = solve_model(model)
+    grid = default_grid(model, n_points)
+    check = fd_verify(model, solutions, result.shift, grid)
+    assert (check.defect <= check.defect_bound) == passed
+    if family == "morse":
+        diag, off = full_grid_hamiltonian(model, result.shift, grid)
+        reference = np.linalg.eigvals(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    else:
+        reference = _sector_spectrum(np, model, grid, result.shift)
+    for s, value in zip(solutions, check.refined, strict=True):
+        predicted = s.energy_base + result.shift
+        nearest = reference[np.argmin(abs(reference - predicted))]
+        if abs(nearest - predicted) <= check.defect_bound:
+            assert abs(value - nearest) <= 1e-9 * max(1.0, abs(nearest))
+        else:
+            assert value is None
 
 
 def test_fd_newton_rejects_a_non_finite_step():
@@ -778,10 +828,12 @@ def _default_grid_models():
 
 @pytest.fixture(scope="module")
 def default_grid_newton():
-    """(log-derivative passes, levels, [(diag, prod, kinetic, root)]) over the default grids.
+    """(gate Newton passes, levels, [(diag, prod, kinetic, root)]) over the default grids.
 
-    kinetic is 4 / h^2 of each model's default grid, read from the grid
-    itself; root is each level's Newton root, None where it fell back.
+    Only each level's own Newton, the one bounded by the gate radius, is
+    recorded, not the unbounded ones of a disc count; kinetic is 4 / h^2 of
+    each model's default grid, read from the grid itself, and root is the
+    level's Newton root, None where it fell back to the count.
     """
     passes, roots = [], []
     log_derivative, newton_root = analysis.tridiag_log_derivative, analysis._newton_root
@@ -792,13 +844,16 @@ def default_grid_newton():
         return log_derivative(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "tridiag_log_derivative", counting_log_derivative)
         for model in _default_grid_models():
             grid = default_grid(model)
             kinetic = 4.0 * ((grid.n_points + 1) / (grid.x_max - grid.x_min)) ** 2
 
             def recording_root(diag, prod, guess, radius, *rest):
+                if not math.isfinite(radius):
+                    return newton_root(diag, prod, guess, radius, *rest)
+                patch.setattr(analysis, "tridiag_log_derivative", counting_log_derivative)
                 root = newton_root(diag, prod, guess, radius, *rest)
+                patch.setattr(analysis, "tridiag_log_derivative", log_derivative)
                 roots.append((diag, prod, kinetic, root))
                 return root
 
@@ -823,7 +878,7 @@ def test_fd_newton_roots_are_fixed_points(default_grid_newton):
     # only have confirmed the root
     _, _, roots = default_grid_newton
     kept = [entry for entry in roots if entry[3] is not None]
-    assert len(kept) == 177  # the other 12 levels fall back to inverse iteration
+    assert len(kept) == 177  # the other 12 levels fall back to the disc count
     for diag, prod, kinetic, root in kept:
         step = 1.0 / analysis.tridiag_log_derivative(diag, prod, root)
         assert abs(step) <= 2.0 * sys.float_info.epsilon * (kinetic + abs(root))
@@ -882,26 +937,6 @@ def test_fd_coarse_morse_levels_match_a_40_digit_grid_eigenvalue():
             assert abs(complex(z) - value) <= 1e-10
 
 
-def test_fd_isotropic_vector_raises_with_last_estimate():
-    # H = [[1, i], [i, -1]] is complex symmetric and nilpotent.  From e1 with
-    # sigma = -4, (H + 4)^-1 = [[3, -i], [-i, 5]] / 16 gives u = (3, -i)/16
-    # and the quotient -4 + (3/16) / (8/256) = 2; the next solve gives
-    # u = (1, -i)/(2 sqrt(10)), whose u^T u is exactly 0
-    factors = analysis.tridiag_ldlt([1j], [1.0 + 0j, -1.0 + 0j], -4.0)
-    with pytest.raises(ConvergenceFailureError) as info:
-        analysis._inverse_iteration(factors, -4.0, [1.0 + 0j, 0j])
-    assert abs(info.value.best - 2.0) <= 1e-15
-    # from the isotropic null vector (1, i) every u is parallel to it, and
-    # rounding leaves |u^T u| / ||u||^2 near 1e-16: the first quotient is
-    # noise (it used to settle on 1.0, -0.0625 and 0.0833), so none is kept
-    for sigma in (3.0, -0.25, 0.75):
-        factors = analysis.tridiag_ldlt([1j], [1.0 + 0j, -1.0 + 0j], sigma)
-        with pytest.raises(ConvergenceFailureError) as info:
-            analysis._inverse_iteration(factors, sigma, [1.0 + 0j, 1j])
-        assert info.value.best is None
-        assert info.value.defect <= analysis.FD_ISOTROPY_TOL
-
-
 @pytest.mark.parametrize(
     "model",
     [make_sextic(SexticParams.from_mu(0.7, 5)), make_morse(MorseParams.from_mu(0.7, 5))],
@@ -931,13 +966,75 @@ def test_fd_refine_samples_potential_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 300
 
 
-def test_fd_inverse_iteration_budget(monkeypatch):
-    # a 1e-12 disc sends the level to inverse iteration, whose budget runs out
-    monkeypatch.setattr(analysis, "FD_MAX_STEPS", 1)
+def _free_particle_eigenvalue(n_points, k):
+    """The k-th eigenvalue of _free_particle(n_points): (4 / h^2) sin^2(k h / 2)."""
+    h = math.pi / (n_points + 1)
+    return 4.0 / (h * h) * math.sin(k * h / 2.0) ** 2
+
+
+def _shifted_free_particle(n_points=8, shift=0.3j):
+    """(diag, prod, eigenvalues) of tridiag(-1, 2 + shift, -1), whose k-th
+    eigenvalue is 2 + shift - 2 cos(k pi / (n_points + 1))."""
+    values = [2.0 + shift - 2.0 * math.cos(k * math.pi / (n_points + 1)) for k in range(1, n_points + 1)]
+    return [2.0 + shift] * n_points, [0.0] + [1.0] * (n_points - 1), values
+
+
+@pytest.mark.parametrize("centre_newton", [True, False], ids=["newton", "count-only"])
+@pytest.mark.parametrize(
+    "where, radius, held",
+    [
+        (lambda v: 5.0 + 0.3j, 0.5, []),
+        (lambda v: v[3] + 0.05, 0.1, [3]),
+        # a pair symmetric about the centre, where their centroid is no eigenvalue
+        (lambda v: 2.0 + 0.3j, 0.5, [3, 4]),
+        (lambda v: v[3], 0.8, [2, 3, 4]),
+        (lambda v: v[3] - 0.999 * 0.1, 0.1, [3]),
+        (lambda v: v[3] - 1.001 * 0.1, 0.1, []),
+    ],
+    ids=["none", "one", "pair", "three", "at-0.999", "at-1.001"],
+)
+def test_disc_count_finds_the_eigenvalues_it_holds(where, radius, held, centre_newton, monkeypatch):
+    # without the Newton root from the centre the rule alone must count, and
+    # an eigenvalue at 0.999 or 1.001 of the radius must be deflated at the
+    # node cap before the count settles
+    diag, prod, values = _shifted_free_particle()
+    centre = where(values)
+    newton_root = analysis._newton_root
+
+    def no_centre_newton(diag, prod, guess, *rest):
+        return None if guess == centre else newton_root(diag, prod, guess, *rest)
+
+    if not centre_newton:
+        monkeypatch.setattr(analysis, "_newton_root", no_centre_newton)
+    found = sorted(analysis._disc_eigenvalues(diag, prod, centre, radius, 4.0), key=lambda z: z.real)
+    assert len(found) == len(held)
+    for z, k in zip(found, held):
+        assert abs(z - values[k]) <= 1e-12
+
+
+def test_disc_count_names_nothing_false_at_a_jordan_block():
+    # H = [[1, i], [i, -1]] is complex symmetric and nilpotent, p(z) = z^2
+    # (inverse iteration met u^T u = 0 on it).  Newton converges only
+    # linearly to the double root, so the disc about 0 may leave it unnamed,
+    # and the level then fails the gate; no other value is ever named, and a
+    # disc that misses 0 holds nothing
+    diag, prod = [1.0 + 0j, -1.0 + 0j], [0.0, -1.0]
+    assert all(abs(z) <= 1e-8 for z in analysis._disc_eigenvalues(diag, prod, 0.5 + 0j, 1.0, 4.0))
+    assert analysis._disc_eigenvalues(diag, prod, 3.0 + 0j, 1.0, 4.0) == []
+
+
+def test_fd_count_node_cap_raises_with_a_finite_defect(monkeypatch):
+    # the level's eigenvalue lies at 0.999 of its disc's radius, where the
+    # rule needs thousands of nodes undeflated; with one Newton step no pole
+    # is ever found, so the count stops at the 8-node cap
+    monkeypatch.setattr(analysis, "FD_NEWTON_STEPS", 1)
+    monkeypatch.setattr(analysis, "FD_CONTOUR_NODES", 8)
+    radius = abs(_free_particle_eigenvalue(200, 1) - 1.0) / 0.999
     with pytest.raises(ConvergenceFailureError) as info:
-        analysis._refine_levels(*_free_particle(200), [1.0 + 0j], 1e-12)
-    # one solve: the defect is the quotient's move away from the shift
-    assert info.value.defect == abs(info.value.best - 1.0)
+        analysis._refine_levels(*_free_particle(200), [1.0 + 0j], radius)
+    assert "count did not settle within 8 nodes" in str(info.value)
+    # the defect is the change between the 4- and 8-node rules
+    assert math.isfinite(info.value.defect) and info.value.defect > analysis.FD_COUNT_TOL
 
 
 def test_grid_validation():

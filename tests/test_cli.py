@@ -357,12 +357,18 @@ def test_convergence_failure_reports_detail(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # inverse iteration on a coarse grid: the last change of the quotient
-        (("--family", "morse", "--two-j", "10", "--mu", "0.7", "--grid-n", "64"), "did not settle"),
         # a cancelling top level: the norm's rounding bound over its sum
-        (("--family", "sextic", "--two-j", "20", "--mu", "0.7"), "refinement did not converge"),
+        pytest.param(
+            ("--family", "sextic", "--two-j", "20", "--mu", "0.7"),
+            "refinement did not converge",
+            id="argv1-refinement did not converge",
+        ),
         # a sum beyond the largest double: its largest sample over that double
-        (("--family", "morse", "--two-j", "0", "--d=1e-160,-1", "--mu", "-1"), "sum overflowed"),
+        pytest.param(
+            ("--family", "morse", "--two-j", "0", "--d=1e-160,-1", "--mu", "-1"),
+            "sum overflowed",
+            id="argv2-sum overflowed",
+        ),
     ],
 )
 def test_failed_verify_stage_reports_its_defect(capsys, argv, message):
@@ -372,6 +378,28 @@ def test_failed_verify_stage_reports_its_defect(capsys, argv, message):
     assert message in first
     defect = json.loads(detail)["defect"]
     assert math.isfinite(defect) and defect > 0
+
+
+def test_verify_without_a_grid_eigenvalue_in_a_disc_prints_its_report(capsys):
+    # inverse iteration did not settle on this coarse grid and exited 2 with
+    # no report; now the levels whose disc holds no grid eigenvalue read
+    # null, and so does the infinite defect, and the report parses as JSON
+    argv = ("--family", "morse", "--two-j", "12", "--mu", "0.7", "--grid-n", "65")
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and err == ""
+    verification = json.loads(out)["verification"]
+    assert verification["passed"] is False
+    assert verification["fd"]["defect"] is None
+    assert None in verification["fd"]["refined"]
+    assert all(isinstance(v, dict) for v in verification["fd"]["refined"] if v is not None)
+
+
+def test_non_finite_floats_render_as_null():
+    # JSON has no inf or nan; a failing report's defect must still parse
+    for value in (math.inf, -math.inf, math.nan):
+        assert cli.to_json(value) == "null"
+    assert json.loads(cli.to_json({"defect": math.inf, "bound": 0.5})) == {"defect": None, "bound": 0.5}
+    assert cli.to_json(complex(math.inf, 1.0)) == '{\n  "re": null,\n  "im": 1\n}'
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
