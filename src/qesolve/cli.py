@@ -267,44 +267,23 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ValidationError(f"expected a complex number as re,im — got {text!r}")
+def _add_numbers(sub, flag: str, form: str, counts=(2,), make=lambda *xs: xs, **kwargs):
+    """Add a real-valued flag whose argparse type is the one rule for all of them:
+    the text splits on form's separator into one of counts numbers, each finite,
+    and make builds the value.  Its ValidationError passes argparse by to main."""
 
+    def parse(text: str):
+        try:
+            numbers = [float(part) for part in text.split(":" if ":" in form else ",")]
+        except ValueError:
+            numbers = []
+        if len(numbers) not in counts:
+            raise ValidationError(f"expected {flag} as {form} — got {text!r}")
+        if not all(map(math.isfinite, numbers)):
+            raise ValidationError(f"{flag} needs finite numbers — got {text!r}")
+        return make(*numbers)
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    try:
-        lo, hi = map(float, text.split(","))
-    except ValueError:
-        raise ValidationError(f"expected {flag} as lo,hi — got {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError(f"{flag} needs finite numbers — got {text!r}")
-    return lo, hi
-
-
-def _parse_range(text: str) -> tuple[float, float, int]:
-    """(lo, step, point count) of a lo:hi:step range; empty when hi < lo."""
-    try:
-        lo, hi, step = map(float, text.split(":"))
-    except ValueError:
-        raise ValidationError(f"expected --mu-range as lo:hi:step — got {text!r}")
-    if not all(map(math.isfinite, (lo, hi, step))):
-        raise ValidationError(f"--mu-range needs finite numbers — got {text!r}")
-    if step <= 0:
-        raise ValidationError("range step must be positive")
-    if hi < lo:
-        return lo, step, 0
-    span = (hi - lo) / step
-    if not math.isfinite(span):
-        raise ValidationError(f"--mu-range needs finite numbers — got {text!r}: count overflows")
-    return lo, step, int(span + 1e-9) + 1
+    sub.add_argument(flag, type=parse, **kwargs)
 
 
 def _check_size(flag: str, count: int, what: str) -> None:
@@ -317,10 +296,11 @@ def _add_family_flags(sub: argparse.ArgumentParser, with_mu: bool = True) -> Non
     sub.add_argument("--family", required=True, choices=(SEXTIC, MORSE))
     sub.add_argument("--two-j", required=True, type=int, help="2j, a non-negative integer")
     if with_mu:
-        sub.add_argument("--mu", type=float, help="sextic: a = i*mu; morse: b = (i*mu - 3)/2")
-    sub.add_argument("--a", help="complex parameter as re,im")
-    sub.add_argument("--b", help="morse gauge offset as re,im")
-    sub.add_argument("--d", help="morse parameter as re,im")
+        mu_help = "sextic: a = i*mu; morse: b = (i*mu - 3)/2"
+        _add_numbers(sub, "--mu", "a number", (1,), float, help=mu_help)
+    _add_numbers(sub, "--a", "re,im", (1, 2), complex, help="complex parameter as re,im")
+    _add_numbers(sub, "--b", "re,im", (1, 2), complex, help="morse gauge offset as re,im")
+    _add_numbers(sub, "--d", "re,im", (1, 2), complex, help="morse parameter as re,im")
     sub.add_argument("--sector", choices=(EVEN, ODD), help="sextic parity sector")
 
 
@@ -335,20 +315,20 @@ def _resolve_model(args, mu: float | None) -> QesModel:
         if mu is not None:
             params = SexticParams.from_mu(mu, args.two_j, sector)
         elif args.a is not None:
-            params = SexticParams(_parse_complex(args.a), args.two_j, sector)
+            params = SexticParams(args.a, args.two_j, sector)
         else:
             raise ValidationError("the sextic family needs --mu or --a")
         return make_sextic(params)
     if args.sector is not None:
         raise ValidationError("--sector applies to the sextic family only")
-    a = _parse_complex(args.a) if args.a is not None else 1.0 + 0.0j
-    d = _parse_complex(args.d) if args.d is not None else 1.0 + 0.0j
+    a = 1.0 + 0.0j if args.a is None else args.a
+    d = 1.0 + 0.0j if args.d is None else args.d
     if mu is not None and args.b is not None:
         raise ValidationError("give either mu or --b, not both")
     if mu is not None:
         params = MorseParams.from_mu(mu, args.two_j, a, d)
     elif args.b is not None:
-        params = MorseParams(a, d, _parse_complex(args.b), args.two_j)
+        params = MorseParams(a, d, args.b, args.two_j)
     else:
         raise ValidationError("the morse family needs --mu or --b")
     return make_morse(params)
@@ -368,8 +348,7 @@ def cmd_verify(args) -> int:
     model = _resolve_model(args, args.mu)
     _check_size("--grid-n", args.grid_n, "grid points")
     if args.domain is not None:
-        x_min, x_max = _parse_pair(args.domain, "--domain")
-        grid = GridSpec(x_min, x_max, args.grid_n)
+        grid = GridSpec(*args.domain, args.grid_n)
     else:
         grid = default_grid(model, args.grid_n)
     report, ok = build_report(model, verify=True, grid=grid)
@@ -378,7 +357,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    lo, step, count = _parse_range(args.mu_range)
+    lo, hi, step = args.mu_range
+    if step <= 0:
+        raise ValidationError("range step must be positive")
+    span = (hi - lo) / step if hi >= lo else -1.0  # no points when hi < lo
+    if not math.isfinite(span):
+        raise ValidationError("--mu-range needs finite numbers — its point count overflows")
+    count = math.floor(span + 1e-9) + 1
     _resolve_model(args, lo)  # conflicting flags fail even when the range is empty
     _check_size("--mu-range", count * (args.two_j + 1), "rows")
     lines = [SCAN_HEADER]
@@ -407,7 +392,7 @@ def cmd_scan(args) -> int:
 
 def cmd_partner(args) -> int:
     model = _resolve_model(args, args.mu)
-    x_min, x_max = _parse_pair(args.range, "--range")
+    x_min, x_max = args.range
     n = args.samples
     if n < 1:
         raise ValidationError("--samples must be at least 1")
@@ -437,18 +422,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     verify = subs.add_parser("verify", help="solve plus residual/normalization/grid checks")
     _add_family_flags(verify)
     verify.add_argument("--grid-n", type=int, default=FD_GRID_N)
-    verify.add_argument("--domain", help="grid domain as xmin,xmax (default per family)")
+    _add_numbers(verify, "--domain", "lo,hi", help="grid domain as xmin,xmax (default per family)")
     verify.set_defaults(func=cmd_verify)
 
     scan = subs.add_parser("scan", help="CSV sweep of the spectrum over mu")
     _add_family_flags(scan, with_mu=False)
-    scan.add_argument("--mu-range", required=True, help="lo:hi:step")
+    _add_numbers(scan, "--mu-range", "lo:hi:step", (3,), required=True, help="lo:hi:step")
     scan.set_defaults(func=cmd_scan)
 
     partner = subs.add_parser("partner", help="sample the isospectral partner pair")
     _add_family_flags(partner)
     partner.add_argument("--samples", type=int, default=9)
-    partner.add_argument("--range", default="-2,2", help="xmin,xmax")
+    _add_numbers(partner, "--range", "lo,hi", default="-2,2", help="xmin,xmax")
     partner.set_defaults(func=cmd_partner)
 
     return parser

@@ -318,12 +318,39 @@ _MODEL = ("--family", "sextic", "--two-j", "1", "--mu", "1")
         (("verify", *_MODEL, "--domain=-inf,6"), "--domain"),
         (("partner", *_MODEL, "--range=-inf,1"), "--range"),
         ((*_SCAN, "0:1e300:1e-300"), "--mu-range"),
+        # the model's own flags name themselves, not a parameter derived from them
+        (("solve", "--family", "morse", "--two-j", "1", "--mu", "inf"), "--mu"),
+        (("solve", "--family", "sextic", "--two-j", "1", "--a", "nan,0"), "--a"),
+        (("solve", "--family", "morse", "--two-j", "1", "--b=1,-inf"), "--b"),
+        (("solve", "--family", "morse", "--two-j", "1", "--mu", "1", "--d", "1e400"), "--d"),
     ],
 )
 def test_non_finite_numbers_rejected(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {flag} needs finite numbers")
+
+
+@pytest.mark.parametrize(
+    "flag, text, form",
+    [
+        ("--mu", "1,0", "a number"),
+        ("--mu", "x", "a number"),
+        ("--a", "1,2,3", "re,im"),
+        ("--b", "", "re,im"),
+        ("--d", "1;2", "re,im"),
+        ("--domain", "-5", "lo,hi"),
+        ("--range", "-1,0,1", "lo,hi"),
+        ("--mu-range", "0,1,0.1", "lo:hi:step"),
+    ],
+)
+def test_each_real_flag_names_its_form(capsys, flag, text, form):
+    # one rule converts every real-valued flag: its count of numbers, each finite
+    command = {"--domain": "verify", "--range": "partner", "--mu-range": "scan"}.get(flag, "solve")
+    mu = () if flag in ("--mu", "--mu-range") else ("--mu", "1")
+    code, out, err = run_cli(capsys, command, "--family", "morse", "--two-j", "1", *mu, f"{flag}={text}")
+    assert code == 1 and out == ""
+    assert err == f"error: expected {flag} as {form} — got {text!r}\n"
 
 
 @pytest.mark.parametrize(
