@@ -3,8 +3,10 @@
 
 Each line is `<digest> <exit code> <argv>`, the digest a hash of the exit
 code, stdout and stderr of `qesolve <argv>` run in-process through
-cli.main.  The last line hashes all of them.  Two checkouts whose outputs
-agree byte for byte print the same lines, so a diff of two runs names every
+cli.main; an exception that escapes main is an outcome of its own, and
+its exit code field reads `raised:<exception type>`.  The last line
+hashes all of them.  Two checkouts whose outputs agree byte for byte
+print the same lines, so a diff of two runs names every
 command whose output moved.  The script imports qesolve from the `src`
 directory next to it; to digest another checkout, copy the script into
 that checkout's `scripts` directory and run it there.
@@ -34,6 +36,27 @@ MORSE_USER_SETS = (
     ("--a", "0.5,0.2", "--d", "2,0", "--b=-1.5,0.3"),
     ("--a", "1,0", "--d", "0.5,-0.1", "--b=-1,0.7"),
 )
+# Inputs at the edge of what the flags accept: grid steps that cannot be
+# differenced, potentials that overflow on the grid, a Newton step beyond
+# 1e102, and Morse states far from x = 0 or underflowing everywhere.
+SEXTIC_1 = "verify --family sextic --two-j 1"
+EDGE_CASES = [
+    argv.split()
+    for argv in (
+        f"{SEXTIC_1} --mu 0.5 --domain=0,1e-300",
+        f"{SEXTIC_1} --mu 0.5 --domain=0,1e-150",
+        f"{SEXTIC_1} --mu 0.5 --domain=-1e150,1e150",
+        f"{SEXTIC_1} --mu 0.5 --domain=1e300,1.0000000001e300",
+        f"{SEXTIC_1} --mu 0.5 --domain=1e60,2e60",
+        f"{SEXTIC_1} --a 1e200,0",
+        f"{SEXTIC_1} --mu 1e100",
+        "verify --family morse --two-j 0 --mu 0.5 --a 1e8,0 --d 1e-8,0",
+        "verify --family morse --two-j 0 --mu 0.5 --a 2e4,0 --d 5e-5,0",
+        "verify --family morse --two-j 2 --mu 0.5 --a 1e7,0 --d 1e-7,0",
+        "verify --family morse --two-j 0 --mu 0.5 --a 300,0 --d 300,0",
+        "solve --family morse --two-j 1 --mu inf",
+    )
+]
 
 
 def cases():
@@ -58,12 +81,16 @@ def cases():
             yield ("solve", *model)
             yield ("verify", *model)
             yield ("partner", *model, "--samples", "4")
+    yield from EDGE_CASES
 
 
 def digest(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except Exception as exc:  # a crash is an outcome too, not the end of the digest
+            code = f"raised:{type(exc).__name__}"
     blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()
     return f"{hashlib.sha256(blob).hexdigest()[:16]} {code} {' '.join(argv)}"
 

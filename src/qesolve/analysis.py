@@ -13,7 +13,8 @@ Verification is deliberately redundant:
     magnitudes of the four terms that make it up: the normwise backward
     error of phi, rounding-sized for a genuine eigenpair.
   * norm_squared integrates |psi|^2 by the trapezoidal rule on the nodes
-    x = k*h: it doubles the interval until the tail is negligible, then
+    x = x0 + k*h about where the states sit (x0 = 0, or Re x0 for Morse):
+    it doubles the interval until the tail is negligible, then
     halves h until the sum settles, each rule fsumming running lists that
     gain only its new nodes.  For an analytic, super-exponentially decaying
     integrand the rule converges geometrically in 1/h.
@@ -78,6 +79,19 @@ class GridSpec:
             raise ValidationError("grid needs at least 64 points")
         if self.n_points > MAX_POINTS:
             raise ValidationError(f"grid needs at most {MAX_POINTS} points")
+        # the grid Hamiltonian's diagonal holds 2/h^2 and its coupling products 1/h^4
+        h2 = self.step * self.step
+        inv_h2 = 1.0 / h2 if h2 else math.inf
+        if not 0.0 < inv_h2 * inv_h2 < math.inf:
+            raise ValidationError(
+                f"grid step h = {self.step!r} cannot be differenced: "
+                "1/h^2 or 1/h^4 is not a finite positive double"
+            )
+
+    @property
+    def step(self) -> float:
+        """The spacing h of the grid points."""
+        return (self.x_max - self.x_min) / (self.n_points + 1)
 
 
 def psi_eval(model: QesModel, solution: QesSolution, x: float) -> complex:
@@ -106,7 +120,16 @@ def residual_sup(model: QesModel, solution: QesSolution) -> float:
     return max(abs(sum(col)) for col in columns) / scale if scale else 0.0
 
 
-# Trapezoidal rule on the line: nodes x = k*h, |x| <= half-width.
+def _centre(model: QesModel) -> float:
+    """Where the model's states sit: 0 for the sextic, Re x0 = ln(|a| / |d|) / 2
+    for Morse, whose V_{a,d}(x) is V_{c,c}(x - x0) with c = sqrt(a d); so 0
+    wherever |a| = |d|."""
+    if model.family == SEXTIC:
+        return 0.0
+    return 0.5 * (math.log(abs(model.params.a)) - math.log(abs(model.params.d)))
+
+
+# Trapezoidal rule on the line: nodes x = centre + k*h, |k*h| <= half-width.
 NORM_START_HALF_WIDTH = 2.0
 NORM_START_STEP = 0.25
 NORM_REL_TOL = 1e-12
@@ -128,7 +151,8 @@ def psi_abs2(model: QesModel, solution: QesSolution, x: float) -> tuple[float, f
 
 
 def norm_squared(model: QesModel, solution: QesSolution) -> float:
-    """Integral of |psi|^2 over the line by the trapezoidal rule on x = k*h.
+    """Integral of |psi|^2 over the line by the trapezoidal rule on x = x0 + k*h,
+    x0 the model's _centre, so a Morse norm samples its a = d translate's nodes.
 
     At step NORM_START_STEP the half-width doubles from
     NORM_START_HALF_WIDTH until one doubling changes the sum by at most
@@ -150,7 +174,8 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
     half-width 8192 at the start step), "quadrature refinement did not
     converge" while halving.  A sum beyond the largest double raises it
     too, "normalization sum overflowed", with the largest finite sample
-    over the largest double as `defect`.
+    over the largest double as `defect`; a sum of samples that all underflow
+    to 0 raises "normalization sum underflowed", defect 1 (its relative error).
 
     Requires a decaying gauge: always true for the sextic family, and for
     Morse only under Re a > 0 and Re d > 0 (an inferred condition; the
@@ -162,16 +187,17 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
                 "Morse normalization needs Re a > 0 and Re d > 0 for a decaying gauge"
             )
 
-    # |psi|^2 and its rounding bound at every node of the current rule, x = 0 first
-    values, errors = ([sample] for sample in psi_abs2(model, solution, 0.0))
+    x0 = _centre(model)
+    # |psi|^2 and its rounding bound at every node of the current rule, x = x0 first
+    values, errors = ([sample] for sample in psi_abs2(model, solution, x0))
 
     def trapezoid(h: float, new: range) -> tuple[float, float]:
-        for k in new:  # sample the new nodes x = k*h and -k*h, then sum every node
+        for k in new:  # sample the new nodes x0 + k*h and x0 - k*h, then sum every node
             x = k * h  # h is a power of two times the start step: k*h is exact
-            right = psi_abs2(model, solution, x)
-            # |psi(-x)|^2 is |psi(x)|^2 to the last bit for the sextic: x enters as x*x
-            # and x^4, and the odd sector's factor x flips the sign of psi exactly
-            left = right if model.family == SEXTIC else psi_abs2(model, solution, -x)
+            right = psi_abs2(model, solution, x0 + x)
+            # |psi(-x)|^2 is |psi(x)|^2 to the last bit for the sextic (x0 = 0): x enters
+            # as x*x and x^4, and the odd sector's factor x flips the sign of psi exactly
+            left = right if model.family == SEXTIC else psi_abs2(model, solution, x0 - x)
             values.extend((right[0], left[0]))
             errors.extend((right[1], left[1]))
         try:
@@ -208,6 +234,8 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
         if agree(total, wider):
             break
         total = wider
+    if not wider:
+        raise ConvergenceFailureError("normalization sum underflowed", best=0.0, defect=1.0)
     # refine on the wider interval, whose edge samples the tail test showed negligible
     total = wider
     while True:
@@ -304,7 +332,8 @@ def _newton_root(
         if size < FD_RQ_TOL:
             return z
         floor = sys.float_info.epsilon * (kinetic + abs(z))
-        if k < FD_NEWTON_STEPS and size < previous and size**3 <= floor * previous**2:
+        # size / previous < 1 where it is evaluated, so no power can overflow
+        if k < FD_NEWTON_STEPS and size < previous and size * (size / previous) ** 2 <= floor:
             return z
         previous = size
     return None
@@ -403,23 +432,17 @@ def _refine_levels(
 
 
 def default_grid(model: QesModel, n_points: int = FD_GRID_N) -> GridSpec:
-    """Family defaults sized so the gauge factor is below 1e-16 at the ends.
-
-    Morse takes [-12, 4] moved by Re x0 = ln(|a| / |d|) / 2: V_{a,d}(x) is
-    V_{c,c}(x - x0) with c = sqrt(a d), so the shift is 0 where |a| = |d|.
-    """
+    """Family defaults sized so the gauge factor is below 1e-16 at the ends:
+    sextic [-6, 6], Morse [-12, 4] moved by its centre."""
     if model.family == SEXTIC:
         return GridSpec(-6.0, 6.0, n_points)
-    x0 = 0.5 * (math.log(abs(model.params.a)) - math.log(abs(model.params.d)))
+    x0 = _centre(model)
     return GridSpec(-12.0 + x0, 4.0 + x0, n_points)
 
 
 def fd_defect_bound(model: QesModel, grid: GridSpec) -> float:
     """A level's allowed |refined - predicted|: FD_REFERENCE_DEFECT scaled by h^2."""
-    reference = default_grid(model)
-    h_ref = (reference.x_max - reference.x_min) / (reference.n_points + 1)
-    h = (grid.x_max - grid.x_min) / (grid.n_points + 1)
-    return max(FD_REFERENCE_DEFECT * (h / h_ref) ** 2, 1e-8)
+    return max(FD_REFERENCE_DEFECT * (grid.step / default_grid(model).step) ** 2, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -448,8 +471,7 @@ def fd_verify(
     """
     grid = grid or default_grid(model)
     predicted = [s.energy_base + shift for s in solutions]
-    n = grid.n_points
-    h = (grid.x_max - grid.x_min) / (n + 1)
+    n, h = grid.n_points, grid.step
     inv_h2 = 1.0 / (h * h)
     half = model.family == SEXTIC and grid.x_min == -grid.x_max
     odd = half and model.params.sector == ODD

@@ -440,10 +440,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _failure_detail(exc: ConvergenceFailureError) -> str:
-    """One JSON line saying how close the failed iteration came."""
-    best = exc.best
+    """One JSON line saying how close the failed iteration came; a non-finite defect is null."""
+    best, defect = exc.best, exc.defect
     count = len(best) if isinstance(best, (list, tuple)) else int(best is not None)
-    return json.dumps({"defect": exc.defect, "best_count": count})
+    finite = defect is not None and math.isfinite(defect)
+    return json.dumps({"defect": defect if finite else None, "best_count": count})
 
 
 def main(argv=None) -> int:

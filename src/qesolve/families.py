@@ -244,20 +244,22 @@ def potential_eval(model: QesModel, x: float, shift: complex = 0.0j) -> complex:
     """V(x) + shift from the family's closed form.
 
     The odd sextic sector is fine at x = 0: only the gauge has a pole there,
-    the potential itself is a polynomial.
+    the potential itself is a polynomial.  A value that is not finite raises
+    NumericOverflowError naming x.
     """
     if model.family == SEXTIC:
         c6, c4, c2 = model.potential_coeffs
         x2 = x * x
-        return ((c6 * x2 + c4) * x2 + c2) * x2 + shift
-    c2p, c1p, c1m, c2m = model.potential_coeffs
-    if 2.0 * abs(x) > _EXP_LIMIT:
-        raise NumericOverflowError(f"Morse potential overflows at x={x!r}")
-    ex = math.exp(x)
-    emx = 1.0 / ex
-    value = c2p * (ex * ex) + c1p * ex + c1m * emx + c2m * (emx * emx) + shift
+        value = ((c6 * x2 + c4) * x2 + c2) * x2 + shift
+    else:
+        c2p, c1p, c1m, c2m = model.potential_coeffs
+        if 2.0 * abs(x) > _EXP_LIMIT:
+            raise NumericOverflowError(f"Morse potential overflows at x={x!r}")
+        ex = math.exp(x)
+        emx = 1.0 / ex
+        value = c2p * (ex * ex) + c1p * ex + c1m * emx + c2m * (emx * emx) + shift
     if not cmath.isfinite(value):
-        raise NumericOverflowError(f"Morse potential overflowed at x={x!r}")
+        raise NumericOverflowError(f"{model.family.capitalize()} potential overflowed at x={x!r}")
     return value
 
 

@@ -344,6 +344,32 @@ def test_norm_requires_decaying_gauge():
         norm_squared(model, solutions[0])
 
 
+@pytest.mark.parametrize("two_j", [0, 2, 5])
+def test_morse_norm_is_its_translates_norm(two_j):
+    # with a d = 1, V_{a,d}(x) is V_{1,1}(x - x0), x0 = ln(a), so each state is
+    # its a = d = 1 translate times a constant and norm / |psi(x0)|^2 does not
+    # depend on a; nodes about x = 0 summed zeros or subnormals from a = 2e4
+    def ratios(a):
+        model = make_morse(MorseParams.from_mu(0.5, two_j, a=a, d=1.0 / a))
+        solutions, _ = solve_model(model)
+        return [norm_squared(model, s) / abs(psi_eval(model, s, math.log(a))) ** 2 for s in solutions]
+
+    reference = ratios(1.0)
+    for a in (1e3, 2e4, 1e7, 1e-7):
+        for got, want in zip(ratios(a), reference, strict=True):
+            assert rel_err(got, want) <= 1e-12
+
+
+def test_norm_of_a_state_underflowing_everywhere_raises():
+    # at a = d = 300 the gauge factor is below e^-600 at every x, so every
+    # sample of |psi|^2 is 0; the norm used to read 0
+    model = make_morse(MorseParams.from_mu(0.5, 0, a=300.0, d=300.0))
+    solutions, _ = solve_model(model)
+    with pytest.raises(ConvergenceFailureError, match="sum underflowed") as excinfo:
+        norm_squared(model, solutions[0])
+    assert excinfo.value.best == 0.0 and excinfo.value.defect == 1.0
+
+
 def test_pt_symmetry_sextic():
     fixture = make_sextic(SexticParams.from_mu(1.0, 1))
     assert not is_pt_symmetric(fixture, shift=-3j)
@@ -1048,6 +1074,31 @@ def test_grid_validation():
     for n_points in (100.5, 100.0, True, 10**6 + 1):
         with pytest.raises(ValidationError):
             GridSpec(-6.0, 6.0, n_points)
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max",
+    [
+        (0.0, 1e-300),  # h^2 underflows to 0
+        (0.0, 1e-80),  # 1/h^4 overflows
+        (-1e150, 1e150),  # 1/h^4 underflows to 0
+        (1e300, 1.0000000001e300),  # h^2 overflows, so 1/h^2 is 0
+    ],
+)
+def test_grid_step_must_be_differenced(x_min, x_max):
+    with pytest.raises(ValidationError) as excinfo:
+        GridSpec(x_min, x_max, 2000)
+    assert str(excinfo.value).startswith(f"grid step h = {(x_max - x_min) / 2001!r} cannot be")
+
+
+def test_grid_step_at_the_differencing_edge_is_kept():
+    assert GridSpec(0.0, 1e-70, 2000).step == 1e-70 / 2001  # 1/h^4 = 1.6e292
+
+
+def test_newton_stop_test_cannot_overflow():
+    # Newton on z^2 - 1 from 1e120 halves its step each pass; cubing a step
+    # above 5.6e102 raised OverflowError, and 6 passes leave it unsettled
+    assert analysis._newton_root([0j, 0j], [0.0, 1.0], 1e120 + 0j, math.inf, 4.0) is None
 
 
 def test_default_grids():

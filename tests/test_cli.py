@@ -19,6 +19,7 @@ from qesolve.cli import (
 )
 from qesolve.families import MorseParams, SexticParams, make_morse, make_sextic
 from qesolve.analysis import GridSpec
+from qesolve.errors import ConvergenceFailureError
 
 
 def run_cli(capsys, *argv):
@@ -427,6 +428,74 @@ def test_non_finite_floats_render_as_null():
         assert cli.to_json(value) == "null"
     assert json.loads(cli.to_json({"defect": math.inf, "bound": 0.5})) == {"defect": None, "bound": 0.5}
     assert cli.to_json(complex(math.inf, 1.0)) == '{\n  "re": null,\n  "im": 1\n}'
+
+
+def test_failure_detail_prints_a_non_finite_defect_as_null():
+    # json.dumps writes NaN and Infinity, which are not JSON
+    for defect in (math.inf, math.nan):
+        error = ConvergenceFailureError("no", best=[1.0, 2.0], defect=defect)
+        assert cli._failure_detail(error) == '{"defect": null, "best_count": 2}'
+    error = ConvergenceFailureError("no", defect=0.5)
+    assert cli._failure_detail(error) == '{"defect": 0.5, "best_count": 0}'
+
+
+_SEXTIC_1 = ("verify", "--family", "sextic", "--two-j", "1")
+_GRID_STEP = "error: grid step h = "
+_OVERFLOW = "numeric failure: Sextic potential overflowed at x="
+
+# Inputs the flags accept that ended in a traceback, in a NaN defect or in a
+# norm of 0; each now exits 1 or 2 with a one-line reason, or with a report
+# whose verification fails (reason None).
+ACCEPTED_EDGE_INPUTS = [
+    ((*_SEXTIC_1, "--mu", "0.5", "--domain=0,1e-300"), 1, _GRID_STEP),  # ZeroDivisionError
+    ((*_SEXTIC_1, "--mu", "0.5", "--domain=0,1e-150"), 1, _GRID_STEP),  # NaN defect
+    ((*_SEXTIC_1, "--mu", "0.5", "--domain=-1e150,1e150"), 1, _GRID_STEP),  # NaN defect
+    ((*_SEXTIC_1, "--mu", "0.5", "--domain=1e300,1.0000000001e300"), 1, _GRID_STEP),  # OverflowError
+    ((*_SEXTIC_1, "--mu", "0.5", "--domain=1e60,2e60"), 2, _OVERFLOW),
+    ((*_SEXTIC_1, "--a", "1e200,0"), 2, _OVERFLOW),  # NaN defect
+    ((*_SEXTIC_1, "--mu", "1e100"), 2, None),  # OverflowError in Newton's stop test
+    (
+        ("verify", "--family", "morse", "--two-j", "0", "--mu", "0.5", "--a", "300,0", "--d", "300,0"),
+        2,
+        "numeric failure: normalization sum underflowed",  # norms [0]
+    ),
+    (("solve", "--family", "morse", "--two-j", "1", "--mu", "inf"), 1, "error: --mu needs finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, reason",
+    ACCEPTED_EDGE_INPUTS,
+    ids=[" ".join(argv) for argv, _, _ in ACCEPTED_EDGE_INPUTS],
+)
+def test_accepted_edge_inputs_fail_loudly(capsys, argv, expected_code, reason):
+    code, out, err = run_cli(capsys, *argv)  # an escaping exception fails the test
+    assert code == expected_code and "Traceback" not in err
+    if reason is None:
+        assert err == "" and json.loads(out)["verification"]["passed"] is False
+        return
+    first, *detail = err.splitlines()
+    assert out == "" and first.startswith(reason)
+    if code == 1:
+        assert detail == []
+    for line in detail:  # exit 2's line of how close the failed stage came
+        assert math.isfinite(json.loads(line)["defect"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--two-j", "0", "--a", "1e8,0", "--d", "1e-8,0"),
+        ("--two-j", "0", "--a", "2e4,0", "--d", "5e-5,0"),
+        ("--two-j", "2", "--a", "1e7,0", "--d", "1e-7,0"),
+    ],
+)
+def test_morse_norms_far_from_the_origin_are_normal(capsys, argv):
+    # nodes about x = 0 instead of Re x0 = ln(|a|/|d|)/2 summed to 0 or 1.35e-314
+    code, out, _ = run_cli(capsys, "verify", "--family", "morse", "--mu", "0.5", *argv)
+    assert code == 0
+    norms = json.loads(out)["verification"]["norms"]
+    assert all(norm >= sys.float_info.min for norm in norms)
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -181,6 +181,17 @@ def test_morse_potential_overflow():
         potential_eval(model, 400.0)
 
 
+def test_sextic_potential_overflow_names_x():
+    # the grid diagonal samples the potential first, so an overflow there
+    # fails as overflow and not as a NaN further on
+    model = make_sextic(SexticParams.from_mu(0.5, 1))
+    with pytest.raises(NumericOverflowError, match=r"Sextic potential overflowed at x=1e\+60"):
+        potential_eval(model, 1e60)
+    huge_a = make_sextic(SexticParams(a=1e200, two_j=1))  # its x^2 coefficient a^2 is inf
+    with pytest.raises(NumericOverflowError, match="at x=0.5"):
+        potential_eval(huge_a, 0.5)
+
+
 def test_morse_gauge_underflow_raises():
     # e^x underflows to exact 0 below x = -745.1, and the Morse W, W' and
     # decay factor divide by it
