@@ -27,16 +27,16 @@ Verification is deliberately redundant:
     each energy_base + shift on it by Newton on det(H - zI), each step one
     O(n) pass of the LDL^T pivot recurrence for p'/p, until the step it
     would take next is below the level's rounding floor eps * (4/h^2 + |z|):
-    two passes on the default grid.  A root within the level's defect bound
-    of the prediction is kept; for any other level the grid eigenvalues in
-    that disc are counted by the argument principle, with p'/p from the same
-    pass at each contour node, and the one nearest the prediction is kept,
-    or None when there is none.  On a grid symmetric about 0 the even sextic
-    potential keeps each sector's parity, so sextic levels are refined on
-    the x > 0 half alone, where no level of the other parity exists to mix
-    in.  It returns one GridCheck: the grid, the refined values, their
-    largest defect (inf for a None) and the bound that is both the Newton
-    radius and the verify gate.
+    two passes on the default grid.  Newton runs once per level, from its
+    prediction.  A Newton root within the level's defect bound of the
+    prediction is kept, otherwise the nearest eigenvalue counted in that
+    disc by the argument principle, with p'/p from the same pass at each
+    contour node, or None when there is none.  On a grid symmetric about 0
+    the even sextic potential keeps each sector's parity, so sextic levels
+    are refined on the x > 0 half alone, where no level of the other parity
+    exists to mix in.  It returns one GridCheck: the grid, the refined
+    values, their largest defect (inf for a None) and the bound that is
+    both the disc's radius and the verify gate.
 """
 
 from __future__ import annotations
@@ -306,9 +306,9 @@ FD_REFERENCE_DEFECT = 5e-3
 
 
 def _newton_root(
-    diag: list[complex], prod: list[float], guess: complex, radius: float, kinetic: float, known=()
+    diag: list[complex], prod: list[float], guess: complex, kinetic: float, known=()
 ) -> complex | None:
-    """Eigenvalue of H within radius of guess by Newton on det(H - zI), or None.
+    """Eigenvalue of H by Newton on det(H - zI) from guess, or None.
 
     Each step is 1 / (p'/p) from tridiag_log_derivative, less 1 / (z - w)
     for each known eigenvalue w, which divides it out of p (Maehly's
@@ -316,18 +316,17 @@ def _newton_root(
     a step shorter than the one before, and not the last allowed, puts the
     quadratic model's next step |s_k|^3 / |s_{k-1}|^2 at or below the
     level's rounding floor eps * (kinetic + |z|), kinetic being H's kinetic
-    row sum 4 / h^2.  None means a step that is not finite, an iterate
-    farther than radius from guess, or FD_NEWTON_STEPS steps without
-    settling.
+    row sum 4 / h^2.  None means a step that is not finite or
+    FD_NEWTON_STEPS steps without settling.
     """
     z, previous = guess, 0.0  # no step comes before the first
     for k in range(1, FD_NEWTON_STEPS + 1):
         ratio = tridiag_log_derivative(diag, prod, z)
         ratio = reduce(operator.sub, (1.0 / (z - w) for w in known), ratio)  # left to right
         step = 1.0 / ratio if ratio else complex(math.inf)
-        z -= step
-        if not cmath.isfinite(step) or abs(z - guess) > radius:
+        if not cmath.isfinite(step):
             return None
+        z -= step
         size = abs(step)
         if size < FD_RQ_TOL:
             return z
@@ -354,25 +353,31 @@ def _power_sum_roots(sums: list[complex]) -> list[complex]:
     return roots
 
 
-def _disc_eigenvalues(
+def _grid_eigenvalue(
     diag: list[complex], prod: list[float], centre: complex, radius: float, kinetic: float
-) -> list[complex]:
-    """The eigenvalues of H in the disc |z - centre| <= radius.
+) -> complex | None:
+    """The eigenvalue of H for the level predicted at centre, or None.
 
-    They are counted by the argument principle, the integral of p'/p / 2 pi i
-    around the circle, by the trapezoid rule on m nodes (one kept pass of
-    tridiag_log_derivative each), m doubling from 4 until two rules differ
-    by at most FD_COUNT_TOL (Delves & Lyness, Math. Comp. 21, 1967).  Its
-    error falls like q^m for a pole at q or 1/q times the radius, so p'/p
-    loses 1 / (z - w) of each known eigenvalue w: the Newton root from the
-    centre, and whenever FD_CONTOUR_NODES nodes leave the count unsettled
-    the Newton root from the node where the rest is largest, the count then
-    restarting from 4 nodes.  The k eigenvalues still counted are polished
-    by Newton from the roots whose power sums are the rule's moments of
-    (z - centre)^j p'/p, j = 1..k.  If Newton fails at the node cap,
-    ConvergenceFailureError carries the last change of the rule as `defect`.
+    Newton runs once from centre, with no radius limit, and a root within
+    radius of centre is returned.  Otherwise the eigenvalues of H in the
+    disc |z - centre| <= radius are counted and the one nearest centre is
+    returned, or None when the disc holds none.  The count is the argument
+    principle, the integral of p'/p / 2 pi i around the circle, by the
+    trapezoid rule on m nodes (one kept pass of tridiag_log_derivative
+    each), m doubling from 4 until two rules differ by at most FD_COUNT_TOL
+    (Delves & Lyness, Math. Comp. 21, 1967).  Its error falls like q^m for
+    a pole at q or 1/q times the radius, so p'/p loses 1 / (z - w) of each
+    known eigenvalue w: the Newton root from the centre, and whenever
+    FD_CONTOUR_NODES nodes leave the count unsettled the Newton root from
+    the node where the rest is largest, the count then restarting from 4
+    nodes.  The k eigenvalues still counted are polished by Newton from the
+    roots whose power sums are the rule's moments of (z - centre)^j p'/p,
+    j = 1..k.  If Newton fails at the node cap, ConvergenceFailureError
+    carries the last change of the rule as `defect`.
     """
-    first = _newton_root(diag, prod, centre, math.inf, kinetic)
+    first = _newton_root(diag, prod, centre, kinetic)
+    if first is not None and abs(first - centre) <= radius:
+        return first
     known = [] if first is None else [first]
     units, ratios = [], []  # each node as (z - centre) / radius, in doubling order; p'/p there
 
@@ -398,37 +403,18 @@ def _disc_eigenvalues(
             continue
         sizes = [abs(deflated(u, f)) for u, f in zip(units, ratios)]
         start = centre + radius * units[sizes.index(max(sizes))]
-        pole = _newton_root(diag, prod, start, math.inf, kinetic, known)
+        pole = _newton_root(diag, prod, start, kinetic, known)
         if pole is None or len(known) == len(diag):
             message = f"grid eigenvalue count did not settle within {FD_CONTOUR_NODES} nodes"
             raise ConvergenceFailureError(message, defect=abs(count - last))
         known.append(pole)
         m, last = 4, None
     for w in _power_sum_roots([moment(m, power) for power in range(1, round(count.real) + 1)]):
-        root = _newton_root(diag, prod, centre + radius * w, math.inf, kinetic, known)
+        root = _newton_root(diag, prod, centre + radius * w, kinetic, known)
         if root is not None:
             known.append(root)
-    return [w for w in known if abs(w - centre) <= radius]
-
-
-def _refine_levels(
-    off: list[float], diag: list[complex], predicted: Sequence[complex], radius: float
-) -> list:
-    """Each prediction's grid eigenvalue on tridiag(off, diag, off) within radius, or None.
-
-    A Newton root within radius of its prediction is kept; any other level
-    takes its disc's eigenvalue nearest the prediction from _disc_eigenvalues.
-    """
-    prod = [0.0, *(c * c for c in off)]
-    kinetic = 4.0 * max(map(abs, off))
-    refined = []
-    for guess in predicted:
-        root = _newton_root(diag, prod, guess, radius, kinetic)
-        if root is None:
-            inside = _disc_eigenvalues(diag, prod, guess, radius, kinetic)
-            root = min(inside, key=lambda w: abs(w - guess), default=None)
-        refined.append(root)
-    return refined
+    inside = [w for w in known if abs(w - centre) <= radius]
+    return min(inside, key=lambda w: abs(w - centre), default=None)
 
 
 def default_grid(model: QesModel, n_points: int = FD_GRID_N) -> GridSpec:
@@ -486,7 +472,9 @@ def fd_verify(
         diag[0] += inv_h2 if odd else -inv_h2
     elif half and not odd:
         off[0] *= math.sqrt(2.0)
+    prod = [0.0, *(c * c for c in off)]
+    kinetic = 4.0 * max(map(abs, off))
     bound = fd_defect_bound(model, grid)
-    refined = tuple(_refine_levels(off, diag, predicted, bound))
+    refined = tuple(_grid_eigenvalue(diag, prod, p, bound, kinetic) for p in predicted)
     defect = max(math.inf if r is None else abs(r - p) for r, p in zip(refined, predicted))
     return GridCheck(n, grid.x_min, grid.x_max, refined, defect, bound)

@@ -511,16 +511,18 @@ def test_log_derivative_replaces_a_zero_pivot():
     assert abs(value) <= 2.0 * sys.float_info.epsilon
 
 
-def _free_particle(n_points):
-    """(off, diag) of -d^2/dx^2 on n_points interior points of the Dirichlet box [0, pi]."""
+def _free_particle_level(n_points, guess, radius):
+    """_grid_eigenvalue of -d^2/dx^2 on n_points interior points of the Dirichlet box [0, pi]."""
     h = math.pi / (n_points + 1)
-    return [-1.0 / (h * h)] * (n_points - 1), [2.0 / (h * h) + 0j] * n_points
+    off = -1.0 / (h * h)
+    diag, prod = [2.0 / (h * h) + 0j] * n_points, [0.0] + [off * off] * (n_points - 1)
+    return analysis._grid_eigenvalue(diag, prod, guess, radius, -4.0 * off)
 
 
 def test_fd_free_particle_second_order():
     # both grids refine by Newton: the roots lie well inside the 1e-3 disc
-    (refined,) = analysis._refine_levels(*_free_particle(500), [1.0 + 0j], 1e-3)
-    (finer,) = analysis._refine_levels(*_free_particle(1001), [1.0 + 0j], 1e-3)
+    refined = _free_particle_level(500, 1.0 + 0j, 1e-3)
+    finer = _free_particle_level(1001, 1.0 + 0j, 1e-3)
     defect, defect_fine = abs(refined - 1.0), abs(finer - 1.0)
     assert defect <= 1e-4
     assert 3.2 <= defect / defect_fine <= 4.8
@@ -589,18 +591,19 @@ def test_fd_parity_start_on_sextic_double_well(sector, mu, monkeypatch):
     reference = np.linalg.eigvals(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
     counts = []
-    disc_eigenvalues = analysis._disc_eigenvalues
+    power_sum_roots = analysis._power_sum_roots
 
-    def counting_disc(*args):
+    def counting_roots(*args):
         counts[-1] += 1
-        return disc_eigenvalues(*args)
+        return power_sum_roots(*args)
 
-    monkeypatch.setattr(analysis, "_disc_eigenvalues", counting_disc)
+    monkeypatch.setattr(analysis, "_power_sum_roots", counting_roots)
     newton_root = analysis._newton_root
+    predictions = {s.energy_base + shift for s in solutions}
 
-    def no_gate_newton(diag, prod, guess, radius, *rest):
-        # the level's own Newton, the one with a finite radius, finds nothing
-        return None if math.isfinite(radius) else newton_root(diag, prod, guess, radius, *rest)
+    def no_gate_newton(diag, prod, guess, *rest):
+        # the level's own Newton, the one from its prediction, finds nothing
+        return None if guess in predictions else newton_root(diag, prod, guess, *rest)
 
     bound = analysis.fd_defect_bound(model, grid)
     paths = []
@@ -707,7 +710,7 @@ def test_fd_verify_cost_on_half_grid(sector, n_points, reduced, monkeypatch):
     tridiag_log_derivative = analysis.tridiag_log_derivative
     monkeypatch.setattr(analysis, "potential_eval", counting_potential)
     monkeypatch.setattr(analysis, "tridiag_log_derivative", counting_log_derivative)
-    monkeypatch.setattr(analysis, "_disc_eigenvalues", no_count)
+    monkeypatch.setattr(analysis, "_power_sum_roots", no_count)
     monkeypatch.setattr(qesolve.tridiag, "tridiag_matvec", no_matvec)
     monkeypatch.setattr(qesolve.spectrum, "tridiag_matvec", no_matvec)
     assert not hasattr(analysis, "tridiag_matvec")
@@ -735,7 +738,7 @@ def test_fd_newton_matches_full_morse_grid(monkeypatch):
     grid = GridSpec(-12.0, 4.0, 701)
     diag, off = full_grid_hamiltonian(model, result.shift, grid)
     reference = np.linalg.eigvals(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    monkeypatch.setattr(analysis, "_disc_eigenvalues", no_count)
+    monkeypatch.setattr(analysis, "_power_sum_roots", no_count)
     refined = fd_verify(model, solutions, result.shift, grid).refined
     for s, value in zip(solutions, refined):
         nearest = reference[np.argmin(abs(reference - (s.energy_base + result.shift)))]
@@ -743,15 +746,20 @@ def test_fd_newton_matches_full_morse_grid(monkeypatch):
 
 
 def _counted_centres(monkeypatch):
-    """Record the centre of every disc fd_verify counts."""
-    centres = []
-    disc_eigenvalues = analysis._disc_eigenvalues
+    """Record the centre of every disc fd_verify counts: each level whose rule reaches _power_sum_roots."""
+    centres, level = [], []
+    grid_eigenvalue, power_sum_roots = analysis._grid_eigenvalue, analysis._power_sum_roots
 
-    def counting_disc(diag, prod, centre, *rest):
-        centres.append(centre)
-        return disc_eigenvalues(diag, prod, centre, *rest)
+    def recording_level(diag, prod, centre, *rest):
+        level[:] = [centre]
+        return grid_eigenvalue(diag, prod, centre, *rest)
 
-    monkeypatch.setattr(analysis, "_disc_eigenvalues", counting_disc)
+    def recording_roots(sums):
+        centres.append(level[0])
+        return power_sum_roots(sums)
+
+    monkeypatch.setattr(analysis, "_grid_eigenvalue", recording_level)
+    monkeypatch.setattr(analysis, "_power_sum_roots", recording_roots)
     return centres
 
 
@@ -761,16 +769,17 @@ def test_fd_exhausted_newton_budget_falls_back(monkeypatch):
     grid = GridSpec(-12.0, 4.0, 300)
     newton = fd_verify(model, solutions, result.shift, grid).refined
     newton_root = analysis._newton_root
+    predictions = [s.energy_base + result.shift for s in solutions]
 
-    def exhausted(diag, prod, guess, radius, *rest):
-        # the level's own Newton, the one with a finite radius, runs out of steps
-        return None if math.isfinite(radius) else newton_root(diag, prod, guess, radius, *rest)
+    def exhausted(diag, prod, guess, *rest):
+        # the level's own Newton, the one from its prediction, runs out of steps
+        return None if guess in predictions else newton_root(diag, prod, guess, *rest)
 
     centres = _counted_centres(monkeypatch)
     monkeypatch.setattr(analysis, "_newton_root", exhausted)
     fallback = fd_verify(model, solutions, result.shift, grid).refined
     # the fallback counts the disc about the prediction itself
-    assert centres == [s.energy_base + result.shift for s in solutions]
+    assert centres == predictions
     for a, b in zip(newton, fallback):
         assert abs(a - b) <= 1e-9 * abs(a)
 
@@ -795,6 +804,45 @@ def test_fd_fallback_finds_the_in_gate_level_newton_leaves(two_j, mu, monkeypatc
     assert check.defect <= check.defect_bound
 
 
+def test_fd_each_prediction_starts_newton_once(monkeypatch):
+    # on this coarse grid some levels leave their disc and are counted; the
+    # count starts from the level's own Newton root instead of a second
+    # Newton from the prediction
+    model = make_morse(MorseParams.from_mu(0.7, 9))
+    solutions, result = solve_model(model)
+    predictions = [s.energy_base + result.shift for s in solutions]
+    centres = _counted_centres(monkeypatch)
+    newton_root, starts = analysis._newton_root, []
+
+    def recording_root(diag, prod, guess, *rest):
+        starts.append(guess)
+        return newton_root(diag, prod, guess, *rest)
+
+    monkeypatch.setattr(analysis, "_newton_root", recording_root)
+    fd_verify(model, solutions, result.shift, GridSpec(-12.0, 4.0, 64))
+    assert centres
+    assert [z for z in starts if z in predictions] == predictions
+
+
+def test_fd_keeps_an_in_disc_newton_root():
+    # Newton from the prediction 10.510 leaves its disc (radius 4.596) and
+    # comes back to the grid eigenvalue 14.350 inside it; that root is kept,
+    # though 7.879 lies nearer the prediction in the same disc
+    model = make_morse(MorseParams.from_mu(0.0, 11))
+    solutions, result = solve_model(model)
+    grid = default_grid(model, 65)
+    check = fd_verify(model, solutions, result.shift, grid)
+    (guess, value), = [
+        (s.energy_base + result.shift, r)
+        for s, r in zip(solutions, check.refined)
+        if abs(s.energy_base + result.shift - 10.510) < 1e-3
+    ]
+    assert abs(value - 14.350) < 1e-3 and abs(check.defect_bound - 4.596) < 1e-3
+    diag, prod, kinetic = _morse_grid(model, result.shift, grid)
+    assert value == analysis._newton_root(diag, prod, guess, kinetic)
+    assert check.defect <= check.defect_bound
+
+
 @pytest.mark.parametrize(
     "family, two_j, mu, n_points, passed",
     [
@@ -806,9 +854,10 @@ def test_fd_fallback_finds_the_in_gate_level_newton_leaves(two_j, mu, monkeypatc
     ],
 )
 def test_fd_disc_count_matches_numpy_on_coarse_grids(family, two_j, mu, n_points, passed):
-    # each level's value is the grid eigenvalue nearest its prediction when
-    # one lies in its disc, and None otherwise; the sextic reference is the
-    # full grid restricted to the sector's parity
+    # each level's value is a grid eigenvalue in its disc when one lies
+    # there, the nearest unless Newton from the prediction settled on another
+    # in the disc (one level of the Morse 2j = 11 case), and None otherwise;
+    # the sextic reference is the full grid restricted to the sector's parity
     np = pytest.importorskip("numpy")
     if family == "morse":
         model = make_morse(MorseParams.from_mu(mu, two_j))
@@ -823,23 +872,25 @@ def test_fd_disc_count_matches_numpy_on_coarse_grids(family, two_j, mu, n_points
         reference = np.linalg.eigvals(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     else:
         reference = _sector_spectrum(np, model, grid, result.shift)
+    moved = 0
     for s, value in zip(solutions, check.refined, strict=True):
         predicted = s.energy_base + result.shift
         nearest = reference[np.argmin(abs(reference - predicted))]
-        if abs(nearest - predicted) <= check.defect_bound:
-            assert abs(value - nearest) <= 1e-9 * max(1.0, abs(nearest))
-        else:
+        if abs(nearest - predicted) > check.defect_bound:
             assert value is None
+        elif abs(value - nearest) > 1e-9 * max(1.0, abs(nearest)):
+            assert abs(value - predicted) <= check.defect_bound
+            assert min(abs(reference - value)) <= 1e-9 * max(1.0, abs(value))
+            moved += 1
+    assert moved == ((family, two_j) == ("morse", 11))
 
 
 def test_fd_newton_rejects_a_non_finite_step():
     # p(z) = (1 - z)(-1 - z) has p'(0) = 0: the step 1 / (p'/p) is infinite; a
     # diagonal H has no off-diagonal entries, so its kinetic row sum 4 max|off| is 0
     diag, prod = [1.0 + 0j, -1.0 + 0j], [0.0, 0.0]
-    assert analysis._newton_root(diag, prod, 0j, 10.0, 0.0) is None
-    # and from 0.5 the first iterate, 1.25, leaves a disc of radius 0.5
-    assert analysis._newton_root(diag, prod, 0.5 + 0j, 0.5, 0.0) is None
-    root = analysis._newton_root(diag, prod, 0.5 + 0j, 1.0, 0.0)
+    assert analysis._newton_root(diag, prod, 0j, 0.0) is None
+    root = analysis._newton_root(diag, prod, 0.5 + 0j, 0.0)
     assert abs(root - 1.0) <= 1e-15
 
 
@@ -854,12 +905,12 @@ def _default_grid_models():
 
 @pytest.fixture(scope="module")
 def default_grid_newton():
-    """(gate Newton passes, levels, [(diag, prod, kinetic, root)]) over the default grids.
+    """(level Newton passes, levels, [(diag, prod, kinetic, root)]) over the default grids.
 
-    Only each level's own Newton, the one bounded by the gate radius, is
-    recorded, not the unbounded ones of a disc count; kinetic is 4 / h^2 of
-    each model's default grid, read from the grid itself, and root is the
-    level's Newton root, None where it fell back to the count.
+    Only each level's own Newton, the one from its prediction, is recorded,
+    not the ones of a disc count; kinetic is 4 / h^2 of each model's default
+    grid, read from the grid itself, and root is the level's Newton root,
+    None where Newton did not settle.
     """
     passes, roots = [], []
     log_derivative, newton_root = analysis.tridiag_log_derivative, analysis._newton_root
@@ -874,17 +925,19 @@ def default_grid_newton():
             grid = default_grid(model)
             kinetic = 4.0 * ((grid.n_points + 1) / (grid.x_max - grid.x_min)) ** 2
 
-            def recording_root(diag, prod, guess, radius, *rest):
-                if not math.isfinite(radius):
-                    return newton_root(diag, prod, guess, radius, *rest)
+            solutions, result = solve_model(model)
+            predictions = {s.energy_base + result.shift for s in solutions}
+
+            def recording_root(diag, prod, guess, *rest):
+                if guess not in predictions:
+                    return newton_root(diag, prod, guess, *rest)
                 patch.setattr(analysis, "tridiag_log_derivative", counting_log_derivative)
-                root = newton_root(diag, prod, guess, radius, *rest)
+                root = newton_root(diag, prod, guess, *rest)
                 patch.setattr(analysis, "tridiag_log_derivative", log_derivative)
                 roots.append((diag, prod, kinetic, root))
                 return root
 
             patch.setattr(analysis, "_newton_root", recording_root)
-            solutions, result = solve_model(model)
             fd_verify(model, solutions, result.shift)
             levels += len(solutions)
     return passes, levels, roots
@@ -892,7 +945,7 @@ def default_grid_newton():
 
 def test_fd_newton_passes_on_default_grids(default_grid_newton):
     # every level stopped on a step below FD_RQ_TOL took 538 passes here;
-    # stopping once the next step is below the rounding floor takes 366
+    # stopping once the next step is below the rounding floor takes 378
     passes, levels, roots = default_grid_newton
     assert levels == len(roots) == 189
     assert len(passes) <= 400
@@ -904,7 +957,7 @@ def test_fd_newton_roots_are_fixed_points(default_grid_newton):
     # only have confirmed the root
     _, _, roots = default_grid_newton
     kept = [entry for entry in roots if entry[3] is not None]
-    assert len(kept) == 177  # the other 12 levels fall back to the disc count
+    assert len(kept) == 189  # 12 of them lie outside their disc, which is then counted
     for diag, prod, kinetic, root in kept:
         step = 1.0 / analysis.tridiag_log_derivative(diag, prod, root)
         assert abs(step) <= 2.0 * sys.float_info.epsilon * (kinetic + abs(root))
@@ -929,8 +982,7 @@ def test_fd_newton_does_not_stop_early_on_its_last_step():
         for s in solutions
         if abs(s.energy_base + result.shift - (-21.745 - 2.616j)) < 1e-3
     ]
-    radius = analysis.fd_defect_bound(model, grid)
-    assert analysis._newton_root(diag, prod, guess, radius, kinetic) is None
+    assert analysis._newton_root(diag, prod, guess, kinetic) is None
 
 
 def test_fd_coarse_morse_levels_match_a_40_digit_grid_eigenvalue():
@@ -993,7 +1045,7 @@ def test_fd_refine_samples_potential_once(monkeypatch):
 
 
 def _free_particle_eigenvalue(n_points, k):
-    """The k-th eigenvalue of _free_particle(n_points): (4 / h^2) sin^2(k h / 2)."""
+    """The k-th eigenvalue of _free_particle_level's grid: (4 / h^2) sin^2(k h / 2)."""
     h = math.pi / (n_points + 1)
     return 4.0 / (h * h) * math.sin(k * h / 2.0) ** 2
 
@@ -1020,22 +1072,32 @@ def _shifted_free_particle(n_points=8, shift=0.3j):
     ids=["none", "one", "pair", "three", "at-0.999", "at-1.001"],
 )
 def test_disc_count_finds_the_eigenvalues_it_holds(where, radius, held, centre_newton, monkeypatch):
-    # without the Newton root from the centre the rule alone must count, and
-    # an eigenvalue at 0.999 or 1.001 of the radius must be deflated at the
-    # node cap before the count settles
+    # the rule returns the held eigenvalue nearest the centre, or None; without
+    # the Newton root from the centre the count alone must name every
+    # eigenvalue the disc holds, and one at 0.999 or 1.001 of the radius must
+    # be deflated at the node cap before the count settles
     diag, prod, values = _shifted_free_particle()
     centre = where(values)
     newton_root = analysis._newton_root
+    roots = []
 
-    def no_centre_newton(diag, prod, guess, *rest):
-        return None if guess == centre else newton_root(diag, prod, guess, *rest)
+    def recording_newton(diag, prod, guess, *rest):
+        skip = guess == centre and not centre_newton
+        roots.append(None if skip else newton_root(diag, prod, guess, *rest))
+        return roots[-1]
 
+    monkeypatch.setattr(analysis, "_newton_root", recording_newton)
+    value = analysis._grid_eigenvalue(diag, prod, centre, radius, 4.0)
+    named = [z for z in roots if z is not None and abs(z - centre) <= radius]
+    assert all(min(abs(z - values[k]) for k in held) <= 1e-12 for z in named)
     if not centre_newton:
-        monkeypatch.setattr(analysis, "_newton_root", no_centre_newton)
-    found = sorted(analysis._disc_eigenvalues(diag, prod, centre, radius, 4.0), key=lambda z: z.real)
-    assert len(found) == len(held)
-    for z, k in zip(found, held):
-        assert abs(z - values[k]) <= 1e-12
+        assert len(named) == len(held)
+    if not held:
+        assert value is None
+        return
+    gap = min(abs(values[k] - centre) for k in held)
+    assert min(abs(value - values[k]) for k in held) <= 1e-12
+    assert abs(abs(value - centre) - gap) <= 1e-12
 
 
 def test_disc_count_names_nothing_false_at_a_jordan_block():
@@ -1045,8 +1107,9 @@ def test_disc_count_names_nothing_false_at_a_jordan_block():
     # and the level then fails the gate; no other value is ever named, and a
     # disc that misses 0 holds nothing
     diag, prod = [1.0 + 0j, -1.0 + 0j], [0.0, -1.0]
-    assert all(abs(z) <= 1e-8 for z in analysis._disc_eigenvalues(diag, prod, 0.5 + 0j, 1.0, 4.0))
-    assert analysis._disc_eigenvalues(diag, prod, 3.0 + 0j, 1.0, 4.0) == []
+    value = analysis._grid_eigenvalue(diag, prod, 0.5 + 0j, 1.0, 4.0)
+    assert value is None or abs(value) <= 1e-8
+    assert analysis._grid_eigenvalue(diag, prod, 3.0 + 0j, 1.0, 4.0) is None
 
 
 def test_fd_count_node_cap_raises_with_a_finite_defect(monkeypatch):
@@ -1057,7 +1120,7 @@ def test_fd_count_node_cap_raises_with_a_finite_defect(monkeypatch):
     monkeypatch.setattr(analysis, "FD_CONTOUR_NODES", 8)
     radius = abs(_free_particle_eigenvalue(200, 1) - 1.0) / 0.999
     with pytest.raises(ConvergenceFailureError) as info:
-        analysis._refine_levels(*_free_particle(200), [1.0 + 0j], radius)
+        _free_particle_level(200, 1.0 + 0j, radius)
     assert "count did not settle within 8 nodes" in str(info.value)
     # the defect is the change between the 4- and 8-node rules
     assert math.isfinite(info.value.defect) and info.value.defect > analysis.FD_COUNT_TOL
@@ -1098,7 +1161,7 @@ def test_grid_step_at_the_differencing_edge_is_kept():
 def test_newton_stop_test_cannot_overflow():
     # Newton on z^2 - 1 from 1e120 halves its step each pass; cubing a step
     # above 5.6e102 raised OverflowError, and 6 passes leave it unsettled
-    assert analysis._newton_root([0j, 0j], [0.0, 1.0], 1e120 + 0j, math.inf, 4.0) is None
+    assert analysis._newton_root([0j, 0j], [0.0, 1.0], 1e120 + 0j, 4.0) is None
 
 
 def test_default_grids():
