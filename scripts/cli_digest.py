@@ -38,7 +38,8 @@ MORSE_USER_SETS = (
 )
 # Inputs at the edge of what the flags accept: grid steps that cannot be
 # differenced, potentials that overflow on the grid, a Newton step beyond
-# 1e102, and Morse states far from x = 0 or underflowing everywhere.
+# 1e102, Morse states far from x = 0 or underflowing everywhere, partner
+# abscissas whose square or span leaves the doubles, and a 2j past 2**53.
 SEXTIC_1 = "verify --family sextic --two-j 1"
 EDGE_CASES = [
     argv.split()
@@ -55,6 +56,9 @@ EDGE_CASES = [
         "verify --family morse --two-j 2 --mu 0.5 --a 1e7,0 --d 1e-7,0",
         "verify --family morse --two-j 0 --mu 0.5 --a 300,0 --d 300,0",
         "solve --family morse --two-j 1 --mu inf",
+        "partner --family sextic --two-j 1 --sector odd --mu 0.5 --range=1e-320,1 --samples 1",
+        "partner --family sextic --two-j 1 --mu 0.5 --range=-1e308,1e308 --samples 3",
+        f"solve --family sextic --two-j {10**400} --mu 0.5",
     )
 ]
 

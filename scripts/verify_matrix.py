@@ -13,9 +13,10 @@ A second table surveys the grid check on coarse grids: fd_verify on the
 family default domain for the same three families, 2j = 0..12, 20 and 31,
 mu in {0, 0.7, 1.4}, with n = 64, 65, 257 and the default 2000 points: 540
 calls.  Each call gets one `grid` line with its outcome, `within` or `over`
-the defect bound, or the message of the error that stopped it, then one
-`survey` line per grid size and outcome with its call count, then the
-number of calls that raised.
+the defect bound, or the message of the error that stopped it, and a short
+hash of its refined values (`-` when it raised), so a diff also names the
+calls whose values moved; then one `survey` line per grid size and outcome
+with its call count, then the number of calls that raised.
 
 A third table surveys Morse with a d = 1, whose potential is a translate of
 the a = d = 1 one with the same spectrum: build_report(verify=True) with
@@ -30,6 +31,7 @@ and run it there.  It takes about two minutes.
     python3 scripts/verify_matrix.py
 """
 
+import hashlib
 import os
 import sys
 
@@ -75,14 +77,16 @@ def outcome(model) -> str:
     return "+".join(failed)
 
 
-def grid_outcome(model, n_points: int) -> str:
-    """`within` or `over` the grid check's defect bound, or the error message."""
+def grid_outcome(model, n_points: int) -> tuple[str, str]:
+    """`within` or `over` the grid check's defect bound, or the error message,
+    and a 12-digit hash of the refined values' reprs, or `-` on an error."""
     try:
         solutions, result = solve_model(model)
         check = fd_verify(model, solutions, result.shift, default_grid(model, n_points))
     except QesError as exc:
-        return f"error: {exc}"
-    return "within" if check.defect <= check.defect_bound else "over"
+        return f"error: {exc}", "-"
+    refined = hashlib.sha256(repr(check.refined).encode()).hexdigest()[:12]
+    return "within" if check.defect <= check.defect_bound else "over", refined
 
 
 def main() -> int:
@@ -107,8 +111,8 @@ def main() -> int:
             for mu in GRID_MUS:
                 model = make(mu, two_j)
                 for n in GRID_NS:
-                    label = grid_outcome(model, n)
-                    print(f"grid {family} 2j={two_j} mu={mu} n={n}: {label}")
+                    label, refined = grid_outcome(model, n)
+                    print(f"grid {family} 2j={two_j} mu={mu} n={n}: {label} refined={refined}")
                     counts[n, label] = counts.get((n, label), 0) + 1
                     raised += label.startswith("error")
                     calls += 1

@@ -280,8 +280,7 @@ def partner_potentials(model: QesModel, x: float) -> tuple[complex, complex]:
     checkable identity rather than a definition.  The odd sextic sector has
     a pole at x = 0.
     """
-    w = model.superpotential(x)
-    dw = model.superpotential_derivative(x)
+    w, dw = model.superpotential(x)
     v_minus, v_plus = w * w - dw, w * w + dw
     if not (cmath.isfinite(v_minus) and cmath.isfinite(v_plus)):
         raise NumericOverflowError(f"partner potential overflowed at x={x!r}")

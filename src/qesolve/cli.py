@@ -397,6 +397,8 @@ def cmd_partner(args) -> int:
     if n < 1:
         raise ValidationError("--samples must be at least 1")
     _check_size("--samples", n, "samples")
+    if not math.isfinite(x_max - x_min):
+        raise ValidationError(f"--range span x_max - x_min overflows — got {x_min!r},{x_max!r}")
     xs = [x_min] if n == 1 else [x_min + i * (x_max - x_min) / (n - 1) for i in range(n)]
     rows = []
     for x in xs:

@@ -20,7 +20,7 @@ complex spectrum real are handled downstream as an explicit shift argument.
 `make_sextic` / `make_morse` resolve user parameters into a QesModel holding
 the operator combination, the z-space equation p2 phi'' + p1 phi' +
 (p0 - E) phi = 0 and the potential coefficients.  The model evaluates the
-gauge itself from its family and parameters: W, W' and the decay factor
+gauge itself from its family and parameters: the pair (W, W'), the decay factor
 exp(-G) with G' = W, and the change of variable z(x).
 `closed_form_block_action` gives the tridiagonal matrix action of the model
 on basis monomials in closed form; it is the documented oracle against
@@ -145,30 +145,20 @@ class QesModel:
             return complex(x * x)
         return complex(_rexp(-x))
 
-    def _odd_sector(self, x: float) -> bool:
-        """True in the odd sextic sector, whose 1/x term raises PoleError at x = 0."""
-        if self.params.sector != ODD:
-            return False
+    def superpotential(self, x: float) -> tuple[complex, complex]:
+        """(W(x), W'(x)) from one evaluation; the odd sextic sector has a pole
+        at x = 0, and its W' is infinite where x^2 underflows."""
+        p = self.params
+        if self.family == MORSE:
+            ex = _rexp(x)
+            return p.d * ex - p.a / ex + p.b, p.d * ex + p.a / ex
+        w, dw = x * x * x + p.a * x, 3.0 * x * x + p.a
+        if p.sector == EVEN:
+            return w, dw
         if x == 0.0:
             raise PoleError("odd-sector superpotential has a pole at x = 0")
-        return True
-
-    def superpotential(self, x: float) -> complex:
-        """W(x); the odd sextic sector has a pole at x = 0."""
-        p = self.params
-        if self.family == SEXTIC:
-            w = x * x * x + p.a * x
-            return w - 1.0 / x if self._odd_sector(x) else w
-        ex = _rexp(x)
-        return p.d * ex - p.a / ex + p.b
-
-    def superpotential_derivative(self, x: float) -> complex:
-        p = self.params
-        if self.family == SEXTIC:
-            dw = 3.0 * x * x + p.a
-            return dw + 1.0 / (x * x) if self._odd_sector(x) else dw
-        ex = _rexp(x)
-        return p.d * ex + p.a / ex
+        x2 = x * x
+        return w - 1.0 / x, dw + (1.0 / x2 if x2 else math.inf)
 
     def decay_factor(self, x: float) -> complex:
         """The gauge factor exp(-G(x)), G' = W; x * exp(-x^4/4 - a x^2/2) in the odd sector.

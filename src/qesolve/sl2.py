@@ -37,6 +37,8 @@ class SpinJ:
             raise ValidationError("two_j must be an integer")
         if self.two_j < 0:
             raise ValidationError("two_j must be non-negative")
+        if self.two_j > 2**53:  # past 2**53 two_j / 2 is no longer exact
+            raise ValidationError("two_j must be at most 2**53")
 
     @property
     def dim(self) -> int:

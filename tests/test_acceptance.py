@@ -240,7 +240,7 @@ def test_criterion_12_partner_identity():
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0)
             v_minus, v_plus = partner_potentials(model, x)
-            gap = abs((v_plus - v_minus) - 2.0 * model.superpotential_derivative(x))
+            gap = abs((v_plus - v_minus) - 2.0 * model.superpotential(x)[1])
             scale = max(1.0, abs(v_plus), abs(v_minus))
             worst = max(worst, gap / scale)
     assert worst <= 1e-12

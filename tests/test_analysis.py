@@ -428,6 +428,10 @@ def test_partner_odd_sector_pole():
     with pytest.raises(PoleError):
         partner_potentials(model, 0.0)
     assert all(cmath.isfinite(v) for v in partner_potentials(model, 0.5))
+    # off the pole, an x whose square underflows leaves W' = ... + 1/x^2 infinite
+    for x in (1e-160, 1e-200, 1e-320):
+        with pytest.raises(NumericOverflowError, match=f"at x={x!r}$"):
+            partner_potentials(model, x)
 
 
 def test_partner_identity_random_points():
@@ -440,7 +444,7 @@ def test_partner_identity_random_points():
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0)
             v_minus, v_plus = partner_potentials(model, x)
-            rhs = 2.0 * model.superpotential_derivative(x)
+            rhs = 2.0 * model.superpotential(x)[1]
             scale = max(1.0, abs(v_plus), abs(v_minus))
             assert abs((v_plus - v_minus) - rhs) <= 1e-12 * scale
 

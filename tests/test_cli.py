@@ -460,6 +460,23 @@ ACCEPTED_EDGE_INPUTS = [
         "numeric failure: normalization sum underflowed",  # norms [0]
     ),
     (("solve", "--family", "morse", "--two-j", "1", "--mu", "inf"), 1, "error: --mu needs finite"),
+    (  # ZeroDivisionError: x^2 underflows to 0 in the odd sector's W'
+        ("partner", "--family", "sextic", "--two-j", "1", "--sector", "odd", "--mu", "0.5")
+        + ("--range=1e-320,1", "--samples", "1"),
+        2,
+        "numeric failure: partner potential overflowed at x=1e-320",
+    ),
+    (  # a NaN abscissa: the span x_max - x_min overflows
+        ("partner", "--family", "sextic", "--two-j", "1", "--mu", "0.5")
+        + ("--range=-1e308,1e308", "--samples", "3"),
+        1,
+        "error: --range span x_max - x_min overflows",
+    ),
+    (  # OverflowError building the block
+        ("solve", "--family", "sextic", "--two-j", str(10**400), "--mu", "0.5"),
+        1,
+        "error: two_j must be at most 2**53",
+    ),
 ]
 
 

@@ -133,15 +133,15 @@ def test_decay_factor_matches_superpotential():
         for x in xs:
             ratio = model.decay_factor(x + h) / model.decay_factor(x - h)
             fd = -cmath.log(ratio) / (2.0 * h)
-            assert rel_err(fd, model.superpotential(x)) <= 1e-7
+            assert rel_err(fd, model.superpotential(x)[0]) <= 1e-7
 
 
 def test_gauge_derivative_closed_form():
     model = make_morse(MorseParams(a=0.9 + 0.2j, d=1.1 - 0.4j, b=0.5j, two_j=1))
     h = 1e-5
     for x in (-1.0, 0.0, 1.5):
-        fd = (model.superpotential(x + h) - model.superpotential(x - h)) / (2.0 * h)
-        assert rel_err(fd, model.superpotential_derivative(x)) <= 1e-7
+        fd = (model.superpotential(x + h)[0] - model.superpotential(x - h)[0]) / (2.0 * h)
+        assert rel_err(fd, model.superpotential(x)[1]) <= 1e-7
 
 
 def test_sextic_constraint_identity():
@@ -196,7 +196,7 @@ def test_morse_gauge_underflow_raises():
     # e^x underflows to exact 0 below x = -745.1, and the Morse W, W' and
     # decay factor divide by it
     model = make_morse(MorseParams.from_mu(1.0, 1))
-    for evaluate in (model.superpotential, model.superpotential_derivative, model.decay_factor):
+    for evaluate in (model.superpotential, model.decay_factor):
         with pytest.raises(NumericOverflowError, match="underflow"):
             evaluate(-800.0)
 

@@ -22,6 +22,15 @@ def test_raising_annihilates_top_state_exactly():
         assert image.is_zero()
 
 
+def test_spin_beyond_exact_halves_is_rejected():
+    # two_j / 2 is exact for every integer up to 2**53, the largest run of
+    # consecutive integers a double holds
+    assert SpinJ(2**53).j == 2**52
+    for two_j in (2**53 + 1, 10**400):
+        with pytest.raises(ValidationError, match="two_j must be at most 2\\*\\*53"):
+            SpinJ(two_j)
+
+
 def test_lowering_kills_constants():
     assert apply_generator("minus", CPolynomial([1.0]), SpinJ(4)).is_zero()
 
