@@ -9,7 +9,9 @@ repr, which round-trips every bit.  The matrix is the three families
 spectrum.solve_model, then two hand-made blocks solved by
 spectrum.eigen_solve: the graded 32 x 32 block whose couplings span
 10^-8 .. 10^8, and the strongly non-normal 4 x 4 whose eigenvector grows by
-about 1e150 a row.  Two checkouts whose solves agree bit for bit print the
+about 1e150 a row.  Before the total it prints `evaluations <n>`, the
+number of continuant evaluations (spectrum._newton_terms calls) the whole
+matrix took.  Two checkouts whose solves agree bit for bit print the
 same lines, so a diff of two runs names every block that moved.  The script
 imports qesolve from the `src` directory next to it; to digest another
 checkout, copy the script into that checkout's `scripts` directory and run
@@ -25,13 +27,14 @@ from functools import partial
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
+from qesolve import spectrum
 from qesolve.errors import QesError
 from qesolve.families import MorseParams, SexticParams, make_morse, make_sextic
 from qesolve.sl2 import BlockMatrix
 from qesolve.spectrum import common_imaginary_shift, eigen_solve, solve_model
 
 TWO_JS = range(32)
-MUS = ("0", "0.3", "0.7", "1.0", "1.4", "2.2", "3.0")
+MUS = ("0", "0.3", "0.7", "1.0", "1.4", "2.2", "3.0", "1e-308", "1e-310")
 FAMILIES = (
     ("sextic even", lambda mu, two_j: make_sextic(SexticParams.from_mu(mu, two_j, "even"))),
     ("sextic odd", lambda mu, two_j: make_sextic(SexticParams.from_mu(mu, two_j, "odd"))),
@@ -82,6 +85,16 @@ def digest(name, solve) -> str:
 
 
 def main() -> int:
+    evaluations = 0
+    newton_terms = spectrum._newton_terms
+
+    def counting(*args):
+        nonlocal evaluations
+        evaluations += 1
+        return newton_terms(*args)
+
+    # eigen_solve reads the module attribute, so the count works on any checkout
+    spectrum._newton_terms = counting
     total = hashlib.sha256()
     count = 0
     for name, solve in cases():
@@ -89,6 +102,7 @@ def main() -> int:
         print(line)
         total.update(line.encode() + b"\n")
         count += 1
+    print(f"evaluations {evaluations}")
     print(f"total {count} blocks {total.hexdigest()[:16]}")
     return 0
 

@@ -8,10 +8,11 @@ eigen_solve works on them directly:
                     piece between exactly zero couplings, with p/p' from the
                     three-term continuant in O(n) and no n x n array (Bini,
                     Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005),
-                    started on an ellipse with the spectrum's exact mean
-                    tr T / n and mean square tr((T - mI)^2) / n, so that a
-                    spectrum on one line, as a real-shiftable one is, starts
-                    close to that line.
+                    started from the implicit-QL eigenvalues of the piece's
+                    complex-symmetric form, so that most roots are accepted
+                    after one continuant evaluation; when QL gives no usable
+                    values, from an ellipse with the spectrum's exact mean
+                    tr T / n and mean square tr((T - mI)^2) / n.
   * clustering      near-coincident eigenvalues, within a tolerance set by
                     the block norm, are replaced by their centroid, refined by
                     Newton on p^(m-1) for a cluster of m, and reported with
@@ -47,10 +48,14 @@ _EPS = sys.float_info.epsilon
 
 MAX_BLOCK_DIM = 32
 
-# Ehrlich-Aberth sweeps allowed per block before the eigenvalue iteration gives up:
-# the paper's blocks need at most 22, random blocks with couplings graded over
-# 10^-8 .. 10^8 up to 168.
+# Ehrlich-Aberth sweeps allowed per block before the eigenvalue iteration gives up.
+# From the QL values a block needs one or two; the cap serves the ellipse start,
+# from which the paper's blocks need at most 22 and random blocks with couplings
+# graded over 10^-8 .. 10^8 up to 168.
 ABERTH_STEPS = 168
+
+# A QL rotation r = sqrt(f^2 + g^2) with |r| <= QL_ISOTROPY (|f| + |g|) is near isotropic.
+QL_ISOTROPY = 1e-3
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,25 +115,66 @@ def _taylor(diag, prod, z: complex, order: int) -> list[complex]:
     return cur
 
 
-def _aberth(diag, prod) -> tuple[list[complex], float]:
-    """Roots of det(T - zI) for an unreduced piece T, by Ehrlich-Aberth iteration.
+def _ql_values(diag, prod) -> list[complex] | None:
+    """Eigenvalues of an unreduced piece by implicit QL, or None when QL cannot vouch for them.
 
-    The n starts match the spectrum's first two moments.  They lie about the
-    diagonal's mean m = tr T / n on an ellipse, at equally spaced angles,
-    whose mean of |z - m|^2 is r^2 = ||T - mI||_F^2 / n, the couplings
-    balanced to |prod|^(1/2) (by Schur's inequality, at least the mean of
-    |lambda - m|^2), and whose mean of (z - m)^2 is the exact
+    The piece is diagonally similar to the complex-symmetric tridiagonal
+    with diagonal diag and off-diagonals sqrt(prod[k]), on which this runs
+    tql1 with the Wilkinson shift and complex-orthogonal rotations
+    (Bowdler, Martin, Reinsch & Wilkinson, Numer. Math. 11, 1968; Cullum &
+    Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996).  A rotation of
+    r = sqrt(f^2 + g^2) has no bound when r is near isotropic, |r| small
+    against |f| + |g|; such a rotation, more than 30 iterations for one
+    value, a non-finite value or two exactly equal values give None.
+    """
+    n = len(diag)
+    d = list(diag)
+    e = [cmath.sqrt(b) for b in prod[1:]] + [0j]
+    for lo in range(n):
+        for _ in range(31):
+            m = lo
+            while m < n - 1 and abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == lo:
+                break
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            r = cmath.sqrt(g * g + 1.0)
+            g = d[m] - d[lo] + e[lo] / (g + r if abs(g + r) >= abs(g - r) else g - r)
+            s, c, p = 1.0, 1.0, 0.0
+            for i in range(m - 1, lo - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = cmath.sqrt(f * f + g * g)
+                if not abs(r) > QL_ISOTROPY * (abs(f) + abs(g)):
+                    return None
+                e[i + 1] = r
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            d[lo] -= p
+            e[lo], e[m] = g, 0.0
+        else:
+            return None
+    if not all(map(cmath.isfinite, d)) or len(set(d)) < n:
+        return None
+    return d
+
+
+def _ellipse_starts(diag, prod) -> list[complex]:
+    """n points on an ellipse with the spectrum's first two moments.
+
+    They lie about the diagonal's mean m = tr T / n at equally spaced
+    angles, their mean of |z - m|^2 is r^2 = ||T - mI||_F^2 / n, the
+    couplings balanced to |prod|^(1/2) (by Schur's inequality, at least the
+    mean of |lambda - m|^2), and their mean of (z - m)^2 is the exact
     s^2 = tr((T - mI)^2) / n, the mean of (lambda - m)^2: semi-axes
     sqrt(r^2 + |s^2|) and sqrt(max(r^2 - |s^2|, 0)), the major one along
-    arg(s^2) / 2.  A spectrum on one line, as the paper's real-shiftable
-    ones are, has r^2 close to |s^2|, so the ellipse flattens onto that
-    line; it is a circle when s^2 = 0.  Both semi-axes are at least
-    n eps |m|, so that no two starts round to one point.  An iterate is
-    accepted once |p| <= 4 (n + 1) eps (scale + |z p'|) + (n + 1) 2^-1074,
-    the last term the gradual-underflow error of the n + 1 products (Higham,
-    section 2.1) that a subnormal scale leaves no room for, and then takes
-    one last Newton step.  Returns the iterates and the largest |p/p'| of
-    those not accepted within ABERTH_STEPS sweeps (0 when none is left).
+    arg(s^2) / 2.  A spectrum on one line has r^2 close to |s^2|, so the
+    ellipse flattens onto that line; it is a circle when s^2 = 0.  Both
+    semi-axes are at least n eps |m|, so that no two starts round to one
+    point.
     """
     n = len(diag)
     center = sum(diag) / n
@@ -141,7 +187,23 @@ def _aberth(diag, prod) -> tuple[list[complex], float]:
     minor = max(math.sqrt(max(r2 - abs(s2), 0.0)), floor)
     axis = cmath.rect(1.0, 0.5 * cmath.phase(s2))
     angles = (2.0 * math.pi * k / n + 0.4 for k in range(n))
-    zs = [center + axis * complex(major * math.cos(t), minor * math.sin(t)) for t in angles]
+    return [center + axis * complex(major * math.cos(t), minor * math.sin(t)) for t in angles]
+
+
+def _aberth(diag, prod) -> tuple[list[complex], float]:
+    """Roots of det(T - zI) for an unreduced piece T, by Ehrlich-Aberth iteration.
+
+    The n starts are the implicit-QL values of _ql_values, which are
+    usually accepted on the first sweep, or the moment-matched ellipse of
+    _ellipse_starts when QL gives none.  An iterate is accepted once
+    |p| <= 4 (n + 1) eps (scale + |z p'|) + (n + 1) 2^-1074, the last term
+    the gradual-underflow error of the n + 1 products (Higham, section 2.1)
+    that a subnormal scale leaves no room for, and then takes one last
+    Newton step.  Returns the iterates and the largest |p/p'| of those not
+    accepted within ABERTH_STEPS sweeps (0 when none is left).
+    """
+    n = len(diag)
+    zs = _ql_values(diag, prod) or _ellipse_starts(diag, prod)
     rows = [(d, b, abs(b)) for d, b in zip(diag, prod)]
     tol, underflow = 4.0 * (n + 1) * _EPS, (n + 1) * 2.0**-1074
     live = list(range(n))

@@ -9,12 +9,15 @@ p'/p from the top-down pivots of the same elimination
 (tridiag_log_derivative), both for its Newton steps and at the contour
 nodes where it counts eigenvalues.  Each replaces an exactly zero pivot by
 eps * ||A|| of the unshifted A: the tiny pivot an exact eigenvalue wants, so
-no caller re-shifts.
+no caller re-shifts.  The null vectors replace a subnormal pivot too: it
+has lost digits to gradual underflow, and dividing by it wrecks the vector.
 """
 
 from __future__ import annotations
 
 import sys
+
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 def tridiag_norm(sub: list[complex], diag: list[complex], sup: list[complex]) -> float:
@@ -51,13 +54,15 @@ def tridiag_null_vectors(sub: list[complex], diag: list[complex], sup: list[comp
 
     Pivots run down, P_k = (diag[k] - z) - prod[k] / P_{k-1} as in
     tridiag_log_derivative, and up, Q_k = (diag[k] - z) - prod[k+1] / Q_{k+1};
-    prod and eps * ||A|| are computed once for all of zs.  The twist r is the
-    first row that minimizes |P_r + Q_r - (diag[r] - z)|, the residual of row
-    r (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997; Parlett & Dhillon,
-    Linear Algebra Appl. 267, 1997).  With x_r = 1, x_k = -sup[k] x_{k+1} / P_k
-    above r and x_k = -sub[k-1] x_{k-1} / Q_k below, every other row holds, and
-    an exactly zero coupling keeps the components it decouples exactly zero.
-    A component past 2^500 scales all so far by 2^-500, exact bar underflow.
+    prod and eps * ||A|| are computed once for all of zs, and eps * ||A||
+    replaces every pivot whose magnitude is below the smallest normal double.
+    The twist r is the first row that minimizes |P_r + Q_r - (diag[r] - z)|,
+    the residual of row r (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997;
+    Parlett & Dhillon, Linear Algebra Appl. 267, 1997).  With x_r = 1,
+    x_k = -sup[k] x_{k+1} / P_k above r and x_k = -sub[k-1] x_{k-1} / Q_k
+    below, every other row holds, and an exactly zero coupling keeps the
+    components it decouples exactly zero.  A component past 2^500 scales all
+    so far by 2^-500, exact bar underflow.
     """
     n = len(diag)
     tiny = sys.float_info.epsilon * tridiag_norm(sub, diag, sup) or 1.0
@@ -66,8 +71,10 @@ def tridiag_null_vectors(sub: list[complex], diag: list[complex], sup: list[comp
         shifted = [a - z for a in diag]
         down, up, p, q = [0.0j] * n, [0.0j] * n, 1.0, 1.0
         for k, j in zip(range(n), reversed(range(n))):
-            down[k] = p = shifted[k] - prod[k] / p or tiny
-            up[j] = q = shifted[j] - prod[j + 1] / q or tiny
+            p = shifted[k] - prod[k] / p
+            q = shifted[j] - prod[j + 1] / q
+            down[k] = p = p if abs(p) >= _SMALLEST_NORMAL else tiny
+            up[j] = q = q if abs(q) >= _SMALLEST_NORMAL else tiny
         gaps = [abs(pk + qk - a) for pk, qk, a in zip(down, up, shifted)]
         r = gaps.index(min(gaps))
         x = [0.0j] * n

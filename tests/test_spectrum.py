@@ -387,7 +387,20 @@ def _aberth_starts(monkeypatch, block):
     return [s * z for z in info.value.best]
 
 
-def test_aberth_starts_match_the_first_two_moments(monkeypatch):
+def _recording_ql(monkeypatch):
+    """The list that receives each _ql_values result from here on (None: the ellipse start)."""
+    results = []
+    ql_values = spectrum._ql_values
+
+    def recording(diag, prod):
+        results.append(ql_values(diag, prod))
+        return results[-1]
+
+    monkeypatch.setattr(spectrum, "_ql_values", recording)
+    return results
+
+
+def _assert_starts_match_the_first_two_moments(monkeypatch):
     model = make_sextic(SexticParams.from_mu(0.7, 8))
     block = build_block(model.combo, model.rep)
     starts = _aberth_starts(monkeypatch, block)
@@ -404,16 +417,74 @@ def test_aberth_starts_match_the_first_two_moments(monkeypatch):
     assert abs(second) >= 0.9 * sum(abs(z - m) ** 2 for z in starts) / n
 
 
+def test_aberth_starts_match_the_first_two_moments(monkeypatch):
+    # the implicit-QL starts are eigenvalues to rounding, so they have the spectrum's moments
+    results = _recording_ql(monkeypatch)
+    _assert_starts_match_the_first_two_moments(monkeypatch)
+    assert len(results) == 1 and results[0] is not None
+
+
+def test_ellipse_starts_match_the_first_two_moments(monkeypatch):
+    # with no QL values the starts lie on the ellipse, built to match the same moments
+    monkeypatch.setattr(spectrum, "_ql_values", lambda diag, prod: None)
+    _assert_starts_match_the_first_two_moments(monkeypatch)
+
+
 def test_aberth_starts_on_a_circle_when_the_second_moment_vanishes(monkeypatch):
     # diag (2, -2) and sub * sup = -4: tr(T^2) = 4 + 4 - 8 = 0, so the start is
-    # the circle about 0 of radius sqrt((|2|^2 + |-2|^2 + 2 |-4|) / 2) = sqrt(8)
+    # the circle about 0 of radius sqrt((|2|^2 + |-2|^2 + 2 |-4|) / 2) = sqrt(8);
+    # the block is a Jordan block at 0, whose first QL rotation is isotropic
+    results = _recording_ql(monkeypatch)
     starts = _aberth_starts(monkeypatch, BlockMatrix(sub=(2.0,), diag=(2.0, -2.0), sup=(-2.0,)))
+    assert results == [None]
     circle = [math.sqrt(8.0) * cmath.exp(1j * (math.pi * k + 0.4)) for k in range(2)]
     assert all(abs(z - c) <= 4 * sys.float_info.epsilon for z, c in zip(starts, circle))
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        # a QL rotation with |r| = 2.3e-8 (|f| + |g|): QL alone would start at +-7e6
+        make_sextic(SexticParams.from_mu(2.0, 2)),
+        # the coupling is negligible against the diagonal, so QL returns two
+        # exactly equal values, on which an Aberth step would divide by zero
+        make_morse(MorseParams.from_mu(0.0, 1, a=complex(-1.0, -1e8), d=complex(1e154, 1e8))),
+    ],
+    ids=["sextic even 2j=2 mu=2", "morse 2j=1 equal values"],
+)
+def test_aberth_starts_on_the_ellipse_without_usable_ql_values(monkeypatch, model):
+    results = _recording_ql(monkeypatch)
+    solutions, _ = solve_model(model)
+    assert results == [None]
+    assert len(solutions) == model.rep.dim
+
+
+def test_jordan_block_solves_from_the_ellipse(monkeypatch):
+    # the block of the circle test: r = sqrt(f^2 + g^2) = 0 exactly at its first QL rotation
+    results = _recording_ql(monkeypatch)
+    pairs = eigen_solve(BlockMatrix(sub=(2.0,), diag=(2.0, -2.0), sup=(-2.0,)))
+    assert results == [None]
+    assert [p.multiplicity for p in pairs] == [2, 2] and abs(pairs[0].energy_base) <= 1e-7
+    assert max(p.eigvec_residual for p in pairs) <= 1e-10
+
+
+def test_ql_values_start_family_blocks():
+    # a family block away from its exceptional points takes the QL values
+    model = make_sextic(SexticParams.from_mu(1.0, 8))
+    block = build_block(model.combo, model.rep)
+    s = math.ldexp(1.0, math.frexp(tridiag_norm(block.sub, block.diag, block.sup))[1])
+    d = [x / s for x in block.diag]
+    prod = [0j] + [a / s * (b / s) for a, b in zip(block.sub, block.sup)]
+    values = spectrum._ql_values(d, prod)
+    assert values is not None and len(set(values)) == block.dim
+    exact = [p.energy_base / s for p in eigen_solve(block)]
+    assert all(min(abs(v - e) for e in exact) <= 1e-12 for v in values)
+
+
 def test_aberth_start_saves_continuant_evaluations(monkeypatch):
     # a start on a circle took 5437 evaluations of p and p' over these 27 blocks
+    # (522 roots) and the moment-matched ellipse 3931; the implicit-QL values
+    # are accepted on the first sweep, one evaluation per root
     calls = 0
     newton_terms = spectrum._newton_terms
 
@@ -423,19 +494,32 @@ def test_aberth_start_saves_continuant_evaluations(monkeypatch):
         return newton_terms(*args)
 
     monkeypatch.setattr(spectrum, "_newton_terms", counting)
+    roots = 0
     for two_j, mu in itertools.product((8, 16, 31), (0.3, 1.0, 2.2)):
         for model in _sweep_models(mu, two_j):
-            eigen_solve(build_block(model.combo, model.rep))
-    assert calls <= 0.8 * 5437
+            roots += len(eigen_solve(build_block(model.combo, model.rep)))
+    assert roots == 522
+    assert calls <= 1.05 * roots
 
 
-def test_graded_block_converges():
-    # couplings graded over 10^-8 .. 10^8: 105 sweeps from a circle, 106 from the ellipse
+def test_graded_block_converges(monkeypatch):
+    # couplings graded over 10^-8 .. 10^8: 105 sweeps from a circle and 106
+    # from the ellipse, but the QL values start within a sweep or two of the roots
     n = 32
     sub = [10.0 ** (8 * math.sin(k)) for k in range(n - 1)]
     diag = [cmath.exp(1j * k) for k in range(n)]
     sup = [10.0 ** (8 * math.cos(k)) for k in range(n - 1)]
+    calls = 0
+    newton_terms = spectrum._newton_terms
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return newton_terms(*args)
+
+    monkeypatch.setattr(spectrum, "_newton_terms", counting)
     assert len(eigen_solve(BlockMatrix(tuple(sub), tuple(diag), tuple(sup)))) == n
+    assert calls <= 2 * n
     # the sweeps end on the roots: their first two power sums are those of T = M / 2^27
     s = math.ldexp(1.0, 27)
     d = [x / s for x in diag]
@@ -443,6 +527,18 @@ def test_graded_block_converges():
     values = spectrum._eigenvalues(d, prod)
     assert abs(sum(values) - sum(d)) <= 1e-15
     assert abs(sum(v * v for v in values) - sum(x * x for x in d) - 2 * sum(prod)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "sector, two_j, mu", [("even", 2, 1e-310), ("odd", 20, 1e-308), ("even", 8, 1e-320)]
+)
+def test_subnormal_mu_blocks_solve(sector, two_j, mu):
+    # a twisted-factorization pivot of these blocks is subnormal, not zero;
+    # it is replaced by eps * ||A|| as a zero one is, or the vector is wrecked
+    # (block residuals up to 0.4 when only exact zeros were replaced)
+    solutions, _ = solve_model(make_sextic(SexticParams.from_mu(mu, two_j, sector)))
+    assert len(solutions) == two_j + 1
+    assert max(s.eigvec_residual for s in solutions) <= 1e-10
 
 
 def test_overflowing_eigenvector_fails_loudly(monkeypatch):
