@@ -54,9 +54,6 @@ MAX_BLOCK_DIM = 32
 # graded over 10^-8 .. 10^8 up to 168.
 ABERTH_STEPS = 168
 
-# A QL rotation r = sqrt(f^2 + g^2) with |r| <= QL_ISOTROPY (|f| + |g|) is near isotropic.
-QL_ISOTROPY = 1e-3
-
 
 @dataclass(frozen=True, slots=True)
 class QesSolution:
@@ -122,9 +119,9 @@ def _ql_values(diag, prod) -> list[complex] | None:
     with diagonal diag and off-diagonals sqrt(prod[k]), on which this runs
     tql1 with the Wilkinson shift and complex-orthogonal rotations
     (Bowdler, Martin, Reinsch & Wilkinson, Numer. Math. 11, 1968; Cullum &
-    Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996).  A rotation of
-    r = sqrt(f^2 + g^2) has no bound when r is near isotropic, |r| small
-    against |f| + |g|; such a rotation, more than 30 iterations for one
+    Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996).  A rotation by
+    r = sqrt(f^2 + g^2) has no bound when r is near isotropic; such a
+    rotation, |r| <= 1e-3 (|f| + |g|), more than 30 iterations for one
     value, a non-finite value or two exactly equal values give None.
     """
     n = len(diag)
@@ -144,7 +141,7 @@ def _ql_values(diag, prod) -> list[complex] | None:
             for i in range(m - 1, lo - 1, -1):
                 f, b = s * e[i], c * e[i]
                 r = cmath.sqrt(f * f + g * g)
-                if not abs(r) > QL_ISOTROPY * (abs(f) + abs(g)):
+                if not abs(r) > 1e-3 * (abs(f) + abs(g)):
                     return None
                 e[i + 1] = r
                 s, c = f / r, g / r

@@ -441,65 +441,54 @@ def test_aberth_starts_on_a_circle_when_the_second_moment_vanishes(monkeypatch):
     assert all(abs(z - c) <= 4 * sys.float_info.epsilon for z, c in zip(starts, circle))
 
 
+def _block(model) -> BlockMatrix:
+    return build_block(model.combo, model.rep)
+
+
 @pytest.mark.parametrize(
-    "model",
+    "block",
     [
         # a QL rotation with |r| = 2.3e-8 (|f| + |g|): QL alone would start at +-7e6
-        make_sextic(SexticParams.from_mu(2.0, 2)),
+        _block(make_sextic(SexticParams.from_mu(2.0, 2))),
+        # the Jordan block of the circle test: r = sqrt(f^2 + g^2) = 0 exactly
+        BlockMatrix(sub=(2.0,), diag=(2.0, -2.0), sup=(-2.0,)),
         # the coupling is negligible against the diagonal, so QL returns two
         # exactly equal values, on which an Aberth step would divide by zero
-        make_morse(MorseParams.from_mu(0.0, 1, a=complex(-1.0, -1e8), d=complex(1e154, 1e8))),
+        _block(make_morse(MorseParams.from_mu(0.0, 1, a=complex(-1.0, -1e8), d=complex(1e154, 1e8)))),
     ],
-    ids=["sextic even 2j=2 mu=2", "morse 2j=1 equal values"],
+    ids=["sextic even 2j=2 mu=2", "jordan 2x2", "morse 2j=1 equal values"],
 )
-def test_aberth_starts_on_the_ellipse_without_usable_ql_values(monkeypatch, model):
+def test_aberth_starts_on_the_ellipse_without_usable_ql_values(monkeypatch, block):
     results = _recording_ql(monkeypatch)
-    solutions, _ = solve_model(model)
+    pairs = eigen_solve(block)
     assert results == [None]
-    assert len(solutions) == model.rep.dim
+    assert len(pairs) == block.dim and max(p.eigvec_residual for p in pairs) <= 1e-10
 
 
-def test_jordan_block_solves_from_the_ellipse(monkeypatch):
-    # the block of the circle test: r = sqrt(f^2 + g^2) = 0 exactly at its first QL rotation
-    results = _recording_ql(monkeypatch)
-    pairs = eigen_solve(BlockMatrix(sub=(2.0,), diag=(2.0, -2.0), sup=(-2.0,)))
-    assert results == [None]
-    assert [p.multiplicity for p in pairs] == [2, 2] and abs(pairs[0].energy_base) <= 1e-7
-    assert max(p.eigvec_residual for p in pairs) <= 1e-10
+def _counting_newton_terms(monkeypatch):
+    """A one-element list that counts the continuant evaluations from here on."""
+    calls = [0]
+    newton_terms = spectrum._newton_terms
 
+    def counting(*args):
+        calls[0] += 1
+        return newton_terms(*args)
 
-def test_ql_values_start_family_blocks():
-    # a family block away from its exceptional points takes the QL values
-    model = make_sextic(SexticParams.from_mu(1.0, 8))
-    block = build_block(model.combo, model.rep)
-    s = math.ldexp(1.0, math.frexp(tridiag_norm(block.sub, block.diag, block.sup))[1])
-    d = [x / s for x in block.diag]
-    prod = [0j] + [a / s * (b / s) for a, b in zip(block.sub, block.sup)]
-    values = spectrum._ql_values(d, prod)
-    assert values is not None and len(set(values)) == block.dim
-    exact = [p.energy_base / s for p in eigen_solve(block)]
-    assert all(min(abs(v - e) for e in exact) <= 1e-12 for v in values)
+    monkeypatch.setattr(spectrum, "_newton_terms", counting)
+    return calls
 
 
 def test_aberth_start_saves_continuant_evaluations(monkeypatch):
     # a start on a circle took 5437 evaluations of p and p' over these 27 blocks
     # (522 roots) and the moment-matched ellipse 3931; the implicit-QL values
     # are accepted on the first sweep, one evaluation per root
-    calls = 0
-    newton_terms = spectrum._newton_terms
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return newton_terms(*args)
-
-    monkeypatch.setattr(spectrum, "_newton_terms", counting)
+    calls = _counting_newton_terms(monkeypatch)
     roots = 0
     for two_j, mu in itertools.product((8, 16, 31), (0.3, 1.0, 2.2)):
         for model in _sweep_models(mu, two_j):
-            roots += len(eigen_solve(build_block(model.combo, model.rep)))
+            roots += len(eigen_solve(_block(model)))
     assert roots == 522
-    assert calls <= 1.05 * roots
+    assert calls[0] <= 1.05 * roots
 
 
 def test_graded_block_converges(monkeypatch):
@@ -509,17 +498,9 @@ def test_graded_block_converges(monkeypatch):
     sub = [10.0 ** (8 * math.sin(k)) for k in range(n - 1)]
     diag = [cmath.exp(1j * k) for k in range(n)]
     sup = [10.0 ** (8 * math.cos(k)) for k in range(n - 1)]
-    calls = 0
-    newton_terms = spectrum._newton_terms
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return newton_terms(*args)
-
-    monkeypatch.setattr(spectrum, "_newton_terms", counting)
+    calls = _counting_newton_terms(monkeypatch)
     assert len(eigen_solve(BlockMatrix(tuple(sub), tuple(diag), tuple(sup)))) == n
-    assert calls <= 2 * n
+    assert calls[0] <= 2 * n
     # the sweeps end on the roots: their first two power sums are those of T = M / 2^27
     s = math.ldexp(1.0, 27)
     d = [x / s for x in diag]
