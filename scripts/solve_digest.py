@@ -6,16 +6,19 @@ energy, phi coefficients, eigenvector residual and multiplicity plus the
 model's shift, or of the error's type, message and defect.  Floats enter by
 repr, which round-trips every bit.  The matrix is the three families
 (sextic even and odd, Morse) at 2j = 0..31 and mu in MUS, solved by
-spectrum.solve_model, then two hand-made blocks solved by
+spectrum.solve_model, then four hand-made blocks solved by
 spectrum.eigen_solve: the graded 32 x 32 block whose couplings span
-10^-8 .. 10^8, and the strongly non-normal 4 x 4 whose eigenvector grows by
-about 1e150 a row.  Before the total it prints `evaluations <n>`, the
-number of continuant evaluations (spectrum._newton_terms calls) the whole
-matrix took.  Two checkouts whose solves agree bit for bit print the
-same lines, so a diff of two runs names every block that moved.  The script
-imports qesolve from the `src` directory next to it; to digest another
-checkout, copy the script into that checkout's `scripts` directory and run
-it there.
+10^-8 .. 10^8, the strongly non-normal 4 x 4 whose eigenvector grows by
+about 1e150 a row, the 2 x 2 Jordan block at 0, and the Morse 2 x 2 whose
+coupling is negligible against its equal diagonal entries.  Before the
+total it prints `evaluations <n>`, the number of continuant evaluations
+(spectrum._newton_terms calls) the whole matrix took, and `fallback starts
+<n>`, the number of pieces for which spectrum._ql_values gave no values,
+so that Aberth started from a circle.  Two checkouts whose solves agree
+bit for bit print the same lines, so a diff of two runs names every block
+that moved.  The script imports qesolve from the `src` directory next to
+it; to digest another checkout, copy the script into that checkout's
+`scripts` directory and run it there.
 """
 
 import cmath
@@ -54,6 +57,15 @@ def _non_normal_block() -> BlockMatrix:
     return BlockMatrix(sub=(1e-300,) * 3, diag=(0.0, 1e-150j, 2e-150j, 3e-150j), sup=(1.0,) * 3)
 
 
+def _jordan_block() -> BlockMatrix:
+    return BlockMatrix(sub=(2.0,), diag=(2.0, -2.0), sup=(-2.0,))
+
+
+def _equal_diagonal_block() -> BlockMatrix:
+    # the Morse block at 2j = 1, mu = 0, a = -1 - 1e8 i, d = 1e154 + 1e8 i
+    return BlockMatrix(sub=(2 + 2e8j,), diag=(-2e154 - 2e162j,) * 2, sup=(-2e154 - 2e8j,))
+
+
 def _family_solve(make, mu: str, two_j: int):
     return solve_model(make(float(mu), two_j))
 
@@ -70,6 +82,8 @@ def cases():
                 yield f"{name} 2j={two_j} mu={mu}", partial(_family_solve, make, mu, two_j)
     yield "graded 32x32", partial(_block_solve, _graded_block())
     yield "non-normal 4x4", partial(_block_solve, _non_normal_block())
+    yield "jordan 2x2", partial(_block_solve, _jordan_block())
+    yield "morse equal diagonal 2x2", partial(_block_solve, _equal_diagonal_block())
 
 
 def digest(name, solve) -> str:
@@ -85,16 +99,23 @@ def digest(name, solve) -> str:
 
 
 def main() -> int:
-    evaluations = 0
-    newton_terms = spectrum._newton_terms
+    evaluations = fallbacks = 0
+    newton_terms, ql_values = spectrum._newton_terms, spectrum._ql_values
 
     def counting(*args):
         nonlocal evaluations
         evaluations += 1
         return newton_terms(*args)
 
-    # eigen_solve reads the module attribute, so the count works on any checkout
+    def counting_fallbacks(*args):
+        nonlocal fallbacks
+        values = ql_values(*args)
+        fallbacks += values is None
+        return values
+
+    # eigen_solve reads the module attributes, so the counts work on any checkout
     spectrum._newton_terms = counting
+    spectrum._ql_values = counting_fallbacks
     total = hashlib.sha256()
     count = 0
     for name, solve in cases():
@@ -103,6 +124,7 @@ def main() -> int:
         total.update(line.encode() + b"\n")
         count += 1
     print(f"evaluations {evaluations}")
+    print(f"fallback starts {fallbacks}")
     print(f"total {count} blocks {total.hexdigest()[:16]}")
     return 0
 

@@ -11,8 +11,8 @@ eigen_solve works on them directly:
                     started from the implicit-QL eigenvalues of the piece's
                     complex-symmetric form, so that most roots are accepted
                     after one continuant evaluation; when QL gives no usable
-                    values, from an ellipse with the spectrum's exact mean
-                    tr T / n and mean square tr((T - mI)^2) / n.
+                    values, from the circle about 0 that holds the spectrum
+                    (Bini, Numer. Algorithms 13, 1996).
   * clustering      near-coincident eigenvalues, within a tolerance set by
                     the block norm, are replaced by their centroid, refined by
                     Newton on p^(m-1) for a cluster of m, and reported with
@@ -33,10 +33,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
-from functools import reduce
 
 from .cpoly import CPolynomial
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
@@ -49,9 +47,9 @@ _EPS = sys.float_info.epsilon
 MAX_BLOCK_DIM = 32
 
 # Ehrlich-Aberth sweeps allowed per block before the eigenvalue iteration gives up.
-# From the QL values a block needs one or two; the cap serves the ellipse start,
-# from which the paper's blocks need at most 22 and random blocks with couplings
-# graded over 10^-8 .. 10^8 up to 168.
+# From the QL values a block needs one or two; the cap serves the circle start,
+# from which the paper's blocks need at most 32 and the 32 x 32 block with
+# couplings graded over 10^-8 .. 10^8 needs 114.
 ABERTH_STEPS = 168
 
 
@@ -159,40 +157,19 @@ def _ql_values(diag, prod) -> list[complex] | None:
     return d
 
 
-def _ellipse_starts(diag, prod) -> list[complex]:
-    """n points on an ellipse with the spectrum's first two moments.
-
-    They lie about the diagonal's mean m = tr T / n at equally spaced
-    angles, their mean of |z - m|^2 is r^2 = ||T - mI||_F^2 / n, the
-    couplings balanced to |prod|^(1/2) (by Schur's inequality, at least the
-    mean of |lambda - m|^2), and their mean of (z - m)^2 is the exact
-    s^2 = tr((T - mI)^2) / n, the mean of (lambda - m)^2: semi-axes
-    sqrt(r^2 + |s^2|) and sqrt(max(r^2 - |s^2|, 0)), the major one along
-    arg(s^2) / 2.  A spectrum on one line has r^2 close to |s^2|, so the
-    ellipse flattens onto that line; it is a circle when s^2 = 0.  Both
-    semi-axes are at least n eps |m|, so that no two starts round to one
-    point.
-    """
-    n = len(diag)
-    center = sum(diag) / n
-    # float sums left to right: builtin sum() compensates floats from Python 3.12 on
-    spread = reduce(operator.add, (abs(d - center) ** 2 for d in diag), 0.0)
-    r2 = (spread + 2.0 * reduce(operator.add, map(abs, prod), 0.0)) / n
-    s2 = (sum((d - center) ** 2 for d in diag) + 2.0 * sum(prod)) / n
-    floor = n * _EPS * abs(center)
-    major = max(math.sqrt(r2 + abs(s2)), floor)
-    minor = max(math.sqrt(max(r2 - abs(s2), 0.0)), floor)
-    axis = cmath.rect(1.0, 0.5 * cmath.phase(s2))
-    angles = (2.0 * math.pi * k / n + 0.4 for k in range(n))
-    return [center + axis * complex(major * math.cos(t), minor * math.sin(t)) for t in angles]
+def _circle_starts(diag, prod) -> list[complex]:
+    """n points on |z| = ||T~||, T~ the piece with couplings |prod|^(1/2): a circle round the spectrum."""
+    couplings = [math.sqrt(abs(b)) for b in prod[1:]]
+    radius = tridiag_norm(couplings, diag, couplings)
+    return [cmath.rect(radius, 2.0 * math.pi * k / len(diag) + 0.4) for k in range(len(diag))]
 
 
 def _aberth(diag, prod) -> tuple[list[complex], float]:
     """Roots of det(T - zI) for an unreduced piece T, by Ehrlich-Aberth iteration.
 
     The n starts are the implicit-QL values of _ql_values, which are
-    usually accepted on the first sweep, or the moment-matched ellipse of
-    _ellipse_starts when QL gives none.  An iterate is accepted once
+    usually accepted on the first sweep, or the points of _circle_starts
+    round the spectrum when QL gives none.  An iterate is accepted once
     |p| <= 4 (n + 1) eps (scale + |z p'|) + (n + 1) 2^-1074, the last term
     the gradual-underflow error of the n + 1 products (Higham, section 2.1)
     that a subnormal scale leaves no room for, and then takes one last
@@ -200,7 +177,7 @@ def _aberth(diag, prod) -> tuple[list[complex], float]:
     accepted within ABERTH_STEPS sweeps (0 when none is left).
     """
     n = len(diag)
-    zs = _ql_values(diag, prod) or _ellipse_starts(diag, prod)
+    zs = _ql_values(diag, prod) or _circle_starts(diag, prod)
     rows = [(d, b, abs(b)) for d, b in zip(diag, prod)]
     tol, underflow = 4.0 * (n + 1) * _EPS, (n + 1) * 2.0**-1074
     live = list(range(n))

@@ -388,7 +388,7 @@ def _aberth_starts(monkeypatch, block):
 
 
 def _recording_ql(monkeypatch):
-    """The list that receives each _ql_values result from here on (None: the ellipse start)."""
+    """The list that receives each _ql_values result from here on (None: the circle start)."""
     results = []
     ql_values = spectrum._ql_values
 
@@ -400,10 +400,13 @@ def _recording_ql(monkeypatch):
     return results
 
 
-def _assert_starts_match_the_first_two_moments(monkeypatch):
+def test_aberth_starts_match_the_first_two_moments(monkeypatch):
+    # the implicit-QL starts are eigenvalues to rounding, so they have the spectrum's moments
+    results = _recording_ql(monkeypatch)
     model = make_sextic(SexticParams.from_mu(0.7, 8))
     block = build_block(model.combo, model.rep)
     starts = _aberth_starts(monkeypatch, block)
+    assert len(results) == 1 and results[0] is not None
     n, rows = block.dim, block.entries
     m = sum(block.diag) / n
     # tr((T - mI)^2) from the full matrix, entry by entry
@@ -413,31 +416,18 @@ def _assert_starts_match_the_first_two_moments(monkeypatch):
     assert abs(sum(starts) / n - m) <= 8 * n * sys.float_info.epsilon * scale
     mean_square = sum((z - m) ** 2 for z in starts) / n
     assert abs(mean_square - second) <= 8 * n * sys.float_info.epsilon * scale**2
-    # the paper's blocks have a spectrum on one line, which the starts flatten onto
+    # the paper's blocks have a spectrum on one line, which the starts lie on
     assert abs(second) >= 0.9 * sum(abs(z - m) ** 2 for z in starts) / n
 
 
-def test_aberth_starts_match_the_first_two_moments(monkeypatch):
-    # the implicit-QL starts are eigenvalues to rounding, so they have the spectrum's moments
-    results = _recording_ql(monkeypatch)
-    _assert_starts_match_the_first_two_moments(monkeypatch)
-    assert len(results) == 1 and results[0] is not None
-
-
-def test_ellipse_starts_match_the_first_two_moments(monkeypatch):
-    # with no QL values the starts lie on the ellipse, built to match the same moments
-    monkeypatch.setattr(spectrum, "_ql_values", lambda diag, prod: None)
-    _assert_starts_match_the_first_two_moments(monkeypatch)
-
-
 def test_aberth_starts_on_a_circle_when_the_second_moment_vanishes(monkeypatch):
-    # diag (2, -2) and sub * sup = -4: tr(T^2) = 4 + 4 - 8 = 0, so the start is
-    # the circle about 0 of radius sqrt((|2|^2 + |-2|^2 + 2 |-4|) / 2) = sqrt(8);
-    # the block is a Jordan block at 0, whose first QL rotation is isotropic
+    # diag (2, -2) and sub * sup = -4: tr T = tr(T^2) = 0, so the block is a
+    # Jordan block at 0, whose first QL rotation is isotropic; the start is the
+    # circle of radius ||T~|| = |2| + |-4|^(1/2) = 4, T~ the balanced block
     results = _recording_ql(monkeypatch)
     starts = _aberth_starts(monkeypatch, BlockMatrix(sub=(2.0,), diag=(2.0, -2.0), sup=(-2.0,)))
     assert results == [None]
-    circle = [math.sqrt(8.0) * cmath.exp(1j * (math.pi * k + 0.4)) for k in range(2)]
+    circle = [4.0 * cmath.exp(1j * (math.pi * k + 0.4)) for k in range(2)]
     assert all(abs(z - c) <= 4 * sys.float_info.epsilon for z, c in zip(starts, circle))
 
 
@@ -446,23 +436,26 @@ def _block(model) -> BlockMatrix:
 
 
 @pytest.mark.parametrize(
-    "block",
+    "block, multiplicity",
     [
         # a QL rotation with |r| = 2.3e-8 (|f| + |g|): QL alone would start at +-7e6
-        _block(make_sextic(SexticParams.from_mu(2.0, 2))),
+        (_block(make_sextic(SexticParams.from_mu(2.0, 2))), 1),
+        # the exceptional point of the grid: one level of multiplicity 2
+        (_block(make_sextic(SexticParams.from_mu(math.sqrt(2.0), 1))), 2),
         # the Jordan block of the circle test: r = sqrt(f^2 + g^2) = 0 exactly
-        BlockMatrix(sub=(2.0,), diag=(2.0, -2.0), sup=(-2.0,)),
+        (BlockMatrix(sub=(2.0,), diag=(2.0, -2.0), sup=(-2.0,)), 2),
         # the coupling is negligible against the diagonal, so QL returns two
         # exactly equal values, on which an Aberth step would divide by zero
-        _block(make_morse(MorseParams.from_mu(0.0, 1, a=complex(-1.0, -1e8), d=complex(1e154, 1e8)))),
+        (_block(make_morse(MorseParams.from_mu(0.0, 1, a=complex(-1.0, -1e8), d=complex(1e154, 1e8)))), 2),
     ],
-    ids=["sextic even 2j=2 mu=2", "jordan 2x2", "morse 2j=1 equal values"],
+    ids=["sextic even 2j=2 mu=2", "sextic even 2j=1 mu=sqrt2", "jordan 2x2", "morse 2j=1 equal values"],
 )
-def test_aberth_starts_on_the_ellipse_without_usable_ql_values(monkeypatch, block):
+def test_aberth_starts_on_the_circle_without_usable_ql_values(monkeypatch, block, multiplicity):
     results = _recording_ql(monkeypatch)
     pairs = eigen_solve(block)
     assert results == [None]
     assert len(pairs) == block.dim and max(p.eigvec_residual for p in pairs) <= 1e-10
+    assert {p.multiplicity for p in pairs} == {multiplicity}
 
 
 def _counting_newton_terms(monkeypatch):
@@ -478,22 +471,37 @@ def _counting_newton_terms(monkeypatch):
     return calls
 
 
-def test_aberth_start_saves_continuant_evaluations(monkeypatch):
-    # a start on a circle took 5437 evaluations of p and p' over these 27 blocks
-    # (522 roots) and the moment-matched ellipse 3931; the implicit-QL values
-    # are accepted on the first sweep, one evaluation per root
-    calls = _counting_newton_terms(monkeypatch)
-    roots = 0
+def _large_blocks():
+    """27 blocks: the three families at 2j = 8, 16, 31 and mu = 0.3, 1.0, 2.2."""
     for two_j, mu in itertools.product((8, 16, 31), (0.3, 1.0, 2.2)):
         for model in _sweep_models(mu, two_j):
-            roots += len(eigen_solve(_block(model)))
+            yield _block(model)
+
+
+def test_aberth_start_saves_continuant_evaluations(monkeypatch):
+    # the implicit-QL values are accepted on the first sweep, one evaluation of p and p' per root
+    calls = _counting_newton_terms(monkeypatch)
+    roots = sum(len(eigen_solve(block)) for block in _large_blocks())
     assert roots == 522
     assert calls[0] <= 1.05 * roots
 
 
+def test_circle_start_solves_large_blocks(monkeypatch):
+    # with no QL values at all, Aberth from the circle finds the QL path's eigenvalues
+    blocks = list(_large_blocks())
+    expected = [[p.energy_base for p in eigen_solve(block)] for block in blocks]
+    monkeypatch.setattr(spectrum, "_ql_values", lambda diag, prod: None)
+    for block, values in zip(blocks, expected):
+        pairs = eigen_solve(block)
+        assert max(p.eigvec_residual for p in pairs) <= 1e-10
+        norm = tridiag_norm(block.sub, block.diag, block.sup)
+        for p in pairs:
+            assert min(abs(p.energy_base - v) for v in values) <= 1e-13 * norm, (block.dim, p)
+
+
 def test_graded_block_converges(monkeypatch):
-    # couplings graded over 10^-8 .. 10^8: 105 sweeps from a circle and 106
-    # from the ellipse, but the QL values start within a sweep or two of the roots
+    # couplings graded over 10^-8 .. 10^8: the QL values start within a sweep
+    # or two of the roots, where the circle start takes 114 sweeps
     n = 32
     sub = [10.0 ** (8 * math.sin(k)) for k in range(n - 1)]
     diag = [cmath.exp(1j * k) for k in range(n)]
