@@ -111,50 +111,52 @@ def _taylor(diag, prod, z: complex, order: int) -> list[complex]:
 
 
 def _ql_values(diag, prod) -> list[complex] | None:
-    """Eigenvalues of an unreduced piece by implicit QL, or None when QL cannot vouch for them.
+    """Eigenvalues of an unreduced piece by root-free implicit QL, or None when QL cannot vouch for them.
 
     The piece is diagonally similar to the complex-symmetric tridiagonal
-    with diagonal diag and off-diagonals sqrt(prod[k]), on which this runs
-    tql1 with the Wilkinson shift and complex-orthogonal rotations
-    (Bowdler, Martin, Reinsch & Wilkinson, Numer. Math. 11, 1968; Cullum &
-    Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996).  A rotation by
-    r = sqrt(f^2 + g^2) has no bound when r is near isotropic; such a
-    rotation, |r| <= 1e-3 (|f| + |g|), more than 30 iterations for one
-    value, a non-finite value or two exactly equal values give None.
+    with diagonal diag and squared off-diagonals prod[1:], on which this
+    runs the Pal-Walker-Kahan QL of LAPACK dsterf with the Wilkinson shift,
+    complex-orthogonal and with no square root per rotation (Parlett, The
+    Symmetric Eigenvalue Problem, 8-15; Cullum & Willoughby, SIAM J. Matrix
+    Anal. Appl. 17, 1996), after an exact power-of-two scaling that puts
+    max |d| + max |prod|^(1/2) in [1/2, 1), so products below eps^2 deflate.
+    A rotation whose squared radius r = p + prod is near isotropic, |r| <=
+    1e-6 (|p| + |prod|), more than 30 iterations for one value, a
+    non-finite value or two exactly equal values give None.
     """
     n = len(diag)
-    d = list(diag)
-    e = [cmath.sqrt(b) for b in prod[1:]] + [0j]
+    f = math.ldexp(1.0, -math.frexp(max(map(abs, diag)) + math.sqrt(max(map(abs, prod))))[1])
+    d = [x * f for x in diag]
+    e2 = [b * f * f for b in prod[1:]] + [0j]
     for lo in range(n):
         for _ in range(31):
             m = lo
-            while m < n - 1 and abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
+            while m < n - 1 and abs(e2[m]) > _EPS * _EPS:
                 m += 1
             if m == lo:
                 break
-            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            e = cmath.sqrt(e2[lo])
+            g = (d[lo + 1] - d[lo]) / (2.0 * e)
             r = cmath.sqrt(g * g + 1.0)
-            g = d[m] - d[lo] + e[lo] / (g + r if abs(g + r) >= abs(g - r) else g - r)
-            s, c, p = 1.0, 1.0, 0.0
+            sigma = d[lo] - e / (g + r if abs(g + r) >= abs(g - r) else g - r)
+            c, s, gamma = 1.0, 0.0, d[m] - sigma
+            p = gamma * gamma
             for i in range(m - 1, lo - 1, -1):
-                f, b = s * e[i], c * e[i]
-                r = cmath.sqrt(f * f + g * g)
-                if not abs(r) > 1e-3 * (abs(f) + abs(g)):
+                b = e2[i]
+                r = p + b
+                if not abs(r) > 1e-6 * (abs(p) + abs(b)):
                     return None
-                e[i + 1] = r
-                s, c = f / r, g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            d[lo] -= p
-            e[lo], e[m] = g, 0.0
+                e2[i + 1] = s * r
+                c_old, c, s = c, p / r, b / r
+                g, gamma = gamma, c * (d[i] - sigma) - s * gamma
+                d[i + 1] = g + (d[i] - gamma)
+                p = gamma * gamma / c if c else c_old * b
+            e2[lo], d[lo] = s * p, sigma + gamma
         else:
             return None
     if not all(map(cmath.isfinite, d)) or len(set(d)) < n:
         return None
-    return d
+    return [x / f for x in d]
 
 
 def _circle_starts(diag, prod) -> list[complex]:

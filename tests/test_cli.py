@@ -585,6 +585,25 @@ def test_verify_reports_match_golden_output():
         assert verify_golden_output() == fh.read()
 
 
+# A tier-1 slice of scripts/verify_matrix.py: each family at 2j in {0, 5, 12,
+# 18, 24, 31} and mu = 0.7, less the blocks that fail verify's grid or norm
+# check today (sextic from 2j = 5, Morse from 2j = 12).  A block joins the
+# slice once it passes; none is listed to show a failure.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "sextic", "--two-j", "0"),
+        ("--family", "sextic", "--sector", "odd", "--two-j", "0"),
+        ("--family", "morse", "--two-j", "0"),
+        ("--family", "morse", "--two-j", "5"),
+    ],
+    ids=["sextic-even-0", "sextic-odd-0", "morse-0", "morse-5"],
+)
+def test_verify_matrix_slice_passes(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", *argv, "--mu", "0.7")
+    assert code == 0 and json.loads(out)["verification"]["passed"] is True
+
+
 # Blocks at the ends of the double range, each of which used to end in a
 # traceback: a pivot below 1e-300 overflowed the eigenvector solves (the
 # mu = 1e-300 blocks), ||M|| >= 2^1023 overflowed the eigenvalue scaling,

@@ -499,6 +499,34 @@ def test_circle_start_solves_large_blocks(monkeypatch):
             assert min(abs(p.energy_base - v) for v in values) <= 1e-13 * norm, (block.dim, p)
 
 
+NON_NORMAL_4X4 = BlockMatrix(sub=(1e-300,) * 3, diag=(0.0, 1e-150j, 2e-150j, 3e-150j), sup=(1.0, 1.0, 1.0))
+
+
+def test_ql_values_are_the_roots_of_the_piece():
+    # the non-normal 4 x 4's continuant underflows near its spectrum, so its
+    # roots are found on the piece times 2^500; every coupling product of
+    # the piece itself is below 1e-300, so without its own power-of-two
+    # scaling QL would deflate at once and return the diagonal
+    for block, k in [*((block, 0) for block in _large_blocks()), (NON_NORMAL_4X4, 500)]:
+        # the piece that eigen_solve hands on: the block over a power of two s >= ||M||
+        s = math.ldexp(1.0, math.frexp(tridiag_norm(block.sub, block.diag, block.sup))[1])
+        diag = [x / s for x in block.diag]
+        prod = [0j] + [a / s * (b / s) for a, b in zip(block.sub, block.sup)]
+        values = spectrum._ql_values(diag, prod)
+        assert values is not None
+        f = math.ldexp(1.0, k)
+        roots = spectrum._eigenvalues([x * f for x in diag], [b * f * f for b in prod])
+        for v in values:
+            assert min(abs(v * f - r) for r in roots) <= 1e-12, (block.dim, v)
+
+
+def test_ql_values_scale_a_piece_below_2_to_the_minus_512():
+    # the factor 2^1056 that scales these products is past the largest double
+    values = spectrum._ql_values([1e-160 + 0j, 3e-160 + 0j], [0j, 1e-320 + 0j])
+    roots = [(2.0 - math.sqrt(2.0)) * 1e-160, (2.0 + math.sqrt(2.0)) * 1e-160]
+    assert all(abs(v - r) <= 1e-164 for v, r in zip(values, roots))
+
+
 def test_graded_block_converges(monkeypatch):
     # couplings graded over 10^-8 .. 10^8: the QL values start within a sweep
     # or two of the roots, where the circle start takes 114 sweeps
@@ -538,7 +566,7 @@ def test_overflowing_eigenvector_fails_loudly(monkeypatch):
     # representable and both blocks solve
     block = BlockMatrix(sub=(1e-300, 1e-300), diag=(0.0, 1e-150j, 2e-150j), sup=(1.0, 1.0))
     assert max(p.eigvec_residual for p in eigen_solve(block)) <= 1e-10
-    block = BlockMatrix(sub=(1e-300,) * 3, diag=(0.0, 1e-150j, 2e-150j, 3e-150j), sup=(1.0, 1.0, 1.0))
+    block = NON_NORMAL_4X4
     pairs = eigen_solve(block)
     assert len(pairs) == 4
     assert all(cmath.isfinite(c) for p in pairs for c in p.phi_coeffs.coeffs)
