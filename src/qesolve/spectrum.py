@@ -8,9 +8,11 @@ eigen_solve works on them directly:
                     piece between exactly zero couplings, with p/p' from the
                     three-term continuant in O(n) and no n x n array (Bini,
                     Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005),
-                    started from the implicit-QL eigenvalues of the piece's
-                    complex-symmetric form, so that most roots are accepted
-                    after one continuant evaluation; when QL gives no usable
+                    started from the eigenvalues that root-free implicit QL
+                    finds on the coupling products (the squared off-diagonals
+                    of the piece's complex-symmetric form, scaled by a power
+                    of two), so that most roots are accepted after one
+                    continuant evaluation; when QL gives no usable
                     values, from the circle about 0 that holds the spectrum
                     (Bini, Numer. Algorithms 13, 1996).
   * clustering      near-coincident eigenvalues, within a tolerance set by
