@@ -13,7 +13,7 @@ Verification is deliberately redundant:
     magnitudes of the four terms that make it up: the normwise backward
     error of phi, rounding-sized for a genuine eigenpair.
   * norm_squared integrates |psi|^2 by the trapezoidal rule on the nodes
-    x = x0 + k*h about where the states sit (x0 = 0, or Re x0 for Morse):
+    x = x0 + k*h about where the states sit (x0 the model's centre):
     it doubles the interval until the tail is negligible, then
     halves h until the sum settles, each rule fsumming running lists that
     gain only its new nodes.  For an analytic, super-exponentially decaying
@@ -52,7 +52,7 @@ from typing import Sequence
 
 from .cpoly import poly_derivative, poly_eval, poly_eval_bounded, poly_mul, poly_scale
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
-from .families import MORSE, ODD, SEXTIC, QesModel, potential_eval
+from .families import QesModel, potential_eval
 from .spectrum import QesSolution
 from .tridiag import tridiag_log_derivative
 
@@ -120,15 +120,6 @@ def residual_sup(model: QesModel, solution: QesSolution) -> float:
     return max(abs(sum(col)) for col in columns) / scale if scale else 0.0
 
 
-def _centre(model: QesModel) -> float:
-    """Where the model's states sit: 0 for the sextic, Re x0 = ln(|a| / |d|) / 2
-    for Morse, whose V_{a,d}(x) is V_{c,c}(x - x0) with c = sqrt(a d); so 0
-    wherever |a| = |d|."""
-    if model.family == SEXTIC:
-        return 0.0
-    return 0.5 * (math.log(abs(model.params.a)) - math.log(abs(model.params.d)))
-
-
 # Trapezoidal rule on the line: nodes x = centre + k*h, |k*h| <= half-width.
 NORM_START_HALF_WIDTH = 2.0
 NORM_START_STEP = 0.25
@@ -152,7 +143,7 @@ def psi_abs2(model: QesModel, solution: QesSolution, x: float) -> tuple[float, f
 
 def norm_squared(model: QesModel, solution: QesSolution) -> float:
     """Integral of |psi|^2 over the line by the trapezoidal rule on x = x0 + k*h,
-    x0 the model's _centre, so a Morse norm samples its a = d translate's nodes.
+    x0 the model's centre, so a Morse norm samples its a = d translate's nodes.
 
     At step NORM_START_STEP the half-width doubles from
     NORM_START_HALF_WIDTH until one doubling changes the sum by at most
@@ -177,17 +168,12 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
     over the largest double as `defect`; a sum of samples that all underflow
     to 0 raises "normalization sum underflowed", defect 1 (its relative error).
 
-    Requires a decaying gauge: always true for the sextic family, and for
-    Morse only under Re a > 0 and Re d > 0 (an inferred condition; the
-    construction itself never states it).
+    Requires a decaying gauge (the model's normalizable), which only a Morse
+    model can lack.
     """
-    if model.family == MORSE:
-        if model.params.a.real <= 0.0 or model.params.d.real <= 0.0:
-            raise ValidationError(
-                "Morse normalization needs Re a > 0 and Re d > 0 for a decaying gauge"
-            )
-
-    x0 = _centre(model)
+    if not model.normalizable:
+        raise ValidationError("Morse normalization needs Re a > 0 and Re d > 0 for a decaying gauge")
+    x0 = model.centre
     # |psi|^2 and its rounding bound at every node of the current rule, x = x0 first
     values, errors = ([sample] for sample in psi_abs2(model, solution, x0))
 
@@ -195,9 +181,9 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
         for k in new:  # sample the new nodes x0 + k*h and x0 - k*h, then sum every node
             x = k * h  # h is a power of two times the start step: k*h is exact
             right = psi_abs2(model, solution, x0 + x)
-            # |psi(-x)|^2 is |psi(x)|^2 to the last bit for the sextic (x0 = 0): x enters
-            # as x*x and x^4, and the odd sector's factor x flips the sign of psi exactly
-            left = right if model.family == SEXTIC else psi_abs2(model, solution, x0 - x)
+            # |psi(-x)|^2 is |psi(x)|^2 to the last bit for a model with a parity (the
+            # sextic, x0 = 0): x enters as x*x and x^4, and the odd factor x flips psi's sign
+            left = right if model.parity else psi_abs2(model, solution, x0 - x)
             values.extend((right[0], left[0]))
             errors.extend((right[1], left[1]))
         try:
@@ -262,12 +248,12 @@ def is_pt_symmetric(model: QesModel, shift: complex = 0.0j) -> bool:
     """Test V*(-x) = V(x) for the shifted potential, coefficient by coefficient.
 
     Each coefficient c must match the conjugate of its mirror m,
-    |c - conj(m)| <= 2 PT_TOL max(1, |c|).  A sextic x^{2m} term and the
-    shift are their own mirrors, so they must be real; a Morse e^{kx} term
-    mirrors e^{-kx}, so the Morse coefficients pair with their reverse.
+    |c - conj(m)| <= 2 PT_TOL max(1, |c|).  The shift and each term of a
+    potential with a parity (sextic x^{2m}) are their own mirrors, so they
+    must be real; a Morse e^{kx} term mirrors e^{-kx}, its reverse's.
     """
     coeffs = model.potential_coeffs
-    mirrors = coeffs if model.family == SEXTIC else coeffs[::-1]
+    mirrors = coeffs if model.parity else coeffs[::-1]
     pairs = zip((*coeffs, complex(shift)), (*mirrors, complex(shift)))
     return all(abs(c - m.conjugate()) <= 2.0 * PT_TOL * max(1.0, abs(c)) for c, m in pairs)
 
@@ -417,12 +403,8 @@ def _grid_eigenvalue(
 
 
 def default_grid(model: QesModel, n_points: int = FD_GRID_N) -> GridSpec:
-    """Family defaults sized so the gauge factor is below 1e-16 at the ends:
-    sextic [-6, 6], Morse [-12, 4] moved by its centre."""
-    if model.family == SEXTIC:
-        return GridSpec(-6.0, 6.0, n_points)
-    x0 = _centre(model)
-    return GridSpec(-12.0 + x0, 4.0 + x0, n_points)
+    """The model's default_domain, where the gauge factor is below 1e-16 at the ends."""
+    return GridSpec(*model.default_domain, n_points)
 
 
 def fd_defect_bound(model: QesModel, grid: GridSpec) -> float:
@@ -449,17 +431,17 @@ def fd_verify(
 
     The grid Hamiltonian carries the model's potential shift (solve_model's
     ShiftResult.shift), and each level predicts energy_base + shift.  Its
-    diagonal samples the potential once per kept point.  A sextic model on
-    a grid symmetric about 0 keeps the x > 0 half only, with the mirror
-    neighbour psi(-x) = +/-psi(x) of its sector folded in; every other grid
-    keeps all its points.
+    diagonal samples the potential once per kept point.  A model with a
+    parity (the sextic) on a grid symmetric about 0 keeps the x > 0 half
+    only, with the mirror neighbour psi(-x) = parity * psi(x) folded in;
+    every other grid keeps all its points.
     """
     grid = grid or default_grid(model)
     predicted = [s.energy_base + shift for s in solutions]
     n, h = grid.n_points, grid.step
     inv_h2 = 1.0 / (h * h)
-    half = model.family == SEXTIC and grid.x_min == -grid.x_max
-    odd = half and model.params.sector == ODD
+    half = model.parity != 0 and grid.x_min == -grid.x_max
+    odd = half and model.parity < 0
     # an odd n puts a point at x = 0; an odd psi vanishes there, and an even
     # psi couples to its two equal neighbours by -2/h^2, which scaling psi(0)
     # by 1/sqrt(2) makes a symmetric -sqrt(2)/h^2

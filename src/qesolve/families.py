@@ -19,9 +19,9 @@ complex spectrum real are handled downstream as an explicit shift argument.
 
 `make_sextic` / `make_morse` resolve user parameters into a QesModel holding
 the operator combination, the z-space equation p2 phi'' + p1 phi' +
-(p0 - E) phi = 0 and the potential coefficients.  The model evaluates the
-gauge itself from its family and parameters: the pair (W, W'), the decay factor
-exp(-G) with G' = W, and the change of variable z(x).
+(p0 - E) phi = 0, the potential coefficients and the family's geometry.
+The model evaluates the gauge itself from its family and parameters: the
+pair (W, W'), the decay factor exp(-G) with G' = W, and z(x).
 `closed_form_block_action` gives the tridiagonal matrix action of the model
 on basis monomials in closed form; it is the documented oracle against
 `sl2.build_block`, which assembles the block from the generator actions and
@@ -130,6 +130,11 @@ class QesModel:
     (p0 - E) phi = 0 with p0 holding only the energy-free part.
     potential_coeffs are (x^6, x^4, x^2) for sextic and
     (e^{2x}, e^x, e^{-x}, e^{-2x}) for Morse; there is never a constant term.
+    The family's geometry, set by make_sextic / make_morse alone: centre,
+    where the states sit (0, or Re x0 = ln(|a| / |d|) / 2 for Morse);
+    default_domain, the grid ends where the gauge factor is below 1e-16;
+    parity, psi(-x) / psi(x) (+1 or -1 by sextic sector, 0 for Morse);
+    normalizable, whether the gauge decays (Morse needs Re a, Re d > 0).
     """
 
     family: str
@@ -138,6 +143,10 @@ class QesModel:
     combo: OperatorCombination
     ode: tuple[CPolynomial, CPolynomial, CPolynomial]
     potential_coeffs: tuple[complex, ...]
+    centre: float
+    default_domain: tuple[float, float]
+    parity: int
+    normalizable: bool
 
     def z_of_x(self, x: float) -> complex:
         """Apply the change of variable."""
@@ -202,6 +211,10 @@ def make_sextic(params: SexticParams) -> QesModel:
         combo=combo,
         ode=(CPolynomial((0.0, -4.0)), p1, p0),
         potential_coeffs=(1.0 + 0.0j, 2.0 * a, x2_coeff),
+        centre=0.0,
+        default_domain=(-6.0, 6.0),
+        parity=1 if params.sector == EVEN else -1,
+        normalizable=True,
     )
 
 
@@ -215,6 +228,7 @@ def make_morse(params: MorseParams) -> QesModel:
     p2 = CPolynomial((0.0, 0.0, -1.0))
     p1 = CPolynomial((-2.0 * d, -(2.0 * b + 1.0), 2.0 * a))
     p0 = CPolynomial((2.0 * a * d - b * b, -2.0 * a * n))
+    centre = 0.5 * (math.log(abs(a)) - math.log(abs(d)))
     return QesModel(
         family=MORSE,
         params=params,
@@ -227,6 +241,10 @@ def make_morse(params: MorseParams) -> QesModel:
             -a * (2.0 * b + 2.0 * n + 1.0),
             a * a,
         ),
+        centre=centre,
+        default_domain=(-12.0 + centre, 4.0 + centre),
+        parity=0,
+        normalizable=a.real > 0.0 and d.real > 0.0,
     )
 
 

@@ -213,3 +213,19 @@ def test_change_of_variable():
     morse = make_morse(MorseParams(a=1.0, d=1.0, b=0.0, two_j=0))
     assert sextic.z_of_x(-3.0) == 9.0
     assert abs(morse.z_of_x(1.0) - math.exp(-1.0)) <= 1e-16
+
+
+def test_models_carry_their_family_geometry():
+    even = make_sextic(SexticParams.from_mu(0.7, 3))
+    odd = make_sextic(SexticParams.from_mu(0.7, 3, ODD))
+    for model, parity in ((even, 1), (odd, -1)):
+        assert (model.centre, model.default_domain, model.parity, model.normalizable) == (
+            0.0, (-6.0, 6.0), parity, True
+        )
+    # V_{a,d}(x) = V_{1,1}(x - x0) for a d = 1, x0 = ln(a / d) / 2 = ln 100
+    morse = make_morse(MorseParams.from_mu(0.7, 3, a=100.0, d=0.01))
+    assert abs(morse.centre - math.log(100.0)) <= 1e-15 * math.log(100.0)
+    assert morse.default_domain == (-12.0 + morse.centre, 4.0 + morse.centre)
+    assert (morse.parity, morse.normalizable) == (0, True)
+    for a, d in ((-1.0, 1.0), (1.0, -1.0), (1j, 1.0), (1.0, 0.5j)):
+        assert not make_morse(MorseParams.from_mu(0.7, 3, a=a, d=d)).normalizable
