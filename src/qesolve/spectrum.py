@@ -8,12 +8,12 @@ eigen_solve works on them directly:
                     piece between exactly zero couplings, with p/p' from the
                     three-term continuant in O(n) and no n x n array (Bini,
                     Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005),
+                    on the piece as _aberth scales it once by a power of two,
                     started from the eigenvalues that root-free implicit QL
-                    finds on the coupling products (the squared off-diagonals
-                    of the piece's complex-symmetric form, scaled by a power
-                    of two), so that most roots are accepted after one
-                    continuant evaluation; when QL gives no usable
-                    values, from the circle about 0 that holds the spectrum
+                    finds on its coupling products (the squared off-diagonals
+                    of its complex-symmetric form), so most roots are accepted
+                    after one continuant evaluation, or without usable QL
+                    values from the circle about 0 that holds the spectrum
                     (Bini, Numer. Algorithms 13, 1996).
   * clustering      near-coincident eigenvalues, within a tolerance set by
                     the block norm, are replaced by their centroid, refined by
@@ -115,21 +115,18 @@ def _taylor(diag, prod, z: complex, order: int) -> list[complex]:
 def _ql_values(diag, prod) -> list[complex] | None:
     """Eigenvalues of an unreduced piece by root-free implicit QL, or None when QL cannot vouch for them.
 
-    The piece is diagonally similar to the complex-symmetric tridiagonal
-    with diagonal diag and squared off-diagonals prod[1:], on which this
-    runs the Pal-Walker-Kahan QL of LAPACK dsterf with the Wilkinson shift,
-    complex-orthogonal and with no square root per rotation (Parlett, The
-    Symmetric Eigenvalue Problem, 8-15; Cullum & Willoughby, SIAM J. Matrix
-    Anal. Appl. 17, 1996), after an exact power-of-two scaling that puts
-    max |d| + max |prod|^(1/2) in [1/2, 1), so products below eps^2 deflate.
-    A rotation whose squared radius r = p + prod is near isotropic, |r| <=
-    1e-6 (|p| + |prod|), more than 30 iterations for one value, a
-    non-finite value or two exactly equal values give None.
+    The piece, scaled by _aberth so that products below eps^2 deflate, is
+    diagonally similar to the complex-symmetric tridiagonal with diagonal
+    diag and squared off-diagonals prod[1:], on which this runs the
+    Pal-Walker-Kahan QL of LAPACK dsterf with the Wilkinson shift, complex-
+    orthogonal, with no square root per rotation (Parlett, The Symmetric
+    Eigenvalue Problem, 8-15; Cullum & Willoughby, SIAM J. Matrix Anal.
+    Appl. 17, 1996).  A rotation whose squared radius r = p + prod is near
+    isotropic, |r| <= 1e-6 (|p| + |prod|), more than 30 iterations for one
+    value, a non-finite value or two exactly equal values give None.
     """
     n = len(diag)
-    f = math.ldexp(1.0, -math.frexp(max(map(abs, diag)) + math.sqrt(max(map(abs, prod))))[1])
-    d = [x * f for x in diag]
-    e2 = [b * f * f for b in prod[1:]] + [0j]
+    d, e2 = list(diag), prod[1:] + [0j]
     for lo in range(n):
         for _ in range(31):
             m = lo
@@ -158,7 +155,7 @@ def _ql_values(diag, prod) -> list[complex] | None:
             return None
     if not all(map(cmath.isfinite, d)) or len(set(d)) < n:
         return None
-    return [x / f for x in d]
+    return d
 
 
 def _circle_starts(diag, prod) -> list[complex]:
@@ -171,16 +168,19 @@ def _circle_starts(diag, prod) -> list[complex]:
 def _aberth(diag, prod) -> tuple[list[complex], float]:
     """Roots of det(T - zI) for an unreduced piece T, by Ehrlich-Aberth iteration.
 
-    The n starts are the implicit-QL values of _ql_values, which are
-    usually accepted on the first sweep, or the points of _circle_starts
-    round the spectrum when QL gives none.  An iterate is accepted once
+    T is scaled here, once and exactly, by the power of two f that puts
+    max |d| + max |prod|^(1/2) in [1/2, 1), the products by f twice as f^2
+    may overflow; QL, the circle and the acceptance test all read that
+    piece.  The starts are the _ql_values, usually accepted on the first
+    sweep, or else the _circle_starts.  An iterate is accepted once
     |p| <= 4 (n + 1) eps (scale + |z p'|) + (n + 1) 2^-1074, the last term
-    the gradual-underflow error of the n + 1 products (Higham, section 2.1)
-    that a subnormal scale leaves no room for, and then takes one last
-    Newton step.  Returns the iterates and the largest |p/p'| of those not
-    accepted within ABERTH_STEPS sweeps (0 when none is left).
+    the gradual-underflow error of the n + 1 products (Higham, section
+    2.1), then takes one last Newton step.  Returns the iterates and the
+    largest |p/p'| of those left after ABERTH_STEPS sweeps (or 0), over f.
     """
     n = len(diag)
+    f = math.ldexp(1.0, -math.frexp(max(map(abs, diag)) + math.sqrt(max(map(abs, prod))))[1])
+    diag, prod = [x * f for x in diag], [b * f * f for b in prod]
     zs = _ql_values(diag, prod) or _circle_starts(diag, prod)
     rows = [(d, b, abs(b)) for d, b in zip(diag, prod)]
     tol, underflow = 4.0 * (n + 1) * _EPS, (n + 1) * 2.0**-1074
@@ -197,9 +197,9 @@ def _aberth(diag, prod) -> tuple[list[complex], float]:
                 left.append(i)
         live = left
         if not live:
-            return zs, 0.0
+            return [z / f for z in zs], 0.0
     terms = [_newton_terms(rows, zs[i]) for i in live]
-    return zs, max(abs(p / dp) if dp else math.inf for p, dp, _ in terms)
+    return [z / f for z in zs], max(abs(p / dp) if dp else math.inf for p, dp, _ in terms) / f
 
 
 def _eigenvalues(diag, prod) -> list[complex]:

@@ -387,12 +387,17 @@ def _aberth_starts(monkeypatch, block):
     return [s * z for z in info.value.best]
 
 
-def _recording_ql(monkeypatch):
-    """The list that receives each _ql_values result from here on (None: the circle start)."""
+def _recording_ql(monkeypatch, pieces=None):
+    """The list that receives each _ql_values result from here on (None: the circle start).
+
+    pieces, when given, receives each (diag, prod) that QL reads: the piece as _aberth scaled it.
+    """
     results = []
     ql_values = spectrum._ql_values
 
     def recording(diag, prod):
+        if pieces is not None:
+            pieces.append((list(diag), list(prod)))
         results.append(ql_values(diag, prod))
         return results[-1]
 
@@ -502,29 +507,82 @@ def test_circle_start_solves_large_blocks(monkeypatch):
 NON_NORMAL_4X4 = BlockMatrix(sub=(1e-300,) * 3, diag=(0.0, 1e-150j, 2e-150j, 3e-150j), sup=(1.0, 1.0, 1.0))
 
 
-def test_ql_values_are_the_roots_of_the_piece():
-    # the non-normal 4 x 4's continuant underflows near its spectrum, so its
-    # roots are found on the piece times 2^500; every coupling product of
-    # the piece itself is below 1e-300, so without its own power-of-two
-    # scaling QL would deflate at once and return the diagonal
-    for block, k in [*((block, 0) for block in _large_blocks()), (NON_NORMAL_4X4, 500)]:
-        # the piece that eigen_solve hands on: the block over a power of two s >= ||M||
-        s = math.ldexp(1.0, math.frexp(tridiag_norm(block.sub, block.diag, block.sup))[1])
-        diag = [x / s for x in block.diag]
-        prod = [0j] + [a / s * (b / s) for a, b in zip(block.sub, block.sup)]
-        values = spectrum._ql_values(diag, prod)
+def _scaled_size(diag, prod) -> float:
+    """max |d| + max |prod|^(1/2), which _aberth's power of two puts in [1/2, 1)."""
+    return max(map(abs, diag)) + math.sqrt(max(map(abs, prod)))
+
+
+def test_ql_values_are_the_roots_of_the_piece(monkeypatch):
+    # QL reads each piece as _aberth scaled it; every coupling product of the
+    # non-normal 4 x 4 is below 1e-300 before that scaling, so QL would
+    # deflate at once and return the diagonal, and its continuant would
+    # underflow near its spectrum
+    pieces = []
+    results = _recording_ql(monkeypatch, pieces)
+    blocks = [*_large_blocks(), NON_NORMAL_4X4]
+    for block in blocks:
+        eigen_solve(block)
+    assert len(pieces) == len(blocks)
+    monkeypatch.undo()
+    for block, (diag, prod), values in zip(blocks, pieces, results):
+        assert 0.5 <= _scaled_size(diag, prod) < 1.0
         assert values is not None
-        f = math.ldexp(1.0, k)
-        roots = spectrum._eigenvalues([x * f for x in diag], [b * f * f for b in prod])
+        roots = spectrum._eigenvalues(diag, prod)
         for v in values:
-            assert min(abs(v * f - r) for r in roots) <= 1e-12, (block.dim, v)
+            assert min(abs(v - r) for r in roots) <= 1e-12, (block.dim, v)
 
 
-def test_ql_values_scale_a_piece_below_2_to_the_minus_512():
-    # the factor 2^1056 that scales these products is past the largest double
-    values = spectrum._ql_values([1e-160 + 0j, 3e-160 + 0j], [0j, 1e-320 + 0j])
+def test_ql_values_scale_a_piece_below_2_to_the_minus_512(monkeypatch):
+    # the factor 2^1058 that scales these products is past the largest double,
+    # so _aberth multiplies them by 2^529 twice; no OverflowError
+    pieces = []
+    results = _recording_ql(monkeypatch, pieces)
+    zs, defect = spectrum._aberth([1e-160 + 0j, 3e-160 + 0j], [0j, 1e-320 + 0j])
+    (diag, prod), = pieces
+    assert 0.5 <= _scaled_size(diag, prod) < 1.0
+    f = diag[0].real / 1e-160  # a power of two, so the quotient is exact
+    assert f == math.ldexp(1.0, 529)
     roots = [(2.0 - math.sqrt(2.0)) * 1e-160, (2.0 + math.sqrt(2.0)) * 1e-160]
-    assert all(abs(v - r) <= 1e-164 for v, r in zip(values, roots))
+    assert all(abs(v / f - r) <= 1e-164 for v, r in zip(results[0], roots))
+    assert defect == 0.0 and all(abs(z - r) <= 1e-164 for z, r in zip(zs, roots))
+
+
+def _non_normal_levels() -> list[complex]:
+    """The levels of NON_NORMAL_4X4, 1e-150 times those of the block with
+    diagonal 0, i, 2i, 3i and unit couplings, to which it is diagonally
+    similar up to rounding; numpy's eigenvectors of the 4 x 4 itself are
+    singular, so the oracle takes the balanced block."""
+    balanced = BlockMatrix(sub=(1.0,) * 3, diag=(0j, 1j, 2j, 3j), sup=(1.0,) * 3)
+    values, _ = high_precision_spectrum(balanced.entries)
+    return [1e-150 * complex(v) for v in values]
+
+
+def _assert_non_normal_levels(pairs):
+    levels = _non_normal_levels()
+    assert len(pairs) == 4 and max(p.eigvec_residual for p in pairs) <= 1e-10
+    for level in levels:
+        assert min(abs(p.energy_base - level) for p in pairs) <= 1e-12 * abs(level), level
+    for p in pairs:
+        assert min(abs(p.energy_base - level) for level in levels) <= 1e-12 * abs(p.energy_base), p
+
+
+def test_circle_start_finds_the_non_normal_levels(monkeypatch):
+    # Aberth from the circle on the scaled piece; on the piece over ||M|| the
+    # continuant underflowed and any iterate passed, so the levels came back
+    # 2e-150 off, at 1.56e-150 - 3.68e-150i and its three quarter-turns
+    monkeypatch.setattr(spectrum, "_ql_values", lambda diag, prod: None)
+    _assert_non_normal_levels(eigen_solve(NON_NORMAL_4X4))
+
+
+def test_diagonal_starts_never_pass_as_levels(monkeypatch):
+    # starts at the diagonal, 7.6e-151 (their own size) off the levels, must
+    # converge to the levels or fail loudly, not be accepted where they stand
+    monkeypatch.setattr(spectrum, "_ql_values", lambda diag, prod: list(diag))
+    try:
+        pairs = eigen_solve(NON_NORMAL_4X4)
+    except ConvergenceFailureError:
+        return
+    _assert_non_normal_levels(pairs)
 
 
 def test_graded_block_converges(monkeypatch):
