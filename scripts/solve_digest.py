@@ -10,11 +10,17 @@ spectrum.solve_model, then four hand-made blocks solved by
 spectrum.eigen_solve: the graded 32 x 32 block whose couplings span
 10^-8 .. 10^8, the strongly non-normal 4 x 4 whose eigenvector grows by
 about 1e150 a row, the 2 x 2 Jordan block at 0, and the Morse 2 x 2 whose
-coupling is negligible against its equal diagonal entries.  Before the
-total it prints `evaluations <n>`, the number of continuant evaluations
+coupling is negligible against its equal diagonal entries.  Last comes
+the non-normal 4 x 4 again with spectrum._ql_values replaced by one that
+gives no values, so Aberth starts from the circle on a block whose
+spectrum sits far below its norm.  Before the total it prints
+`evaluations <n>`, the number of continuant evaluations
 (spectrum._newton_terms calls) the whole matrix took, and `fallback starts
 <n>`, the number of pieces for which spectrum._ql_values gave no values,
-so that Aberth started from a circle.  Two checkouts whose solves agree
+so that Aberth started from a circle.  The QL-off case counts its
+evaluations but no fallback start: its replacement bypasses the counting
+wrapper, so `fallback starts` counts the same pieces on any checkout and
+stays comparable across them.  Two checkouts whose solves agree
 bit for bit print the same lines, so a diff of two runs names every block
 that moved.  The script imports qesolve from the `src` directory next to
 it; to digest another checkout, copy the script into that checkout's
@@ -75,6 +81,15 @@ def _block_solve(block: BlockMatrix):
     return solutions, common_imaginary_shift([s.energy_base for s in solutions])
 
 
+def _without_ql(solve):
+    ql_values = spectrum._ql_values
+    spectrum._ql_values = lambda diag, prod: None
+    try:
+        return solve()
+    finally:
+        spectrum._ql_values = ql_values
+
+
 def cases():
     for name, make in FAMILIES:
         for two_j in TWO_JS:
@@ -84,6 +99,7 @@ def cases():
     yield "non-normal 4x4", partial(_block_solve, _non_normal_block())
     yield "jordan 2x2", partial(_block_solve, _jordan_block())
     yield "morse equal diagonal 2x2", partial(_block_solve, _equal_diagonal_block())
+    yield "non-normal 4x4 ql off", partial(_without_ql, partial(_block_solve, _non_normal_block()))
 
 
 def digest(name, solve) -> str:

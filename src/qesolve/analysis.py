@@ -168,8 +168,7 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
     over the largest double as `defect`; a sum of samples that all underflow
     to 0 raises "normalization sum underflowed", defect 1 (its relative error).
 
-    Requires a decaying gauge (the model's normalizable), which only a Morse
-    model can lack.
+    Requires a decaying gauge: the model's normalizable, false only for Morse.
     """
     if not model.normalizable:
         raise ValidationError("Morse normalization needs Re a > 0 and Re d > 0 for a decaying gauge")

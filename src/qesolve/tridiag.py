@@ -8,9 +8,10 @@ of A - zI, one call per block (tridiag_null_vectors).  The grid check takes
 p'/p from the top-down pivots of the same elimination
 (tridiag_log_derivative), both for its Newton steps and at the contour
 nodes where it counts eigenvalues.  Each replaces an exactly zero pivot by
-eps * ||A|| of the unshifted A: the tiny pivot an exact eigenvalue wants, so
-no caller re-shifts.  The null vectors replace a subnormal pivot too: it
-has lost digits to gradual underflow, and dividing by it wrecks the vector.
+eps * ||A|| of the unshifted A, with tridiag_log_derivative's couplings
+balanced to |prod|^(1/2): the tiny pivot an exact eigenvalue wants, so no
+caller re-shifts.  The null vectors replace a subnormal pivot too: it has
+lost digits to gradual underflow, and dividing by it wrecks the vector.
 """
 
 from __future__ import annotations

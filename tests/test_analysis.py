@@ -1215,3 +1215,14 @@ def test_graded_morse_blocks_solve(power, two_j, mu):
     for s, e in zip(solutions, reference, strict=True):
         assert s.eigvec_residual <= 1e-12
         assert abs(s.energy_base - e.energy_base) <= 1e-14 * largest
+
+
+def test_norm_raises_when_the_rounding_bound_overflows(monkeypatch):
+    # a bound of 1e308 per node: its fsum overflows, the bound is inf, so no sum can be trusted
+    model = make_sextic(SexticParams.from_mu(0.7, 0))
+    solutions, _ = solve_model(model)
+    psi_abs2 = analysis.psi_abs2
+    monkeypatch.setattr(analysis, "psi_abs2", lambda m, s, x: (psi_abs2(m, s, x)[0], 1e308))
+    with pytest.raises(ConvergenceFailureError, match="quadrature refinement did not converge") as info:
+        norm_squared(model, solutions[0])
+    assert info.value.defect == math.inf

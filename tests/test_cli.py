@@ -654,3 +654,29 @@ def test_edge_of_range_blocks_solve_or_fail_loudly(capsys, argv, expected_code):
     for level in data["levels"]:
         energy = complex(level["energy_base"]["re"], level["energy_base"]["im"])
         assert min(abs(energy - complex(r)) for r in reference) <= 1e-13 * norm
+
+
+def test_verify_renders_null_norms_for_a_growing_gauge(capsys):
+    # Re a < 0: the Morse gauge grows at one end, so no norm exists; verify still reports
+    code, out, _ = run_cli(capsys, "verify", "--family", "morse", "--two-j", "1", "--mu", "0.5", "--a=-1,0")
+    assert code == 2
+    verification = json.loads(out)["verification"]
+    assert verification["norms"] is None and verification["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "--family", "morse", "--two-j", "1"), "the morse family needs --mu or --b"),
+        (("scan", "--family", "sextic", "--two-j", "1", "--mu-range", "0:1:0"), "range step must be positive"),
+        (
+            ("partner", "--family", "sextic", "--two-j", "1", "--mu", "1", "--samples", "0"),
+            "--samples must be at least 1",
+        ),
+    ],
+    ids=["morse without mu or b", "zero scan step", "zero partner samples"],
+)
+def test_refused_inputs_name_their_reason(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err

@@ -226,3 +226,9 @@ def test_degree_and_is_zero_follow_the_trimmed_coefficients(items):
     assert p.degree == (len(trimmed) - 1 if trimmed else None)
     assert p.is_zero() == (not trimmed) == (p == ZERO)
     assert CPolynomial([1e-300j]).degree == 0 and not CPolynomial([1e-300j]).is_zero()
+
+
+def test_bounded_evaluation_overflow_raises():
+    # 1e300 * 1e300 is inf with no OverflowError from complex arithmetic: the value check catches it
+    with pytest.raises(NumericOverflowError, match="overflowed at z=1e\\+300"):
+        poly_eval_bounded(CPolynomial([0, 1e300]), 1e300)

@@ -229,3 +229,12 @@ def test_models_carry_their_family_geometry():
     assert (morse.parity, morse.normalizable) == (0, True)
     for a, d in ((-1.0, 1.0), (1.0, -1.0), (1j, 1.0), (1.0, 0.5j)):
         assert not make_morse(MorseParams.from_mu(0.7, 3, a=a, d=d)).normalizable
+
+
+def test_decay_factor_overflow_and_far_tail():
+    # Re a < 0: the Morse gauge exp(-a e^-x) grows past the largest double at x = -7
+    morse = make_morse(MorseParams.from_mu(0.5, 1, a=-1.0))
+    with pytest.raises(NumericOverflowError, match="exponential overflow"):
+        morse.decay_factor(-7.0)
+    # x^4 overflows at x = 1e80, where the sextic factor has long underflowed to 0
+    assert make_sextic(SexticParams.from_mu(0.7, 0)).decay_factor(1e80) == 0j

@@ -675,3 +675,8 @@ def test_solution_invariants():
         assert s.eigvec_residual <= 1e-10
         first = next(c for c in s.phi_coeffs.coeffs if abs(c) > 0)
         assert first == 1.0
+
+
+def test_centroid_root_takes_no_step_beyond_its_tolerance():
+    # p = z^2 - 1 and m = 2: the step p'/(2 p''/2) from 0.5 is 0.5, beyond tol 0
+    assert spectrum._centroid_root([0j, 0j], [0j, 1.0 + 0j], 0.5 + 0j, 2, 0.0) == 0.5 + 0j
