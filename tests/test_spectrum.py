@@ -567,9 +567,10 @@ def _assert_non_normal_levels(pairs):
 
 
 def test_circle_start_finds_the_non_normal_levels(monkeypatch):
-    # Aberth from the circle on the scaled piece; on the piece over ||M|| the
-    # continuant underflowed and any iterate passed, so the levels came back
-    # 2e-150 off, at 1.56e-150 - 3.68e-150i and its three quarter-turns
+    # Aberth from the circle; unless the piece is scaled to size about 1 its
+    # continuant underflows near the spectrum and any iterate passes (the
+    # levels then come back 2e-150 off, at 1.56e-150 - 3.68e-150i and its
+    # three quarter-turns, with residuals that pass the gate)
     monkeypatch.setattr(spectrum, "_ql_values", lambda diag, prod: None)
     _assert_non_normal_levels(eigen_solve(NON_NORMAL_4X4))
 
