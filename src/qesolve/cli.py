@@ -143,12 +143,12 @@ def _closed_forms(
     def constant(form: str, im: float) -> tuple[str, complex, complex]:
         return f"additive potential constant {form}", complex(0.0, im), shift
 
-    if model.family == SEXTIC and p.sector == EVEN and p.two_j == 0:
+    if model.parity == 1 and p.two_j == 0:  # the even sextic, the one sector printed
         sign = "published +i*mu has the opposite sign of the computed shift: adjudicated a misprint"
         profile = "published ground state exp(-x^4/4 - i*mu*x^2/2) matches the gauge factor"
         notes = ([sign] if mu != 0.0 else []) + [profile]
         return [*levels("= 0", 0j), constant("+i*mu", mu)], notes
-    if model.family == SEXTIC and p.sector == EVEN and p.two_j == 1:
+    if model.parity == 1 and p.two_j == 1:
         root = cmath.sqrt(2.0 - mu * mu)
         forms = levels("of -/+ 2*sqrt(2-mu^2)", -2.0 * root, 2.0 * root)
         forms.append(constant("-3*i*mu", -3.0 * mu))
@@ -236,11 +236,7 @@ def build_report(
     ok = True
     if verify:
         fd = fd_verify(model, solutions, shift, grid)
-        norms: tuple[float, ...] | None
-        try:
-            norms = tuple(norm_squared(model, s) for s in solutions)
-        except ValidationError:
-            norms = None
+        norms = tuple(norm_squared(model, s) for s in solutions) if model.normalizable else None
         ok = rsup <= RESIDUAL_GATE and fd.defect <= fd.defect_bound
         verification = VerificationReport(RESIDUAL_GATE, fd, norms, ok)
     return RunReport(

@@ -4,12 +4,14 @@ Each family is fixed by a gauge function W(x) and a change of variable that
 turn the Schrodinger operator into a quadratic expression in the spin-j
 generators acting on polynomials in z:
 
-  sextic  V(x) = x^6 + 2a x^4 + (a^2 - 8j - 3) x^2          z = x^2
-          W(x) = x^3 + a x                    (even sector)
-          W(x) = x^3 + a x - 1/x              (odd sector; the 1/x sign is
-          chosen so the gauge factor is x * exp(-x^4/4 - a x^2/2), regular
-          and normalizable at the origin; the x^2 coefficient becomes
-          a^2 - 8j - 5 and the odd z-space equation follows)
+  sextic  V(x) = x^6 + 2a x^4 + (a^2 - 8j - 2 - t) x^2      z = x^2
+          W(x) = x^3 + a x                    (even sector, t = 1)
+          W(x) = x^3 + a x - 1/x              (odd sector, t = 3; the 1/x
+          sign is chosen so the gauge factor is x * exp(-x^4/4 - a x^2/2),
+          regular and normalizable at the origin)
+          The odd sector is the even construction times the one extra
+          gauge factor x, so every sector-dependent number is one formula
+          in the offset t.
 
   morse   V(x) = d^2 e^{2x} - d(1-2b) e^x - a(2b+4j+1) e^{-x} + a^2 e^{-2x}
           W(x) = d e^x - a e^{-x} + b                        z = e^{-x}
@@ -162,7 +164,7 @@ class QesModel:
             ex = _rexp(x)
             return p.d * ex - p.a / ex + p.b, p.d * ex + p.a / ex
         w, dw = x * x * x + p.a * x, 3.0 * x * x + p.a
-        if p.sector == EVEN:
+        if self.parity == 1:
             return w, dw
         if x == 0.0:
             raise PoleError("odd-sector superpotential has a pole at x = 0")
@@ -182,7 +184,7 @@ class QesModel:
                 # the quartic dominates any a x^2 term long before overflowing
                 return 0.0j
             core = _cexp(exponent)
-            return x * core if p.sector == ODD else core
+            return x * core if self.parity == -1 else core
         ex = _rexp(x)
         return _cexp(-(p.d * ex + p.a / ex + p.b * x))
 
@@ -190,30 +192,20 @@ class QesModel:
 def make_sextic(params: SexticParams) -> QesModel:
     a = params.a
     n = params.two_j
-    rep = SpinJ(n)
-    if params.sector == EVEN:
-        c_m = complex(-(2 + 2 * n))
-        c_id = a * (2 * n + 1)
-        p1 = CPolynomial((-2.0, 4.0 * a, 4.0))
-        p0 = CPolynomial((a, -4.0 * n))
-        x2_coeff = a * a - (4 * n + 3)
-    else:
-        c_m = complex(-(6 + 2 * n))
-        c_id = a * (2 * n + 3)
-        p1 = CPolynomial((-6.0, 4.0 * a, 4.0))
-        p0 = CPolynomial((3.0 * a, -4.0 * n))
-        x2_coeff = a * a - (4 * n + 5)
-    combo = OperatorCombination(c_0m=-4.0, c_p=4.0, c_m=c_m, c_0=4.0 * a, c_id=c_id)
+    t = 1 if params.sector == EVEN else 3  # the odd sector's extra gauge factor x adds 2
+    c_m = complex(-(2 * t + 2 * n))
+    combo = OperatorCombination(c_0m=-4.0, c_p=4.0, c_m=c_m, c_0=4.0 * a, c_id=a * (2 * n + t))
+    p1 = CPolynomial((-2.0 * t, 4.0 * a, 4.0))
     return QesModel(
         family=SEXTIC,
         params=params,
-        rep=rep,
+        rep=SpinJ(n),
         combo=combo,
-        ode=(CPolynomial((0.0, -4.0)), p1, p0),
-        potential_coeffs=(1.0 + 0.0j, 2.0 * a, x2_coeff),
+        ode=(CPolynomial((0.0, -4.0)), p1, CPolynomial((t * a, -4.0 * n))),
+        potential_coeffs=(1.0 + 0.0j, 2.0 * a, a * a - (4 * n + 2 + t)),
         centre=0.0,
         default_domain=(-6.0, 6.0),
-        parity=1 if params.sector == EVEN else -1,
+        parity=2 - t,
         normalizable=True,
     )
 
@@ -282,18 +274,8 @@ def closed_form_block_action(model: QesModel, k: int) -> tuple[complex, complex,
     if not isinstance(k, int) or isinstance(k, bool) or k < 0 or k > n:
         raise ValidationError(f"basis index k={k!r} outside 0..{n}")
     if model.family == SEXTIC:
-        a = model.params.a
-        if model.params.sector == EVEN:
-            return (
-                complex(-2 * k * (2 * k - 1)),
-                a * (4 * k + 1),
-                complex(4 * (k - n)),
-            )
-        return (
-            complex(-2 * k * (2 * k + 1)),
-            a * (4 * k + 3),
-            complex(4 * (k - n)),
-        )
+        a, t = model.params.a, 1 if model.params.sector == EVEN else 3
+        return complex(-2 * k * (2 * k + t - 2)), a * (4 * k + t), complex(4 * (k - n))
     a, b, d = model.params.a, model.params.b, model.params.d
     return (
         -2.0 * d * k,
