@@ -6,7 +6,9 @@ energy, phi coefficients, eigenvector residual and multiplicity plus the
 model's shift, or of the error's type, message and defect.  Floats enter by
 repr, which round-trips every bit.  The matrix is the three families
 (sextic even and odd, Morse) at 2j = 0..31 and mu in MUS, solved by
-spectrum.solve_model, then four hand-made blocks solved by
+spectrum.solve_model, then the graded Morse translates a = 10^p,
+d = 10^-p at 2j in TRANSLATE_TWO_JS, p in TRANSLATE_POWERS and mu = 0.5,
+whose levels are those of a = d = 1, then four hand-made blocks solved by
 spectrum.eigen_solve: the graded 32 x 32 block whose couplings span
 10^-8 .. 10^8, the strongly non-normal 4 x 4 whose eigenvector grows by
 about 1e150 a row, the 2 x 2 Jordan block at 0, and the Morse 2 x 2 whose
@@ -44,6 +46,8 @@ from qesolve.spectrum import common_imaginary_shift, eigen_solve, solve_model
 
 TWO_JS = range(32)
 MUS = ("0", "0.3", "0.7", "1.0", "1.4", "2.2", "3.0", "1e-308", "1e-310")
+TRANSLATE_TWO_JS = (1, 3)
+TRANSLATE_POWERS = (14, 170, 300)
 FAMILIES = (
     ("sextic even", lambda mu, two_j: make_sextic(SexticParams.from_mu(mu, two_j, "even"))),
     ("sextic odd", lambda mu, two_j: make_sextic(SexticParams.from_mu(mu, two_j, "odd"))),
@@ -95,6 +99,10 @@ def cases():
         for two_j in TWO_JS:
             for mu in MUS:
                 yield f"{name} 2j={two_j} mu={mu}", partial(_family_solve, make, mu, two_j)
+    for two_j in TRANSLATE_TWO_JS:
+        for p in TRANSLATE_POWERS:
+            model = make_morse(MorseParams.from_mu(0.5, two_j, 10.0**p, 10.0**-p))
+            yield f"morse 2j={two_j} mu=0.5 a=1e{p} d=1e-{p}", partial(solve_model, model)
     yield "graded 32x32", partial(_block_solve, _graded_block())
     yield "non-normal 4x4", partial(_block_solve, _non_normal_block())
     yield "jordan 2x2", partial(_block_solve, _jordan_block())

@@ -254,22 +254,31 @@ def eigen_solve(m: BlockMatrix) -> list[QesSolution]:
     """Eigenvalues and polynomial eigenvectors of a tridiagonal block, in level order.
 
     Levels are sorted by real part; real parts that agree to rounding
-    (within 64 n eps ||M||) count as equal and are ordered by imaginary part.
+    (within 64 n eps size, size = max |d_k| + max |sub_k sup_k|^(1/2) the
+    balanced size of M) count as equal and are ordered by imaginary part.
     Degenerate eigenvalues come back once per instance, sharing the
-    centroid value and carrying their cluster multiplicity.
+    centroid value and carrying their cluster multiplicity.  A block whose
+    entries or norm overflow once divided by its size raises
+    NumericOverflowError.
     """
     sub, diag, sup = m.sub, m.diag, m.sup
     n = m.dim
-    norm_m = tridiag_norm(sub, diag, sup)
-    # eigenpairs of M / s, s a power of two >= ||M|| (>= ||M|| / 2 past the
-    # largest double): exact, no coupling product or solve overflows, and
-    # an entry underflows only where it is negligible
-    s = math.ldexp(1.0, min(math.frexp(norm_m)[1], 1023))
+    # eigenpairs of M / s, s a power of two >= the balanced size (>= size / 2
+    # past the largest double), the measure _aberth gives each piece: exact
+    # while the entries stay normal, and no coupling product overflows;
+    # ||M|| can dwarf the levels of a graded block, whose small entries then
+    # underflowed to 0 and split it
+    root = [math.sqrt(abs(a)) * math.sqrt(abs(b)) for a, b in zip(sub, sup)]
+    size = max(map(abs, diag)) + max(root, default=0.0)
+    s = math.ldexp(1.0, min(math.frexp(min(size, sys.float_info.max))[1], 1023))
     lo, d, up = [x / s for x in sub], [x / s for x in diag], [x / s for x in sup]
+    norm = tridiag_norm(lo, d, up)
+    if not norm < math.inf:
+        raise NumericOverflowError(f"block entries overflow when divided by its size {s:.3e}")
     prod = [0.0j] + [a * b for a, b in zip(lo, up)]
     couplings = [math.sqrt(abs(b)) for b in prod[1:]]
     tol = 8.0 * math.sqrt(_EPS * (n + 1)) * tridiag_norm(couplings, d, couplings)
-    clusters = _cluster(_eigenvalues(d, prod), tol, 64.0 * n * _EPS * norm_m / s)
+    clusters = _cluster(_eigenvalues(d, prod), tol, 64.0 * n * _EPS * size / s)
     zs = [_centroid_root(d, prod, z, mult, tol) if mult > 1 else z for z, mult in clusters]
     levels = []
     for z, (_, mult), v in zip(zs, clusters, tridiag_null_vectors(lo, d, up, zs)):
@@ -282,7 +291,7 @@ def eigen_solve(m: BlockMatrix) -> list[QesSolution]:
         v = [c / lead for c in v]
         v[first] = 1.0 + 0.0j
         resid = max([abs(a - z * c) for a, c in zip(tridiag_matvec(lo, d, up, v), v)])
-        scale = max(norm_m / s, 1e-300) * max(max(map(abs, v)), 1e-300)
+        scale = max(norm, 1e-300) * max(max(map(abs, v)), 1e-300)
         levels += [QesSolution(s * z, CPolynomial(v), resid / scale, mult)] * mult
     return levels
 

@@ -165,6 +165,32 @@ def test_eigen_solve_is_exact_under_power_of_two_scaling():
         assert max(p.eigvec_residual for p in pairs) <= 1e-12
 
 
+@pytest.mark.parametrize("two_j", [1, 2, 3, 5, 8])
+def test_graded_morse_translates_keep_their_levels(two_j):
+    # a = 10^p, d = 10^-p makes the block diagonally similar to the a = d = 1
+    # one: the same levels in the same order, though ||M|| ~ 10^p dwarfs the
+    # couplings' balanced size; scaled by ||M||, the 1e-300 side underflowed
+    # to 0 and the block's diagonal came back as its levels, with exit 0
+    reference = [s.energy_base for s in solve_model(make_morse(MorseParams.from_mu(0.5, two_j)))[0]]
+    top = max(map(abs, reference))
+    for p in (10, 77, 100, 154, 160, 170, 200, 250, 300, 307):
+        model = make_morse(MorseParams.from_mu(0.5, two_j, 10.0**p, 10.0**-p))
+        try:
+            levels = [s.energy_base for s in solve_model(model)[0]]
+        except NumericOverflowError:
+            # the eigenvector grows by about 10^p a row and may not be representable
+            assert p >= 200
+            continue
+        assert max(abs(e - r) for e, r in zip(levels, reference)) <= 1.5e-16 * top
+
+
+def test_block_that_overflows_its_balanced_size_fails_loudly():
+    # the levels are +-1e-6, so s is 2^-19 and 1e308 / s overflows; scaled
+    # by ||M|| instead, 1e-320 underflowed to 0 and the levels came back as 0, 0
+    with pytest.raises(NumericOverflowError, match="overflow when divided by its size"):
+        eigen_solve(BlockMatrix(sub=(1e-320,), diag=(0.0, 0.0), sup=(1e308,)))
+
+
 def test_continuant_rescales_far_from_the_spectrum():
     # p(z) = (-z)^32 for the zero block overflows at z = 1e20; the running
     # values are rescaled together, so p / p' = z / 32 stays exact
@@ -378,12 +404,14 @@ def _aberth_starts(monkeypatch, block):
     """The Aberth start points of a one-piece block, in the block's own units.
 
     With no sweep allowed, the failure carries the starts of the block that
-    eigen_solve divided by s, a power of two, so multiplying back is exact.
+    eigen_solve divided by s, the power of two above its balanced size
+    max |d| + max |sub sup|^(1/2), so multiplying back is exact.
     """
     monkeypatch.setattr(spectrum, "ABERTH_STEPS", 0)
     with pytest.raises(ConvergenceFailureError) as info:
         eigen_solve(block)
-    s = math.ldexp(1.0, math.frexp(tridiag_norm(block.sub, block.diag, block.sup))[1])
+    root = max(abs(a * b) ** 0.5 for a, b in zip(block.sub, block.sup))
+    s = math.ldexp(1.0, math.frexp(max(map(abs, block.diag)) + root)[1])
     return [s * z for z in info.value.best]
 
 
