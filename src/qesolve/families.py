@@ -11,7 +11,8 @@ generators acting on polynomials in z:
           regular and normalizable at the origin)
           The odd sector is the even construction times the one extra
           gauge factor x, so every sector-dependent number is one formula
-          in the offset t.
+          in the offset t; the z-space equation is
+          -4z phi'' + (4z^2 + 4az - 2t) phi' + (ta - 8jz - E) phi = 0.
 
   morse   V(x) = d^2 e^{2x} - d(1-2b) e^x - a(2b+4j+1) e^{-x} + a^2 e^{-2x}
           W(x) = d e^x - a e^{-x} + b                        z = e^{-x}

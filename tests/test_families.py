@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qesolve.cpoly import CPolynomial
 from qesolve.errors import NumericOverflowError, ValidationError
 from qesolve.families import (
     EVEN,
@@ -199,6 +200,23 @@ def test_morse_gauge_underflow_raises():
     for evaluate in (model.superpotential, model.decay_factor):
         with pytest.raises(NumericOverflowError, match="underflow"):
             evaluate(-800.0)
+
+
+@pytest.mark.parametrize("a", [0.7j, 0.3 + 0.4j])
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_sector_coefficients(a, n):
+    # the odd sector is the even one times the gauge factor x: each number
+    # moves by the same offset, t = 1 even and t = 3 odd (n = 2j)
+    even = make_sextic(SexticParams(a=a, two_j=n, sector=EVEN))
+    odd = make_sextic(SexticParams(a=a, two_j=n, sector=ODD))
+    for model, c_m, c_id, p1, p0, x2 in (
+        (even, -(2 + 2 * n), a * (2 * n + 1), (-2.0, 4 * a, 4.0), (a, -4.0 * n), a * a - (4 * n + 3)),
+        (odd, -(6 + 2 * n), a * (2 * n + 3), (-6.0, 4 * a, 4.0), (3 * a, -4.0 * n), a * a - (4 * n + 5)),
+    ):
+        assert (model.combo.c_m, model.combo.c_id) == (c_m, c_id)
+        assert (model.combo.c_0m, model.combo.c_p, model.combo.c_0) == (-4.0, 4.0, 4 * a)
+        assert model.ode == (CPolynomial((0.0, -4.0)), CPolynomial(p1), CPolynomial(p0))
+        assert model.potential_coeffs == (1.0, 2 * a, x2)
 
 
 def test_odd_sector_decay_factor_is_odd():
