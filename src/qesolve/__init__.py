@@ -20,14 +20,7 @@ from .analysis import (
     psi_eval,
     residual_sup,
 )
-from .cpoly import (
-    ZERO,
-    CPolynomial,
-    poly_derivative,
-    poly_eval,
-    poly_mul,
-    poly_scale,
-)
+from .cpoly import CPolynomial, poly_eval
 from .errors import (
     ConvergenceFailureError,
     NumericOverflowError,

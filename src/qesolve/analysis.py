@@ -26,17 +26,17 @@ Verification is deliberately redundant:
     once on a second-order central-difference Dirichlet grid and refines
     each energy_base + shift on it by Newton on det(H - zI), each step one
     O(n) pass of the LDL^T pivot recurrence for p'/p, until the step it
-    would take next is below the level's rounding floor eps * (4/h^2 + |z|):
-    two passes on the default grid.  Newton runs once per level, from its
-    prediction.  A Newton root within the level's defect bound of the
-    prediction is kept, otherwise the nearest eigenvalue counted in that
-    disc by the argument principle, with p'/p from the same pass at each
-    contour node, or None when there is none.  On a grid symmetric about 0
-    the even sextic potential keeps each sector's parity, so sextic levels
-    are refined on the x > 0 half alone, where no level of the other parity
-    exists to mix in.  It returns one GridCheck: the grid, the refined
-    values, their largest defect (inf for a None) and the bound that is
-    both the disc's radius and the verify gate.
+    would take next is below eps * (4 max|coupling| + |z|), the level's
+    rounding floor: two passes on the default grid.  Newton runs once per
+    level, from its prediction.  A Newton root within the level's defect
+    bound of the prediction is kept, otherwise the nearest eigenvalue
+    counted in that disc by the argument principle, with p'/p from the
+    same pass at each contour node, or None when there is none.  On a grid
+    symmetric about 0 the even sextic potential keeps each sector's
+    parity, so sextic levels are refined on the x > 0 half alone, where no
+    level of the other parity exists to mix in.  It returns one GridCheck:
+    the grid, the refined values, their largest defect (inf for a None)
+    and the bound that is both the disc's radius and the verify gate.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import Sequence
 
-from .cpoly import poly_derivative, poly_eval, poly_eval_bounded, poly_mul, poly_scale
+from .cpoly import poly_eval, poly_eval_bounded
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import QesModel, potential_eval
 from .spectrum import QesSolution
@@ -99,6 +99,16 @@ def psi_eval(model: QesModel, solution: QesSolution, x: float) -> complex:
     return poly_eval(solution.phi_coeffs, model.z_of_x(x)) * model.decay_factor(x)
 
 
+def _convolve(p: Sequence[complex], q: Sequence[complex]) -> list[complex]:
+    """Coefficients of the product of p and q, each summed over p's nonzero entries in order."""
+    out = [0j] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
 def residual_sup(model: QesModel, solution: QesSolution) -> float:
     """Normwise backward error of a level in the z-space equation; 0 when every term is 0.
 
@@ -109,12 +119,16 @@ def residual_sup(model: QesModel, solution: QesSolution) -> float:
     1e-10 for genuine eigenpairs.  It reads no sample points, so it stays
     rounding-sized where every term vanishes at some z (E = 0 at z = 0).
     """
-    p2, p1, p0 = model.ode
-    phi = solution.phi_coeffs
-    d1 = poly_derivative(phi)
-    a, b, c = poly_mul(p2, poly_derivative(d1)), poly_mul(p1, d1), poly_mul(p0, phi)
-    e = poly_scale(phi, -solution.energy_base)
-    columns = list(zip_longest(a.coeffs, b.coeffs, c.coeffs, e.coeffs, fillvalue=0j))
+    p2, p1, p0 = (p.coeffs for p in model.ode)
+    phi = solution.phi_coeffs.coeffs
+    d1 = [k * c for k, c in enumerate(phi) if k]
+    d2 = [k * c for k, c in enumerate(d1) if k]
+    a, b, c = _convolve(p2, d2), _convolve(p1, d1), _convolve(p0, phi)
+    e = [-solution.energy_base * x for x in phi]
+    for x in chain(d1, d2, a, b, c, e):
+        if not cmath.isfinite(x):
+            raise NumericOverflowError(f"non-finite polynomial coefficient {x!r}")
+    columns = list(zip_longest(a, b, c, e, fillvalue=0j))
     # float sums left to right: builtin sum() compensates floats from Python 3.12 on
     scale = max((reduce(operator.add, map(abs, col), 0.0) for col in columns), default=0.0)
     return max(abs(sum(col)) for col in columns) / scale if scale else 0.0
@@ -299,9 +313,10 @@ def _newton_root(
     deflation).  A root is returned once a step is below FD_RQ_TOL, or once
     a step shorter than the one before, and not the last allowed, puts the
     quadratic model's next step |s_k|^3 / |s_{k-1}|^2 at or below the
-    level's rounding floor eps * (kinetic + |z|), kinetic being H's kinetic
-    row sum 4 / h^2.  None means a step that is not finite or
-    FD_NEWTON_STEPS steps without settling.
+    level's rounding floor eps * (kinetic + |z|), kinetic being 4 times H's
+    largest off-diagonal modulus: 4/h^2, or 4 sqrt(2)/h^2 on an odd-n half
+    grid of even levels, whose x = 0 coupling is sqrt(2)/h^2.  None means a
+    step that is not finite or FD_NEWTON_STEPS steps without settling.
     """
     z, previous = guess, 0.0  # no step comes before the first
     for k in range(1, FD_NEWTON_STEPS + 1):

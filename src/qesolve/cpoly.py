@@ -1,7 +1,7 @@
 """Dense complex-coefficient polynomials in one variable.
 
 Everything downstream lives on polynomials of tiny degree (at most 2j + 2),
-so coefficients are stored densely and each operation builds a fresh polynomial.
+so coefficients are stored densely.
 Trailing coefficients are dropped only when they are exactly zero in both
 parts: numerical near-zeros carry information (residual checks depend on
 seeing them) and are never trimmed.
@@ -62,39 +62,6 @@ class CPolynomial:
 
     def __repr__(self) -> str:
         return f"CPolynomial({self.coeffs!r})"
-
-    @property
-    def degree(self) -> int | None:
-        """Degree of the polynomial, or None for the zero polynomial."""
-        return len(self._packed) // 2 - 1 if self._packed else None
-
-    def is_zero(self) -> bool:
-        return not self._packed
-
-
-ZERO = CPolynomial()
-
-
-def poly_scale(p: CPolynomial, c: complex) -> CPolynomial:
-    return CPolynomial(c * x for x in p.coeffs)
-
-
-def poly_mul(p: CPolynomial, q: CPolynomial) -> CPolynomial:
-    """Coefficient-wise convolution; result is in canonical trimmed form."""
-    if p.is_zero() or q.is_zero():
-        return ZERO
-    out = [0.0j] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return CPolynomial(out)
-
-
-def poly_derivative(p: CPolynomial) -> CPolynomial:
-    """Formal derivative; drops the degree by exactly one for nonconstant p."""
-    return CPolynomial(k * c for k, c in enumerate(p.coeffs) if k > 0)
 
 
 # The relative error of one complex multiplication, sqrt(2) * gamma_2 with

@@ -3,7 +3,7 @@
 import math
 import random
 
-from qesolve.cpoly import ZERO, CPolynomial, poly_derivative, poly_mul, poly_scale
+from qesolve.cpoly import CPolynomial
 from qesolve.errors import ValidationError
 from qesolve.families import (
     EVEN,
@@ -16,7 +16,7 @@ from qesolve.families import (
 )
 from qesolve.sl2 import OperatorCombination, SpinJ
 
-from _oracles import monomial, poly_add, poly_sub
+from _oracles import ZERO, monomial, poly_add, poly_derivative, poly_mul, poly_scale, poly_sub
 
 SEED = 20260808
 

@@ -1,4 +1,4 @@
-"""Eigenvalue oracles kept independent of the package's eigensolver.
+"""Oracles kept independent of the package: eigenvalues and polynomial algebra.
 
 * char_poly / poly_roots: the Faddeev-LeVerrier recurrence and Aberth-Ehrlich
   root iteration, in plain double precision.  They lose accuracy as blocks
@@ -6,8 +6,11 @@
   tests use them on small blocks only.
 * high_precision_spectrum: each eigenvalue of a tridiagonal block to 60
   digits, with its condition number.
-* monomial, poly_add, poly_sub: polynomial building blocks that only the
-  tests' closed-form generator actions and algebra checks use.
+* ZERO, monomial, degree, is_zero, poly_add, poly_sub, poly_scale,
+  poly_mul, poly_derivative: the polynomial algebra on CPolynomial that
+  only the tests use, for the closed-form generator actions, the algebra
+  checks and the reference residual that the package's one-pass
+  residual_sup is compared with to the bit.
 """
 
 import cmath
@@ -21,11 +24,23 @@ from qesolve.errors import ConvergenceFailureError, ValidationError
 _EPS = sys.float_info.epsilon
 
 
+ZERO = CPolynomial()
+
+
 def monomial(k: int, c: complex = 1.0) -> CPolynomial:
     """c * z**k."""
     if k < 0:
         raise ValueError("monomial exponent must be non-negative")
     return CPolynomial((0.0,) * k + (c,))
+
+
+def degree(p: CPolynomial) -> int | None:
+    """Degree of p, or None for the zero polynomial."""
+    return len(p.coeffs) - 1 if p.coeffs else None
+
+
+def is_zero(p: CPolynomial) -> bool:
+    return not p.coeffs
 
 
 def poly_add(p: CPolynomial, q: CPolynomial) -> CPolynomial:
@@ -43,6 +58,28 @@ def poly_sub(p: CPolynomial, q: CPolynomial) -> CPolynomial:
     for k, c in enumerate(q.coeffs):
         out[k] -= c
     return CPolynomial(out)
+
+
+def poly_scale(p: CPolynomial, c: complex) -> CPolynomial:
+    return CPolynomial(c * x for x in p.coeffs)
+
+
+def poly_mul(p: CPolynomial, q: CPolynomial) -> CPolynomial:
+    """Coefficient-wise convolution; result is in canonical trimmed form."""
+    if is_zero(p) or is_zero(q):
+        return ZERO
+    out = [0.0j] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if a == 0:
+            continue
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return CPolynomial(out)
+
+
+def poly_derivative(p: CPolynomial) -> CPolynomial:
+    """Formal derivative; drops the degree by exactly one for nonconstant p."""
+    return CPolynomial(k * c for k, c in enumerate(p.coeffs) if k > 0)
 
 
 def _trace(m):
@@ -108,7 +145,7 @@ def poly_roots(p: CPolynomial, tol: float = 1e-13, max_iter: int = 500) -> list[
     |p(z)| reaches the backward-error floor.  Raises ConvergenceFailureError
     carrying the best iterate and its defect at the iteration cap.
     """
-    deg = p.degree
+    deg = degree(p)
     if deg is None or deg < 1:
         raise ValidationError("root finding needs degree >= 1")
     lead = p.coeffs[-1]

@@ -1,8 +1,11 @@
 import cmath
 import dataclasses
 import math
+import operator
 import sys
 import traceback
+from functools import reduce
+from itertools import zip_longest
 
 import pytest
 
@@ -36,7 +39,7 @@ from qesolve.families import (
     potential_eval,
 )
 from qesolve.sl2 import build_block
-from qesolve.spectrum import solve_model
+from qesolve.spectrum import QesSolution, solve_model
 
 from _helpers import (
     fresh_rng,
@@ -46,6 +49,7 @@ from _helpers import (
     rel_err,
     romberg,
 )
+from _oracles import poly_derivative, poly_mul, poly_scale
 
 
 def _solved(model, index=0):
@@ -144,6 +148,48 @@ def test_residual_fails_the_gate_when_one_coefficient_moves():
             coeffs[len(coeffs) // 2] += 1e-6 * max(map(abs, coeffs))
             broken = dataclasses.replace(s, phi_coeffs=CPolynomial(coeffs))
             assert residual_sup(model, broken) > 1e-10
+
+
+def _reference_residual(model, solution):
+    """residual_sup built from the tests' polynomial algebra, term by term."""
+    p2, p1, p0 = model.ode
+    phi = solution.phi_coeffs
+    d1 = poly_derivative(phi)
+    a, b, c = poly_mul(p2, poly_derivative(d1)), poly_mul(p1, d1), poly_mul(p0, phi)
+    e = poly_scale(phi, -solution.energy_base)
+    columns = list(zip_longest(a.coeffs, b.coeffs, c.coeffs, e.coeffs, fillvalue=0j))
+    scale = max((reduce(operator.add, map(abs, col), 0.0) for col in columns), default=0.0)
+    return max(abs(sum(col)) for col in columns) / scale if scale else 0.0
+
+
+def _residual_reference_models():
+    for two_j in (0, 1, 2, 5, 12, 31):
+        for mu in (0.0, 0.7, 1.4, 2.2):
+            yield make_sextic(SexticParams.from_mu(mu, two_j))
+            yield make_sextic(SexticParams.from_mu(mu, two_j, ODD))
+            yield make_morse(MorseParams.from_mu(mu, two_j))
+    # the user-set Morse parameters of scripts/cli_digest.py
+    for a, d, b in ((1.0, 1.0, 0.0), (0.5 + 0.2j, 2.0, -1.5 + 0.3j), (1.0, 0.5 - 0.1j, -1.0 + 0.7j)):
+        for two_j in (0, 1, 3):
+            yield make_morse(MorseParams(a=a, d=d, b=b, two_j=two_j))
+
+
+def test_residual_equals_the_term_by_term_reference_to_the_bit():
+    levels = 0
+    for model in _residual_reference_models():
+        solutions, _ = solve_model(model)
+        for s in solutions:
+            assert residual_sup(model, s) == _reference_residual(model, s)
+            levels += 1
+    assert levels == 3 * 4 * (1 + 2 + 3 + 6 + 13 + 32) + 3 * (1 + 2 + 4)
+
+
+def test_residual_overflow_raises():
+    # 4a * 1e300 in p1 phi' is beyond the largest double
+    model = make_sextic(SexticParams(a=1e10, two_j=1))
+    level = QesSolution(energy_base=0j, phi_coeffs=CPolynomial([1, 1e300]), eigvec_residual=0.0)
+    with pytest.raises(NumericOverflowError, match=r"^non-finite polynomial coefficient \(inf\+0j\)$"):
+        residual_sup(model, level)
 
 
 def test_psi_overflow_for_growing_gauge():

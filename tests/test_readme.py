@@ -1,11 +1,13 @@
 """The README's examples run, as written, against the package."""
 
+import inspect
 import pathlib
 import re
 import shlex
 
 import pytest
 
+import qesolve
 from qesolve.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -43,3 +45,9 @@ def test_readme_command_line_runs(capsys, line):
     argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
     assert main(argv) == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_names_every_export():
+    exports = {n for n, v in vars(qesolve).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    paragraph = _section("Library use").split("The package exports", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`(\w+)`", paragraph)) == exports
