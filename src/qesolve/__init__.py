@@ -20,7 +20,6 @@ from .analysis import (
     psi_eval,
     residual_sup,
 )
-from .cpoly import CPolynomial, poly_eval
 from .errors import (
     ConvergenceFailureError,
     NumericOverflowError,
@@ -43,6 +42,7 @@ from .families import (
 )
 from .sl2 import (
     BlockMatrix,
+    CPolynomial,
     OperatorCombination,
     SpinJ,
     build_block,

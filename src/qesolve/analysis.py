@@ -2,7 +2,8 @@
 
 psi_eval, psi_abs2, residual_sup and norm_squared take a model and one of
 its solved levels: psi(x) = phi(z(x)) * exp(-G(x)) from the level's
-polynomial phi and the model's change of variable and gauge factor.
+polynomial phi and the model's change of variable and gauge factor, phi
+by the one Horner loop, poly_eval_bounded, with its rounding error bound.
 
 Verification is deliberately redundant:
 
@@ -50,9 +51,9 @@ from functools import reduce
 from itertools import chain, zip_longest
 from typing import Sequence
 
-from .cpoly import poly_eval, poly_eval_bounded
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import QesModel, potential_eval
+from .sl2 import CPolynomial
 from .spectrum import QesSolution
 from .tridiag import tridiag_log_derivative
 
@@ -94,9 +95,38 @@ class GridSpec:
         return (self.x_max - self.x_min) / (self.n_points + 1)
 
 
+# The relative error of one complex multiplication, sqrt(2) * gamma_2 with
+# gamma_2 = 2u / (1 - 2u) (Higham, Lemma 3.5); it covers one addition too.
+_MUL_ERR = math.sqrt(2.0) * 2.0 * 2.0**-53 / (1.0 - 2.0 * 2.0**-53)
+
+
+def poly_eval_bounded(p: CPolynomial, z: complex) -> tuple[complex, float]:
+    """Horner evaluation and a bound on its rounding error at this z.
+
+    The bound is the running error bound of Horner's rule (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Algorithm 5.1) for
+    complex arithmetic, to first order in the unit roundoff, or inf past
+    a partial sum whose modulus is beyond the largest double.
+    """
+    acc = 0.0j
+    running = 0.0  # sum of |z|^k |y_k| over the partial sums y_k
+    size, coeffs = abs(z), reversed(p.coeffs)
+    try:
+        for c in coeffs:
+            acc = acc * z + c
+            running = size * running + abs(acc)
+    except OverflowError:  # a finite partial sum whose modulus is beyond the largest double
+        for c in coeffs:  # the rest of the same Horner sum
+            acc = acc * z + c
+        running = math.inf
+    if not cmath.isfinite(acc):
+        raise NumericOverflowError(f"polynomial evaluation overflowed at z={z!r}")
+    return acc, running if running == math.inf else _MUL_ERR * (2.0 * running - abs(acc))
+
+
 def psi_eval(model: QesModel, solution: QesSolution, x: float) -> complex:
     """psi(x) of one solved level; underflows to exact 0 in the far tail."""
-    return poly_eval(solution.phi_coeffs, model.z_of_x(x)) * model.decay_factor(x)
+    return poly_eval_bounded(solution.phi_coeffs, model.z_of_x(x))[0] * model.decay_factor(x)
 
 
 def _convolve(p: Sequence[complex], q: Sequence[complex]) -> list[complex]:

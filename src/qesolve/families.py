@@ -37,9 +37,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .cpoly import CPolynomial
 from .errors import NumericOverflowError, PoleError, ValidationError
-from .sl2 import OperatorCombination, SpinJ
+from .sl2 import CPolynomial, OperatorCombination, SpinJ
 
 SEXTIC = "sextic"
 MORSE = "morse"

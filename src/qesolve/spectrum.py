@@ -38,11 +38,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .cpoly import CPolynomial
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import QesModel
-from .sl2 import BlockMatrix, build_block
-from .tridiag import tridiag_matvec, tridiag_norm, tridiag_null_vectors
+from .sl2 import BlockMatrix, CPolynomial, build_block
+from .tridiag import tridiag_balanced_norm, tridiag_matvec, tridiag_norm, tridiag_null_vectors
 
 _EPS = sys.float_info.epsilon
 
@@ -160,8 +159,7 @@ def _ql_values(diag, prod) -> list[complex] | None:
 
 def _circle_starts(diag, prod) -> list[complex]:
     """n points on |z| = ||T~||, T~ the piece with couplings |prod|^(1/2): a circle round the spectrum."""
-    couplings = [math.sqrt(abs(b)) for b in prod[1:]]
-    radius = tridiag_norm(couplings, diag, couplings)
+    radius = tridiag_balanced_norm(diag, prod)
     return [cmath.rect(radius, 2.0 * math.pi * k / len(diag) + 0.4) for k in range(len(diag))]
 
 
@@ -276,8 +274,7 @@ def eigen_solve(m: BlockMatrix) -> list[QesSolution]:
     if not norm < math.inf:
         raise NumericOverflowError(f"block entries overflow when divided by its size {s:.3e}")
     prod = [0.0j] + [a * b for a, b in zip(lo, up)]
-    couplings = [math.sqrt(abs(b)) for b in prod[1:]]
-    tol = 8.0 * math.sqrt(_EPS * (n + 1)) * tridiag_norm(couplings, d, couplings)
+    tol = 8.0 * math.sqrt(_EPS * (n + 1)) * tridiag_balanced_norm(d, prod)
     clusters = _cluster(_eigenvalues(d, prod), tol, 64.0 * n * _EPS * size / s)
     zs = [_centroid_root(d, prod, z, mult, tol) if mult > 1 else z for z, mult in clusters]
     levels = []

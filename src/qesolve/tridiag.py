@@ -5,17 +5,18 @@ diag[i] = A[i][i] and sup[i] = A[i][i+1].
 
 The block eigensolver takes its eigenvectors from the twisted factorizations
 of A - zI, one call per block (tridiag_null_vectors).  The grid check takes
-p'/p from the top-down pivots of the same elimination
-(tridiag_log_derivative), both for its Newton steps and at the contour
-nodes where it counts eigenvalues.  Each replaces an exactly zero pivot by
-eps * ||A|| of the unshifted A, with tridiag_log_derivative's couplings
-balanced to |prod|^(1/2): the tiny pivot an exact eigenvalue wants, so no
-caller re-shifts.  The null vectors replace a subnormal pivot too: it has
-lost digits to gradual underflow, and dividing by it wrecks the vector.
+p'/p, for its Newton steps and at the contour nodes where it counts
+eigenvalues, from the top-down pivots of the same elimination
+(tridiag_log_derivative).  Each replaces an exactly zero pivot by eps times
+the norm of the unshifted A, the tiny pivot an exact eigenvalue wants, so no
+caller re-shifts; tridiag_log_derivative's is tridiag_balanced_norm, which
+the block eigensolver reads too.  The null vectors replace a subnormal pivot
+too: it has lost digits to gradual underflow and would wreck the vector.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 _SMALLEST_NORMAL = sys.float_info.min
@@ -27,6 +28,12 @@ def tridiag_norm(sub: list[complex], diag: list[complex], sup: list[complex]) ->
     return max(abs(lo) + abs(d) + abs(up) for lo, d, up in rows)
 
 
+def tridiag_balanced_norm(diag: list[complex], prod: list[complex]) -> float:
+    """||T~||, the infinity norm of T with its couplings balanced to |prod[k]|^(1/2), k >= 1."""
+    couplings = [math.sqrt(abs(b)) for b in prod[1:]]
+    return tridiag_norm(couplings, diag, couplings)
+
+
 def tridiag_log_derivative(diag: list[complex], prod: list[complex], z: complex) -> complex:
     """p'(z) / p(z) for p(z) = det(T - zI), in one O(n) pass.
 
@@ -35,16 +42,15 @@ def tridiag_log_derivative(diag: list[complex], prod: list[complex], z: complex)
     r_k = prod[k] / d_{k-1}, d_k = (diag[k] - z) - r_k, and p = prod_k d_k,
     so p'/p is the sum of e_k = d_k' / d_k = (r_k e_{k-1} - 1) / d_k.  p
     itself is never formed, so its growth or decay with n cannot under- or
-    overflow.  An exactly zero pivot is replaced by eps * ||T|| of the
-    unshifted T with its couplings balanced to |prod|^(1/2).
+    overflow.  An exactly zero pivot is replaced by eps * ||T~||, the
+    tridiag_balanced_norm of the unshifted T.
     """
     d, e, total = 1.0, 0.0, 0.0j
     for a, b in zip(diag, prod):
         r = b / d
         d = a - z - r
         if not d:
-            coupling = [abs(c) ** 0.5 for c in prod[1:]]
-            d = sys.float_info.epsilon * tridiag_norm(coupling, diag, coupling) or 1.0
+            d = sys.float_info.epsilon * tridiag_balanced_norm(diag, prod) or 1.0
         e = (r * e - 1.0) / d
         total += e
     return total
@@ -90,11 +96,7 @@ def tridiag_null_vectors(sub: list[complex], diag: list[complex], sup: list[comp
 def tridiag_matvec(
     sub: list[complex], diag: list[complex], sup: list[complex], x: list[complex]
 ) -> list[complex]:
-    """A x in O(n)."""
-    if len(diag) == 1:
-        return [diag[0] * x[0]]
-    rows = zip(diag[1:], x[1:], sub, x, sup[1:], x[2:])
-    out = [diag[0] * x[0] + sup[0] * x[1]]
-    out += [d * mid + lo * left + up * right for d, mid, lo, left, up, right in rows]
-    out.append(diag[-1] * x[-1] + sub[-1] * x[-2])
-    return out
+    """A x in O(n): row k is diag[k] x_k + sub[k-1] x_{k-1} + sup[k] x_{k+1}, zero past the ends."""
+    xs = (0.0j, *x, 0.0j)
+    rows = zip(diag, xs[1:], (0.0j, *sub), xs, (*sup, 0.0j), xs[2:])
+    return [d * mid + lo * left + up * right for d, mid, lo, left, up, right in rows]

@@ -3,7 +3,6 @@
 import math
 import random
 
-from qesolve.cpoly import CPolynomial
 from qesolve.errors import ValidationError
 from qesolve.families import (
     EVEN,
@@ -14,7 +13,7 @@ from qesolve.families import (
     make_sextic,
     potential_eval,
 )
-from qesolve.sl2 import OperatorCombination, SpinJ
+from qesolve.sl2 import CPolynomial, OperatorCombination, SpinJ
 
 from _oracles import ZERO, monomial, poly_add, poly_derivative, poly_mul, poly_scale, poly_sub
 

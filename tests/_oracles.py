@@ -18,8 +18,8 @@ import sys
 
 import pytest
 
-from qesolve.cpoly import CPolynomial
 from qesolve.errors import ConvergenceFailureError, ValidationError
+from qesolve.sl2 import CPolynomial
 
 _EPS = sys.float_info.epsilon
 

@@ -21,7 +21,6 @@ from qesolve.analysis import (
     residual_sup,
 )
 from qesolve.cli import build_report
-from qesolve.cpoly import CPolynomial
 from qesolve.errors import (
     ConvergenceFailureError,
     NumericOverflowError,
@@ -38,7 +37,7 @@ from qesolve.families import (
     make_sextic,
     potential_eval,
 )
-from qesolve.sl2 import build_block
+from qesolve.sl2 import CPolynomial, build_block
 from qesolve.spectrum import QesSolution, solve_model
 
 from _helpers import (
@@ -75,6 +74,15 @@ def test_psi_sextic_two_level_lower_state():
 def test_psi_morse_at_origin():
     w = _solved(make_morse(MorseParams.from_mu(1.0, 0)))
     assert rel_err(psi_eval(*w, 0.0), math.exp(-2.0)) <= 1e-14
+
+
+def test_psi_of_an_unmeasurable_horner_value():
+    # phi's one coefficient is finite but its modulus is beyond the largest
+    # double, so abs() of the Horner sum raises: psi_eval still returns the
+    # value, times the sextic gauge's 1 at x = 0
+    model = make_sextic(SexticParams.from_mu(1.0, 0))
+    level = QesSolution(0j, CPolynomial([1.5e308 + 1.5e308j]), 0.0)
+    assert psi_eval(model, level, 0.0) == 1.5e308 + 1.5e308j
 
 
 def test_residual_vanishes_for_true_eigenpairs():
@@ -496,22 +504,23 @@ def test_partner_identity_random_points():
 
 
 def test_tridiag_matvec_direct():
-    # a random complex A with sub != sup, against the three-term row sums
+    # a random complex A with sub != sup, against the three-term row sums;
+    # n = 2 has the two edge rows and no middle row
     from qesolve.tridiag import tridiag_matvec
 
     rng = fresh_rng()
-    n = 50
-    sub, sup = ([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n - 1)] for _ in "ab")
-    diag = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
-    x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
-    ax = tridiag_matvec(sub, diag, sup, x)
-    for i in range(n):
-        acc = diag[i] * x[i]
-        if i > 0:
-            acc += sub[i - 1] * x[i - 1]
-        if i < n - 1:
-            acc += sup[i] * x[i + 1]
-        assert ax[i] == acc
+    for n in (50, 2):
+        sub, sup = ([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n - 1)] for _ in "ab")
+        diag = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+        x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+        ax = tridiag_matvec(sub, diag, sup, x)
+        for i in range(n):
+            acc = diag[i] * x[i]
+            if i > 0:
+                acc += sub[i - 1] * x[i - 1]
+            if i < n - 1:
+                acc += sup[i] * x[i + 1]
+            assert ax[i] == acc
     assert tridiag_matvec([], [2.0 + 0j], [], [3.0 + 0j]) == [6.0 + 0j]
 
 
@@ -550,6 +559,25 @@ def test_log_derivative_matches_the_continuant():
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             p, dp, _ = _newton_terms(list(zip(diag, prod, [abs(b) for b in prod])), z)
             assert abs(tridiag_log_derivative(diag, prod, z) - dp / p) <= 1e-11 * abs(dp / p)
+
+
+def test_log_derivative_zero_pivot_reads_the_balanced_norm():
+    # the 3 x 3 zero diagonal with coupling products 1 and 39.4 at z = 0: the
+    # first pivot down is exactly 0, and its stand-in eps * ||T~|| balances the
+    # couplings with math.sqrt, where 39.4 ** 0.5 can lie one ulp away
+    from qesolve.tridiag import tridiag_balanced_norm, tridiag_log_derivative
+
+    diag, prod = [0j, 0j, 0j], [0.0, 1.0, 39.4]
+    norm = 1.0 + math.sqrt(39.4)
+    assert tridiag_balanced_norm(diag, prod) == norm
+    d = sys.float_info.epsilon * norm
+    e = total = -1.0 / d
+    for a, b in zip(diag[1:], prod[1:]):
+        r = b / d
+        d = a - 0j - r
+        e = (r * e - 1.0) / d
+        total += e
+    assert tridiag_log_derivative(diag, prod, 0j) == total
 
 
 def test_log_derivative_replaces_a_zero_pivot():

@@ -1,15 +1,20 @@
+"""CPolynomial (qesolve.sl2), the Horner loop poly_eval_bounded (qesolve.analysis) and the
+test-only polynomial algebra of _oracles."""
+
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesolve.cpoly import CPolynomial, poly_eval, poly_eval_bounded
+from qesolve.analysis import poly_eval_bounded
 from qesolve.errors import NumericOverflowError
+from qesolve.sl2 import CPolynomial
 
 from _helpers import fresh_rng, rel_err
 from _oracles import (
     ZERO,
+    _horner_all,
     degree,
     is_zero,
     monomial,
@@ -72,15 +77,15 @@ def test_derivative_of_level_polynomial():
 
 
 def test_eval_root():
-    assert poly_eval(CPolynomial([1.0, 0.0, -1.0]), 1.0) == 0.0
+    assert poly_eval_bounded(CPolynomial([1.0, 0.0, -1.0]), 1.0)[0] == 0.0
 
 
 def test_eval_constant_term():
-    assert poly_eval(CPolynomial([1.0, 1.0 - 1j]), 0.0) == 1.0
+    assert poly_eval_bounded(CPolynomial([1.0, 1.0 - 1j]), 0.0)[0] == 1.0
 
 
 def test_eval_direct_sum():
-    assert poly_eval(CPolynomial([1.0, 1.0 - 1j]), 1.0) == 2.0 - 1j
+    assert poly_eval_bounded(CPolynomial([1.0, 1.0 - 1j]), 1.0)[0] == 2.0 - 1j
 
 
 def test_zero_polynomial_degree_is_none():
@@ -116,14 +121,14 @@ def test_mul_overflow_surfaces():
 
 def test_eval_overflow_surfaces():
     with pytest.raises(NumericOverflowError):
-        poly_eval(CPolynomial([0.0, 1e300]), 1e300)
+        poly_eval_bounded(CPolynomial([0.0, 1e300]), 1e300)
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys, unit_coeffs)
 def test_bounded_eval_matches_and_bounds_horner(p, z):
     value, bound = poly_eval_bounded(p, z)
-    assert value == poly_eval(p, z)
+    assert value == _horner_all(p.coeffs, z)[0]
     # exact Horner in rationals on the same double inputs
     re, im = Fraction(0), Fraction(0)
     zr, zi = Fraction(z.real), Fraction(z.imag)
@@ -134,11 +139,12 @@ def test_bounded_eval_matches_and_bounds_horner(p, z):
 
 
 def test_bounded_eval_of_unmeasurable_value_has_no_finite_bound():
-    # a finite value whose modulus exceeds the largest double: poly_eval's
-    # value, with an infinite rounding bound instead of an error
+    # a finite value whose modulus exceeds the largest double: the plain
+    # Horner value, here the constant itself, with an infinite rounding
+    # bound instead of an error
     p = CPolynomial([1.5e308 + 1.5e308j])
     value, bound = poly_eval_bounded(p, 0.5)
-    assert value == poly_eval(p, 0.5) and bound == float("inf")
+    assert value == 1.5e308 + 1.5e308j and bound == float("inf")
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,7 +176,8 @@ _EVAL_POINTS = [complex(_rng.uniform(-1, 1), _rng.uniform(-1, 1)) for _ in range
 def test_eval_commutes_with_mul(p, q):
     product = poly_mul(p, q)
     for z in _EVAL_POINTS:
-        assert rel_err(poly_eval(product, z), poly_eval(p, z) * poly_eval(q, z)) <= 1e-11
+        value = poly_eval_bounded(product, z)[0]
+        assert rel_err(value, poly_eval_bounded(p, z)[0] * poly_eval_bounded(q, z)[0]) <= 1e-11
 
 
 def test_add_sub_round_trip():

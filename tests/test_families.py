@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from qesolve.cpoly import CPolynomial
 from qesolve.errors import NumericOverflowError, ValidationError
 from qesolve.families import (
     EVEN,
@@ -15,7 +14,7 @@ from qesolve.families import (
     make_sextic,
     potential_eval,
 )
-from qesolve.sl2 import build_block
+from qesolve.sl2 import CPolynomial, build_block
 
 from _helpers import (
     fresh_rng,

@@ -1,8 +1,7 @@
 import pytest
 
-from qesolve.cpoly import CPolynomial
 from qesolve.errors import ValidationError
-from qesolve.sl2 import BlockMatrix, OperatorCombination, SpinJ, build_block
+from qesolve.sl2 import BlockMatrix, CPolynomial, OperatorCombination, SpinJ, build_block
 
 from _helpers import (
     apply_combination,
