@@ -4,10 +4,11 @@
 Each line is `<digest> <exit code> <argv>`, the digest a hash of the exit
 code, stdout and stderr of `qesolve <argv>` run in-process through
 cli.main; an exception that escapes main is an outcome of its own, and
-its exit code field reads `raised:<exception type>`.  The last line
-hashes all of them.  Two checkouts whose outputs agree byte for byte
-print the same lines, so a diff of two runs names every
-command whose output moved.  The script imports qesolve from the `src`
+its exit code field reads `raised:<exception type>`.  The `total` line
+hashes all of them.  The last line, `gate commands-raise <n> zero`, counts
+the commands that raised; `scripts/gates.py` fails any n but 0.  Two
+checkouts whose outputs agree byte for byte print the same lines, so a
+diff of two runs names every command whose output moved.  The script imports qesolve from the `src`
 directory next to it; to digest another checkout, copy the script into
 that checkout's `scripts` directory and run it there.
 """
@@ -101,13 +102,15 @@ def digest(argv) -> str:
 
 def main_digest() -> int:
     total = hashlib.sha256()
-    count = 0
+    count = raised = 0
     for argv in cases():
         line = digest(argv)
         print(line)
         total.update(line.encode() + b"\n")
         count += 1
+        raised += line.split(" ", 2)[1].startswith("raised:")
     print(f"total {count} outputs {total.hexdigest()[:16]}")
+    print(f"gate commands-raise {raised} zero")
     return 0
 
 

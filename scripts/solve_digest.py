@@ -22,7 +22,9 @@ spectrum sits far below its norm.  Before the total it prints
 so that Aberth started from a circle.  The QL-off case counts its
 evaluations but no fallback start: its replacement bypasses the counting
 wrapper, so `fallback starts` counts the same pieces on any checkout and
-stays comparable across them.  Two checkouts whose solves agree
+stays comparable across them.  After the total, `gate fallback-starts <n>
+no-more` repeats that count for `scripts/gates.py`, which fails it when it
+is larger than the parent commit's.  Two checkouts whose solves agree
 bit for bit print the same lines, so a diff of two runs names every block
 that moved.  The script imports qesolve from the `src` directory next to
 it; to digest another checkout, copy the script into that checkout's
@@ -150,6 +152,7 @@ def main() -> int:
     print(f"evaluations {evaluations}")
     print(f"fallback starts {fallbacks}")
     print(f"total {count} blocks {total.hexdigest()[:16]}")
+    print(f"gate fallback-starts {fallbacks} no-more")
     return 0
 
 

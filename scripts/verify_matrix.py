@@ -24,6 +24,11 @@ a = 10^p, d = 10^-p, p = -4..4, 2j = 0..7, mu in {0.3, 0.7, 1.0, 1.4}: 288
 calls.  Each call gets one `translate` line with its outcome, as in the
 first table, then the total that pass.
 
+Last come three gate lines for `scripts/gates.py`, which compares them with
+the parent commit's: `gate blocks-pass <n> no-fewer` (blocks that pass),
+`gate survey-raises <n> no-more` (survey calls that raise) and
+`gate translations-pass <n> no-fewer` (a*d = 1 calls that pass).
+
 The script imports qesolve from the `src` directory next to it; to run
 another checkout, copy the script into that checkout's `scripts` directory
 and run it there.  It takes 19 to 37 s on two vCPUs with Python 3.11.
@@ -103,6 +108,7 @@ def main() -> int:
     for (family, label), two_js in groups.items():
         print(f"{family} | {label} | first 2j={min(two_js)} | {len(two_js)} blocks")
     print(f"total: {passed} of {total} blocks pass")
+    blocks_passed = passed
 
     counts: dict[tuple[int, str], int] = {}
     raised = calls = 0
@@ -130,6 +136,9 @@ def main() -> int:
                 passed += label == "pass"
                 total += 1
     print(f"translation total: {passed} of {total} calls pass")
+    print(f"gate blocks-pass {blocks_passed} no-fewer")
+    print(f"gate survey-raises {raised} no-more")
+    print(f"gate translations-pass {passed} no-fewer")
     return 0
 
 

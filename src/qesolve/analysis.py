@@ -265,7 +265,10 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
         total = wider
     if not wider:
         raise ConvergenceFailureError("normalization sum underflowed", best=0.0, defect=1.0)
-    # refine on the wider interval, whose edge samples the tail test showed negligible
+    # refine on the wider interval, whose edge samples the tail test showed negligible.
+    # Not on the narrower one: the tail test samples at h = NORM_START_STEP (0.25) and can
+    # miss narrow Morse edge peaks, and refining on the narrower half-width gave
+    # 2.959954178e-4 for Morse 2j = 22, mu = 0.7, level 20, against 2.959954245e-4
     total = wider
     while True:
         if 2 * int(2.0 * half / h) + 1 > NORM_NODE_CAP:

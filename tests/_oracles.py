@@ -210,18 +210,35 @@ def high_precision_spectrum(entries, dps: int = 60):
     seeds settle on one root, or one fail to settle, the block falls back
     to mpmath.eig.  kappa_i = |x_i| |y_i| / |y_i^H x_i| comes from numpy's
     right and left vectors (mpmath's on the fallback); it only scales a
-    tolerance.
+    tolerance.  When numpy's eigenvector matrix is singular, as for a
+    strongly non-normal block, the seeds, the kappas and the fallback take
+    the diagonally similar block whose couplings are balanced to
+    sqrt(sub * sup), formed in dps-digit arithmetic: its continuant, hence
+    its spectrum, is the block's, and mpmath.eig of the unbalanced block
+    can return its diagonal.
     """
     np = pytest.importorskip("numpy")
     mpmath = pytest.importorskip("mpmath")
     m = np.array(entries, dtype=complex)
     n = m.shape[0]
-    seeds, vectors = np.linalg.eig(m)
-    kappas = np.linalg.norm(vectors, axis=0) * np.linalg.norm(np.linalg.inv(vectors), axis=1)
     with mpmath.workdps(dps):
         mpc = mpmath.mpc
         diag = [mpc(m[i, i]) for i in range(n)]
         couple = [mpc(m[i + 1, i]) * mpc(m[i, i + 1]) for i in range(n - 1)]
+        rows = m.tolist()
+        seeds, vectors = np.linalg.eig(m)
+        try:
+            inverse = np.linalg.inv(vectors)
+        except np.linalg.LinAlgError:
+            roots = [mpmath.sqrt(c) for c in couple]
+            rows = [
+                [diag[i] if k == i else roots[min(i, k)] if abs(i - k) == 1 else mpc(0) for k in range(n)]
+                for i in range(n)
+            ]
+            m = np.array(rows, dtype=complex)
+            seeds, vectors = np.linalg.eig(m)
+            inverse = np.linalg.inv(vectors)
+        kappas = np.linalg.norm(vectors, axis=0) * np.linalg.norm(inverse, axis=1)
         scale = max(1.0, float(np.abs(m).sum(axis=1).max()))
         done = mpmath.mpf(10) ** (-dps // 2) * scale
 
@@ -249,7 +266,7 @@ def high_precision_spectrum(entries, dps: int = 60):
             abs(values[i] - values[k]) > 1e6 * done for i in range(n) for k in range(i)
         ) if None not in values else False
         if not distinct:
-            values, left, right = mpmath.eig(mpmath.matrix(m.tolist()), left=True, right=True)
+            values, left, right = mpmath.eig(mpmath.matrix(rows), left=True, right=True)
             kappas = []
             for i in range(n):
                 x = [right[k, i] for k in range(n)]

@@ -576,22 +576,33 @@ def test_ql_values_scale_a_piece_below_2_to_the_minus_512(monkeypatch):
 
 
 def _non_normal_levels() -> list[complex]:
-    """The levels of NON_NORMAL_4X4, 1e-150 times those of the block with
-    diagonal 0, i, 2i, 3i and unit couplings, to which it is diagonally
-    similar up to rounding; numpy's eigenvectors of the 4 x 4 itself are
-    singular, so the oracle takes the balanced block."""
-    balanced = BlockMatrix(sub=(1.0,) * 3, diag=(0j, 1j, 2j, 3j), sup=(1.0,) * 3)
-    values, _ = high_precision_spectrum(balanced.entries)
-    return [1e-150 * complex(v) for v in values]
+    """The levels of NON_NORMAL_4X4 from the 60-digit oracle, which takes them
+    from the balanced block because numpy's eigenvectors of the 4 x 4 are singular."""
+    values, _ = high_precision_spectrum(NON_NORMAL_4X4.entries)
+    return [complex(v) for v in values]
 
 
-def _assert_non_normal_levels(pairs):
+def _assert_non_normal_levels(pairs, rel: float = 1e-12):
     levels = _non_normal_levels()
     assert len(pairs) == 4 and max(p.eigvec_residual for p in pairs) <= 1e-10
     for level in levels:
-        assert min(abs(p.energy_base - level) for p in pairs) <= 1e-12 * abs(level), level
+        assert min(abs(p.energy_base - level) for p in pairs) <= rel * abs(level), level
     for p in pairs:
-        assert min(abs(p.energy_base - level) for level in levels) <= 1e-12 * abs(p.energy_base), p
+        assert min(abs(p.energy_base - level) for level in levels) <= rel * abs(p.energy_base), p
+
+
+def test_non_normal_block_matches_its_60_digit_reference():
+    # mpmath.eig of the block itself returns its diagonal 0, 1e-150i, 2e-150i,
+    # 3e-150i; the balanced block gives these levels, and eigen_solve's agree
+    # to 1.1e-16 of each
+    expected = [
+        complex(re, im)
+        for re in (-7.5874495677599e-151, 7.5874495677599e-151)
+        for im in (9.2930401312696e-151, 2.0706959868730e-150)
+    ]
+    levels = sorted(_non_normal_levels(), key=lambda z: (z.real, z.imag))
+    assert levels == pytest.approx(expected, rel=1e-13)
+    _assert_non_normal_levels(eigen_solve(NON_NORMAL_4X4), rel=1e-15)
 
 
 def test_circle_start_finds_the_non_normal_levels(monkeypatch):
