@@ -118,7 +118,11 @@ def digest(name, solve) -> str:
     except QesError as exc:
         outcome, blob = type(exc).__name__, repr((str(exc), getattr(exc, "defect", None)))
     else:
-        levels = [(s.energy_base, s.phi_coeffs.coeffs, s.eigvec_residual, s.multiplicity) for s in solutions]
+        # a plain coefficient tuple, or one wrapped in a `coeffs` attribute on older checkouts
+        levels = [
+            (s.energy_base, getattr(s.phi_coeffs, "coeffs", s.phi_coeffs), s.eigvec_residual, s.multiplicity)
+            for s in solutions
+        ]
         outcome, blob = "ok", repr((levels, shift.found, shift.shift, shift.spread))
     text = f"{outcome}\0{blob}".encode()
     return f"{hashlib.sha256(text).hexdigest()[:16]} {outcome} {name}"

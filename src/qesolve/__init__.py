@@ -42,7 +42,6 @@ from .families import (
 )
 from .sl2 import (
     BlockMatrix,
-    CPolynomial,
     OperatorCombination,
     SpinJ,
     build_block,

@@ -1,7 +1,7 @@
 """Wavefunctions of solved levels and independent verification of solved models.
 
-psi_eval, psi_abs2, residual_sup and norm_squared take a model and one of
-its solved levels: psi(x) = phi(z(x)) * exp(-G(x)) from the level's
+psi_eval, residual_sup and norm_squared take a model and one of its solved
+levels (psi_abs2 its phi): psi(x) = phi(z(x)) * exp(-G(x)) from the level's
 polynomial phi and the model's change of variable and gauge factor, phi
 by the one Horner loop, poly_eval_bounded, with its rounding error bound.
 
@@ -53,7 +53,6 @@ from typing import Sequence
 
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import QesModel, potential_eval
-from .sl2 import CPolynomial
 from .spectrum import QesSolution
 from .tridiag import tridiag_log_derivative
 
@@ -100,8 +99,8 @@ class GridSpec:
 _MUL_ERR = math.sqrt(2.0) * 2.0 * 2.0**-53 / (1.0 - 2.0 * 2.0**-53)
 
 
-def poly_eval_bounded(p: CPolynomial, z: complex) -> tuple[complex, float]:
-    """Horner evaluation and a bound on its rounding error at this z.
+def poly_eval_bounded(coeffs: Sequence[complex], z: complex) -> tuple[complex, float]:
+    """Horner evaluation of sum(coeffs[k] * z**k) and a bound on its rounding error at this z.
 
     The bound is the running error bound of Horner's rule (Higham, Accuracy
     and Stability of Numerical Algorithms, 2nd ed., Algorithm 5.1) for
@@ -110,7 +109,7 @@ def poly_eval_bounded(p: CPolynomial, z: complex) -> tuple[complex, float]:
     """
     acc = 0.0j
     running = 0.0  # sum of |z|^k |y_k| over the partial sums y_k
-    size, coeffs = abs(z), reversed(p.coeffs)
+    size, coeffs = abs(z), reversed(coeffs)
     try:
         for c in coeffs:
             acc = acc * z + c
@@ -149,8 +148,8 @@ def residual_sup(model: QesModel, solution: QesSolution) -> float:
     1e-10 for genuine eigenpairs.  It reads no sample points, so it stays
     rounding-sized where every term vanishes at some z (E = 0 at z = 0).
     """
-    p2, p1, p0 = (p.coeffs for p in model.ode)
-    phi = solution.phi_coeffs.coeffs
+    p2, p1, p0 = model.ode
+    phi = solution.phi_coeffs
     d1 = [k * c for k, c in enumerate(phi) if k]
     d2 = [k * c for k, c in enumerate(d1) if k]
     a, b, c = _convolve(p2, d2), _convolve(p1, d1), _convolve(p0, phi)
@@ -173,12 +172,12 @@ NORM_NODE_CAP = 1 << 16
 NORM_ROUNDING_CAP = 1e-6
 
 
-def psi_abs2(model: QesModel, solution: QesSolution, x: float) -> tuple[float, float]:
-    """|psi(x)|^2 and the Horner error bound of phi carried through it.
+def psi_abs2(model: QesModel, phi: Sequence[complex], x: float) -> tuple[float, float]:
+    """|psi(x)|^2 for the level phi and the Horner error bound of phi carried through it.
 
     The other roundings stay within a few ulps, far below NORM_REL_TOL.
     """
-    value, bound = poly_eval_bounded(solution.phi_coeffs, model.z_of_x(x))
+    value, bound = poly_eval_bounded(phi, model.z_of_x(x))
     g = model.decay_factor(x)
     psi = value * g
     spread = bound * abs(g) if g else 0.0  # g == 0: psi underflowed to an exact 0
@@ -216,17 +215,17 @@ def norm_squared(model: QesModel, solution: QesSolution) -> float:
     """
     if not model.normalizable:
         raise ValidationError("Morse normalization needs Re a > 0 and Re d > 0 for a decaying gauge")
-    x0 = model.centre
+    x0, phi = model.centre, solution.phi_coeffs
     # |psi|^2 and its rounding bound at every node of the current rule, x = x0 first
-    values, errors = ([sample] for sample in psi_abs2(model, solution, x0))
+    values, errors = ([sample] for sample in psi_abs2(model, phi, x0))
 
     def trapezoid(h: float, new: range) -> tuple[float, float]:
         for k in new:  # sample the new nodes x0 + k*h and x0 - k*h, then sum every node
             x = k * h  # h is a power of two times the start step: k*h is exact
-            right = psi_abs2(model, solution, x0 + x)
+            right = psi_abs2(model, phi, x0 + x)
             # |psi(-x)|^2 is |psi(x)|^2 to the last bit for a model with a parity (the
             # sextic, x0 = 0): x enters as x*x and x^4, and the odd factor x flips psi's sign
-            left = right if model.parity else psi_abs2(model, solution, x0 - x)
+            left = right if model.parity else psi_abs2(model, phi, x0 - x)
             values.extend((right[0], left[0]))
             errors.extend((right[1], left[1]))
         try:

@@ -155,7 +155,7 @@ def _closed_forms(
         if mu == 0.0:
             return forms, []
         _, upper = max(zip(computed, solutions), key=lambda t: (t[0].real, t[0].imag))
-        c1 = upper.phi_coeffs.coeffs[1] if len(upper.phi_coeffs.coeffs) > 1 else 0.0j
+        c1 = (*upper.phi_coeffs, 0.0j)[1]
         forms.append(("upper-level c_1 = -(sqrt(2-mu^2)-i*mu)", -(root - complex(0.0, mu)), c1))
         return forms, [
             "published upper-level c_1 adjudicated: the computed null vector has "
@@ -226,7 +226,7 @@ def build_report(
             "index": i,
             "energy_base": s.energy_base,
             "energy_shifted": s.energy_base + shift,
-            "phi_coeffs": s.phi_coeffs.coeffs,
+            "phi_coeffs": s.phi_coeffs,
             "eigvec_residual": s.eigvec_residual,
             "multiplicity": s.multiplicity,
         }

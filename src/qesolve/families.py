@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericOverflowError, PoleError, ValidationError
-from .sl2 import CPolynomial, OperatorCombination, SpinJ
+from .sl2 import OperatorCombination, SpinJ
 
 SEXTIC = "sextic"
 MORSE = "morse"
@@ -62,6 +62,17 @@ def _rexp(x: float) -> float:
     if value == 0.0:  # the Morse gauge divides by it
         raise NumericOverflowError(f"exponential underflow: exp({x!r})")
     return value
+
+
+def _poly(*coeffs: complex) -> tuple[complex, ...]:
+    """Polynomial coefficients c_0, c_1, ... as complex, exactly zero trailing ones dropped."""
+    items = [complex(c) for c in coeffs]
+    for c in items:
+        if not cmath.isfinite(c):
+            raise NumericOverflowError(f"non-finite polynomial coefficient {c!r}")
+    while items and not items[-1]:
+        items.pop()
+    return tuple(items)
 
 
 def _require_finite(name: str, value: complex) -> complex:
@@ -128,8 +139,8 @@ class MorseParams:
 class QesModel:
     """A fully resolved family instance.
 
-    ode = (p2, p1, p0) gives the z-space equation p2 phi'' + p1 phi' +
-    (p0 - E) phi = 0 with p0 holding only the energy-free part.
+    ode = (p2, p1, p0), coefficient tuples from z^0 up, gives the z-space
+    equation p2 phi'' + p1 phi' + (p0 - E) phi = 0, p0 energy-free.
     potential_coeffs are (x^6, x^4, x^2) for sextic and
     (e^{2x}, e^x, e^{-x}, e^{-2x}) for Morse; there is never a constant term.
     The family's geometry, set by make_sextic / make_morse alone: centre,
@@ -143,7 +154,7 @@ class QesModel:
     params: SexticParams | MorseParams
     rep: SpinJ
     combo: OperatorCombination
-    ode: tuple[CPolynomial, CPolynomial, CPolynomial]
+    ode: tuple[tuple[complex, ...], tuple[complex, ...], tuple[complex, ...]]
     potential_coeffs: tuple[complex, ...]
     centre: float
     default_domain: tuple[float, float]
@@ -195,13 +206,13 @@ def make_sextic(params: SexticParams) -> QesModel:
     t = 1 if params.sector == EVEN else 3  # the odd sector's extra gauge factor x adds 2
     c_m = complex(-(2 * t + 2 * n))
     combo = OperatorCombination(c_0m=-4.0, c_p=4.0, c_m=c_m, c_0=4.0 * a, c_id=a * (2 * n + t))
-    p1 = CPolynomial((-2.0 * t, 4.0 * a, 4.0))
+    p1 = _poly(-2.0 * t, 4.0 * a, 4.0)
     return QesModel(
         family=SEXTIC,
         params=params,
         rep=SpinJ(n),
         combo=combo,
-        ode=(CPolynomial((0.0, -4.0)), p1, CPolynomial((t * a, -4.0 * n))),
+        ode=(_poly(0.0, -4.0), p1, _poly(t * a, -4.0 * n)),
         potential_coeffs=(1.0 + 0.0j, 2.0 * a, a * a - (4 * n + 2 + t)),
         centre=0.0,
         default_domain=(-6.0, 6.0),
@@ -217,9 +228,9 @@ def make_morse(params: MorseParams) -> QesModel:
     big_d = -(2.0 * b + 1.0 + n)
     c_id = big_d * (n / 2.0) + 2.0 * a * d - b * b
     combo = OperatorCombination(c_pm=-1.0, c_p=2.0 * a, c_m=-2.0 * d, c_0=big_d, c_id=c_id)
-    p2 = CPolynomial((0.0, 0.0, -1.0))
-    p1 = CPolynomial((-2.0 * d, -(2.0 * b + 1.0), 2.0 * a))
-    p0 = CPolynomial((2.0 * a * d - b * b, -2.0 * a * n))
+    p2 = _poly(0.0, 0.0, -1.0)
+    p1 = _poly(-2.0 * d, -(2.0 * b + 1.0), 2.0 * a)
+    p0 = _poly(2.0 * a * d - b * b, -2.0 * a * n)
     centre = 0.5 * (math.log(abs(a)) - math.log(abs(d)))
     return QesModel(
         family=MORSE,
@@ -244,8 +255,8 @@ def potential_eval(model: QesModel, x: float, shift: complex = 0.0j) -> complex:
     """V(x) + shift from the family's closed form.
 
     The odd sextic sector is fine at x = 0: only the gauge has a pole there,
-    the potential itself is a polynomial.  A value that is not finite raises
-    NumericOverflowError naming x.
+    the potential itself is a polynomial.  A value that is not finite, or a
+    Morse e^x out of range, raises NumericOverflowError naming x.
     """
     if model.family == SEXTIC:
         c6, c4, c2 = model.potential_coeffs
@@ -253,9 +264,7 @@ def potential_eval(model: QesModel, x: float, shift: complex = 0.0j) -> complex:
         value = ((c6 * x2 + c4) * x2 + c2) * x2 + shift
     else:
         c2p, c1p, c1m, c2m = model.potential_coeffs
-        if 2.0 * abs(x) > _EXP_LIMIT:
-            raise NumericOverflowError(f"Morse potential overflows at x={x!r}")
-        ex = math.exp(x)
+        ex = _rexp(x)
         emx = 1.0 / ex
         value = c2p * (ex * ex) + c1p * ex + c1m * emx + c2m * (emx * emx) + shift
     if not cmath.isfinite(value):

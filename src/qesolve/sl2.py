@@ -16,66 +16,14 @@ Each generator moves the degree by at most one, so `build_block` writes a
 quadratic combination of them straight into the three diagonals of a
 `BlockMatrix`.  The closed-form matrix actions that live with the potential
 families are derived separately and serve as an independent cross-check.
-
-A polynomial on that basis, a level's phi among them, is a `CPolynomial`:
-dense, trimmed only of exactly zero trailing coefficients for the residuals.
 """
 
 from __future__ import annotations
 
 import cmath
-from array import array
 from dataclasses import dataclass, fields
-from typing import Iterable
 
-from .errors import NumericOverflowError, ValidationError
-
-
-class CPolynomial:
-    """Polynomial sum(coeffs[k] * z**k); no coefficients is the zero polynomial.
-
-    The coefficients are held as packed doubles, 16 bytes each against 40
-    for a complex object and its tuple slot, which matters for results that
-    are kept by the thousand, such as solved levels.  The first read of
-    `coeffs` builds the tuple and keeps it.  A CPolynomial is an immutable
-    value: assignment raises, equality compares the coefficients and the
-    hash agrees with it, signed zeros included.
-    """
-
-    __slots__ = ("_packed", "coeffs")
-
-    def __init__(self, coeffs: Iterable[complex] = ()) -> None:
-        items = [complex(c) for c in coeffs]
-        for c in items:
-            if not cmath.isfinite(c):
-                raise NumericOverflowError(f"non-finite polynomial coefficient {c!r}")
-        while items and items[-1].real == 0.0 and items[-1].imag == 0.0:
-            items.pop()
-        object.__setattr__(self, "_packed", array("d", [x for c in items for x in (c.real, c.imag)]))
-
-    def __getattr__(self, name: str):  # reached only while `coeffs` is unset
-        if name != "coeffs":
-            raise AttributeError(name)
-        p = self._packed
-        value = tuple(complex(p[i], p[i + 1]) for i in range(0, len(p), 2))
-        object.__setattr__(self, "coeffs", value)
-        return value
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"CPolynomial is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CPolynomial):
-            return self._packed == other._packed  # float equality: -0.0 == 0.0
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._packed))  # hash(-0.0) == hash(0.0)
-
-    def __repr__(self) -> str:
-        return f"CPolynomial({self.coeffs!r})"
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)

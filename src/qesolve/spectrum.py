@@ -36,11 +36,12 @@ import cmath
 import itertools
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 
 from .errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from .families import QesModel
-from .sl2 import BlockMatrix, CPolynomial, build_block
+from .sl2 import BlockMatrix, build_block
 from .tridiag import tridiag_balanced_norm, tridiag_matvec, tridiag_norm, tridiag_null_vectors
 
 _EPS = sys.float_info.epsilon
@@ -60,14 +61,22 @@ class QesSolution:
 
     energy_base is the eigenvalue of the canonical (unshifted) potential;
     the shifted level is energy_base + ShiftResult.shift, one shift per
-    model.  phi_coeffs holds c_0 .. c_{2j} of the polynomial factor,
-    normalized so the first nonzero coefficient is 1.
+    model.  phi_packed holds c_0 .. c_{2j} of the polynomial factor as
+    (re, im) doubles, 16 bytes each, exactly zero trailing ones dropped,
+    normalized so the first coefficient above 1e-12 of the largest is 1;
+    equality compares these bits, a zero's sign included.
     """
 
     energy_base: complex
-    phi_coeffs: CPolynomial
+    phi_packed: bytes
     eigvec_residual: float
     multiplicity: int = 1
+
+    @property
+    def phi_coeffs(self) -> tuple[complex, ...]:
+        """c_0 .. c_{2j} of phi, unpacked on each read."""
+        parts = iter(memoryview(self.phi_packed).cast("d"))
+        return tuple(map(complex, parts, parts))
 
 
 @dataclass(frozen=True)
@@ -289,7 +298,10 @@ def eigen_solve(m: BlockMatrix) -> list[QesSolution]:
         v[first] = 1.0 + 0.0j
         resid = max([abs(a - z * c) for a, c in zip(tridiag_matvec(lo, d, up, v), v)])
         scale = max(norm, 1e-300) * max(max(map(abs, v)), 1e-300)
-        levels += [QesSolution(s * z, CPolynomial(v), resid / scale, mult)] * mult
+        while not v[-1]:
+            v.pop()
+        packed = array("d", [x for c in v for x in (c.real, c.imag)]).tobytes()
+        levels += [QesSolution(s * z, packed, resid / scale, mult)] * mult
     return levels
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 
 from qesolve.errors import ValidationError
 from qesolve.families import (
@@ -13,9 +14,9 @@ from qesolve.families import (
     make_sextic,
     potential_eval,
 )
-from qesolve.sl2 import CPolynomial, OperatorCombination, SpinJ
+from qesolve.sl2 import OperatorCombination, SpinJ
 
-from _oracles import ZERO, monomial, poly_add, poly_derivative, poly_mul, poly_scale, poly_sub
+from _oracles import ZERO, Poly, monomial, poly_add, poly_derivative, poly_mul, poly_scale, poly_sub
 
 SEED = 20260808
 
@@ -26,6 +27,11 @@ def fresh_rng() -> random.Random:
 
 def rel_err(x: complex, y: complex) -> float:
     return abs(x - y) / max(abs(x), abs(y), 1.0)
+
+
+def pack(coeffs) -> bytes:
+    """The coefficients as a QesSolution's phi_packed: (re, im) doubles."""
+    return array("d", [x for c in map(complex, coeffs) for x in (c.real, c.imag)]).tobytes()
 
 
 def unit_complex(rng: random.Random, min_magnitude: float = 0.0) -> complex:
@@ -112,7 +118,7 @@ _Z = monomial(1)
 _Z2 = monomial(2)
 
 
-def apply_generator(gen: str, p: CPolynomial, rep: SpinJ) -> CPolynomial:
+def apply_generator(gen: str, p: Poly, rep: SpinJ) -> Poly:
     """Apply one generator to p in the spin-(two_j/2) representation.
 
     The polynomial-arithmetic oracle for the block builder: p may have any
@@ -129,7 +135,7 @@ def apply_generator(gen: str, p: CPolynomial, rep: SpinJ) -> CPolynomial:
     raise ValidationError(f"unknown generator tag {gen!r}")
 
 
-def apply_combination(combo: OperatorCombination, p: CPolynomial, rep: SpinJ) -> CPolynomial:
+def apply_combination(combo: OperatorCombination, p: Poly, rep: SpinJ) -> Poly:
     """Apply the full quadratic combination to p by polynomial arithmetic."""
     out = ZERO
     if combo.c_pm != 0 or combo.c_0m != 0:

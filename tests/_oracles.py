@@ -6,65 +6,85 @@
   tests use them on small blocks only.
 * high_precision_spectrum: each eigenvalue of a tridiagonal block to 60
   digits, with its condition number.
-* ZERO, monomial, degree, is_zero, poly_add, poly_sub, poly_scale,
-  poly_mul, poly_derivative: the polynomial algebra on CPolynomial that
-  only the tests use, for the closed-form generator actions, the algebra
-  checks and the reference residual that the package's one-pass
-  residual_sup is compared with to the bit.
+* Poly, ZERO, monomial, degree, is_zero, poly_add, poly_sub, poly_scale,
+  poly_mul, poly_derivative: a polynomial type and its algebra that only
+  the tests use, for the closed-form generator actions, the algebra checks
+  and the reference residual that the package's one-pass residual_sup is
+  compared with to the bit.  The package itself holds a polynomial as a
+  plain tuple of coefficients.
 """
 
 import cmath
 import sys
+from dataclasses import dataclass
 
 import pytest
 
-from qesolve.errors import ConvergenceFailureError, ValidationError
-from qesolve.sl2 import CPolynomial
+from qesolve.errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 
 _EPS = sys.float_info.epsilon
 
 
-ZERO = CPolynomial()
+@dataclass(frozen=True)
+class Poly:
+    """sum(coeffs[k] * z**k) with exactly zero trailing coefficients dropped; () is zero.
+
+    Equality and hash are the coefficient tuple's, so -0.0 equals 0.0.
+    """
+
+    coeffs: tuple[complex, ...] = ()
+
+    def __post_init__(self) -> None:
+        items = [complex(c) for c in self.coeffs]
+        for c in items:
+            if not cmath.isfinite(c):
+                raise NumericOverflowError(f"non-finite polynomial coefficient {c!r}")
+        while items and not items[-1]:
+            items.pop()
+        object.__setattr__(self, "coeffs", tuple(items))
 
 
-def monomial(k: int, c: complex = 1.0) -> CPolynomial:
+ZERO = Poly()
+
+
+def monomial(k: int, c: complex = 1.0) -> Poly:
     """c * z**k."""
     if k < 0:
         raise ValueError("monomial exponent must be non-negative")
-    return CPolynomial((0.0,) * k + (c,))
+    return Poly((0.0,) * k + (c,))
 
 
-def degree(p: CPolynomial) -> int | None:
+def degree(p: Poly) -> int | None:
     """Degree of p, or None for the zero polynomial."""
     return len(p.coeffs) - 1 if p.coeffs else None
 
 
-def is_zero(p: CPolynomial) -> bool:
+def is_zero(p: Poly) -> bool:
     return not p.coeffs
 
 
-def poly_add(p: CPolynomial, q: CPolynomial) -> CPolynomial:
+def poly_add(p: Poly, q: Poly) -> Poly:
     a, b = p.coeffs, q.coeffs
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for k, c in enumerate(b):
         out[k] += c
-    return CPolynomial(out)
+    return Poly(out)
 
 
-def poly_sub(p: CPolynomial, q: CPolynomial) -> CPolynomial:
+def poly_sub(p: Poly, q: Poly) -> Poly:
     out = list(p.coeffs) + [0.0j] * max(0, len(q.coeffs) - len(p.coeffs))
     for k, c in enumerate(q.coeffs):
         out[k] -= c
-    return CPolynomial(out)
+    return Poly(out)
 
 
-def poly_scale(p: CPolynomial, c: complex) -> CPolynomial:
-    return CPolynomial(c * x for x in p.coeffs)
+def poly_scale(p: Poly, c: complex) -> Poly:
+    return Poly(c * x for x in p.coeffs)
 
 
-def poly_mul(p: CPolynomial, q: CPolynomial) -> CPolynomial:
+def poly_mul(p: Poly, q: Poly) -> Poly:
     """Coefficient-wise convolution; result is in canonical trimmed form."""
     if is_zero(p) or is_zero(q):
         return ZERO
@@ -74,12 +94,12 @@ def poly_mul(p: CPolynomial, q: CPolynomial) -> CPolynomial:
             continue
         for j, b in enumerate(q.coeffs):
             out[i + j] += a * b
-    return CPolynomial(out)
+    return Poly(out)
 
 
-def poly_derivative(p: CPolynomial) -> CPolynomial:
+def poly_derivative(p: Poly) -> Poly:
     """Formal derivative; drops the degree by exactly one for nonconstant p."""
-    return CPolynomial(k * c for k, c in enumerate(p.coeffs) if k > 0)
+    return Poly(k * c for k, c in enumerate(p.coeffs) if k > 0)
 
 
 def _trace(m):
@@ -99,7 +119,7 @@ def _mat_mul(a, b):
     return out
 
 
-def char_poly(entries) -> CPolynomial:
+def char_poly(entries) -> Poly:
     """det(lambda I - M) via the Faddeev-LeVerrier recurrence; leading coefficient exactly 1.
 
     The recurrence runs on M scaled to unit row norm; coefficients are
@@ -121,7 +141,7 @@ def char_poly(entries) -> CPolynomial:
     for k in range(1, n + 1):
         power *= scale
         cs[k] *= power
-    return CPolynomial(list(reversed(cs)))
+    return Poly(list(reversed(cs)))
 
 
 def _horner_all(coeffs, z):
@@ -137,7 +157,7 @@ def _horner_all(coeffs, z):
     return p, dp, s
 
 
-def poly_roots(p: CPolynomial, tol: float = 1e-13, max_iter: int = 500) -> list[complex]:
+def poly_roots(p: Poly, tol: float = 1e-13, max_iter: int = 500) -> list[complex]:
     """All complex roots by Aberth-Ehrlich iteration, sorted by (Re, Im).
 
     Starts from a perturbed circle of radius 1 + max |coefficient| of the
@@ -239,7 +259,7 @@ def high_precision_spectrum(entries, dps: int = 60):
             seeds, vectors = np.linalg.eig(m)
             inverse = np.linalg.inv(vectors)
         kappas = np.linalg.norm(vectors, axis=0) * np.linalg.norm(inverse, axis=1)
-        scale = max(1.0, float(np.abs(m).sum(axis=1).max()))
+        scale = float(np.abs(m).sum(axis=1).max())
         done = mpmath.mpf(10) ** (-dps // 2) * scale
 
         def newton(z):

@@ -37,18 +37,19 @@ from qesolve.families import (
     make_sextic,
     potential_eval,
 )
-from qesolve.sl2 import CPolynomial, build_block
+from qesolve.sl2 import build_block
 from qesolve.spectrum import QesSolution, solve_model
 
 from _helpers import (
     fresh_rng,
     full_grid_hamiltonian,
+    pack,
     reality_regime_morse,
     reality_regime_sextic,
     rel_err,
     romberg,
 )
-from _oracles import poly_derivative, poly_mul, poly_scale
+from _oracles import Poly, poly_derivative, poly_mul, poly_scale
 
 
 def _solved(model, index=0):
@@ -81,7 +82,7 @@ def test_psi_of_an_unmeasurable_horner_value():
     # double, so abs() of the Horner sum raises: psi_eval still returns the
     # value, times the sextic gauge's 1 at x = 0
     model = make_sextic(SexticParams.from_mu(1.0, 0))
-    level = QesSolution(0j, CPolynomial([1.5e308 + 1.5e308j]), 0.0)
+    level = QesSolution(0j, pack([1.5e308 + 1.5e308j]), 0.0)
     assert psi_eval(model, level, 0.0) == 1.5e308 + 1.5e308j
 
 
@@ -152,16 +153,16 @@ def test_residual_fails_the_gate_when_one_coefficient_moves():
     for model in _residual_control_models():
         solutions, _ = solve_model(model)
         for s in solutions:
-            coeffs = list(s.phi_coeffs.coeffs)
+            coeffs = list(s.phi_coeffs)
             coeffs[len(coeffs) // 2] += 1e-6 * max(map(abs, coeffs))
-            broken = dataclasses.replace(s, phi_coeffs=CPolynomial(coeffs))
+            broken = dataclasses.replace(s, phi_packed=pack(coeffs))
             assert residual_sup(model, broken) > 1e-10
 
 
 def _reference_residual(model, solution):
     """residual_sup built from the tests' polynomial algebra, term by term."""
-    p2, p1, p0 = model.ode
-    phi = solution.phi_coeffs
+    p2, p1, p0 = map(Poly, model.ode)
+    phi = Poly(solution.phi_coeffs)
     d1 = poly_derivative(phi)
     a, b, c = poly_mul(p2, poly_derivative(d1)), poly_mul(p1, d1), poly_mul(p0, phi)
     e = poly_scale(phi, -solution.energy_base)
@@ -195,7 +196,7 @@ def test_residual_equals_the_term_by_term_reference_to_the_bit():
 def test_residual_overflow_raises():
     # 4a * 1e300 in p1 phi' is beyond the largest double
     model = make_sextic(SexticParams(a=1e10, two_j=1))
-    level = QesSolution(energy_base=0j, phi_coeffs=CPolynomial([1, 1e300]), eigvec_residual=0.0)
+    level = QesSolution(energy_base=0j, phi_packed=pack([1, 1e300]), eigvec_residual=0.0)
     with pytest.raises(NumericOverflowError, match=r"^non-finite polynomial coefficient \(inf\+0j\)$"):
         residual_sup(model, level)
 
@@ -221,9 +222,7 @@ def test_norm_scales_quadratically():
     model = make_sextic(SexticParams.from_mu(1.0, 1))
     solutions, _ = solve_model(model)
     base = solutions[0]
-    doubled = dataclasses.replace(
-        base, phi_coeffs=CPolynomial([2.0 * c for c in base.phi_coeffs.coeffs])
-    )
+    doubled = dataclasses.replace(base, phi_packed=pack([2.0 * c for c in base.phi_coeffs]))
     assert rel_err(norm_squared(model, doubled), 4.0 * norm_squared(model, base)) <= 1e-13
 
 
@@ -253,9 +252,9 @@ def test_norm_samples_each_abscissa_once(model, monkeypatch):
     samples = {}
     psi_abs2 = analysis.psi_abs2
 
-    def recording_psi_abs2(model, solution, x):
+    def recording_psi_abs2(model, phi, x):
         assert x not in samples
-        samples[x] = psi_abs2(model, solution, x)
+        samples[x] = psi_abs2(model, phi, x)
         return samples[x]
 
     sums, fsum = [], math.fsum
@@ -315,10 +314,10 @@ def test_norm_settles_to_its_rounding_bound():
     mp = pytest.importorskip("mpmath")
     model = make_sextic(SexticParams.from_mu(0.7, 20))
     solutions, _ = solve_model(model)
-    w = model, solutions[17]
-    value = norm_squared(*w)
+    value = norm_squared(model, solutions[17])
 
-    coeffs = [mp.mpc(c.real, c.imag) for c in solutions[17].phi_coeffs.coeffs]
+    phi = solutions[17].phi_coeffs
+    coeffs = [mp.mpc(c.real, c.imag) for c in phi]
     a = mp.mpc(model.params.a.real, model.params.a.imag)
 
     def density(x):
@@ -331,7 +330,7 @@ def test_norm_settles_to_its_rounding_bound():
         reference = float(2 * mp.quad(density, [0, 1, 2, 3, 4, 6, 10]))
     # rounding bound of one trapezoid sum over the support, for both sums compared
     h = 1.0 / 64.0
-    rounding = 2.0 * h * sum(analysis.psi_abs2(*w, k * h)[1] for k in range(-512, 513))
+    rounding = 2.0 * h * sum(analysis.psi_abs2(model, phi, k * h)[1] for k in range(-512, 513))
     assert rounding > analysis.NORM_REL_TOL * value
     assert abs(value - reference) <= max(analysis.NORM_REL_TOL * value, rounding)
 
@@ -374,7 +373,7 @@ def test_morse_top_levels_get_a_true_norm_or_none():
             for _ in range(3):
                 v = mp.lu_solve(shifted, v)
                 v /= mp.norm(v)
-            assert s.phi_coeffs.coeffs[0] == 1.0
+            assert s.phi_coeffs[0] == 1.0
             coeffs = [v[i] / v[0] for i in range(n)]
 
             def density(x):
@@ -1296,7 +1295,7 @@ def test_norm_raises_when_the_rounding_bound_overflows(monkeypatch):
     model = make_sextic(SexticParams.from_mu(0.7, 0))
     solutions, _ = solve_model(model)
     psi_abs2 = analysis.psi_abs2
-    monkeypatch.setattr(analysis, "psi_abs2", lambda m, s, x: (psi_abs2(m, s, x)[0], 1e308))
+    monkeypatch.setattr(analysis, "psi_abs2", lambda m, phi, x: (psi_abs2(m, phi, x)[0], 1e308))
     with pytest.raises(ConvergenceFailureError, match="quadrature refinement did not converge") as info:
         norm_squared(model, solutions[0])
     assert info.value.defect == math.inf

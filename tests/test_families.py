@@ -14,7 +14,7 @@ from qesolve.families import (
     make_sextic,
     potential_eval,
 )
-from qesolve.sl2 import CPolynomial, build_block
+from qesolve.sl2 import build_block
 
 from _helpers import (
     fresh_rng,
@@ -24,6 +24,7 @@ from _helpers import (
     rel_err,
     tridiagonal_from_action,
 )
+from _oracles import Poly
 
 
 def test_sextic_mu1_potential_coefficients():
@@ -149,7 +150,7 @@ def test_sextic_constraint_identity():
         for sector in (EVEN, ODD):
             model = make_sextic(SexticParams(a=0.3 + 0.4j, two_j=two_j, sector=sector))
             p0 = model.ode[2]
-            z_coeff = p0.coeffs[1] if len(p0.coeffs) > 1 else 0.0j
+            z_coeff = p0[1] if len(p0) > 1 else 0.0j
             assert z_coeff == -4.0 * two_j  # -8j exactly, by construction
 
 
@@ -179,6 +180,24 @@ def test_morse_potential_overflow():
     model = make_morse(MorseParams(a=1.0, d=1.0, b=0.0, two_j=0))
     with pytest.raises(NumericOverflowError):
         potential_eval(model, 400.0)
+
+
+def test_morse_potential_is_refused_exactly_where_it_is_not_finite():
+    # e^{2|x|} passes the largest double at |x| = 354.89, e^|x| at 709.78;
+    # below that V is a finite double and is returned
+    model = make_morse(MorseParams(a=1.0, d=1.0, b=0.0, two_j=0))
+    for x in (354.7, -354.7):
+        assert cmath.isfinite(potential_eval(model, x))
+    for x in (400.0, -400.0, 800.0, -800.0):
+        with pytest.raises(NumericOverflowError, match=f"{x!r}"):
+            potential_eval(model, x)
+
+
+def test_morse_ode_overflow_raises_when_the_model_is_made():
+    # 2ad = 2e400 in p0 is beyond the largest double: refused as an overflow
+    # before any block is built, as the CLI's exit 2
+    with pytest.raises(NumericOverflowError, match=r"^non-finite polynomial coefficient \(inf"):
+        make_morse(MorseParams(a=1e200, d=1e200, b=0.0, two_j=1))
 
 
 def test_sextic_potential_overflow_names_x():
@@ -214,7 +233,7 @@ def test_sector_coefficients(a, n):
     ):
         assert (model.combo.c_m, model.combo.c_id) == (c_m, c_id)
         assert (model.combo.c_0m, model.combo.c_p, model.combo.c_0) == (-4.0, 4.0, 4 * a)
-        assert model.ode == (CPolynomial((0.0, -4.0)), CPolynomial(p1), CPolynomial(p0))
+        assert model.ode == tuple(Poly(p).coeffs for p in ((0.0, -4.0), p1, p0))
         assert model.potential_coeffs == (1.0, 2 * a, x2)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from qesolve.errors import ValidationError
-from qesolve.sl2 import BlockMatrix, CPolynomial, OperatorCombination, SpinJ, build_block
+from qesolve.sl2 import BlockMatrix, OperatorCombination, SpinJ, build_block
 
 from _helpers import (
     apply_combination,
@@ -11,7 +11,7 @@ from _helpers import (
     max_matrix_mismatch,
     unit_complex,
 )
-from _oracles import degree, is_zero, monomial
+from _oracles import Poly, degree, is_zero, monomial
 
 
 def test_raising_annihilates_top_state_exactly():
@@ -31,7 +31,7 @@ def test_spin_beyond_exact_halves_is_rejected():
 
 
 def test_lowering_kills_constants():
-    assert is_zero(apply_generator("minus", CPolynomial([1.0]), SpinJ(4)))
+    assert is_zero(apply_generator("minus", Poly([1.0]), SpinJ(4)))
 
 
 def test_weight_action_is_diagonal():
@@ -161,4 +161,4 @@ def test_block_matrix_rejects_non_finite_entries():
 
 def test_unknown_generator_rejected():
     with pytest.raises(ValidationError):
-        apply_generator("raise", CPolynomial([1.0]), SpinJ(0))
+        apply_generator("raise", Poly([1.0]), SpinJ(0))

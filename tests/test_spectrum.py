@@ -11,12 +11,12 @@ from qesolve import cli, spectrum
 from qesolve.analysis import poly_eval_bounded
 from qesolve.errors import ConvergenceFailureError, NumericOverflowError, ValidationError
 from qesolve.families import ODD, MorseParams, SexticParams, make_morse, make_sextic
-from qesolve.sl2 import BlockMatrix, CPolynomial, build_block
-from qesolve.spectrum import common_imaginary_shift, eigen_solve, solve_model
+from qesolve.sl2 import BlockMatrix, build_block
+from qesolve.spectrum import QesSolution, common_imaginary_shift, eigen_solve, solve_model
 from qesolve.tridiag import tridiag_norm, tridiag_null_vectors
 
-from _helpers import fresh_rng, rel_err, unit_complex
-from _oracles import char_poly, high_precision_spectrum, poly_roots
+from _helpers import fresh_rng, pack, rel_err, unit_complex
+from _oracles import Poly, char_poly, high_precision_spectrum, poly_roots
 
 FIXTURE_BLOCK = BlockMatrix(sub=(-4.0,), diag=(1j, 5j), sup=(-2.0,))
 
@@ -54,31 +54,31 @@ def test_block_cap_checked_before_build(capsys):
 
 def test_roots_of_fixture_quadratic():
     # quadratic formula: (6i +/- sqrt((6i)^2 + 52)) / 2 = 3i +/- 2
-    roots = poly_roots(CPolynomial([-13.0, -6j, 1.0]))
+    roots = poly_roots(Poly([-13.0, -6j, 1.0]))
     expected = sorted([3j - 2.0, 3j + 2.0], key=lambda z: (z.real, z.imag))
     assert all(abs(r - e) <= 1e-12 for r, e in zip(roots, expected))
 
 
 def test_roots_of_unit_quadratic():
-    roots = poly_roots(CPolynomial([-1.0, 0.0, 1.0]))
+    roots = poly_roots(Poly([-1.0, 0.0, 1.0]))
     assert abs(roots[0] + 1.0) <= 1e-13 and abs(roots[1] - 1.0) <= 1e-13
 
 
 def test_roots_triple_zero_cluster():
-    roots = poly_roots(CPolynomial([0.0, 0.0, 0.0, 1.0]), tol=1e-13)
+    roots = poly_roots(Poly([0.0, 0.0, 0.0, 1.0]), tol=1e-13)
     assert max(abs(r) for r in roots) <= 1e-13 ** (1.0 / 3.0)
 
 
 def test_roots_need_degree_one():
     with pytest.raises(ValidationError):
-        poly_roots(CPolynomial([2.0]))
+        poly_roots(Poly([2.0]))
     with pytest.raises(ValidationError):
-        poly_roots(CPolynomial())
+        poly_roots(Poly())
 
 
 def test_roots_convergence_failure_carries_best():
     with pytest.raises(ConvergenceFailureError) as info:
-        poly_roots(CPolynomial([-1.0, 0.0, 1.0]), max_iter=1)
+        poly_roots(Poly([-1.0, 0.0, 1.0]), max_iter=1)
     assert info.value.best is not None and len(info.value.best) == 2
     assert info.value.defect is not None and info.value.defect > 0
 
@@ -88,8 +88,8 @@ def test_eigen_solve_fixture_vectors():
     pairs = eigen_solve(FIXTURE_BLOCK)
     assert abs(pairs[0].energy_base - (-2.0 + 3j)) <= 1e-12
     assert abs(pairs[1].energy_base - (2.0 + 3j)) <= 1e-12
-    low = pairs[0].phi_coeffs.coeffs
-    high = pairs[1].phi_coeffs.coeffs
+    low = pairs[0].phi_coeffs
+    high = pairs[1].phi_coeffs
     assert abs(low[0] - 1.0) == 0.0
     assert abs(low[1] - (1.0 - 1j)) <= 1e-12
     assert abs(high[1] - (-1.0 - 1j)) <= 1e-12
@@ -100,15 +100,15 @@ def test_eigen_solve_morse_1x1():
     model = make_morse(MorseParams.from_mu(1.0, 0))
     pairs = eigen_solve(build_block(model.combo, model.rep))
     assert abs(pairs[0].energy_base - 1.5j) <= 1e-14
-    assert pairs[0].phi_coeffs.coeffs == (1.0 + 0j,)
+    assert pairs[0].phi_coeffs == (1.0 + 0j,)
 
 
 def test_eigen_solve_diagonal():
     pairs = eigen_solve(BlockMatrix(sub=(0.0,), diag=(2.0, 5.0), sup=(0.0,)))
     assert abs(pairs[0].energy_base - 2.0) <= 1e-13
     assert abs(pairs[1].energy_base - 5.0) <= 1e-13
-    assert pairs[0].phi_coeffs.coeffs == (1.0 + 0j,)
-    assert pairs[1].phi_coeffs.coeffs == (0.0j, 1.0 + 0j)
+    assert pairs[0].phi_coeffs == (1.0 + 0j,)
+    assert pairs[1].phi_coeffs == (0.0j, 1.0 + 0j)
     # degenerate blocks: zero couplings split the block, multiple eigenvalues
     # come back as one centroid with its multiplicity
     golden = (3.0 - math.sqrt(5.0)) / 2.0
@@ -250,7 +250,24 @@ def test_root_defect_bound():
         cp = char_poly(matrix)
         scale = max(abs(c) for c in cp.coeffs)
         for root in poly_roots(cp):
-            assert abs(poly_eval_bounded(cp, root)[0]) <= 1e-9 * scale
+            assert abs(poly_eval_bounded(cp.coeffs, root)[0]) <= 1e-9 * scale
+
+
+def test_solved_levels_are_hashable_values():
+    # phi is packed into bytes: two solves of one block give equal levels
+    # that hash equal, and dataclasses.replace keeps phi
+    model = make_sextic(SexticParams.from_mu(0.7, 5))
+    first, _ = solve_model(model)
+    second, _ = solve_model(model)
+    assert first == second and list(map(hash, first)) == list(map(hash, second))
+    level = first[1]
+    assert len(level.phi_packed) == 16 * len(level.phi_coeffs) == 16 * 6
+    moved = dataclasses.replace(level, energy_base=level.energy_base + 1.0)
+    assert moved != level and moved.phi_coeffs == level.phi_coeffs
+    assert dataclasses.replace(moved, energy_base=level.energy_base) == level
+    # equality reads the packed bits: a zero's sign counts
+    plus, minus = (QesSolution(0j, pack([1.0, zero]), 0.0) for zero in (0.0j, complex(0.0, -0.0)))
+    assert plus.phi_coeffs == minus.phi_coeffs and plus != minus
 
 
 def test_shift_equivariance():
@@ -263,12 +280,8 @@ def test_shift_equivariance():
         shifted_pairs = eigen_solve(shifted)
         for p, q in zip(base_pairs, shifted_pairs):
             assert abs(q.energy_base - (p.energy_base + c)) <= 1e-10
-            assert max(
-                abs(x - y)
-                for x, y in zip(
-                    p.phi_coeffs.coeffs + (0.0j,) * dim, q.phi_coeffs.coeffs + (0.0j,) * dim
-                )
-            ) <= 1e-10
+            pad = (0.0j,) * dim
+            assert max(abs(x - y) for x, y in zip(p.phi_coeffs + pad, q.phi_coeffs + pad)) <= 1e-10
 
 
 def test_common_shift_pair():
@@ -591,18 +604,32 @@ def _assert_non_normal_levels(pairs, rel: float = 1e-12):
         assert min(abs(p.energy_base - level) for level in levels) <= rel * abs(p.energy_base), p
 
 
+_NON_NORMAL_EXPECTED = [
+    complex(re, im)
+    for re in (-7.5874495677599e-151, 7.5874495677599e-151)
+    for im in (9.2930401312696e-151, 2.0706959868730e-150)
+]
+
+
 def test_non_normal_block_matches_its_60_digit_reference():
     # mpmath.eig of the block itself returns its diagonal 0, 1e-150i, 2e-150i,
     # 3e-150i; the balanced block gives these levels, and eigen_solve's agree
     # to 1.1e-16 of each
-    expected = [
-        complex(re, im)
-        for re in (-7.5874495677599e-151, 7.5874495677599e-151)
-        for im in (9.2930401312696e-151, 2.0706959868730e-150)
-    ]
     levels = sorted(_non_normal_levels(), key=lambda z: (z.real, z.imag))
-    assert levels == pytest.approx(expected, rel=1e-13)
+    assert levels == pytest.approx(_NON_NORMAL_EXPECTED, rel=1e-13)
     _assert_non_normal_levels(eigen_solve(NON_NORMAL_4X4), rel=1e-15)
+
+
+def test_non_normal_reference_is_refined_by_newton(monkeypatch):
+    # the oracle's Newton stop is relative to the balanced block's norm,
+    # about 5e-150, so its 1e-150 levels settle by Newton as distinct roots
+    # and the mpmath.eig fallback is never called
+    mpmath = pytest.importorskip("mpmath")
+    calls, eig = [], mpmath.eig
+    monkeypatch.setattr(mpmath, "eig", lambda *args, **kwargs: calls.append(args) or eig(*args, **kwargs))
+    levels = sorted(_non_normal_levels(), key=lambda z: (z.real, z.imag))
+    assert calls == []
+    assert levels == pytest.approx(_NON_NORMAL_EXPECTED, rel=1e-13)
 
 
 def test_circle_start_finds_the_non_normal_levels(monkeypatch):
@@ -667,7 +694,7 @@ def test_overflowing_eigenvector_fails_loudly(monkeypatch):
     block = NON_NORMAL_4X4
     pairs = eigen_solve(block)
     assert len(pairs) == 4
-    assert all(cmath.isfinite(c) for p in pairs for c in p.phi_coeffs.coeffs)
+    assert all(cmath.isfinite(c) for p in pairs for c in p.phi_coeffs)
     assert max(p.eigvec_residual for p in pairs) <= 1e-10
 
     def overflowed(sub, diag, sup, zs):
@@ -701,7 +728,7 @@ def test_zero_coupling_decouples_the_batched_null_vectors():
         assert x[0] == x[1] == 0.0 and abs(x[2]) > 0.0 and abs(x[3]) > 0.0
     # and eigen_solve keeps those zeros in phi
     for level in eigen_solve(BlockMatrix(tuple(sub), tuple(diag), tuple(sup))):
-        coeffs = level.phi_coeffs.coeffs
+        coeffs = level.phi_coeffs
         assert len(coeffs) == 2 or coeffs[:2] == (0j, 0j)
 
 
@@ -713,7 +740,7 @@ def test_solution_invariants():
     solutions, _ = solve_model(model)
     for s in solutions:
         assert s.eigvec_residual <= 1e-10
-        first = next(c for c in s.phi_coeffs.coeffs if abs(c) > 0)
+        first = next(c for c in s.phi_coeffs if abs(c) > 0)
         assert first == 1.0
 
 
