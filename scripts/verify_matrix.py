@@ -42,7 +42,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from qesolve.analysis import default_grid, fd_verify
+from qesolve.analysis import GridSpec, fd_verify
 from qesolve.cli import build_report
 from qesolve.errors import QesError
 from qesolve.families import EVEN, ODD, MorseParams, SexticParams, make_morse, make_sextic
@@ -87,7 +87,7 @@ def grid_outcome(model, n_points: int) -> tuple[str, str]:
     and a 12-digit hash of the refined values' reprs, or `-` on an error."""
     try:
         solutions, result = solve_model(model)
-        check = fd_verify(model, solutions, result.shift, default_grid(model, n_points))
+        check = fd_verify(model, solutions, result.shift, GridSpec(*model.default_domain, n_points))
     except QesError as exc:
         return f"error: {exc}", "-"
     refined = hashlib.sha256(repr(check.refined).encode()).hexdigest()[:12]

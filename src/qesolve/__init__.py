@@ -12,7 +12,6 @@ discretization cross-check of each eigenvalue.
 from .analysis import (
     GridCheck,
     GridSpec,
-    default_grid,
     fd_verify,
     is_pt_symmetric,
     norm_squared,

@@ -448,14 +448,10 @@ def _grid_eigenvalue(
     return min(inside, key=lambda w: abs(w - centre), default=None)
 
 
-def default_grid(model: QesModel, n_points: int = FD_GRID_N) -> GridSpec:
-    """The model's default_domain, where the gauge factor is below 1e-16 at the ends."""
-    return GridSpec(*model.default_domain, n_points)
-
-
 def fd_defect_bound(model: QesModel, grid: GridSpec) -> float:
     """A level's allowed |refined - predicted|: FD_REFERENCE_DEFECT scaled by h^2."""
-    return max(FD_REFERENCE_DEFECT * (grid.step / default_grid(model).step) ** 2, 1e-8)
+    reference = GridSpec(*model.default_domain, FD_GRID_N)
+    return max(FD_REFERENCE_DEFECT * (grid.step / reference.step) ** 2, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -473,7 +469,7 @@ class GridCheck:
 def fd_verify(
     model: QesModel, solutions: Sequence[QesSolution], shift: complex, grid: GridSpec | None = None
 ) -> GridCheck:
-    """Grid check of a model's levels on one grid (the family default when None).
+    """Grid check of a model's levels on one grid, by default the model's default_domain.
 
     The grid Hamiltonian carries the model's potential shift (solve_model's
     ShiftResult.shift), and each level predicts energy_base + shift.  Its
@@ -482,7 +478,7 @@ def fd_verify(
     only, with the mirror neighbour psi(-x) = parity * psi(x) folded in;
     every other grid keeps all its points.
     """
-    grid = grid or default_grid(model)
+    grid = grid or GridSpec(*model.default_domain, FD_GRID_N)
     predicted = [s.energy_base + shift for s in solutions]
     n, h = grid.n_points, grid.step
     inv_h2 = 1.0 / (h * h)

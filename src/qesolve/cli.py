@@ -23,7 +23,6 @@ from .analysis import (
     MAX_POINTS,
     GridCheck,
     GridSpec,
-    default_grid,
     fd_verify,
     is_pt_symmetric,
     norm_squared,
@@ -343,10 +342,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     model = _resolve_model(args, args.mu)
     _check_size("--grid-n", args.grid_n, "grid points")
-    if args.domain is not None:
-        grid = GridSpec(*args.domain, args.grid_n)
-    else:
-        grid = default_grid(model, args.grid_n)
+    grid = GridSpec(*(args.domain or model.default_domain), args.grid_n)
     report, ok = build_report(model, verify=True, grid=grid)
     print(render_report(report))
     return 0 if ok else 2

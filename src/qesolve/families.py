@@ -45,20 +45,18 @@ MORSE = "morse"
 EVEN = "even"
 ODD = "odd"
 
-# largest exponent argument exp() accepts without overflow
-_EXP_LIMIT = 709.0
-
-
 def _cexp(w: complex) -> complex:
-    if w.real > _EXP_LIMIT:
-        raise NumericOverflowError(f"exponential overflow: exp({w!r})")
-    return cmath.exp(w)
+    try:
+        return cmath.exp(w)
+    except OverflowError:  # refused exactly where exp cannot return a double
+        raise NumericOverflowError(f"exponential overflow: exp({w!r})") from None
 
 
 def _rexp(x: float) -> float:
-    if x > _EXP_LIMIT:
-        raise NumericOverflowError(f"exponential overflow: exp({x!r})")
-    value = math.exp(x)
+    try:
+        value = math.exp(x)
+    except OverflowError:
+        raise NumericOverflowError(f"exponential overflow: exp({x!r})") from None
     if value == 0.0:  # the Morse gauge divides by it
         raise NumericOverflowError(f"exponential underflow: exp({x!r})")
     return value

@@ -55,7 +55,7 @@ MAX_BLOCK_DIM = 32
 ABERTH_STEPS = 168
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class QesSolution:
     """One exactly known level of a model: an eigenpair of its block.
 
@@ -77,6 +77,12 @@ class QesSolution:
         """c_0 .. c_{2j} of phi, unpacked on each read."""
         parts = iter(memoryview(self.phi_packed).cast("d"))
         return tuple(map(complex, parts, parts))
+
+    def __repr__(self) -> str:
+        return (
+            f"QesSolution(energy_base={self.energy_base!r}, phi_coeffs={self.phi_coeffs!r}, "
+            f"eigvec_residual={self.eigvec_residual!r}, multiplicity={self.multiplicity!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -175,19 +181,20 @@ def _circle_starts(diag, prod) -> list[complex]:
 def _aberth(diag, prod) -> tuple[list[complex], float]:
     """Roots of det(T - zI) for an unreduced piece T, by Ehrlich-Aberth iteration.
 
-    T is scaled here, once and exactly, by the power of two f that puts
-    max |d| + max |prod|^(1/2) in [1/2, 1), the products by f twice as f^2
-    may overflow; QL, the circle and the acceptance test all read that
-    piece.  The starts are the _ql_values, usually accepted on the first
-    sweep, or else the _circle_starts.  An iterate is accepted once
-    |p| <= 4 (n + 1) eps (scale + |z p'|) + (n + 1) 2^-1074, the last term
-    the gradual-underflow error of the n + 1 products (Higham, section
-    2.1), then takes one last Newton step.  Returns the iterates and the
+    T is scaled here, once and exactly, by the power of two f <= 2^1023 that puts
+    max |d| + max |prod|^(1/2) in [1/2, 1), each d part by part so a zero keeps
+    its sign, the products by f twice as f^2 may overflow; QL, the circle and the
+    acceptance test all read that piece.  The starts are the _ql_values, usually
+    accepted on the first sweep, or else the _circle_starts.  An iterate is
+    accepted once |p| <= 4 (n + 1) eps (scale + |z p'|) + (n + 1) 2^-1074, the
+    last term the gradual-underflow error of the n + 1 products (Higham, 2.1),
+    then takes one last Newton step unless p = 0.  Returns the iterates and the
     largest |p/p'| of those left after ABERTH_STEPS sweeps (or 0), over f.
     """
     n = len(diag)
-    f = math.ldexp(1.0, -math.frexp(max(map(abs, diag)) + math.sqrt(max(map(abs, prod))))[1])
-    diag, prod = [x * f for x in diag], [b * f * f for b in prod]
+    e = math.frexp(max(map(abs, diag)) + math.sqrt(max(map(abs, prod))))[1]
+    f = math.ldexp(1.0, min(-e, 1023))
+    diag, prod = [complex(x.real * f, x.imag * f) for x in diag], [b * f * f for b in prod]
     zs = _ql_values(diag, prod) or _circle_starts(diag, prod)
     rows = [(d, b, abs(b)) for d, b in zip(diag, prod)]
     tol, underflow = 4.0 * (n + 1) * _EPS, (n + 1) * 2.0**-1074
@@ -198,25 +205,24 @@ def _aberth(diag, prod) -> tuple[list[complex], float]:
             zi = zs[i]
             p, dp, scale = _newton_terms(rows, zi)
             if abs(p) <= tol * (scale + abs(zi * dp)) + underflow:
-                zs[i] = zi - p / dp if dp else zi
+                zs[i] = zi - p / dp if p and dp else zi
             else:
                 zs[i] = zi - p / (dp - p * sum([1.0 / (zi - w) for w in zs if w != zi]))
                 left.append(i)
         live = left
         if not live:
-            return [z / f for z in zs], 0.0
+            break
     terms = [_newton_terms(rows, zs[i]) for i in live]
-    return [z / f for z in zs], max(abs(p / dp) if dp else math.inf for p, dp, _ in terms) / f
+    defect = max([abs(p / dp) if dp else math.inf for p, dp, _ in terms], default=0.0)
+    return [complex(z.real / f, z.imag / f) for z in zs], defect / f
 
 
 def _eigenvalues(diag, prod) -> list[complex]:
     """All eigenvalues, piece by piece between exactly zero coupling products."""
-    values, defect = [], 0.0
     cuts = [k for k, b in enumerate(prod) if b == 0] + [len(diag)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        zs, left = _aberth(diag[lo:hi], prod[lo:hi]) if hi - lo > 1 else ([diag[lo]], 0.0)
-        values += zs
-        defect = max(defect, left)
+    pieces = [_aberth(diag[lo:hi], prod[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    values = [z for zs, _ in pieces for z in zs]
+    defect = max(left for _, left in pieces)
     if defect:
         message = f"Aberth iteration did not converge within {ABERTH_STEPS} steps"
         raise ConvergenceFailureError(message, best=values, defect=defect)

@@ -12,7 +12,6 @@ import pytest
 from qesolve import analysis
 from qesolve.analysis import (
     GridSpec,
-    default_grid,
     fd_verify,
     is_pt_symmetric,
     norm_squared,
@@ -655,7 +654,7 @@ def test_fd_parity_start_on_sextic_double_well(sector, mu, monkeypatch):
     model = make_sextic(SexticParams.from_mu(mu, 5, sector))
     solutions, result = solve_model(model)
     shift = result.shift
-    grid = default_grid(model)
+    grid = GridSpec(*model.default_domain, analysis.FD_GRID_N)
     n = grid.n_points
     h = (grid.x_max - grid.x_min) / (n + 1)
     # reference: the same Hamiltonian restricted to the sector's parity, on
@@ -907,7 +906,7 @@ def test_fd_keeps_an_in_disc_newton_root():
     # though 7.879 lies nearer the prediction in the same disc
     model = make_morse(MorseParams.from_mu(0.0, 11))
     solutions, result = solve_model(model)
-    grid = default_grid(model, 65)
+    grid = GridSpec(*model.default_domain, 65)
     check = fd_verify(model, solutions, result.shift, grid)
     (guess, value), = [
         (s.energy_base + result.shift, r)
@@ -941,7 +940,7 @@ def test_fd_disc_count_matches_numpy_on_coarse_grids(family, two_j, mu, n_points
     else:
         model = make_sextic(SexticParams.from_mu(mu, two_j, EVEN))
     solutions, result = solve_model(model)
-    grid = default_grid(model, n_points)
+    grid = GridSpec(*model.default_domain, n_points)
     check = fd_verify(model, solutions, result.shift, grid)
     assert (check.defect <= check.defect_bound) == passed
     if family == "morse":
@@ -999,7 +998,7 @@ def default_grid_newton():
 
     with pytest.MonkeyPatch.context() as patch:
         for model in _default_grid_models():
-            grid = default_grid(model)
+            grid = GridSpec(*model.default_domain, analysis.FD_GRID_N)
             kinetic = 4.0 * ((grid.n_points + 1) / (grid.x_max - grid.x_min)) ** 2
 
             solutions, result = solve_model(model)
@@ -1242,15 +1241,20 @@ def test_newton_stop_test_cannot_overflow():
 
 
 def test_default_grids():
-    sextic = default_grid(make_sextic(SexticParams.from_mu(1.0, 0)))
-    morse = default_grid(make_morse(MorseParams.from_mu(1.0, 0)))
-    assert (sextic.x_min, sextic.x_max, sextic.n_points) == (-6.0, 6.0, 2000)
-    assert (morse.x_min, morse.x_max, morse.n_points) == (-12.0, 4.0, 2000)
+    # fd_verify's default grid: the model's default_domain at FD_GRID_N points
+    def default_check(model):
+        solutions, result = solve_model(model)
+        return fd_verify(model, solutions, result.shift)
+
+    sextic = default_check(make_sextic(SexticParams.from_mu(1.0, 0)))
+    morse = default_check(make_morse(MorseParams.from_mu(1.0, 0)))
+    assert (sextic.x_min, sextic.x_max, sextic.grid_n) == (-6.0, 6.0, 2000)
+    assert (morse.x_min, morse.x_max, morse.grid_n) == (-12.0, 4.0, 2000)
     # a complex a or d of the same modulus leaves the Morse grid where it is
-    tilted = default_grid(make_morse(MorseParams.from_mu(1.0, 0, a=1j, d=0.6 + 0.8j)))
+    tilted = default_check(make_morse(MorseParams.from_mu(1.0, 0, a=1j, d=0.6 + 0.8j)))
     assert (tilted.x_min, tilted.x_max) == (-12.0, 4.0)
     # V_{a,d}(x) = V_{1,1}(x - x0) for a d = 1, with x0 = ln(a / d) / 2 = ln 100
-    moved = default_grid(make_morse(MorseParams.from_mu(1.0, 0, a=100.0, d=0.01)))
+    moved = default_check(make_morse(MorseParams.from_mu(1.0, 0, a=100.0, d=0.01)))
     assert abs(moved.x_min - (-12.0 + math.log(100.0))) <= 1e-15 * 12.0
     assert abs(moved.x_max - (4.0 + math.log(100.0))) <= 1e-15 * 12.0
 

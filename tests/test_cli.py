@@ -430,6 +430,13 @@ def test_non_finite_floats_render_as_null():
     assert cli.to_json(complex(math.inf, 1.0)) == '{\n  "re": null,\n  "im": 1\n}'
 
 
+def test_to_json_renders_empty_dicts_and_refuses_other_types():
+    assert cli.to_json({}) == "{}"
+    assert cli.to_json({"a": {}}) == '{\n  "a": {}\n}'
+    with pytest.raises(TypeError, match="cannot serialize <class 'object'>"):
+        cli.to_json(object())
+
+
 def test_failure_detail_prints_a_non_finite_defect_as_null():
     # json.dumps writes NaN and Infinity, which are not JSON
     for defect in (math.inf, math.nan):

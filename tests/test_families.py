@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qesolve import families
 from qesolve.errors import NumericOverflowError, ValidationError
 from qesolve.families import (
     EVEN,
@@ -191,6 +192,18 @@ def test_morse_potential_is_refused_exactly_where_it_is_not_finite():
     for x in (400.0, -400.0, 800.0, -800.0):
         with pytest.raises(NumericOverflowError, match=f"{x!r}"):
             potential_eval(model, x)
+
+
+def test_exponentials_are_refused_exactly_where_exp_overflows():
+    # exp returns a double up to 709.78; the model refuses past that, not before
+    assert math.isfinite(families._rexp(709.5))
+    assert cmath.isfinite(families._cexp(709.5 + 1j))
+    assert cmath.isfinite(families._cexp(complex(710.0, math.pi / 4)))  # both parts below 1.8e308
+    morse = make_morse(MorseParams.from_mu(0.7, 1))
+    assert morse.z_of_x(-709.5) == math.exp(709.5) == 1.3549863193146328e308
+    for exp in (families._rexp, families._cexp, lambda x: morse.z_of_x(-x)):
+        with pytest.raises(NumericOverflowError, match=r"^exponential overflow: exp\(710\.0\)$"):
+            exp(710.0)
 
 
 def test_morse_ode_overflow_raises_when_the_model_is_made():

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import struct
 import sys
 import time
 
@@ -101,6 +102,30 @@ def test_eigen_solve_morse_1x1():
     pairs = eigen_solve(build_block(model.combo, model.rep))
     assert abs(pairs[0].energy_base - 1.5j) <= 1e-14
     assert pairs[0].phi_coeffs == (1.0 + 0j,)
+
+
+@pytest.mark.parametrize("d", [0j, complex(-0.0, 0.0), 5e-324j, 1e-150j])
+def test_one_row_pieces_return_their_diagonal_bit_for_bit(d):
+    # every piece goes through _aberth: a one-row piece is accepted at its
+    # diagonal with p = 0 and takes no Newton step, its parts are scaled and
+    # unscaled one by one so a zero keeps its sign, and a subnormal d, whose
+    # power of two 2^1073 is past the largest double, is scaled by 2^1023
+    def bits(z):
+        return struct.pack("dd", z.real, z.imag)
+
+    zs, defect = spectrum._aberth([d], [0j])
+    assert list(map(bits, zs)) == [bits(d)] and defect == 0.0
+    assert list(map(bits, spectrum._eigenvalues([d], [0j]))) == [bits(d)]
+    (level,) = eigen_solve(BlockMatrix((), (d,), ()))
+    assert level.energy_base == d and level.phi_coeffs == (1.0 + 0j,)
+    assert level.eigvec_residual == 0.0
+
+
+def test_a_subnormal_one_row_piece_of_a_larger_block_solves():
+    # divided by its size 2, the second row is 5e-324j, a piece of its own
+    levels = eigen_solve(BlockMatrix((0j,), (1.0 + 0j, 1e-323j), (0j,)))
+    assert [s.energy_base for s in levels] == [1e-323j, 1.0 + 0j]
+    assert [s.phi_coeffs for s in levels] == [(0j, 1.0 + 0j), (1.0 + 0j,)]
 
 
 def test_eigen_solve_diagonal():
@@ -268,6 +293,15 @@ def test_solved_levels_are_hashable_values():
     # equality reads the packed bits: a zero's sign counts
     plus, minus = (QesSolution(0j, pack([1.0, zero]), 0.0) for zero in (0.0j, complex(0.0, -0.0)))
     assert plus.phi_coeffs == minus.phi_coeffs and plus != minus
+
+
+def test_solved_level_repr_shows_phi():
+    # the repr names phi's coefficients, not the packed bytes behind them
+    level = solve_model(make_sextic(SexticParams.from_mu(0.7, 3)))[0][0]
+    text = repr(level)
+    assert f"phi_coeffs={level.phi_coeffs!r}" in text and "b'" not in text
+    assert text.startswith(f"QesSolution(energy_base={level.energy_base!r}, ")
+    assert text.endswith(f"eigvec_residual={level.eigvec_residual!r}, multiplicity=1)")
 
 
 def test_shift_equivariance():
