@@ -5,8 +5,14 @@ Each line is `<digest> <exit code> <argv>`, the digest a hash of the exit
 code, stdout and stderr of `qesolve <argv>` run in-process through
 cli.main; an exception that escapes main is an outcome of its own, and
 its exit code field reads `raised:<exception type>`.  The `total` line
-hashes all of them.  The last line, `gate commands-raise <n> zero`, counts
-the commands that raised; `scripts/gates.py` fails any n but 0.  Two
+hashes all of them.  Then `gate commands-raise <n> zero` counts the
+commands that raised, and the last line, `gate outputs-not-canonical <n>
+zero` (new with the switch to the standard library's float format), counts
+the commands whose stdout is not what the standard library prints for the
+values it parses to: a JSON stdout that differs from
+`json.dumps(json.loads(out), indent=2) + "\n"`, or a scan with a cell after
+the header that is neither an integer nor `repr(float(cell))`.
+`scripts/gates.py` fails either n but 0.  Two
 checkouts whose outputs agree byte for byte print the same lines, so a
 diff of two runs names every command whose output moved.  The script imports qesolve from the `src`
 directory next to it; to digest another checkout, copy the script into
@@ -16,12 +22,13 @@ that checkout's `scripts` directory and run it there.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from qesolve.cli import main
+from qesolve.cli import SCAN_HEADER, main
 
 TWO_JS = (0, 1, 2, 3, 5, 12, 31)
 MUS = ("0", "0.7", "1.4", "2.2")
@@ -89,7 +96,19 @@ def cases():
     yield from EDGE_CASES
 
 
-def digest(argv) -> str:
+def canonical(out: str) -> bool:
+    """Whether out is what the standard library prints for the values it parses to."""
+    try:
+        if out.startswith(SCAN_HEADER):
+            cells = [cell for row in out.splitlines()[1:] for cell in row.split(",")]
+            return all(cell.isdigit() or cell == repr(float(cell)) for cell in cells)
+        return not out or json.dumps(json.loads(out), indent=2) + "\n" == out
+    except ValueError:
+        return False
+
+
+def digest(argv) -> tuple[str, bool]:
+    """The digest line of argv, and whether its stdout is canonical."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -97,20 +116,23 @@ def digest(argv) -> str:
         except Exception as exc:  # a crash is an outcome too, not the end of the digest
             code = f"raised:{type(exc).__name__}"
     blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()
-    return f"{hashlib.sha256(blob).hexdigest()[:16]} {code} {' '.join(argv)}"
+    line = f"{hashlib.sha256(blob).hexdigest()[:16]} {code} {' '.join(argv)}"
+    return line, canonical(out.getvalue())
 
 
 def main_digest() -> int:
     total = hashlib.sha256()
-    count = raised = 0
+    count = raised = not_canonical = 0
     for argv in cases():
-        line = digest(argv)
+        line, is_canonical = digest(argv)
         print(line)
         total.update(line.encode() + b"\n")
         count += 1
         raised += line.split(" ", 2)[1].startswith("raised:")
+        not_canonical += not is_canonical
     print(f"total {count} outputs {total.hexdigest()[:16]}")
     print(f"gate commands-raise {raised} zero")
+    print(f"gate outputs-not-canonical {not_canonical} zero")
     return 0
 
 

@@ -1,8 +1,10 @@
 """Command-line front end: solve, verify, scan, partner.
 
-Output is machine-readable and byte-deterministic: JSON with floats printed
-at 17 significant digits (lossless for doubles), complex numbers as
-{"re": ..., "im": ...} objects, CSV with a fixed header and row order.
+Output is machine-readable and byte-deterministic: JSON from json.dumps and
+CSV cells from str, so every float prints as Python's shortest repr that
+round-trips (0.7, 1e-10, -0.0); complex numbers are {"re": ..., "im": ...}
+objects, a non-finite float in JSON is null, and the CSV has a fixed header
+and row order.
 
 Exit codes: 0 success, 1 usage or parameter validation, 2 numerical or
 verification failure.
@@ -55,38 +57,21 @@ SCAN_HEADER = "mu,level,re_base,im_base,re_shifted,im_shifted,shift_im,common_sh
 # deterministic serialization
 
 
-def format_float(x: float) -> str:
-    """17 significant digits: round-trips any double, fixed width-free format."""
-    return format(float(x), ".17g")
-
-
-def to_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):  # JSON has no inf or nan
-        return format_float(value) if math.isfinite(value) else "null"
+def _plain(value):
+    """value as json.dumps takes it: a dataclass as its fields in order, a
+    complex as {"re", "im"}, a tuple as a list, a non-finite float as None
+    (JSON has no inf or nan); json.dumps refuses any other type."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if isinstance(value, complex):
-        return to_json({"re": value.real, "im": value.imag}, indent)
-    if dataclasses.is_dataclass(value):
-        return to_json({f.name: getattr(value, f.name) for f in dataclasses.fields(value)}, indent)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [f'{pad}  {json.dumps(str(k))}: {to_json(v, indent + 1)}' for k, v in value.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        return {"re": _plain(value.real), "im": _plain(value.imag)}
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        rows = [f"{pad}  {to_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+        return [_plain(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 def _fmt_c(c: complex) -> str:
@@ -121,7 +106,7 @@ class RunReport:
 
 
 def render_report(r: RunReport) -> str:
-    return to_json(r)
+    return json.dumps(_plain(r), indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +347,11 @@ def cmd_scan(args) -> int:
     for k in range(count):
         mu = lo + k * step
         solutions, shift_result = solve_model(_resolve_model(args, mu))
+        shift, found = shift_result.shift, int(shift_result.found)
         for level, s in enumerate(solutions):
-            shifted = s.energy_base + shift_result.shift
-            lines.append(
-                ",".join(
-                    (
-                        format_float(mu),
-                        str(level),
-                        format_float(s.energy_base.real),
-                        format_float(s.energy_base.imag),
-                        format_float(shifted.real),
-                        format_float(shifted.imag),
-                        format_float(shift_result.shift.imag),
-                        str(int(shift_result.found)),
-                    )
-                )
-            )
+            e, shifted = s.energy_base, s.energy_base + shift
+            cells = (mu, level, e.real, e.imag, shifted.real, shifted.imag, shift.imag, found)
+            lines.append(",".join(map(str, cells)))
     print("\n".join(lines))
     return 0
 
@@ -401,7 +375,8 @@ def cmd_partner(args) -> int:
         except PoleError:
             row = {"pole": True, "v_minus": None, "v_plus": None, "difference": None}
         rows.append({"x": x, **row})
-    print(to_json({"family": model.family, "two_j": model.params.two_j, "samples": rows}))
+    output = {"family": model.family, "two_j": model.params.two_j, "samples": rows}
+    print(json.dumps(_plain(output), indent=2))
     return 0
 
 
@@ -435,10 +410,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def _failure_detail(exc: ConvergenceFailureError) -> str:
     """One JSON line saying how close the failed iteration came; a non-finite defect is null."""
-    best, defect = exc.best, exc.defect
+    best = exc.best
     count = len(best) if isinstance(best, (list, tuple)) else int(best is not None)
-    finite = defect is not None and math.isfinite(defect)
-    return json.dumps({"defect": defect if finite else None, "best_count": count})
+    return json.dumps(_plain({"defect": exc.defect, "best_count": count}))
 
 
 def main(argv=None) -> int:

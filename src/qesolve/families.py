@@ -143,7 +143,10 @@ class QesModel:
     (e^{2x}, e^x, e^{-x}, e^{-2x}) for Morse; there is never a constant term.
     The family's geometry, set by make_sextic / make_morse alone: centre,
     where the states sit (0, or Re x0 = ln(|a| / |d|) / 2 for Morse);
-    default_domain, the grid ends where the gauge factor is below 1e-16;
+    default_domain, the default grid's ends, sextic [-6, 6] and Morse
+    [-12, 4] + Re x0, where the gauge factor is below 1e-16 for the sextic
+    and for Morse with |a d| near 1 (not for small |a d|: at a = d = 0.1 it
+    is 1.7 at x = 4);
     parity, psi(-x) / psi(x) (+1 or -1 by sextic sector, 0 for Morse);
     normalizable, whether the gauge decays (Morse needs Re a, Re d > 0).
     """

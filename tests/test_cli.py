@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -17,9 +18,10 @@ from qesolve.cli import (
     main,
     render_report,
 )
-from qesolve.families import MorseParams, SexticParams, make_morse, make_sextic
+from qesolve.families import ODD, MorseParams, SexticParams, make_morse, make_sextic
 from qesolve.analysis import GridSpec
 from qesolve.errors import ConvergenceFailureError
+from qesolve.spectrum import solve_model
 
 
 def run_cli(capsys, *argv):
@@ -125,7 +127,7 @@ def _as_json(value):
 
 
 def test_report_round_trip():
-    # floats print at 17 significant digits, so json.loads recovers every double
+    # floats print as their shortest round-trip repr, so json.loads recovers every double
     report, _ = build_report(make_morse(MorseParams.from_mu(1.0, 1)))
     assert json.loads(render_report(report)) == _as_json(report)
 
@@ -138,6 +140,43 @@ def test_report_round_trip_with_verification():
     )
     assert ok
     assert json.loads(render_report(report)) == _as_json(report)
+
+
+def _bits(value):
+    """value with each float replaced by its 8 bytes, so == compares doubles bit for bit."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    return value
+
+
+def test_rendered_reports_and_scans_round_trip_bit_for_bit(capsys):
+    # 17 significant digits printed a negative zero as -0, which json.loads
+    # reads as the integer 0; the shortest repr prints -0.0 and keeps its sign
+    report, _ = build_report(make_sextic(SexticParams.from_mu(0.6817292588453335, 2, ODD)))
+    parsed = json.loads(render_report(report))
+    assert _bits(parsed) == _bits(_as_json(report))
+    zero = parsed["levels"][1]["phi_coeffs"][2]["im"]
+    assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
+    # each numeric cell of a scan reads back the bits of the value it prints
+    code, out, _ = run_cli(capsys, "scan", "--family", "morse", "--two-j", "1", "--mu-range", "0:1:0.25")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    parsed = [[int(c) if i in (1, 7) else float(c) for i, c in enumerate(row)] for row in rows]
+    expected = []
+    for k in range(5):
+        mu = 0.0 + k * 0.25
+        solutions, shift_result = solve_model(make_morse(MorseParams.from_mu(mu, 1)))
+        shift = shift_result.shift
+        for level, sol in enumerate(solutions):
+            e, shifted = sol.energy_base, sol.energy_base + shift
+            found = int(shift_result.found)
+            expected.append([mu, level, e.real, e.imag, shifted.real, shifted.imag, shift.imag, found])
+    assert _bits(parsed) == _bits(expected) and len(expected) == 10
+    assert "-0.0" in {c for row in rows for c in row}
 
 
 def test_byte_determinism(capsys):
@@ -425,16 +464,16 @@ def test_verify_without_a_grid_eigenvalue_in_a_disc_prints_its_report(capsys):
 def test_non_finite_floats_render_as_null():
     # JSON has no inf or nan; a failing report's defect must still parse
     for value in (math.inf, -math.inf, math.nan):
-        assert cli.to_json(value) == "null"
-    assert json.loads(cli.to_json({"defect": math.inf, "bound": 0.5})) == {"defect": None, "bound": 0.5}
-    assert cli.to_json(complex(math.inf, 1.0)) == '{\n  "re": null,\n  "im": 1\n}'
+        assert render_report(value) == "null"
+    assert json.loads(render_report({"defect": math.inf, "bound": 0.5})) == {"defect": None, "bound": 0.5}
+    assert render_report(complex(math.inf, 1.0)) == '{\n  "re": null,\n  "im": 1.0\n}'
 
 
-def test_to_json_renders_empty_dicts_and_refuses_other_types():
-    assert cli.to_json({}) == "{}"
-    assert cli.to_json({"a": {}}) == '{\n  "a": {}\n}'
-    with pytest.raises(TypeError, match="cannot serialize <class 'object'>"):
-        cli.to_json(object())
+def test_rendering_keeps_empty_dicts_and_refuses_other_types():
+    assert render_report({}) == "{}"
+    assert render_report({"a": {}}) == '{\n  "a": {}\n}'
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        render_report(object())
 
 
 def test_failure_detail_prints_a_non_finite_defect_as_null():

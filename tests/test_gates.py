@@ -18,6 +18,7 @@ OUTPUTS = {
         "2c0ffee0c0ffee00 2 verify --family morse --two-j 12 --mu 0.7\n"
         "total 2 outputs 0123456789abcdef\n"
         "gate commands-raise 0 zero\n"
+        "gate outputs-not-canonical 0 zero\n"
     ),
     "solve_digest": (
         "3c0ffee0c0ffee00 ok sextic even 2j=0 mu=0\n"
@@ -39,7 +40,7 @@ OUTPUTS = {
 
 # each script's gates and their rules
 STATED = {
-    "cli_digest": {"commands-raise": "zero"},
+    "cli_digest": {"commands-raise": "zero", "outputs-not-canonical": "zero"},
     "solve_digest": {"fallback-starts": "no-more"},
     "verify_matrix": {"blocks-pass": "no-fewer", "survey-raises": "no-more", "translations-pass": "no-fewer"},
 }
@@ -82,6 +83,7 @@ def test_identical_outputs_pass(tmp_path, capsys, script):
         ("verify_matrix", "translations-pass", 287),
         ("solve_digest", "fallback-starts", 3),
         ("cli_digest", "commands-raise", 1),
+        ("cli_digest", "outputs-not-canonical", 1),
     ],
 )
 def test_a_broken_gate_fails_and_is_named(tmp_path, capsys, script, name, value):
@@ -98,6 +100,35 @@ def test_zero_rule_ignores_the_parent(tmp_path, capsys):
     assert code == 1 and lines[-1] == "failing gates: commands-raise"
     code, _ = _run(tmp_path, capsys, OUTPUTS["cli_digest"], raising)
     assert code == 0
+    # outputs that are not canonical at HEAD^ do not fail HEAD
+    parent = _with_gate(OUTPUTS["cli_digest"], "outputs-not-canonical", 319)
+    code, _ = _run(tmp_path, capsys, OUTPUTS["cli_digest"], parent)
+    assert code == 0
+
+
+_digest_spec = importlib.util.spec_from_file_location("cli_digest", SCRIPTS / "cli_digest.py")
+cli_digest = importlib.util.module_from_spec(_digest_spec)
+_digest_spec.loader.exec_module(cli_digest)
+HEADER = cli_digest.SCAN_HEADER
+
+
+@pytest.mark.parametrize(
+    "out, expected",
+    [
+        ("", True),
+        ('{\n  "re": 0.7,\n  "im": -0.0\n}\n', True),
+        ('{\n  "re": 0.69999999999999996,\n  "im": -0.0\n}\n', False),  # 17 digits
+        ('{\n  "re": 0.7,\n  "im": -0\n}\n', False),  # json.loads reads -0 as the integer 0
+        ('{"re": 0.7, "im": -0.0}\n', False),  # not indented
+        ("numeric failure\n", False),
+        (f"{HEADER}\n", True),
+        (f"{HEADER}\n0.25,1,1e-10,-0.0,5.0,0.0,-0.25,0\n", True),
+        (f"{HEADER}\n0.25,1,1e-10,-0,5,0,-0.25,0\n", False),
+        (f"{HEADER}\n0.25,1,1.0000000000000000e-10,-0.0,5.0,0.0,-0.25,0\n", False),
+    ],
+)
+def test_canonical_output_is_what_the_standard_library_prints(out, expected):
+    assert cli_digest.canonical(out) is expected
 
 
 @pytest.mark.parametrize(
